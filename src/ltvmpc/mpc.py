@@ -209,7 +209,6 @@ class MpcController:
         self.tau = cfg.tau if cfg.tau is not None else cfg.N * traj.T
         self.solver = QpSolver(tol=1e-8, max_iter=800)
         self._sides = {}
-        self._last_x = None
         self._plan_e3 = None  # previous solve's predicted heading errors
         self._plan_k = None
         self.last_debug = None  # (cone, halfplane, rows) of the latest velocity solve
@@ -302,7 +301,6 @@ class MpcController:
         if extra and sol.mu_in.size >= len(extra):
             n_active = int(np.sum(sol.mu_in[-len(extra):] > 1e-8))
         P_k = self.schedule.P_at(k)
-        self._last_x = x
         if sol.status != "infeasible":
             self._plan_e3 = predicted[1:, 2].copy()
             self._plan_k = k

@@ -119,7 +119,10 @@ def _solve_kkt(H, grad, A_act, r_act):
             return np.linalg.solve(H, -grad), np.zeros(0)
         except np.linalg.LinAlgError:
             return np.linalg.lstsq(H, -grad, rcond=None)[0], np.zeros(0)
-    KKT = np.block([[H, A_act.T], [A_act, np.zeros((na, na))]])
+    KKT = np.zeros((n + na, n + na))
+    KKT[:n, :n] = H
+    KKT[:n, n:] = A_act.T
+    KKT[n:, :n] = A_act
     rhs = np.concatenate([-grad, r_act])
     try:
         sol = np.linalg.solve(KKT, rhs)
@@ -141,7 +144,7 @@ class QpSolver:
         self.tol = tol
         self.max_iter = max_iter
         self.check_convexity = check_convexity
-        self._checked_shape = None
+        self._checked_shapes = set()  # (n, m_eq) shapes whose convexity was checked
 
     # -- preconditions ----------------------------------------------------
 
@@ -313,9 +316,10 @@ class QpSolver:
     # -- main entry ----------------------------------------------------------
 
     def solve(self, p: QpProblem, x0=None) -> QpSolution:
-        if self.check_convexity and self._checked_shape != (p.n, p.A_eq.shape[0]):
+        shape = (p.n, p.A_eq.shape[0])
+        if self.check_convexity and shape not in self._checked_shapes:
             self._check_problem(p)
-            self._checked_shape = (p.n, p.A_eq.shape[0])
+            self._checked_shapes.add(shape)
 
         x_start, feas = self._feasible_start(p, x0)
         if feas == "infeasible":

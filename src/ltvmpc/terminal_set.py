@@ -4,13 +4,16 @@ The terminal region at step i is the sublevel set {x : x' P(i) x <= c(i)}.
 Checking state/input feasibility on the ellipsoid directly is nonlinear, so
 each ellipsoid gets an outer box aligned with the eigenvectors of P: its 8
 corners over-approximate the ellipsoid, and feasibility of all corners under
-the terminal controller certifies feasibility of the whole set. c(i) starts
-at c0 and is divided by a fixed factor until the corners pass.
+the terminal controller certifies feasibility of the whole set. c(i) is the
+first level of the sequence c0, c0/shrink, ... whose corners pass;
+shrink_level locates it from a closed-form bound on the box radius and
+confirms it with the corner check.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,14 +89,27 @@ def vertices_feasible(poly: OuterPolyhedron, cons: TerminalConstraints, K, u_ref
     return bool(np.all(np.abs(u) <= cons.u_max[None, :]))
 
 
+def _radius_bound(limit, spread) -> float:
+    """Largest r with r * spread <= limit in every column. A zero-spread
+    column does not depend on r: it allows any r or none."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(spread > 0, limit / spread, np.where(limit >= 0, np.inf, -np.inf))
+    return float(np.min(r, initial=np.inf))
+
+
 def shrink_level(P, cons: TerminalConstraints, K, u_ref, c0: float = 10.0,
                  shrink: float = 1.01, c_min: float = 1e-12):
     """Largest c in the sequence c0, c0/shrink, c0/shrink^2, ... whose outer
     box passes vertices_feasible. Raises ValueError if none above c_min does.
 
-    The box scales with sqrt(c), so the corner checks are evaluated on a
-    unit-level box scaled per candidate; the loop itself follows the plain
-    divide-until-feasible schedule.
+    The box scales with r = sqrt(c), and its corners come in +-pairs, so the
+    corner checks hold exactly for r <= r_max, where r_max is the per-column
+    minimum of e_max / max|vertex| and (u_max - |u_ref|) / max|K vertex| on
+    the unit-level box. The sequence is walked in plain floats up to the
+    first c with sqrt(c) <= r_max; that c is then confirmed with the exact
+    corner predicate, stepping forward while it fails and back while the
+    previous level passes, since rounding at the boundary can differ from
+    the bound. The result is the same c the divide-until-feasible loop finds.
     """
     lam, Vec = np.linalg.eigh(np.asarray(P, dtype=float))
     if np.min(lam) <= 0:
@@ -103,15 +119,27 @@ def shrink_level(P, cons: TerminalConstraints, K, u_ref, c0: float = 10.0,
     unit_inputs = unit_vertices @ np.asarray(K, dtype=float).T
     u_ref = np.asarray(u_ref, dtype=float).reshape(-1)
 
-    c = float(c0)
-    while c >= c_min:
+    def corners_pass(c):
         r = np.sqrt(c)
         ok_state = not np.any(np.abs(unit_vertices) * r > cons.e_max[None, :])
         ok_input = not np.any(np.abs(u_ref[None, :] + unit_inputs * r) > cons.u_max[None, :])
-        if ok_state and ok_input:
-            return c
-        c /= shrink
-    raise ValueError("terminal level shrank below c_min without becoming feasible")
+        return ok_state and ok_input
+
+    r_max = min(_radius_bound(cons.e_max, np.max(np.abs(unit_vertices), axis=0)),
+                _radius_bound(cons.u_max - np.abs(u_ref), np.max(np.abs(unit_inputs), axis=0)))
+    levels = [float(c0)]  # the sequence walked so far
+    while math.sqrt(levels[-1]) > r_max and levels[-1] / shrink >= c_min:
+        levels.append(levels[-1] / shrink)
+    for i in itertools.count(len(levels) - 1):
+        if i == len(levels):
+            levels.append(levels[-1] / shrink)
+        if levels[i] < c_min:
+            raise ValueError("terminal level shrank below c_min without becoming feasible")
+        if corners_pass(levels[i]):
+            break
+    while i > 0 and corners_pass(levels[i - 1]):
+        i -= 1
+    return levels[i]
 
 
 def compute_c_schedule(schedule, cons: TerminalConstraints, u_refs, c0: float = 10.0,

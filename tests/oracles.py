@@ -108,6 +108,28 @@ def shrink_sequence_level(c0, shrink, feasible):
     raise AssertionError("sequence exhausted without a feasible level")
 
 
+def unit_box_corners_pass(P, e_max, u_max, K, u_ref):
+    """Corner check at level c, evaluated candidate by candidate as the
+    divide-until-feasible loop always did: the unit-level eigen box scaled by
+    sqrt(c), every corner tested against the state box and, through
+    u = u_ref + K x, the input box. Returns the predicate c -> bool."""
+    lam, V = np.linalg.eigh(np.asarray(P, dtype=float))
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=lam.shape[0])))
+    unit_vertices = corners * np.sqrt(1.0 / lam) @ V.T
+    unit_inputs = unit_vertices @ np.asarray(K, dtype=float).T
+    e_max = np.asarray(e_max, dtype=float)
+    u_max = np.asarray(u_max, dtype=float)
+    u_ref = np.asarray(u_ref, dtype=float)
+
+    def feasible(c):
+        r = np.sqrt(c)
+        if np.any(np.abs(unit_vertices) * r > e_max[None, :]):
+            return False
+        return not np.any(np.abs(u_ref[None, :] + unit_inputs * r) > u_max[None, :])
+
+    return feasible
+
+
 def central_jacobian(f, x, h=1e-6):
     """Central finite differences of a vector function, column per input."""
     x = np.asarray(x, dtype=float)

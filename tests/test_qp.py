@@ -166,3 +166,28 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         QpSolver(check_convexity=True).solve(
             QpProblem(H=-np.eye(2), g=np.zeros(2)))
+
+
+def test_convexity_checked_once_per_shape(monkeypatch):
+    checked = []
+    check = QpSolver._check_problem
+
+    def counting_check(self, p):
+        checked.append((p.n, p.A_eq.shape[0]))
+        return check(self, p)
+
+    monkeypatch.setattr(QpSolver, "_check_problem", counting_check)
+    hard = QpProblem(H=np.eye(2), g=np.ones(2), A_eq=np.ones((1, 2)), b_eq=[1.0])
+    slacked = QpProblem(H=np.eye(3), g=np.ones(3), A_eq=np.ones((1, 3)), b_eq=[1.0])
+    solver = QpSolver()
+    for _ in range(3):  # the hard / slacked alternation of an avoidance scene
+        solver.solve(hard)
+        solver.solve(slacked)
+    assert sorted(checked) == [(2, 1), (3, 1)]
+
+
+def test_nonconvex_problem_of_new_shape_still_raises():
+    solver = QpSolver()
+    solver.solve(QpProblem(H=np.eye(2), g=np.ones(2)))
+    with pytest.raises(ValueError):
+        solver.solve(QpProblem(H=np.diag([1.0, -1.0, 1.0]), g=np.zeros(3)))
