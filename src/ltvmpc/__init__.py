@@ -2,7 +2,7 @@
 
 Library layout: dynamics (exact step, error frame, linearization), riccati
 (DARE + backward schedule), terminal_set (level-set sizing), qp (active-set
-solver with ADMM fallback), avoidance (hyperplane and velocity-cone rows),
+solver with phase-1 start), avoidance (hyperplane and velocity-cone rows),
 mpc (the receding-horizon controller), sim (scenario engine + metrics),
 figures (plot-data CSV bundles), cli (batch front end).
 """

@@ -104,58 +104,47 @@ def build_qp(e0, k: int, traj, models, schedule, costs: CostMatrices, cfg: MpcCo
     n = 5 * N
     e0 = np.asarray(e0, dtype=float).reshape(3)
     last = len(models) - 1
+    A = np.stack([models[min(i, last)].A for i in range(k, k + N)])
+    B = np.stack([models[min(i, last)].B for i in range(k, k + N)])
+    U = np.array([(traj[i].control.v, traj[i].control.omega) for i in range(k, k + N)])
+    j = np.arange(N)
+    u0 = 3 * N + 2 * j  # column of v in u_b(j); omega follows
+    # (row, column) index grids of the per-step blocks: e(j+1) rows/columns and
+    # u_b(j) columns, broadcast to (N, 3, 3) and (N, 3, 2) / (N, 2, 2)
+    e_row = 3 * j[:, None, None] + np.arange(3)[None, :, None]
+    e_col = 3 * j[:, None, None] + np.arange(3)[None, None, :]
+    u_row = u0[:, None, None] + np.arange(2)[None, :, None]
+    u_col = u0[:, None, None] + np.arange(2)[None, None, :]
 
     H = np.zeros((n, n))
-    for j in range(1, N):
-        H[3 * (j - 1): 3 * j, 3 * (j - 1): 3 * j] = costs.Q
+    H[e_row[:-1], e_col[:-1]] = costs.Q
     P_term = schedule.P_at(min(k + N, len(schedule.P) - 1))
     H[3 * (N - 1): 3 * N, 3 * (N - 1): 3 * N] = cfg.beta_eff * P_term
-    for j in range(N):
-        i0 = 3 * N + 2 * j
-        H[i0: i0 + 2, i0: i0 + 2] = costs.R
+    H[u_row, u_col] = costs.R
     g = np.zeros(n)
 
     A_eq = np.zeros((3 * N, n))
+    A_eq[e_row, e_col] = np.eye(3)
+    A_eq[e_row[1:], e_col[:-1]] = -A[1:]
+    A_eq[e_row, u_col] = -B
     b_eq = np.zeros(3 * N)
-    for j in range(N):
-        m = models[min(k + j, last)]
-        r = slice(3 * j, 3 * j + 3)
-        A_eq[r, 3 * j: 3 * j + 3] = np.eye(3)
-        if j == 0:
-            b_eq[r] = m.A @ e0
-        else:
-            A_eq[r, 3 * (j - 1): 3 * j] = -m.A
-        A_eq[r, 3 * N + 2 * j: 3 * N + 2 * j + 2] = -m.B
+    b_eq[:3] = models[min(k, last)].A @ e0
+
+    bounds = np.zeros((N, 4, n))  # per step j: +v, +omega, -v, -omega rows
+    bounds[j, 0, u0] = 1.0
+    bounds[j, 1, u0 + 1] = 1.0
+    bounds[j, 2, u0] = -1.0
+    bounds[j, 3, u0 + 1] = -1.0
+    A_in = [bounds.reshape(4 * N, n)]
+    b_in = [np.hstack([cfg.u_max - U, cfg.u_max + U]).ravel()]
+    if cfg.forbid_reverse:
+        rev = np.zeros((N, n))
+        rev[j, u0] = -1.0
+        A_in.append(rev)
+        b_in.append(U[:, 0])
 
     rows = []
     rhs = []
-    for j in range(N):
-        u_ref = traj[min(k + j, len(traj) - 1)].control.as_array()
-        i0 = 3 * N + 2 * j
-        up = np.zeros(n)
-        up[i0] = 1.0
-        rows.append(up)
-        rhs.append(cfg.u_max[0] - u_ref[0])
-        up2 = np.zeros(n)
-        up2[i0 + 1] = 1.0
-        rows.append(up2)
-        rhs.append(cfg.u_max[1] - u_ref[1])
-        lo = np.zeros(n)
-        lo[i0] = -1.0
-        rows.append(lo)
-        rhs.append(cfg.u_max[0] + u_ref[0])
-        lo2 = np.zeros(n)
-        lo2[i0 + 1] = -1.0
-        rows.append(lo2)
-        rhs.append(cfg.u_max[1] + u_ref[1])
-    if cfg.forbid_reverse:
-        for j in range(N):
-            u_ref = traj[min(k + j, len(traj) - 1)].control.as_array()
-            row = np.zeros(n)
-            row[3 * N + 2 * j] = -1.0
-            rows.append(row)
-            rhs.append(u_ref[0])
-
     for dr in extra_rows:
         row = np.zeros(n)
         if dr.e_coeff is not None:
@@ -168,9 +157,12 @@ def build_qp(e0, k: int, traj, models, schedule, costs: CostMatrices, cfg: MpcCo
             row[3 * N + 2 * dr.step: 3 * N + 2 * dr.step + 2] = dr.u_coeff
         rows.append(row)
         rhs.append(dr.rhs)
+    if rows:
+        A_in.append(np.array(rows))
+        b_in.append(np.array(rhs))
 
     return QpProblem(H=H, g=g, A_eq=A_eq, b_eq=b_eq,
-                     A_in=np.array(rows), b_in=np.array(rhs))
+                     A_in=np.vstack(A_in), b_in=np.concatenate(b_in))
 
 
 def _with_shared_slack(p: QpProblem, n_avoid: int, weight: float) -> QpProblem:
@@ -194,10 +186,12 @@ def _with_shared_slack(p: QpProblem, n_avoid: int, weight: float) -> QpProblem:
 class MpcController:
     """Receding-horizon tracking controller bound to one reference trajectory.
 
-    Holds the QP solver workspace, the previous solution for warm starting,
-    and the per-obstacle side memory used by the state-space avoidance
-    hysteresis (obstacles are identified by their position in the list passed
-    to control_step, which the simulator keeps stable).
+    Holds the QP solver, the previous plan's heading errors (used to
+    linearize the velocity-space rows) and the per-obstacle side memory used
+    by the state-space avoidance hysteresis (obstacles are identified by their
+    position in the list passed to control_step, which the simulator keeps
+    stable). No previous solution is reused: every solve starts from
+    `_rollout_start`, the prediction under u_b = 0.
     """
 
     def __init__(self, traj, models, schedule, costs: CostMatrices, cfg: MpcConfig):
@@ -207,7 +201,7 @@ class MpcController:
         self.costs = costs
         self.cfg = cfg
         self.tau = cfg.tau if cfg.tau is not None else cfg.N * traj.T
-        self.solver = QpSolver(tol=1e-8, max_iter=800)
+        self.solver = QpSolver(max_iter=800)
         self._sides = {}
         self._plan_e3 = None  # previous solve's predicted heading errors
         self._plan_k = None
@@ -255,7 +249,7 @@ class MpcController:
             return np.concatenate([[e0.e3], self._plan_e3[1:]])
         return np.full(self.cfg.N, e0.e3)
 
-    # -- warm start ---------------------------------------------------------
+    # -- start point --------------------------------------------------------
 
     def _rollout_start(self, e0: np.ndarray, k: int) -> np.ndarray:
         """Equality-feasible start: predicted errors under u_b = 0."""

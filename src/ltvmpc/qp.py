@@ -5,15 +5,15 @@ with H symmetric PSD (positive definite on the null space of A_eq).
 
 The primary algorithm is a primal active-set method with a phase-1 slack
 minimization for finding a feasible start (and for detecting infeasibility:
-the minimized slack is a violation certificate). If the active set fails to
-converge within its iteration budget, an ADMM loop with an exact polish step
-takes over behind the same interface. Correctness is always judged by the
-returned KKT residuals, never by the solver's internal state.
+the minimized slack is a violation certificate). A run that exhausts its
+iteration budget is reported as `max_iter`, never replaced by a second
+algorithm. Correctness is always judged by the returned KKT residuals, never
+by the solver's internal state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,15 +56,17 @@ class QpProblem:
         n = g.shape[0]
         if H.shape != (n, n):
             raise ValueError("H must be n x n matching g")
-        if not np.allclose(H, H.T, atol=1e-10):
-            raise ValueError("H must be symmetric (within 1e-10)")
+        if not np.array_equal(H, H.T):
+            if not np.allclose(H, H.T, atol=1e-10):
+                raise ValueError("H must be symmetric (within 1e-10)")
+            H = 0.5 * (H + H.T)
         A_eq = _as_2d(self.A_eq, n)
         A_in = _as_2d(self.A_in, n)
         b_eq = _as_1d(self.b_eq, A_eq.shape[0])
         b_in = _as_1d(self.b_in, A_in.shape[0])
         if A_eq.shape[0] > n:
             raise ValueError("more equality rows than variables")
-        object.__setattr__(self, "H", 0.5 * (H + H.T))
+        object.__setattr__(self, "H", H)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "A_eq", A_eq)
         object.__setattr__(self, "b_eq", b_eq)
@@ -134,14 +136,14 @@ def _solve_kkt(H, grad, A_act, r_act):
 
 
 class QpSolver:
-    """Active-set QP solver instance holding a mutable workspace.
+    """Active-set QP solver with its iteration budget.
 
-    One solve runs at a time per instance; the previous solution is kept for
-    warm starting. Warm starts change iteration counts, never the answer.
+    The only state kept between solves is the set of problem shapes whose
+    convexity was already checked. A start point passed to `solve` changes
+    the iteration count, never the answer.
     """
 
-    def __init__(self, tol: float = 1e-8, max_iter: int = 500, check_convexity: bool = True):
-        self.tol = tol
+    def __init__(self, max_iter: int = 500, check_convexity: bool = True):
         self.max_iter = max_iter
         self.check_convexity = check_convexity
         self._checked_shapes = set()  # (n, m_eq) shapes whose convexity was checked
@@ -186,6 +188,9 @@ class QpSolver:
                     return x, "infeasible"
         if not p.A_in.shape[0]:
             return x, "ok"
+        viol = float(np.max(p.A_in @ x - p.b_in))
+        if viol <= FEAS_TOL:
+            return x, "ok"
 
         # phase-1: min 0.5*eps*||x - anchor||^2 + 0.5 s^2  s.t. A_in x - s <= b_in.
         # The eps term biases the minimized slack upward by O(eps * distance
@@ -199,10 +204,7 @@ class QpSolver:
         He[n, n] = 1.0
         A_eq1 = np.hstack([p.A_eq, np.zeros((p.A_eq.shape[0], 1))]) if p.A_eq.shape[0] else None
         A_in1 = np.hstack([p.A_in, -np.ones((p.A_in.shape[0], 1))])
-        viol = float(np.max(p.A_in @ x - p.b_in))
         for _ in range(4):
-            if viol <= FEAS_TOL:
-                return x, "ok"
             ge = np.concatenate([-eps * x, [0.0]])
             start = np.concatenate([x, [viol + 1.0]])
             xs, _, _, status = self._active_set_loop(
@@ -214,12 +216,19 @@ class QpSolver:
             if new_viol >= viol:
                 break
             x, viol = xs[:n], new_viol
+            if viol <= FEAS_TOL:
+                return x, "ok"
         return x, ("ok" if viol <= INFEAS_TOL else "infeasible")
 
     # -- phase 2 -----------------------------------------------------------
 
     def _active_set_loop(self, H, g, A_eq, b_eq, A_in, b_in, x, max_iter):
-        """Primal active-set iterations from a feasible x."""
+        """Primal active-set iterations from a feasible x.
+
+        Each iteration factors one KKT matrix. A step that no row blocks lands
+        on the working-set minimizer, and the multipliers of that same solve
+        belong to the new point, so the optimality test needs no second solve.
+        """
         m_e, m_i = A_eq.shape[0], A_in.shape[0]
         work = []  # working inequality indices, kept sorted
         lam = np.zeros(m_e)
@@ -234,84 +243,41 @@ class QpSolver:
             r_act = b_act - A_act @ x if A_act.shape[0] else np.zeros(0)
             p_step, mults = _solve_kkt(H, grad, A_act, r_act)
 
-            if np.max(np.abs(p_step), initial=0.0) <= 1e-11 * (1.0 + np.max(np.abs(x))):
-                lam = mults[:m_e]
-                mu_w = mults[m_e:]
-                if mu_w.size == 0 or np.min(mu_w) >= -1e-9:
-                    mu = np.zeros(m_i)
-                    for idx, w in enumerate(work):
-                        mu[w] = max(mu_w[idx], 0.0)
-                    return x, lam, mu, "optimal"
-                # drop: most negative multiplier, smallest index breaking ties
-                j = int(np.argmin(mu_w))
-                work.pop(j)
-                continue
+            if np.max(np.abs(p_step), initial=0.0) > 1e-11 * (1.0 + np.max(np.abs(x))):
+                # ratio test over non-working rows
+                alpha = 1.0
+                block = -1
+                if m_i:
+                    mask = np.ones(m_i, dtype=bool)
+                    mask[work] = False
+                    rows = np.where(mask)[0]
+                    if rows.size:
+                        Ap = A_in[rows] @ p_step
+                        pos = Ap > 1e-13
+                        if np.any(pos):
+                            ratios = (b_in[rows[pos]] - A_in[rows[pos]] @ x) / Ap[pos]
+                            ratios = np.maximum(ratios, 0.0)
+                            j = int(np.argmin(ratios))
+                            if ratios[j] < alpha:
+                                alpha = float(ratios[j])
+                                block = int(rows[pos][j])
+                if block >= 0:
+                    x = x + alpha * p_step
+                    work.append(block)
+                    work.sort()
+                    continue
+                x = x + p_step
 
-            # ratio test over non-working rows
-            alpha = 1.0
-            block = -1
-            if m_i:
-                mask = np.ones(m_i, dtype=bool)
-                mask[work] = False
-                rows = np.where(mask)[0]
-                if rows.size:
-                    Ap = A_in[rows] @ p_step
-                    pos = Ap > 1e-13
-                    if np.any(pos):
-                        ratios = (b_in[rows[pos]] - A_in[rows[pos]] @ x) / Ap[pos]
-                        ratios = np.maximum(ratios, 0.0)
-                        j = int(np.argmin(ratios))
-                        if ratios[j] < alpha:
-                            alpha = float(ratios[j])
-                            block = int(rows[pos][j])
-            x = x + alpha * p_step
-            if block >= 0 and alpha < 1.0:
-                work.append(block)
-                work.sort()
+            lam = mults[:m_e]
+            mu_w = mults[m_e:]
+            if mu_w.size == 0 or np.min(mu_w) >= -1e-9:
+                mu = np.zeros(m_i)
+                for idx, w in enumerate(work):
+                    mu[w] = max(mu_w[idx], 0.0)
+                return x, lam, mu, "optimal"
+            # drop: most negative multiplier, smallest index breaking ties
+            work.pop(int(np.argmin(mu_w)))
         return x, lam, mu, "max_iter"
-
-    # -- ADMM fallback -----------------------------------------------------
-
-    def _admm(self, p: QpProblem, max_iter=20_000):
-        """Operator-splitting fallback with an exact KKT polish at the end."""
-        n = p.n
-        A = np.vstack([p.A_eq, p.A_in]) if (p.A_eq.shape[0] or p.A_in.shape[0]) else np.zeros((0, n))
-        m_e = p.A_eq.shape[0]
-        m = A.shape[0]
-        lo = np.concatenate([p.b_eq, np.full(p.b_in.shape, -np.inf)])
-        hi = np.concatenate([p.b_eq, p.b_in])
-        rho, sigma = 10.0, 1e-6
-        M = p.H + sigma * np.eye(n) + rho * (A.T @ A)
-        x = np.zeros(n)
-        z = np.zeros(m)
-        y = np.zeros(m)
-        solveM = np.linalg.solve
-        for it in range(max_iter):
-            x = solveM(M, sigma * x - p.g + A.T @ (rho * z - y))
-            Ax = A @ x
-            z_new = np.clip(Ax + y / rho, lo, hi)
-            y = y + rho * (Ax - z_new)
-            if np.max(np.abs(z_new - z), initial=0.0) < 1e-12 and np.max(np.abs(Ax - z_new), initial=0.0) < 1e-10:
-                z = z_new
-                break
-            z = z_new
-        # polish: treat near-active inequality rows as equalities
-        act = [i for i in range(m - m_e) if hi[m_e + i] - z[m_e + i] < 1e-7 or y[m_e + i] > 1e-9]
-        A_act = np.vstack([p.A_eq, p.A_in[act]]) if (m_e or act) else np.zeros((0, n))
-        b_act = np.concatenate([p.b_eq, p.b_in[act]])
-        px, mults = _solve_kkt(p.H, p.g, A_act, b_act)
-        lam = mults[:m_e]
-        mu = np.zeros(p.A_in.shape[0])
-        for idx, a in enumerate(act):
-            mu[a] = max(mults[m_e + idx], 0.0)
-        cand = QpSolution(px, lam, mu, "optimal")
-        res = kkt_residuals(p, cand)
-        if max(res) <= self.tol * 10:
-            cand.kkt_residual = max(res)
-            return cand
-        raw = QpSolution(x, y[:m_e], np.maximum(y[m_e:], 0.0), "max_iter")
-        raw.kkt_residual = max(kkt_residuals(p, raw))
-        return raw
 
     # -- main entry ----------------------------------------------------------
 
@@ -331,15 +297,12 @@ class QpSolver:
         )
         sol = QpSolution(x, lam, mu, status)
         sol.kkt_residual = max(kkt_residuals(p, sol))
-        if status == "optimal" and sol.kkt_residual <= self.tol * 10:
-            return sol
-        admm = self._admm(p)
-        return admm if admm.kkt_residual < sol.kkt_residual else sol
+        return sol
 
 
-def solve_qp(problem: QpProblem, x0=None, tol: float = 1e-8, max_iter: int = 500) -> QpSolution:
+def solve_qp(problem: QpProblem, x0=None, max_iter: int = 500) -> QpSolution:
     """One-shot convenience wrapper around a fresh QpSolver."""
-    return QpSolver(tol=tol, max_iter=max_iter).solve(problem, x0=x0)
+    return QpSolver(max_iter=max_iter).solve(problem, x0=x0)
 
 
 # -- plain-text round trip ---------------------------------------------------

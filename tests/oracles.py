@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 
+from ltvmpc.qp import QpProblem
+
 
 def euler_fine(z, u, T, substeps=10_000):
     """Explicit Euler on the kinematic ODE, vectorized over rows of z and u.
@@ -79,6 +81,98 @@ def qp_brute_force(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, tol=1e-8):
             if best is None or obj < best[1]:
                 best = (x, obj)
     return best
+
+
+def build_qp_loops(e0, k: int, traj, models, schedule, costs, cfg, extra_rows=()):
+    """Assemble the stacked tracking QP at timestep k, block by block and row
+    by row in plain Python loops: the reference `mpc.build_qp` must match
+    bit for bit.
+
+    Layout: variables [e(1)..e(N), u_b(0)..u_b(N-1)]; equalities are the N
+    dynamics steps; inequalities are 4N two-sided input bounds
+    (-u_max - u_ref <= u_b <= u_max - u_ref), optional no-reverse rows, then
+    the avoidance rows in the order given. Model/reference/schedule indices
+    clamp at the trajectory end (setpoint hold).
+    """
+    N = cfg.N
+    n = 5 * N
+    e0 = np.asarray(e0, dtype=float).reshape(3)
+    last = len(models) - 1
+
+    H = np.zeros((n, n))
+    for j in range(1, N):
+        H[3 * (j - 1): 3 * j, 3 * (j - 1): 3 * j] = costs.Q
+    P_term = schedule.P_at(min(k + N, len(schedule.P) - 1))
+    H[3 * (N - 1): 3 * N, 3 * (N - 1): 3 * N] = cfg.beta_eff * P_term
+    for j in range(N):
+        i0 = 3 * N + 2 * j
+        H[i0: i0 + 2, i0: i0 + 2] = costs.R
+    g = np.zeros(n)
+
+    A_eq = np.zeros((3 * N, n))
+    b_eq = np.zeros(3 * N)
+    for j in range(N):
+        m = models[min(k + j, last)]
+        r = slice(3 * j, 3 * j + 3)
+        A_eq[r, 3 * j: 3 * j + 3] = np.eye(3)
+        if j == 0:
+            b_eq[r] = m.A @ e0
+        else:
+            A_eq[r, 3 * (j - 1): 3 * j] = -m.A
+        A_eq[r, 3 * N + 2 * j: 3 * N + 2 * j + 2] = -m.B
+
+    rows = []
+    rhs = []
+    for j in range(N):
+        u_ref = traj[min(k + j, len(traj) - 1)].control.as_array()
+        i0 = 3 * N + 2 * j
+        up = np.zeros(n)
+        up[i0] = 1.0
+        rows.append(up)
+        rhs.append(cfg.u_max[0] - u_ref[0])
+        up2 = np.zeros(n)
+        up2[i0 + 1] = 1.0
+        rows.append(up2)
+        rhs.append(cfg.u_max[1] - u_ref[1])
+        lo = np.zeros(n)
+        lo[i0] = -1.0
+        rows.append(lo)
+        rhs.append(cfg.u_max[0] + u_ref[0])
+        lo2 = np.zeros(n)
+        lo2[i0 + 1] = -1.0
+        rows.append(lo2)
+        rhs.append(cfg.u_max[1] + u_ref[1])
+    if cfg.forbid_reverse:
+        for j in range(N):
+            u_ref = traj[min(k + j, len(traj) - 1)].control.as_array()
+            row = np.zeros(n)
+            row[3 * N + 2 * j] = -1.0
+            rows.append(row)
+            rhs.append(u_ref[0])
+
+    for dr in extra_rows:
+        row = np.zeros(n)
+        if dr.e_coeff is not None:
+            if not 1 <= dr.step <= N:
+                raise ValueError("error-space row step must lie in 1..N")
+            row[3 * (dr.step - 1): 3 * (dr.step - 1) + 2] = dr.e_coeff
+        if dr.u_coeff is not None:
+            if not 0 <= dr.step <= N - 1:
+                raise ValueError("input-space row step must lie in 0..N-1")
+            row[3 * N + 2 * dr.step: 3 * N + 2 * dr.step + 2] = dr.u_coeff
+        rows.append(row)
+        rhs.append(dr.rhs)
+
+    return QpProblem(H=H, g=g, A_eq=A_eq, b_eq=b_eq,
+                     A_in=np.array(rows), b_in=np.array(rhs))
+
+
+def stationarity_multipliers(H, g, A_act, x):
+    """Multipliers of the active rows at x, read off the stationarity
+    condition H x + g + A_act' m = 0 by least squares, without any KKT
+    factorization or solver state."""
+    grad = np.asarray(H, dtype=float) @ np.asarray(x, dtype=float) + np.asarray(g, dtype=float)
+    return np.linalg.lstsq(np.asarray(A_act, dtype=float).T, -grad, rcond=None)[0]
 
 
 def velocity_hits_disc(u, d, r_sum, v_obs, tau, n_grid=10_000):

@@ -15,14 +15,28 @@ GOLDEN_ATOL = 1e-6
 STATE_INPUT_COLUMNS = ("x", "y", "theta", "e1", "e2", "e3", "v", "omega")
 
 
-def test_tracking_run_matches_committed_log(tmp_path):
-    assert main(["run", "--config", str(ROOT / "configs" / "tracking.yaml"),
-                 "--out", str(tmp_path), "--quiet"]) == 0
-    fresh = read_log_csv(tmp_path / "tracking_log.csv")
-    golden = read_log_csv(ROOT / "out" / "tracking" / "tracking_log.csv")
+def assert_log_matches_golden(fresh_path, golden_path):
+    fresh = read_log_csv(fresh_path)
+    golden = read_log_csv(golden_path)
     assert len(fresh) == len(golden)
     assert [r.qp_status for r in fresh] == [r.qp_status for r in golden]
     for col in STATE_INPUT_COLUMNS:
         got = np.array([getattr(r, col) for r in fresh])
         want = np.array([getattr(r, col) for r in golden])
         assert np.max(np.abs(got - want)) <= GOLDEN_ATOL, col
+
+
+def test_tracking_run_matches_committed_log(tmp_path):
+    assert main(["run", "--config", str(ROOT / "configs" / "tracking.yaml"),
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    assert_log_matches_golden(tmp_path / "tracking_log.csv",
+                              ROOT / "out" / "tracking" / "tracking_log.csv")
+
+
+def test_lqr_comparison_matches_committed_logs(tmp_path):
+    assert main(["compare-lqr", "--config", str(ROOT / "configs" / "lqr_comparison.yaml"),
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    goldens = sorted((ROOT / "out" / "lqr").glob("*_log.csv"))
+    assert [p.name for p in goldens] == ["lqr_cmp_lqr_log.csv", "lqr_cmp_mpc_log.csv"]
+    for golden in goldens:
+        assert_log_matches_golden(tmp_path / golden.name, golden)

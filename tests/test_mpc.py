@@ -13,6 +13,8 @@ from ltvmpc.qp import solve_qp
 from ltvmpc.riccati import CostMatrices, backward_riccati
 from ltvmpc.sim import TrajectorySpec, build_reference
 
+from oracles import build_qp_loops
+
 COSTS = CostMatrices(np.diag([1.0, 1.0, 0.5]), np.diag([0.1, 0.05]))
 
 
@@ -63,6 +65,28 @@ def test_extra_row_column_placement():
     with pytest.raises(ValueError):
         build_qp(np.zeros(3), 0, ref, models, schedule, COSTS, cfg,
                  extra_rows=[DecisionRow(step=N, rhs=0.0, u_coeff=np.ones(2))])
+
+
+@pytest.mark.parametrize("N", [1, 2, 10, 50])
+def test_assembly_is_bit_identical_to_loop_oracle(N):
+    ref, models, schedule = make_setup()
+    rng = np.random.default_rng(N)
+    e0 = rng.normal(size=3)
+    rows = [DecisionRow(step=N, rhs=0.3, e_coeff=np.array([0.6, -0.8])),
+            DecisionRow(step=1, rhs=-0.2, e_coeff=rng.normal(size=2)),
+            DecisionRow(step=N - 1, rhs=0.1, u_coeff=np.array([1.5, -2.5])),
+            DecisionRow(step=0, rhs=0.4, u_coeff=rng.normal(size=2))]
+    # k = len(ref) - 3 clamps models, references and the terminal weight
+    for k in (0, 7, len(ref) - 3):
+        for forbid in (False, True):
+            cfg = MpcConfig(N=N, forbid_reverse=forbid, u_max=np.array([0.9, 1.7]))
+            for extra in ((), rows):
+                got = build_qp(e0, k, ref, models, schedule, COSTS, cfg, extra)
+                want = build_qp_loops(e0, k, ref, models, schedule, COSTS, cfg, extra)
+                for name in ("H", "g", "A_eq", "b_eq", "A_in", "b_in"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.shape == b.shape, (name, k, forbid, len(extra))
+                    assert np.array_equal(a, b), (name, k, forbid, len(extra))
 
 
 def test_shared_slack_wrapping():

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ltvmpc import qp
 from ltvmpc.qp import (QpProblem, QpSolver, dump_problem, kkt_residuals,
                        load_problem, solve_qp)
 
-from oracles import qp_brute_force
+from oracles import qp_brute_force, stationarity_multipliers
 
 
 def scalar_problem(**kw):
@@ -168,6 +169,17 @@ def test_shape_validation():
             QpProblem(H=-np.eye(2), g=np.zeros(2)))
 
 
+def test_hessian_symmetry_handling():
+    H = np.array([[2.0, 0.3], [0.3, 1.0]])
+    assert np.array_equal(QpProblem(H=H, g=np.zeros(2)).H, H)
+    skew = H + np.array([[0.0, 4e-11], [0.0, 0.0]])
+    sym = QpProblem(H=skew, g=np.zeros(2)).H
+    assert np.array_equal(sym, sym.T)
+    assert sym[0, 1] == 0.5 * (skew[0, 1] + skew[1, 0])
+    with pytest.raises(ValueError):
+        QpProblem(H=H + np.array([[0.0, 1e-3], [0.0, 0.0]]), g=np.zeros(2))
+
+
 def test_convexity_checked_once_per_shape(monkeypatch):
     checked = []
     check = QpSolver._check_problem
@@ -191,3 +203,48 @@ def test_nonconvex_problem_of_new_shape_still_raises():
     solver.solve(QpProblem(H=np.eye(2), g=np.ones(2)))
     with pytest.raises(ValueError):
         solver.solve(QpProblem(H=np.diag([1.0, -1.0, 1.0]), g=np.zeros(3)))
+
+
+def counting_kkt(monkeypatch):
+    """Wrap qp._solve_kkt; the returned list gets the active-row count of
+    every KKT solve, one entry per factorization."""
+    calls = []
+    solve = qp._solve_kkt
+
+    def counted(*args):
+        calls.append(args[2].shape[0])
+        return solve(*args)
+
+    monkeypatch.setattr(qp, "_solve_kkt", counted)
+    return calls
+
+
+def test_equality_only_qp_takes_one_factorization(monkeypatch):
+    # The least-squares start (1, 1) is not optimal: one full step reaches
+    # the minimizer (0, 2), and that solve's multiplier is the answer's.
+    p = QpProblem(H=np.eye(2), g=np.array([1.0, -1.0]),
+                  A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([2.0]))
+    calls = counting_kkt(monkeypatch)
+    sol = solve_qp(p)
+    assert calls == [1]
+    x_ref, _ = qp_brute_force(p.H, p.g, p.A_eq, p.b_eq)
+    assert sol.status == "optimal"
+    assert np.allclose(sol.x, x_ref, atol=1e-12)
+    assert np.allclose(sol.lambda_eq, stationarity_multipliers(p.H, p.g, p.A_eq, x_ref),
+                       atol=1e-12)
+
+
+def test_one_blocking_bound_takes_two_factorizations(monkeypatch):
+    # From 0 the step to the unconstrained minimizer (2, 2) is cut at x1 = 1;
+    # the second solve, on that bound, is a full step to (1, 2).
+    p = QpProblem(H=np.eye(2), g=np.array([-2.0, -2.0]),
+                  A_in=np.array([[1.0, 0.0], [0.0, 1.0]]), b_in=np.array([1.0, 5.0]))
+    calls = counting_kkt(monkeypatch)
+    sol = solve_qp(p)
+    assert calls == [0, 1]
+    x_ref, _ = qp_brute_force(p.H, p.g, A_in=p.A_in, b_in=p.b_in)
+    assert sol.status == "optimal"
+    assert np.allclose(sol.x, x_ref, atol=1e-12)
+    mu_ref = stationarity_multipliers(p.H, p.g, p.A_in[:1], x_ref)
+    assert np.allclose(sol.mu_in, [mu_ref[0], 0.0], atol=1e-12)
+    assert sol.mu_in[0] > 0.0
