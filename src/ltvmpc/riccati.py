@@ -11,6 +11,12 @@ anchored at the final step by the frozen DARE solution there. This makes
 V_f(x, i) = 0.5 x' P(i) x a valid time-varying Lyapunov function for the
 per-step LQR policy on the linear model: the decrease identity
 x' P(i) x - x' A_K' P(i+1) A_K x = x' Q_K(i) x holds exactly by construction.
+
+Every frozen DARE is solved by the fixed-point iteration `solve_dare`, which
+converges only linearly (about 190 Riccati maps from a neighbour's solution).
+Where the model changes along the sequence, its iteration starts from the
+structure-preserving doubling algorithm (SDA; Chu, Fan, Lin et al., 2004-05),
+run once over all those models as one stack, and then needs about one map.
 """
 
 from __future__ import annotations
@@ -88,6 +94,52 @@ def solve_dare(A, B, Q, R, tol: float = 1e-10, max_iter: int = 100_000, P0=None)
     raise ValueError(f"Riccati iteration did not converge within {max_iter} steps")
 
 
+class DareError(ValueError):
+    """A frozen DARE without a stabilizing solution; `models` indexes the stack."""
+
+    def __init__(self, message: str, models: np.ndarray):
+        super().__init__(message)
+        self.models = models
+
+
+def doubling_dare(A, B, Q, R):
+    """Stabilizing DARE solutions for stacks A (L,n,n) and B (L,n,m) by SDA.
+
+    From G = B R^-1 B', H = Q, each doubling with W = I + G H sets
+    A <- A W^-1 A, G <- G + A W^-1 G A', H <- H + A' H W^-1 A (H symmetrized),
+    so H is the Riccati solution over twice the previous horizon. Stops once
+    max|dH| <= 1e-13 max|H| for every model; raises DareError naming the
+    models that turn non-finite or have not converged after 64 doublings.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    R = np.asarray(R, dtype=float)
+    G = B @ np.linalg.solve(R, B.swapaxes(-1, -2))
+    H = np.broadcast_to(Q, A.shape).copy()
+    eye = np.eye(A.shape[-1])
+    for _ in range(64):
+        W = eye + G @ H
+        W_A = np.linalg.solve(W, A)
+        W_G = np.linalg.solve(W, G)
+        A_t = A.swapaxes(-1, -2)
+        H_next = H + A_t @ H @ W_A
+        H_next = 0.5 * (H_next + H_next.swapaxes(-1, -2))
+        G = G + A @ W_G @ A_t
+        A = A @ W_A
+        bad = np.flatnonzero(~np.all(np.isfinite(H_next), axis=(1, 2)))
+        if bad.size:
+            raise DareError(f"doubling DARE turned non-finite for model(s) {bad.tolist()}", bad)
+        converged = np.max(np.abs(H_next - H), axis=(1, 2)) <= 1e-13 * np.max(
+            np.abs(H_next), axis=(1, 2))
+        H = H_next
+        if converged.all():
+            return H
+    bad = np.flatnonzero(~converged)
+    raise DareError(f"doubling DARE did not converge within 64 doublings for model(s) "
+                    f"{bad.tolist()}", bad)
+
+
 def lqr_gain(A, B, P, R):
     """Infinite-horizon feedback K = -(R + B'PB)^-1 B'PA, so u = K x."""
     BtP = B.T @ P
@@ -102,20 +154,38 @@ def closed_loop(model, K):
 def backward_riccati(models, costs: CostMatrices) -> TerminalSchedule:
     """Time-varying terminal weights over a model sequence.
 
-    K(i) is the frozen DARE gain of model i (warm-started along the sequence
-    since neighboring models differ little); P is the backward closed-loop
-    recursion anchored at the final frozen DARE solution.
+    K(i) is the frozen DARE gain of model i; P is the backward closed-loop
+    recursion anchored at the final frozen DARE solution. The frozen DAREs are
+    solved backward by `solve_dare`, each warm-started as follows: the last
+    step from Q; a step whose (A, B) equals the next step's bit for bit from
+    that step's solution; any other step from its `doubling_dare` solution,
+    computed in one batched call over exactly those steps before the chain
+    runs. A constant-model sequence thus makes no doubling call and gives the
+    same P and K as the plain warm-started chain. Raises ValueError naming
+    the step when a changed model has no stabilizing DARE solution.
     """
     L = len(models)
     if L == 0:
         raise ValueError("backward_riccati needs at least one model")
     Q, R = costs.Q, costs.R
 
+    A = np.stack([m.A for m in models])
+    B = np.stack([m.B for m in models])
+    changed = np.flatnonzero(np.any(A[:-1] != A[1:], axis=(1, 2))
+                             | np.any(B[:-1] != B[1:], axis=(1, 2)))
+    warm = {}
+    if changed.size:
+        try:
+            warm = dict(zip(changed.tolist(), doubling_dare(A[changed], B[changed], Q, R)))
+        except DareError as exc:
+            raise ValueError(f"no stabilizing frozen DARE solution at step(s) "
+                             f"{changed[exc.models].tolist()}") from exc
+
     # Frozen DARE solution per step, solved backward with warm starts.
     dare = [None] * L
     P_prev = None
     for i in range(L - 1, -1, -1):
-        P_prev = solve_dare(models[i].A, models[i].B, Q, R, P0=P_prev)
+        P_prev = solve_dare(models[i].A, models[i].B, Q, R, P0=warm.get(i, P_prev))
         dare[i] = P_prev
 
     K = [lqr_gain(models[i].A, models[i].B, dare[i], R) for i in range(L - 1)]

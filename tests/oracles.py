@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 
 from ltvmpc.qp import QpProblem
+from ltvmpc.riccati import TerminalSchedule, closed_loop, lqr_gain, solve_dare
 
 
 def euler_fine(z, u, T, substeps=10_000):
@@ -165,6 +166,35 @@ def build_qp_loops(e0, k: int, traj, models, schedule, costs, cfg, extra_rows=()
 
     return QpProblem(H=H, g=g, A_eq=A_eq, b_eq=b_eq,
                      A_in=np.array(rows), b_in=np.array(rhs))
+
+
+def backward_riccati_chain(models, costs):
+    """The terminal schedule with every frozen DARE warm-started from the
+    next step's solution (the last from Q), as `backward_riccati` did before
+    its doubling start: the reference its results must equal bit for bit on
+    constant-model sequences and stay close to elsewhere."""
+    L = len(models)
+    if L == 0:
+        raise ValueError("backward_riccati needs at least one model")
+    Q, R = costs.Q, costs.R
+
+    # Frozen DARE solution per step, solved backward with warm starts.
+    dare = [None] * L
+    P_prev = None
+    for i in range(L - 1, -1, -1):
+        P_prev = solve_dare(models[i].A, models[i].B, Q, R, P0=P_prev)
+        dare[i] = P_prev
+
+    K = [lqr_gain(models[i].A, models[i].B, dare[i], R) for i in range(L - 1)]
+
+    P = [None] * L
+    P[L - 1] = dare[L - 1]
+    for i in range(L - 2, -1, -1):
+        A_K = closed_loop(models[i], K[i])
+        Q_K = Q + K[i].T @ R @ K[i]
+        P_i = A_K.T @ P[i + 1] @ A_K + Q_K
+        P[i] = 0.5 * (P_i + P_i.T)
+    return TerminalSchedule(tuple(P), tuple(K))
 
 
 def stationarity_multipliers(H, g, A_act, x):

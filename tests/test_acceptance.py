@@ -350,6 +350,18 @@ def test_a14_avoidance_scenes_keep_distance_and_reconverge():
     assert all(dt < 5.0 for dt in budgets.values()), budgets
 
 
+def test_static_hyperplane_scene_collision_free_with_reported_slack():
+    # The rotated plane can cut through the current pose, so this scene keeps
+    # only the physical radii (not r_safe) and leans on the reported slack.
+    log = run_scenario(load_scenario("avoid_static_hyperplane.yaml"))
+    m = compute_metrics(log)
+    assert m.converged and not m.halted
+    assert m.min_clearance >= log.scenario.cfg.robot_radius + log.scenario.obstacles[0].radius
+    slack = log.column("slack")
+    assert m.slack_total > 0.0 and m.slack_total == pytest.approx(slack.sum())
+    assert np.count_nonzero(slack > 0.0) == 23
+
+
 def test_a15_manifest_rerun_is_byte_identical(tmp_path):
     from ltvmpc.cli import main
     cfg = tmp_path / "scene.yaml"

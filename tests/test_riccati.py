@@ -2,15 +2,23 @@
 cost-to-go decrease identity the whole stability argument leans on."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from ltvmpc import riccati
+from ltvmpc.cli import load_config
 from ltvmpc.dynamics import ControlInput, ReferencePoint, RobotState, linearize
 from ltvmpc.riccati import (CostMatrices, backward_riccati, closed_loop,
-                            controllability_rank, lqr_gain, recursion_residuals,
-                            riccati_map, solve_dare)
+                            controllability_rank, doubling_dare, lqr_gain,
+                            recursion_residuals, riccati_map, solve_dare)
+from ltvmpc.sim import build_controller
+
+from oracles import backward_riccati_chain
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -141,6 +149,88 @@ def test_stage_and_terminal_bounds(rng):
             stage = 0.5 * (x @ costs.Q @ x + u @ costs.R @ u)
             assert stage >= 0.5 * lam_min_q * n2 - 1e-12
             assert 0.5 * x @ sched.P[i] @ x <= 0.5 * lam_max_p * n2 + 1e-12
+
+
+def count_calls(monkeypatch, name):
+    """Wrap riccati.<name> (looked up as a module global) with a call counter."""
+    calls = []
+    real = getattr(riccati, name)
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(riccati, name, counted)
+    return calls
+
+
+def test_doubling_dare_matches_scipy(rng):
+    for _ in range(20):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, n + 1))
+        L = int(rng.integers(1, 6))
+        A = rng.normal(size=(L, n, n)) * rng.uniform(0.2, 0.6)
+        B = rng.normal(size=(L, n, m))
+        Fq = rng.normal(size=(n, n))
+        Q = Fq @ Fq.T + 0.1 * np.eye(n)
+        Fr = rng.normal(size=(m, m))
+        R = Fr @ Fr.T + 0.1 * np.eye(m)
+        P = doubling_dare(A, B, Q, R)
+        assert P.shape == (L, n, n)
+        for l in range(L):
+            P_ref = scipy.linalg.solve_discrete_are(A[l], B[l], Q, R)
+            assert np.max(np.abs(P[l] - P_ref)) <= 1e-9 * np.max(np.abs(P_ref))
+            assert np.array_equal(P[l], P[l].T)
+
+
+def test_doubling_dare_rejects_uncontrollable_and_non_finite():
+    bad = tracking_model(0.0, 0.0)
+    good = tracking_model(1.0, 0.5)
+    A = np.stack([good.A, bad.A, good.A])
+    B = np.stack([good.B, bad.B, good.B])
+    with pytest.raises(ValueError, match=r"model\(s\) \[1\]"):
+        doubling_dare(A, B, np.eye(3), np.eye(2))
+    A[2, 0, 0] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite for model\(s\) \[2\]"):
+        doubling_dare(A, B, np.eye(3), np.eye(2))
+
+
+def test_constant_model_chains_are_bit_identical_to_plain_warm_start(monkeypatch):
+    controller, _ = build_controller(load_config(CONFIGS / "avoid_static_velocity.yaml").scenario)
+    doublings = count_calls(monkeypatch, "doubling_dare")
+    for models in (controller.models, [tracking_model(1.0, 0.5)] * 40):
+        sched = backward_riccati(models, controller.costs)
+        ref = backward_riccati_chain(models, controller.costs)
+        assert len(sched.P) == len(ref.P) and len(sched.K) == len(ref.K)
+        assert all(np.array_equal(a, b) for a, b in zip(sched.P, ref.P))
+        assert all(np.array_equal(a, b) for a, b in zip(sched.K, ref.K))
+    assert not doublings  # no model changes, so no doubling start
+
+
+def test_sinusoid_schedule_close_to_plain_warm_start():
+    models = sinusoid_models()
+    costs = CostMatrices(np.diag([1.0, 1.0, 0.5]), np.diag([0.1, 0.05]))
+    sched = backward_riccati(models, costs)
+    ref = backward_riccati_chain(models, costs)
+    assert max(np.max(np.abs(a - b)) for a, b in zip(sched.P, ref.P)) <= 1e-9
+    assert max(np.max(np.abs(a - b)) for a, b in zip(sched.K, ref.K)) <= 1e-9
+
+
+def test_doubling_start_needs_few_riccati_maps(monkeypatch):
+    models = sinusoid_models(200)
+    calls = count_calls(monkeypatch, "riccati_map")
+    backward_riccati(models, CostMatrices(np.eye(3), np.eye(2)))
+    # the plain warm-started chain needs about 188 maps per step
+    assert len(calls) <= len(models) + 200
+
+
+def test_uncontrollable_changed_model_fails_before_any_riccati_map(monkeypatch):
+    models = sinusoid_models(20)
+    models[7] = tracking_model(0.0, 0.0)
+    calls = count_calls(monkeypatch, "riccati_map")
+    with pytest.raises(ValueError, match=r"step\(s\) \[7\]"):
+        backward_riccati(models, CostMatrices(np.eye(3), np.eye(2)))
+    assert not calls
 
 
 def test_rank_helper_on_degenerate_pairs():
