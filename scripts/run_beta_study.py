@@ -16,14 +16,13 @@ CONFIG = Path(__file__).resolve().parents[1] / "configs" / "beta_sweep.yaml"
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="out/beta")
-    ap.add_argument("--jobs", type=int, default=4)
     args = ap.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     bundle = load_config(CONFIG)
     param, values = bundle.sweep_spec
-    results = sweep(bundle.scenario, param, values, jobs=args.jobs)
+    results = sweep(bundle.scenario, param, values)
     (out / "beta_summary.csv").write_text(sweep_summary_csv(param, results))
 
     errs = {v: m.xy_error_sum for v, _, m in results}

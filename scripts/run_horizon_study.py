@@ -13,22 +13,21 @@ from ltvmpc.figures import sweep_summary_csv
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def run_one(name, jobs):
+def run_one(name):
     bundle = load_config(CONFIGS / name)
     param, values = bundle.sweep_spec
-    return sweep(bundle.scenario, param, values, jobs=jobs)
+    return sweep(bundle.scenario, param, values)
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="out/horizon")
-    ap.add_argument("--jobs", type=int, default=4)
     args = ap.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    with_term = run_one("horizon_sweep.yaml", args.jobs)
-    no_term = run_one("horizon_sweep_no_terminal.yaml", args.jobs)
+    with_term = run_one("horizon_sweep.yaml")
+    no_term = run_one("horizon_sweep_no_terminal.yaml")
     (out / "horizon_with_terminal.csv").write_text(sweep_summary_csv("N", with_term))
     (out / "horizon_no_terminal.csv").write_text(sweep_summary_csv("N", no_term))
 

@@ -1,19 +1,18 @@
 """Linear time-varying MPC tracking control for unicycle robots.
 
-Library layout: dynamics (exact step, error frame, linearization), riccati
-(DARE + backward schedule), terminal_set (level-set sizing), qp (active-set
-solver with phase-1 start), avoidance (hyperplane and velocity-cone rows),
-mpc (the receding-horizon controller), sim (scenario engine + metrics),
-figures (plot-data CSV bundles), cli (batch front end).
+Library layout: dynamics (exact step, error frame, array reference and
+linearization), riccati (DARE + backward schedule), terminal_set (level-set
+sizing), qp (active-set solver with phase-1 start), avoidance (hyperplane and
+velocity-cone rows), mpc (the receding-horizon controller), sim (scenario
+engine + metrics), figures (plot-data CSV bundles), cli (batch front end).
 """
 
 from .avoidance import (DecisionRow, HalfPlane, Obstacle, VoCone,
                         nonlinear_velocity_margin, state_space_halfplane,
                         tangent_halfplane, velocity_constraint_row, velocity_obstacle)
-from .dynamics import (ControlInput, ErrorState, LinearModel, ReferencePoint,
-                       ReferenceTrajectory, RobotState, derive_reference,
-                       from_error_frame, linearize, roll_reference, step_continuous,
-                       step_discrete, to_error_frame, wrap_angle)
+from .dynamics import (ControlInput, ErrorState, Reference, RobotState, derive_reference,
+                       from_error_frame, input_matrix, linearize, roll_reference,
+                       step_continuous, step_discrete, to_error_frame, wrap_angle)
 from .mpc import MpcConfig, MpcController, MpcStep, build_qp
 from .qp import QpProblem, QpSolution, QpSolver, kkt_residuals, solve_qp
 from .riccati import (CostMatrices, TerminalSchedule, backward_riccati,
@@ -29,13 +28,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ControlInput", "CostMatrices", "DecisionRow", "ErrorState", "HalfPlane",
-    "LinearModel", "Metrics", "MpcConfig", "MpcController", "MpcStep", "Obstacle",
+    "Metrics", "MpcConfig", "MpcController", "MpcStep", "Obstacle",
     "ObstacleSpec", "OuterPolyhedron", "QpProblem", "QpSolution", "QpSolver",
-    "ReferencePoint", "ReferenceTrajectory", "RobotState", "Scenario", "SimLog",
+    "Reference", "RobotState", "Scenario", "SimLog",
     "SimRow", "TerminalConstraints", "TerminalEllipsoid", "TerminalSchedule",
     "TrajectorySpec", "VoCone", "backward_riccati", "build_controller", "build_qp",
     "build_reference", "compute_c_schedule", "compute_metrics", "controllability_rank",
-    "derive_reference", "from_error_frame", "kkt_residuals", "linearize",
+    "derive_reference", "from_error_frame", "input_matrix", "kkt_residuals", "linearize",
     "lqr_comparison", "lqr_gain", "nonlinear_velocity_margin", "outer_polyhedron",
     "read_log_csv", "roll_reference", "run_scenario", "shrink_level", "solve_dare",
     "solve_qp", "state_space_halfplane", "step_continuous", "step_discrete", "sweep",

@@ -156,19 +156,19 @@ def state_space_halfplane(p_robot, obstacle: Obstacle, theta_s: float, r_safe: f
     return HalfPlane(n, a, "le"), side, inside
 
 
-def position_rows(hp: HalfPlane, traj, k: int, N: int):
+def position_rows(hp: HalfPlane, ref, k: int, N: int):
     """Map a world half-plane onto predicted-error rows for steps 1..N.
 
     The predicted world position at step j is p_ref(k+j) - R(theta)' e_pos
     with theta taken as the reference heading, so n . p <= a becomes
-    -(R(theta_ref) n) . e_pos <= a - n . p_ref.
+    -(R(theta_ref) n) . e_pos <= a - n . p_ref. ref is the dynamics.Reference;
+    its step indices clamp at the end.
     """
     rows = []
-    for j in range(1, N + 1):
-        ref = traj[k + j]
-        w = _error_rot(ref.state.theta) @ hp.n
-        p_ref = np.array([ref.state.x, ref.state.y])
-        rhs = hp.a - float(hp.n @ p_ref)
+    poses = ref.poses[ref.clamp(np.arange(k + 1, k + N + 1))]
+    for j, pose in enumerate(poses, start=1):
+        w = _error_rot(pose[2]) @ hp.n
+        rhs = hp.a - float(hp.n @ pose[:2])
         rows.append(DecisionRow(step=j, rhs=rhs, e_coeff=-w))
     return rows
 
@@ -237,7 +237,7 @@ def velocity_constraint_row(n, a: float, theta: float, u_r: float, w_r: float, d
     return coef_eu, coef_ew, const
 
 
-def velocity_rows(hp: HalfPlane, traj, k: int, N: int, e3_path, dt: float):
+def velocity_rows(hp: HalfPlane, ref, k: int, N: int, e3_path, dt: float):
     """Linearized velocity rows for horizon steps 0..N-1.
 
     The heading estimate at step j is the reference heading at k+j shifted by
@@ -245,7 +245,8 @@ def velocity_rows(hp: HalfPlane, traj, k: int, N: int, e3_path, dt: float):
     Passing the previous solve's predicted heading errors makes a turn planned
     early in the horizon pay off in the later rows; a frozen scalar shift
     would instead charge every step the full turn from scratch, which prices
-    steering out of the solution.
+    steering out of the solution. ref is the dynamics.Reference; its step
+    indices clamp at the end.
     """
     e3_path = np.atleast_1d(np.asarray(e3_path, dtype=float))
     if e3_path.size == 1:
@@ -253,11 +254,10 @@ def velocity_rows(hp: HalfPlane, traj, k: int, N: int, e3_path, dt: float):
     elif e3_path.size != N:
         raise ValueError("e3_path must be a scalar or have one entry per step")
     rows = []
-    for j in range(N):
-        ref = traj[k + j]
-        theta_est = ref.state.theta - e3_path[j]
-        cu, cw, const = velocity_constraint_row(hp.n, hp.a, theta_est, ref.control.v,
-                                                ref.control.omega, dt)
+    steps = ref.clamp(np.arange(k, k + N))
+    for j, (pose, (v_r, w_r)) in enumerate(zip(ref.poses[steps], ref.inputs[steps])):
+        theta_est = pose[2] - e3_path[j]
+        cu, cw, const = velocity_constraint_row(hp.n, hp.a, theta_est, v_r, w_r, dt)
         rows.append(DecisionRow(step=j, rhs=-const, u_coeff=np.array([cu, cw])))
     return rows
 

@@ -17,7 +17,6 @@ import datetime
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +37,7 @@ class ConfigError(Exception):
 # -- config schema ---------------------------------------------------------------
 
 _TOP_KEYS = ("name", "trajectory", "duration", "initial_state", "Q_diag", "R_diag",
-             "controller", "reference_mode", "seed", "mpc", "obstacles", "sweep",
-             "terminal_set")
+             "controller", "reference_mode", "mpc", "obstacles", "sweep", "terminal_set")
 _TRAJ_KEYS = ("kind", "T", "x_speed", "amplitude", "angular_freq", "start", "heading",
               "speed", "center", "radius", "angular_rate", "phase")
 _MPC_KEYS = ("N", "beta", "terminal_mode", "u_max", "slack_weight", "avoidance",
@@ -143,7 +141,7 @@ def parse_config(text: str) -> ConfigBundle:
         raise ConfigError("'trajectory' section is required")
 
     kw = {"trajectory": _traj_from_dict(data["trajectory"])}
-    for key in ("name", "duration", "controller", "reference_mode", "seed"):
+    for key in ("name", "duration", "controller", "reference_mode"):
         if key in data:
             kw[key] = data[key]
     if data.get("initial_state") is not None:
@@ -202,7 +200,6 @@ def scenario_to_dict(scn: Scenario) -> dict:
         "R_diag": list(scn.R_diag),
         "controller": scn.controller,
         "reference_mode": scn.reference_mode,
-        "seed": scn.seed,
         "mpc": {"N": cfg.N, "beta": cfg.beta, "terminal_mode": cfg.terminal_mode,
                 "u_max": list(map(float, cfg.u_max)), "slack_weight": cfg.slack_weight,
                 "avoidance_mode": cfg.avoidance_mode, "theta_s": cfg.theta_s,
@@ -244,7 +241,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         initial_state=None if d["initial_state"] is None else tuple(d["initial_state"]),
         cfg=cfg, Q_diag=tuple(d["Q_diag"]), R_diag=tuple(d["R_diag"]),
         obstacles=obstacles, controller=d["controller"],
-        reference_mode=d["reference_mode"], seed=d["seed"],
+        reference_mode=d["reference_mode"],
     )
 
 
@@ -311,8 +308,6 @@ def _write_json(path: Path, doc):
 
 def _prepare(args):
     bundle = load_config(args.config)
-    if args.seed is not None:
-        bundle.scenario = replace(bundle.scenario, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return bundle, out
@@ -343,7 +338,7 @@ def _cmd_sweep(args) -> int:
     if bundle.sweep_spec is None:
         raise ConfigError("sweep subcommand needs a 'sweep' section in the config")
     param, values = bundle.sweep_spec
-    results = sweep(bundle.scenario, param, values, jobs=args.jobs)
+    results = sweep(bundle.scenario, param, values)
     for value, log, m in results:
         write_log_csv(log, out / f"{log.scenario.name}_log.csv")
     (out / "sweep_summary.csv").write_text(figures.sweep_summary_csv(param, results))
@@ -378,14 +373,13 @@ def _cmd_terminal_set(args) -> int:
     bundle, out = _prepare(args)
     scn = bundle.scenario
     controller, _ = build_controller(scn)
-    schedule, traj = controller.schedule, controller.traj
+    schedule, inputs = controller.schedule, controller.ref.inputs
     cons = bundle.constraints()
-    u_refs = [traj[i].control.as_array() for i in range(len(traj))]
     c0 = float(bundle.terminal.get("c0", 10.0))
     shrink = float(bundle.terminal.get("shrink", 1.01))
-    levels = compute_c_schedule(schedule, cons, u_refs, c0=c0, shrink=shrink)
+    levels = compute_c_schedule(schedule, cons, inputs, c0=c0, shrink=shrink)
     bad = [i for i, (c, poly) in enumerate(levels)
-           if not vertices_feasible(poly, cons, schedule.K_at(i), u_refs[i])]
+           if not vertices_feasible(poly, cons, schedule.K_at(i), inputs[i])]
     (out / f"{scn.name}_terminal_set.csv").write_text(figures.terminal_set_csv(levels))
     write_manifest(out, "terminal-set", args.config, bundle)
     cs = [c for c, _ in levels]
@@ -424,8 +418,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True,
                         help="YAML scenario config, or a manifest.json to re-run")
     common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
-    common.add_argument("--seed", type=int, default=None, help="override scenario seed")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
     for name, fn, desc in (
         ("run", _cmd_run, "run one scenario; write log, metrics, figure bundle"),

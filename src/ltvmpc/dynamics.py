@@ -4,13 +4,15 @@ The robot is a planar unicycle z = (x, y, theta) driven by u = (v, omega).
 Everything downstream (Riccati design, MPC, simulation) works on the error
 state e = R(theta) (z_ref - z) expressed in the robot's local frame, so this
 module also owns the error-frame transforms and the linearized time-varying
-error model.
+error model. Everything indexed by time is an array: a Reference holds the
+poses (L, 3) and feed-forward inputs (L, 2), linearize turns the inputs into
+the stack A (L, 3, 3) in one call, and B = input_matrix(T) is one constant.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,49 +73,21 @@ class ErrorState:
 
 
 @dataclass(frozen=True)
-class ReferencePoint:
-    """Reference pose plus the feed-forward input that generates it."""
+class Reference:
+    """Sampled reference: poses (L, 3) as rows (x, y, theta), the feed-forward
+    inputs (L, 2) as rows (v, omega) that generate them, and the period T."""
 
-    state: RobotState
-    control: ControlInput
-
-
-@dataclass(frozen=True)
-class ReferenceTrajectory:
-    """Sampled reference, indexable by timestep with clamping at the ends."""
-
-    points: tuple
+    poses: np.ndarray
+    inputs: np.ndarray
     T: float
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.poses)
 
-    def __getitem__(self, k: int) -> ReferencePoint:
-        return self.points[min(max(k, 0), len(self.points) - 1)]
-
-
-@dataclass(frozen=True)
-class LinearModel:
-    """One-step error model e(k+1) = A e(k) + B u_b(k).
-
-    A depends on the reference speed and turn rate at the step; B is the
-    constant input map [[-T, 0], [0, 0], [0, -T]].
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    T: float
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        if A.shape != (3, 3) or B.shape != (3, 2):
-            raise ValueError("LinearModel expects A 3x3 and B 3x2")
-        B_expected = np.array([[-self.T, 0.0], [0.0, 0.0], [0.0, -self.T]])
-        if not np.array_equal(B, B_expected):
-            raise ValueError("B must equal [[-T,0],[0,0],[0,-T]]")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
+    def clamp(self, k):
+        """Step index k >= 0 (int or integer array), held at the last step
+        past the end."""
+        return np.minimum(k, len(self.poses) - 1)
 
 
 def step_continuous(z: RobotState, u: ControlInput) -> np.ndarray:
@@ -139,15 +113,8 @@ def step_discrete(z: RobotState, u: ControlInput, T: float) -> RobotState:
     return RobotState(x, y, th + T * w)
 
 
-def derive_reference(samples: np.ndarray, T: float, v_min: float = 1e-9) -> ReferenceTrajectory:
-    """Build a reference from curve samples (x, xd, xdd, y, yd, ydd) per row.
-
-    The feed-forward input follows from the flat outputs:
-      v_r = hypot(xd, yd),  theta_r = atan2(yd, xd),
-      omega_r = (xd*ydd - yd*xdd) / (xd^2 + yd^2).
-    Raises ValueError where the planar speed falls below v_min (heading and
-    turn rate are undefined at rest).
-    """
+def _flat_outputs(samples: np.ndarray, v_min: float):
+    """Positions, raw heading and feed-forward (v_r, omega_r) of curve samples."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != 6:
         raise ValueError("samples must be (n, 6): columns x, xd, xdd, y, yd, ydd")
@@ -159,14 +126,23 @@ def derive_reference(samples: np.ndarray, T: float, v_min: float = 1e-9) -> Refe
     v_r = np.sqrt(speed_sq)
     theta_r = np.arctan2(yd, xd)
     omega_r = (xd * ydd - yd * xdd) / speed_sq
-    points = tuple(
-        ReferencePoint(RobotState(x[k], y[k], theta_r[k]), ControlInput(v_r[k], omega_r[k]))
-        for k in range(len(x))
-    )
-    return ReferenceTrajectory(points, T)
+    return x, y, theta_r, np.column_stack([v_r, omega_r])
 
 
-def roll_reference(samples: np.ndarray, T: float, v_min: float = 1e-9) -> ReferenceTrajectory:
+def derive_reference(samples: np.ndarray, T: float, v_min: float = 1e-9) -> Reference:
+    """Build a reference from curve samples (x, xd, xdd, y, yd, ydd) per row.
+
+    The feed-forward input follows from the flat outputs:
+      v_r = hypot(xd, yd),  theta_r = atan2(yd, xd),
+      omega_r = (xd*ydd - yd*xdd) / (xd^2 + yd^2).
+    Raises ValueError where the planar speed falls below v_min (heading and
+    turn rate are undefined at rest).
+    """
+    x, y, theta_r, inputs = _flat_outputs(samples, v_min)
+    return Reference(np.column_stack([x, y, wrap_angle(theta_r)]), inputs, T)
+
+
+def roll_reference(samples: np.ndarray, T: float, v_min: float = 1e-9) -> Reference:
     """Discretization-consistent reference: poses rolled through step_discrete.
 
     The feed-forward inputs come from the curve derivatives exactly as in
@@ -175,49 +151,54 @@ def roll_reference(samples: np.ndarray, T: float, v_min: float = 1e-9) -> Refere
     started on this reference and fed u_ref stays on it to machine precision,
     which is what makes the zero-error fixed point of the closed loop exact.
     """
-    analytic = derive_reference(samples, T, v_min)
-    points = [analytic.points[0]]
-    for k in range(1, len(analytic)):
-        prev = points[-1]
-        z_next = step_discrete(prev.state, prev.control, T)
-        points.append(ReferencePoint(z_next, analytic.points[k].control))
-    return ReferenceTrajectory(tuple(points), T)
+    x, y, theta_r, inputs = _flat_outputs(samples, v_min)
+    z = RobotState(x[0], y[0], theta_r[0])
+    poses = [(z.x, z.y, z.theta)]
+    for u in inputs[:-1]:
+        z = step_discrete(z, ControlInput(*u), T)
+        poses.append((z.x, z.y, z.theta))
+    return Reference(np.array(poses), inputs, T)
 
 
-def to_error_frame(z: RobotState, ref: ReferencePoint) -> ErrorState:
-    """Tracking error e = R(theta) (z_ref - z) in the robot's local frame."""
-    zr = ref.state
-    dx, dy = zr.x - z.x, zr.y - z.y
+def to_error_frame(z: RobotState, pose) -> ErrorState:
+    """Tracking error e = R(theta) (z_ref - z) in the robot's local frame;
+    pose is the reference row (x, y, theta)."""
+    x_r, y_r, th_r = pose
+    dx, dy = x_r - z.x, y_r - z.y
     c, s = math.cos(z.theta), math.sin(z.theta)
-    return ErrorState(c * dx + s * dy, -s * dx + c * dy, zr.theta - z.theta)
+    return ErrorState(c * dx + s * dy, -s * dx + c * dy, th_r - z.theta)
 
 
-def from_error_frame(e: ErrorState, ref: ReferencePoint) -> RobotState:
-    """Invert to_error_frame: recover the robot pose from (error, reference)."""
-    zr = ref.state
-    theta = zr.theta - e.e3
+def from_error_frame(e: ErrorState, pose) -> RobotState:
+    """Invert to_error_frame: recover the robot pose from (error, reference pose)."""
+    x_r, y_r, th_r = pose
+    theta = th_r - e.e3
     c, s = math.cos(theta), math.sin(theta)
-    x = zr.x - (c * e.e1 - s * e.e2)
-    y = zr.y - (s * e.e1 + c * e.e2)
+    x = x_r - (c * e.e1 - s * e.e2)
+    y = y_r - (s * e.e1 + c * e.e2)
     return RobotState(x, y, theta)
 
 
-def linearize(ref: ReferencePoint, T: float) -> LinearModel:
-    """Time-varying error model at a reference point (forward-Euler discrete).
+def linearize(inputs, T: float) -> np.ndarray:
+    """Time-varying error matrices A (..., 3, 3), one per row (v_r, w_r) of
+    inputs (forward-Euler discrete):
 
-    A = [[1, w_r T, 0], [-w_r T, 1, v_r T], [0, 0, 1]],
-    B = [[-T, 0], [0, 0], [0, -T]].
+    A = [[1, w_r T, 0], [-w_r T, 1, v_r T], [0, 0, 1]].
+    The input matrix is the constant input_matrix(T).
     """
-    v_r, w_r = ref.control.v, ref.control.omega
-    A = np.array(
-        [
-            [1.0, w_r * T, 0.0],
-            [-w_r * T, 1.0, v_r * T],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    B = np.array([[-T, 0.0], [0.0, 0.0], [0.0, -T]])
-    return LinearModel(A, B, T)
+    inputs = np.asarray(inputs, dtype=float)
+    v_r, w_r = inputs[..., 0], inputs[..., 1]
+    A = np.zeros(inputs.shape[:-1] + (3, 3))
+    A[..., 0, 0] = A[..., 1, 1] = A[..., 2, 2] = 1.0
+    A[..., 0, 1] = w_r * T
+    A[..., 1, 0] = -w_r * T
+    A[..., 1, 2] = v_r * T
+    return A
+
+
+def input_matrix(T: float) -> np.ndarray:
+    """Constant input map B = [[-T, 0], [0, 0], [0, -T]] of the error model."""
+    return np.array([[-T, 0.0], [0.0, 0.0], [0.0, -T]])
 
 
 def error_field(e: np.ndarray, u_b: np.ndarray, v_r: float, w_r: float) -> np.ndarray:
@@ -227,8 +208,8 @@ def error_field(e: np.ndarray, u_b: np.ndarray, v_r: float, w_r: float) -> np.nd
       e1' = v_r cos(e3) - (v_r + v_b) + e2 (w_r + w_b)
       e2' = v_r sin(e3) - e1 (w_r + w_b)
       e3' = -w_b
-    Its Jacobian at (e, u_b) = 0 equals ((A - I)/T, B/T) of linearize, which
-    the tests check by central finite differences.
+    Its Jacobian at (e, u_b) = 0 equals ((A - I)/T, B/T) of linearize and
+    input_matrix, which the tests check by central finite differences.
     """
     e1, e2, e3 = e
     v_b, w_b = u_b

@@ -112,7 +112,8 @@ def velocity_space_csv(scn: Scenario, k: int = None) -> str:
             raise ValueError("empty scenario")
         k = min(log.rows, key=lambda r: r.min_dist).k
     controller, agents = build_controller(scn)
-    z = controller.traj[0].state if scn.initial_state is None else RobotState(*scn.initial_state)
+    z = RobotState(*(controller.ref.poses[0] if scn.initial_state is None
+                     else scn.initial_state))
     T = scn.trajectory.T
     for j in range(k + 1):
         obstacles = [a.snapshot(j) for a in agents]

@@ -1,11 +1,13 @@
 """Error-space MPC with a stacked QP, soft terminal cost, and avoidance rows.
 
 Decision vector per solve: [e(1) ... e(N), u_b(0) ... u_b(N-1)] (5N entries).
-The predicted errors follow the time-varying linear model; the applied input
-is u = u_ref + u_b, so the input box |u| <= u_max becomes two-sided bounds on
-u_b shifted by the reference feed-forward. The terminal block weights e(N) by
-beta * P(k+N) from the Riccati schedule ("soft" terminal ingredient: no hard
-terminal set membership constraint is imposed).
+The predicted errors follow the time-varying linear model, read from the
+stack A (L, 3, 3) and the constant B with step indices clamped at the
+reference end; the applied input is u = u_ref + u_b, so the input box
+|u| <= u_max becomes two-sided bounds on u_b shifted by the reference
+feed-forward. The terminal block weights e(N) by beta * P(k+N) from the
+Riccati schedule ("soft" terminal ingredient: no hard terminal set
+membership constraint is imposed).
 
 Obstacle rows arrive as DecisionRow entries. If they make the QP infeasible,
 the solve is repeated once with a shared nonnegative slack on the avoidance
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import avoidance as av
-from .dynamics import ControlInput, ErrorState, to_error_frame
+from .dynamics import ControlInput, ErrorState, Reference, to_error_frame
 from .qp import QpProblem, QpSolution, QpSolver
 from .riccati import CostMatrices
 
@@ -90,9 +92,10 @@ def terminal_cost_value(e: np.ndarray, P: np.ndarray, beta: float) -> float:
     return float(0.5 * beta * e @ P @ e)
 
 
-def build_qp(e0, k: int, traj, models, schedule, costs: CostMatrices, cfg: MpcConfig,
-             extra_rows=()) -> QpProblem:
-    """Assemble the stacked tracking QP at timestep k.
+def build_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
+             cfg: MpcConfig, extra_rows=()) -> QpProblem:
+    """Assemble the stacked tracking QP at timestep k from the model stack
+    A (L, 3, 3), the constant input matrix B and the reference inputs.
 
     Layout: variables [e(1)..e(N), u_b(0)..u_b(N-1)]; equalities are the N
     dynamics steps; inequalities are 4N two-sided input bounds
@@ -103,10 +106,9 @@ def build_qp(e0, k: int, traj, models, schedule, costs: CostMatrices, cfg: MpcCo
     N = cfg.N
     n = 5 * N
     e0 = np.asarray(e0, dtype=float).reshape(3)
-    last = len(models) - 1
-    A = np.stack([models[min(i, last)].A for i in range(k, k + N)])
-    B = np.stack([models[min(i, last)].B for i in range(k, k + N)])
-    U = np.array([(traj[i].control.v, traj[i].control.omega) for i in range(k, k + N)])
+    steps = ref.clamp(np.arange(k, k + N))
+    A = A[steps]
+    U = ref.inputs[steps]
     j = np.arange(N)
     u0 = 3 * N + 2 * j  # column of v in u_b(j); omega follows
     # (row, column) index grids of the per-step blocks: e(j+1) rows/columns and
@@ -118,7 +120,7 @@ def build_qp(e0, k: int, traj, models, schedule, costs: CostMatrices, cfg: MpcCo
 
     H = np.zeros((n, n))
     H[e_row[:-1], e_col[:-1]] = costs.Q
-    P_term = schedule.P_at(min(k + N, len(schedule.P) - 1))
+    P_term = schedule.P_at(k + N)
     H[3 * (N - 1): 3 * N, 3 * (N - 1): 3 * N] = cfg.beta_eff * P_term
     H[u_row, u_col] = costs.R
     g = np.zeros(n)
@@ -128,7 +130,7 @@ def build_qp(e0, k: int, traj, models, schedule, costs: CostMatrices, cfg: MpcCo
     A_eq[e_row[1:], e_col[:-1]] = -A[1:]
     A_eq[e_row, u_col] = -B
     b_eq = np.zeros(3 * N)
-    b_eq[:3] = models[min(k, last)].A @ e0
+    b_eq[:3] = A[0] @ e0
 
     bounds = np.zeros((N, 4, n))  # per step j: +v, +omega, -v, -omega rows
     bounds[j, 0, u0] = 1.0
@@ -184,7 +186,8 @@ def _with_shared_slack(p: QpProblem, n_avoid: int, weight: float) -> QpProblem:
 
 
 class MpcController:
-    """Receding-horizon tracking controller bound to one reference trajectory.
+    """Receding-horizon tracking controller bound to one reference, its model
+    stack A, input matrix B and terminal schedule.
 
     Holds the QP solver, the previous plan's heading errors (used to
     linearize the velocity-space rows) and the per-obstacle side memory used
@@ -194,13 +197,14 @@ class MpcController:
     `_rollout_start`, the prediction under u_b = 0.
     """
 
-    def __init__(self, traj, models, schedule, costs: CostMatrices, cfg: MpcConfig):
-        self.traj = traj
-        self.models = models
+    def __init__(self, ref: Reference, A, B, schedule, costs: CostMatrices, cfg: MpcConfig):
+        self.ref = ref
+        self.A = A
+        self.B = B
         self.schedule = schedule
         self.costs = costs
         self.cfg = cfg
-        self.tau = cfg.tau if cfg.tau is not None else cfg.N * traj.T
+        self.tau = cfg.tau if cfg.tau is not None else cfg.N * ref.T
         self.solver = QpSolver(max_iter=800)
         self._sides = {}
         self._plan_e3 = None  # previous solve's predicted heading errors
@@ -216,6 +220,8 @@ class MpcController:
         if cfg.avoidance_mode == "off" or not obstacles:
             return rows
         p_robot = np.array([z.x, z.y])
+        i = self.ref.clamp(k)
+        theta_ref, v_ref = self.ref.poses[i, 2], self.ref.inputs[i, 0]
         for idx, obs in enumerate(obstacles):
             dist = float(np.linalg.norm(obs.position - p_robot))
             if dist > cfg.d_activate:
@@ -223,22 +229,19 @@ class MpcController:
             if cfg.avoidance_mode == "state_space":
                 hp, side, _inside = av.state_space_halfplane(
                     p_robot, obs, cfg.theta_s, cfg.r_safe,
-                    ref_heading=self.traj[k].state.theta,
+                    ref_heading=theta_ref,
                     prev_side=self._sides.get(idx, 0),
                 )
                 self._sides[idx] = side
-                rows.extend(av.position_rows(hp, self.traj, k, cfg.N))
+                rows.extend(av.position_rows(hp, self.ref, k, cfg.N))
             else:  # velocity_space
                 if dist <= cfg.robot_radius + obs.radius:
                     continue  # already overlapping; no cone exists, leave it to the log
                 cone = av.velocity_obstacle(p_robot, cfg.robot_radius, obs, self.tau)
-                ref = self.traj[k]
-                u_pref = ref.control.v * np.array(
-                    [math.cos(ref.state.theta), math.sin(ref.state.theta)]
-                )
+                u_pref = v_ref * np.array([math.cos(theta_ref), math.sin(theta_ref)])
                 hp = av.tangent_halfplane(cone, u_pref)
-                vrows = av.velocity_rows(hp, self.traj, k, cfg.N,
-                                         self._heading_error_path(e0, k), self.traj.T)
+                vrows = av.velocity_rows(hp, self.ref, k, cfg.N,
+                                         self._heading_error_path(e0, k), self.ref.T)
                 rows.extend(vrows)
                 self.last_debug = (cone, hp, vrows)
         return rows
@@ -256,9 +259,8 @@ class MpcController:
         N = self.cfg.N
         x = np.zeros(5 * N)
         e = e0
-        last = len(self.models) - 1
-        for j in range(N):
-            e = self.models[min(k + j, last)].A @ e
+        for j, A_j in enumerate(self.A[self.ref.clamp(np.arange(k, k + N))]):
+            e = A_j @ e
             x[3 * j: 3 * j + 3] = e
         return x
 
@@ -267,12 +269,12 @@ class MpcController:
     def control_step(self, z, k: int, obstacles=()) -> MpcStep:
         cfg = self.cfg
         N = cfg.N
-        ref = self.traj[k]
-        e0 = to_error_frame(z, ref)
+        i = self.ref.clamp(k)
+        e0 = to_error_frame(z, self.ref.poses[i])
         e0_arr = e0.as_array()
         extra = self._avoidance_rows(z, e0, k, obstacles)
 
-        problem = build_qp(e0_arr, k, self.traj, self.models, self.schedule,
+        problem = build_qp(e0_arr, k, self.ref, self.A, self.B, self.schedule,
                            self.costs, cfg, extra)
         sol = self.solver.solve(problem, x0=self._rollout_start(e0_arr, k))
         slack_used = 0.0
@@ -289,7 +291,8 @@ class MpcController:
         u_b0 = x[3 * N: 3 * N + 2].copy()
         if sol.status == "infeasible":
             u_b0 = np.zeros(2)  # hold the feed-forward; the simulator will halt
-        u_applied = ControlInput(ref.control.v + u_b0[0], ref.control.omega + u_b0[1])
+        u_ref = self.ref.inputs[i]
+        u_applied = ControlInput(u_ref[0] + u_b0[0], u_ref[1] + u_b0[1])
         predicted = np.vstack([e0_arr, x[: 3 * N].reshape(N, 3)])
         n_active = 0
         if extra and sol.mu_in.size >= len(extra):
@@ -312,18 +315,18 @@ class MpcController:
     def lqr_control_step(self, z, k: int) -> MpcStep:
         """Unconstrained per-step LQR: u = u_ref + K(k) e, never clipped."""
         cfg = self.cfg
-        ref = self.traj[k]
-        e0 = to_error_frame(z, ref).as_array()
-        K = self.schedule.K_at(k)
-        u_b = K @ e0
-        u_applied = ControlInput(ref.control.v + u_b[0], ref.control.omega + u_b[1])
+        i = self.ref.clamp(k)
+        e0 = to_error_frame(z, self.ref.poses[i]).as_array()
+        u_b = self.schedule.K_at(k) @ e0
+        u_ref = self.ref.inputs[i]
+        u_applied = ControlInput(u_ref[0] + u_b[0], u_ref[1] + u_b[1])
         predicted = np.zeros((cfg.N + 1, 3))
         predicted[0] = e0
         e = e0
-        last = len(self.models) - 1
-        for j in range(cfg.N):
-            m = self.models[min(k + j, last)]
-            e = (m.A + m.B @ self.schedule.K_at(k + j)) @ e
+        steps = np.arange(k, k + cfg.N)
+        for j, (A_j, K_j) in enumerate(zip(self.A[self.ref.clamp(steps)],
+                                           self.schedule.K_at(steps))):
+            e = (A_j + self.B @ K_j) @ e
             predicted[j + 1] = e
         return MpcStep(
             u_applied=u_applied,

@@ -12,11 +12,15 @@ V_f(x, i) = 0.5 x' P(i) x a valid time-varying Lyapunov function for the
 per-step LQR policy on the linear model: the decrease identity
 x' P(i) x - x' A_K' P(i+1) A_K x = x' Q_K(i) x holds exactly by construction.
 
-Every frozen DARE is solved by the fixed-point iteration `solve_dare`, which
-converges only linearly (about 190 Riccati maps from a neighbour's solution).
-Where the model changes along the sequence, its iteration starts from the
-structure-preserving doubling algorithm (SDA; Chu, Fan, Lin et al., 2004-05),
-run once over all those models as one stack, and then needs about one map.
+The models arrive as one stack A (L, n, n) with a single constant input
+matrix B, and the schedule is returned as the arrays P (L, n, n) and
+K (L-1, m, n). Every frozen DARE is solved by the fixed-point iteration
+`solve_dare`, which converges only linearly (about 190 Riccati maps from a
+neighbour's solution). Where the model changes along the sequence, its
+iteration starts from the structure-preserving doubling algorithm (SDA; Chu,
+Fan, Lin et al., 2004-05), run once over all those models as one stack, and
+then needs about one map. The chain, the gains and the P recursion stay one
+step at a time so that their floats do not depend on the batching.
 """
 
 from __future__ import annotations
@@ -51,19 +55,22 @@ class CostMatrices:
 
 @dataclass(frozen=True)
 class TerminalSchedule:
-    """Backward-recursion output: P(0..T_end) and gains K(0..T_end-1)."""
+    """Backward-recursion output: P (L, n, n) for steps 0..L-1 and gains
+    K (L-1, m, n) for steps 0..L-2."""
 
-    P: tuple
-    K: tuple
+    P: np.ndarray
+    K: np.ndarray
 
     def __len__(self) -> int:
         return len(self.P)
 
-    def P_at(self, i: int) -> np.ndarray:
-        return self.P[min(max(i, 0), len(self.P) - 1)]
+    def P_at(self, i):
+        """P at step i >= 0 (int or integer array); past the end the last holds."""
+        return self.P[np.minimum(i, len(self.P) - 1)]
 
-    def K_at(self, i: int) -> np.ndarray:
-        return self.K[min(max(i, 0), len(self.K) - 1)]
+    def K_at(self, i):
+        """K at step i >= 0 (int or integer array); past the end the last holds."""
+        return self.K[np.minimum(i, len(self.K) - 1)]
 
 
 def riccati_map(P, A, B, Q, R):
@@ -146,67 +153,71 @@ def lqr_gain(A, B, P, R):
     return -np.linalg.solve(R + BtP @ B, BtP @ A)
 
 
-def closed_loop(model, K):
-    """A_K = A + B K for a LinearModel and gain K."""
-    return model.A + model.B @ K
-
-
-def backward_riccati(models, costs: CostMatrices) -> TerminalSchedule:
-    """Time-varying terminal weights over a model sequence.
+def backward_riccati(A, B, costs: CostMatrices) -> TerminalSchedule:
+    """Time-varying terminal weights over a model stack A (L, n, n) with the
+    constant input matrix B (n, m).
 
     K(i) is the frozen DARE gain of model i; P is the backward closed-loop
     recursion anchored at the final frozen DARE solution. The frozen DAREs are
     solved backward by `solve_dare`, each warm-started as follows: the last
-    step from Q; a step whose (A, B) equals the next step's bit for bit from
-    that step's solution; any other step from its `doubling_dare` solution,
+    step from Q; a step whose A equals the next step's bit for bit from that
+    step's solution; any other step from its `doubling_dare` solution,
     computed in one batched call over exactly those steps before the chain
     runs. A constant-model sequence thus makes no doubling call and gives the
     same P and K as the plain warm-started chain. Raises ValueError naming
-    the step when a changed model has no stabilizing DARE solution.
+    the step, before any Riccati map, when the last model is uncontrollable
+    (a standstill) or a changed model has no stabilizing DARE solution; every
+    other step shares its model with a later one of those.
     """
-    L = len(models)
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    L = len(A)
     if L == 0:
         raise ValueError("backward_riccati needs at least one model")
     Q, R = costs.Q, costs.R
+    if controllability_rank(A[-1], B) < A.shape[-1]:
+        raise ValueError(f"uncontrollable model at step(s) [{L - 1}]: "
+                         "no stabilizing frozen DARE solution")
 
-    A = np.stack([m.A for m in models])
-    B = np.stack([m.B for m in models])
-    changed = np.flatnonzero(np.any(A[:-1] != A[1:], axis=(1, 2))
-                             | np.any(B[:-1] != B[1:], axis=(1, 2)))
+    changed = np.flatnonzero(np.any(A[:-1] != A[1:], axis=(1, 2)))
     warm = {}
     if changed.size:
+        B_changed = np.repeat(B[None], changed.size, axis=0)
         try:
-            warm = dict(zip(changed.tolist(), doubling_dare(A[changed], B[changed], Q, R)))
+            warm = dict(zip(changed.tolist(), doubling_dare(A[changed], B_changed, Q, R)))
         except DareError as exc:
             raise ValueError(f"no stabilizing frozen DARE solution at step(s) "
                              f"{changed[exc.models].tolist()}") from exc
 
     # Frozen DARE solution per step, solved backward with warm starts.
-    dare = [None] * L
+    dare = np.empty_like(A)
     P_prev = None
     for i in range(L - 1, -1, -1):
-        P_prev = solve_dare(models[i].A, models[i].B, Q, R, P0=warm.get(i, P_prev))
+        P_prev = solve_dare(A[i], B, Q, R, P0=warm.get(i, P_prev))
         dare[i] = P_prev
 
-    K = [lqr_gain(models[i].A, models[i].B, dare[i], R) for i in range(L - 1)]
+    K = np.empty((L - 1,) + B.T.shape)
+    for i in range(L - 1):
+        K[i] = lqr_gain(A[i], B, dare[i], R)
 
-    P = [None] * L
+    P = np.empty_like(A)
     P[L - 1] = dare[L - 1]
     for i in range(L - 2, -1, -1):
-        A_K = closed_loop(models[i], K[i])
+        A_K = A[i] + B @ K[i]
         Q_K = Q + K[i].T @ R @ K[i]
         P_i = A_K.T @ P[i + 1] @ A_K + Q_K
         P[i] = 0.5 * (P_i + P_i.T)
-    return TerminalSchedule(tuple(P), tuple(K))
+    return TerminalSchedule(P, K)
 
 
-def recursion_residuals(schedule: TerminalSchedule, models, costs: CostMatrices):
+def recursion_residuals(schedule: TerminalSchedule, A, B, costs: CostMatrices):
     """Frobenius residuals of the backward recursion, re-checkable post hoc."""
     Q, R = costs.Q, costs.R
     res = []
     for i in range(len(schedule.P) - 1):
-        A_K = closed_loop(models[i], schedule.K[i])
-        Q_K = Q + schedule.K[i].T @ R @ schedule.K[i]
+        K = schedule.K[i]
+        A_K = A[i] + B @ K
+        Q_K = Q + K.T @ R @ K
         res.append(
             float(np.linalg.norm(schedule.P[i] - (A_K.T @ schedule.P[i + 1] @ A_K + Q_K), ord="fro"))
         )

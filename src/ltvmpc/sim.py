@@ -11,14 +11,13 @@ open-loop or with their own controller; only the primary robot avoids.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .avoidance import Obstacle
-from .dynamics import (ControlInput, ReferenceTrajectory, RobotState, derive_reference,
-                       linearize, roll_reference, step_discrete, to_error_frame)
+from .dynamics import (ControlInput, Reference, RobotState, derive_reference, input_matrix,
+                       linearize, roll_reference, step_discrete)
 from .mpc import MpcConfig, MpcController
 from .riccati import CostMatrices, backward_riccati
 
@@ -79,7 +78,7 @@ class TrajectorySpec:
         return np.column_stack([x, xd, xdd, y, yd, ydd])
 
 
-def build_reference(spec: TrajectorySpec, n: int, mode: str = "rolled") -> ReferenceTrajectory:
+def build_reference(spec: TrajectorySpec, n: int, mode: str = "rolled") -> Reference:
     """Reference of n points; 'rolled' integrates poses through the discrete
     dynamics (exact fixed point), 'analytic' keeps the curve samples."""
     samples = spec.samples(n)
@@ -124,16 +123,22 @@ class Scenario:
     R_diag: tuple = (0.1, 0.05)
     obstacles: tuple = ()
     controller: str = "mpc"  # mpc | lqr
-    reference_mode: str = "rolled"
-    seed: int = 0
+    reference_mode: str = "rolled"  # rolled | analytic
 
     def __post_init__(self):
         if self.duration < 0:
             raise ValueError("duration must be >= 0")
         if self.controller not in ("mpc", "lqr"):
             raise ValueError("controller must be 'mpc' or 'lqr'")
+        if self.reference_mode not in ("rolled", "analytic"):
+            raise ValueError("reference_mode must be 'rolled' or 'analytic'")
         if len(self.Q_diag) != 3 or len(self.R_diag) != 2:
             raise ValueError("Q_diag needs 3 entries and R_diag needs 2")
+        self.costs()  # Q PSD and R PD, checked here rather than at the first run
+        n_points = self.duration + self.cfg.N + 1
+        for spec in (self.trajectory,
+                     *(o.trajectory for o in self.obstacles if o.kind == "unicycle")):
+            derive_reference(spec.samples(n_points), spec.T)  # speed above zero throughout
 
     def costs(self) -> CostMatrices:
         return CostMatrices(np.diag(self.Q_diag), np.diag(self.R_diag))
@@ -219,21 +224,21 @@ class _UnicycleAgent:
     def __init__(self, spec: ObstacleSpec, n_points: int, reference_mode: str):
         self.radius = spec.radius
         self.ref = build_reference(spec.trajectory, n_points, reference_mode)
-        self.z = self.ref[0].state
+        self.z = RobotState(*self.ref.poses[0])
         self.T = spec.trajectory.T
         self._pending = None
         if spec.control == "mpc":
-            models = [linearize(self.ref[i], self.T) for i in range(len(self.ref))]
+            A, B = linearize(self.ref.inputs, self.T), input_matrix(self.T)
             costs = CostMatrices(np.diag([1.0, 1.0, 0.5]), np.diag([0.1, 0.05]))
-            schedule = backward_riccati(models, costs)
-            self.controller = MpcController(self.ref, models, schedule, costs, MpcConfig())
+            schedule = backward_riccati(A, B, costs)
+            self.controller = MpcController(self.ref, A, B, schedule, costs, MpcConfig())
         else:
             self.controller = None
 
     def _plan(self, k: int) -> ControlInput:
         if self.controller is not None:
             return self.controller.control_step(self.z, k).u_applied
-        return self.ref[k].control
+        return ControlInput(*self.ref.inputs[self.ref.clamp(k)])
 
     def snapshot(self, k: int) -> Obstacle:
         self._pending = self._plan(k)
@@ -261,10 +266,10 @@ def build_controller(scn: Scenario):
     T = scn.trajectory.T
     n_points = scn.duration + scn.cfg.N + 1
     ref = build_reference(scn.trajectory, n_points, scn.reference_mode)
-    models = [linearize(ref[i], T) for i in range(len(ref))]
+    A, B = linearize(ref.inputs, T), input_matrix(T)
     costs = scn.costs()
-    schedule = backward_riccati(models, costs)
-    controller = MpcController(ref, models, schedule, costs, scn.cfg)
+    schedule = backward_riccati(A, B, costs)
+    controller = MpcController(ref, A, B, schedule, costs, scn.cfg)
     agents = [_make_agent(o, T, n_points, scn.reference_mode) for o in scn.obstacles]
     return controller, agents
 
@@ -272,9 +277,9 @@ def build_controller(scn: Scenario):
 def run_scenario(scn: Scenario) -> SimLog:
     T = scn.trajectory.T
     controller, agents = build_controller(scn)
-    ref = controller.traj
+    ref = controller.ref
 
-    z = ref[0].state if scn.initial_state is None else RobotState(*scn.initial_state)
+    z = RobotState(*(ref.poses[0] if scn.initial_state is None else scn.initial_state))
     rows = []
     halted = False
     reason = ""
@@ -289,13 +294,13 @@ def run_scenario(scn: Scenario) -> SimLog:
         for o in obstacles:
             min_dist = min(min_dist, float(np.linalg.norm(o.position - p)))
         e = step.predicted_errors[0]
-        rp = ref[k]
+        (x_ref, y_ref, theta_ref), (v_ref, omega_ref) = ref.poses[k], ref.inputs[k]
         rows.append(SimRow(
             k=k, t=k * T, x=z.x, y=z.y, theta=z.theta,
-            x_ref=rp.state.x, y_ref=rp.state.y, theta_ref=rp.state.theta,
+            x_ref=x_ref, y_ref=y_ref, theta_ref=theta_ref,
             e1=e[0], e2=e[1], e3=e[2],
             v=step.u_applied.v, omega=step.u_applied.omega,
-            v_ref=rp.control.v, omega_ref=rp.control.omega,
+            v_ref=v_ref, omega_ref=omega_ref,
             stage_cost=step.stage_cost, terminal_cost=step.terminal_cost,
             qp_status=step.qp_status, slack=step.slack_used, min_dist=min_dist,
         ))
@@ -338,8 +343,7 @@ def compute_metrics(log: SimLog) -> Metrics:
 # -- parameter studies ----------------------------------------------------------------
 
 
-def _run_sweep_case(args):
-    scn, param, value = args
+def _run_sweep_case(scn: Scenario, param: str, value):
     if param == "N":
         scn = replace(scn, cfg=replace(scn.cfg, N=int(value)))
     elif param == "beta":
@@ -351,13 +355,9 @@ def _run_sweep_case(args):
     return value, log, compute_metrics(log)
 
 
-def sweep(scn: Scenario, param: str, values, jobs: int = 1):
+def sweep(scn: Scenario, param: str, values):
     """Run the scenario once per parameter value; returns [(value, log, metrics)]."""
-    cases = [(scn, param, v) for v in values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_sweep_case, cases))
-    return [_run_sweep_case(c) for c in cases]
+    return [_run_sweep_case(scn, param, v) for v in values]
 
 
 def lqr_comparison(scn: Scenario):

@@ -142,19 +142,19 @@ def shrink_level(P, cons: TerminalConstraints, K, u_ref, c0: float = 10.0,
     return levels[i]
 
 
-def compute_c_schedule(schedule, cons: TerminalConstraints, u_refs, c0: float = 10.0,
+def compute_c_schedule(schedule, cons: TerminalConstraints, inputs, c0: float = 10.0,
                        shrink: float = 1.01, c_min: float = 1e-12):
     """Per-timestep terminal levels and their outer boxes.
 
     schedule is a TerminalSchedule (P indexed 0..T_end, K 0..T_end-1; the
-    final step reuses the last gain). u_refs supplies the reference input per
-    timestep for the input check. Returns a list of (c, OuterPolyhedron).
+    final step reuses the last gain). inputs (L, 2) holds the reference input
+    per timestep for the input check. Returns a list of (c, OuterPolyhedron).
     """
+    inputs = np.asarray(inputs, dtype=float)
     out = []
     for i in range(len(schedule.P)):
         K = schedule.K_at(i)
-        u_ref = np.asarray(u_refs[i], dtype=float)
-        c = shrink_level(schedule.P[i], cons, K, u_ref, c0=c0, shrink=shrink, c_min=c_min)
+        c = shrink_level(schedule.P[i], cons, K, inputs[i], c0=c0, shrink=shrink, c_min=c_min)
         poly = outer_polyhedron(TerminalEllipsoid(schedule.P[i], c))
         out.append((c, poly))
     return out

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 
 from ltvmpc.qp import QpProblem
-from ltvmpc.riccati import TerminalSchedule, closed_loop, lqr_gain, solve_dare
+from ltvmpc.riccati import TerminalSchedule, lqr_gain, solve_dare
 
 
 def euler_fine(z, u, T, substeps=10_000):
@@ -84,7 +84,23 @@ def qp_brute_force(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, tol=1e-8):
     return best
 
 
-def build_qp_loops(e0, k: int, traj, models, schedule, costs, cfg, extra_rows=()):
+def linearize_step(v_r, w_r, T):
+    """Error matrices (A, B) of one reference input, entry by entry: the
+    per-step formula the vectorized `dynamics.linearize` must match bit for
+    bit. A = [[1, w_r T, 0], [-w_r T, 1, v_r T], [0, 0, 1]],
+    B = [[-T, 0], [0, 0], [0, -T]]."""
+    A = np.array(
+        [
+            [1.0, w_r * T, 0.0],
+            [-w_r * T, 1.0, v_r * T],
+            [0.0, 0.0, 1.0],
+        ]
+    )
+    B = np.array([[-T, 0.0], [0.0, 0.0], [0.0, -T]])
+    return A, B
+
+
+def build_qp_loops(e0, k: int, ref, A, B, schedule, costs, cfg, extra_rows=()):
     """Assemble the stacked tracking QP at timestep k, block by block and row
     by row in plain Python loops: the reference `mpc.build_qp` must match
     bit for bit.
@@ -98,7 +114,7 @@ def build_qp_loops(e0, k: int, traj, models, schedule, costs, cfg, extra_rows=()
     N = cfg.N
     n = 5 * N
     e0 = np.asarray(e0, dtype=float).reshape(3)
-    last = len(models) - 1
+    last = len(A) - 1
 
     H = np.zeros((n, n))
     for j in range(1, N):
@@ -113,19 +129,19 @@ def build_qp_loops(e0, k: int, traj, models, schedule, costs, cfg, extra_rows=()
     A_eq = np.zeros((3 * N, n))
     b_eq = np.zeros(3 * N)
     for j in range(N):
-        m = models[min(k + j, last)]
+        A_j = A[min(k + j, last)]
         r = slice(3 * j, 3 * j + 3)
         A_eq[r, 3 * j: 3 * j + 3] = np.eye(3)
         if j == 0:
-            b_eq[r] = m.A @ e0
+            b_eq[r] = A_j @ e0
         else:
-            A_eq[r, 3 * (j - 1): 3 * j] = -m.A
-        A_eq[r, 3 * N + 2 * j: 3 * N + 2 * j + 2] = -m.B
+            A_eq[r, 3 * (j - 1): 3 * j] = -A_j
+        A_eq[r, 3 * N + 2 * j: 3 * N + 2 * j + 2] = -B
 
     rows = []
     rhs = []
     for j in range(N):
-        u_ref = traj[min(k + j, len(traj) - 1)].control.as_array()
+        u_ref = ref.inputs[min(k + j, last)]
         i0 = 3 * N + 2 * j
         up = np.zeros(n)
         up[i0] = 1.0
@@ -145,7 +161,7 @@ def build_qp_loops(e0, k: int, traj, models, schedule, costs, cfg, extra_rows=()
         rhs.append(cfg.u_max[1] + u_ref[1])
     if cfg.forbid_reverse:
         for j in range(N):
-            u_ref = traj[min(k + j, len(traj) - 1)].control.as_array()
+            u_ref = ref.inputs[min(k + j, last)]
             row = np.zeros(n)
             row[3 * N + 2 * j] = -1.0
             rows.append(row)
@@ -168,12 +184,13 @@ def build_qp_loops(e0, k: int, traj, models, schedule, costs, cfg, extra_rows=()
                      A_in=np.array(rows), b_in=np.array(rhs))
 
 
-def backward_riccati_chain(models, costs):
+def backward_riccati_chain(A, B, costs):
     """The terminal schedule with every frozen DARE warm-started from the
     next step's solution (the last from Q), as `backward_riccati` did before
     its doubling start: the reference its results must equal bit for bit on
-    constant-model sequences and stay close to elsewhere."""
-    L = len(models)
+    constant-model sequences and stay close to elsewhere. A is the model
+    stack and B the constant input matrix."""
+    L = len(A)
     if L == 0:
         raise ValueError("backward_riccati needs at least one model")
     Q, R = costs.Q, costs.R
@@ -182,19 +199,19 @@ def backward_riccati_chain(models, costs):
     dare = [None] * L
     P_prev = None
     for i in range(L - 1, -1, -1):
-        P_prev = solve_dare(models[i].A, models[i].B, Q, R, P0=P_prev)
+        P_prev = solve_dare(A[i], B, Q, R, P0=P_prev)
         dare[i] = P_prev
 
-    K = [lqr_gain(models[i].A, models[i].B, dare[i], R) for i in range(L - 1)]
+    K = [lqr_gain(A[i], B, dare[i], R) for i in range(L - 1)]
 
     P = [None] * L
     P[L - 1] = dare[L - 1]
     for i in range(L - 2, -1, -1):
-        A_K = closed_loop(models[i], K[i])
+        A_K = A[i] + B @ K[i]
         Q_K = Q + K[i].T @ R @ K[i]
         P_i = A_K.T @ P[i + 1] @ A_K + Q_K
         P[i] = 0.5 * (P_i + P_i.T)
-    return TerminalSchedule(tuple(P), tuple(K))
+    return TerminalSchedule(np.array(P), np.array(K))
 
 
 def stationarity_multipliers(H, g, A_act, x):

@@ -15,11 +15,11 @@ from ltvmpc.avoidance import (tangent_halfplane, velocity_constraint_row,
                               velocity_obstacle, nonlinear_velocity_margin, Obstacle)
 from ltvmpc.cli import load_config
 from ltvmpc.dynamics import (OMEGA_EPS, ControlInput, RobotState, error_field,
-                             linearize, step_discrete, wrap_angle)
+                             input_matrix, linearize, step_discrete, wrap_angle)
 from ltvmpc.mpc import MpcConfig
 from ltvmpc.qp import QpProblem, solve_qp
-from ltvmpc.riccati import (CostMatrices, backward_riccati, closed_loop,
-                            controllability_rank, riccati_map, solve_dare)
+from ltvmpc.riccati import (CostMatrices, backward_riccati, controllability_rank,
+                            riccati_map, solve_dare)
 from ltvmpc.sim import (Scenario, TrajectorySpec, build_controller,
                         build_reference, compute_metrics, lqr_comparison,
                         run_scenario, sweep)
@@ -37,8 +37,8 @@ def load_scenario(name):
 
 def sinusoid_schedule(n):
     ref = build_reference(TrajectorySpec("sinusoid"), n)
-    models = [linearize(ref[i], ref.T) for i in range(len(ref))]
-    return ref, models, backward_riccati(models, COSTS)
+    A, B = linearize(ref.inputs, ref.T), input_matrix(ref.T)
+    return ref, A, B, backward_riccati(A, B, COSTS)
 
 
 @pytest.fixture(scope="module")
@@ -70,30 +70,27 @@ def test_a01_discrete_step_matches_fine_integration_oracle(rng):
 
 
 def test_a02_linear_model_matches_field_derivatives():
-    from ltvmpc.dynamics import ReferencePoint
     from oracles import central_jacobian
     T = 0.05
+    B = input_matrix(T)
     for v_r in np.linspace(-2.0, 2.0, 5):
         for w_r in np.linspace(-3.0, 3.0, 5):
-            m = linearize(ReferencePoint(RobotState(0, 0, 0),
-                                         ControlInput(v_r, w_r)), T)
+            A = linearize((v_r, w_r), T)
             Je = central_jacobian(lambda e: error_field(e, np.zeros(2), v_r, w_r),
                                   np.zeros(3))
             Ju = central_jacobian(lambda ub: error_field(np.zeros(3), ub, v_r, w_r),
                                   np.zeros(2))
-            assert np.max(np.abs((m.A - np.eye(3)) / T - Je)) <= 1e-6
-            assert np.max(np.abs(m.B / T - Ju)) <= 1e-6
+            assert np.max(np.abs((A - np.eye(3)) / T - Je)) <= 1e-6
+            assert np.max(np.abs(B / T - Ju)) <= 1e-6
 
 
 def test_a03_rank_drops_only_at_standstill():
-    from ltvmpc.dynamics import ReferencePoint
     T = 0.05
     for v_r in np.linspace(-2.0, 2.0, 5):
         for w_r in np.linspace(-3.0, 3.0, 5):
-            m = linearize(ReferencePoint(RobotState(0, 0, 0),
-                                         ControlInput(v_r, w_r)), T)
             want = 2 if (v_r == 0.0 and w_r == 0.0) else 3
-            assert controllability_rank(m.A, m.B) == want, (v_r, w_r)
+            assert controllability_rank(linearize((v_r, w_r), T), input_matrix(T)) == want, \
+                (v_r, w_r)
 
 
 def test_a04_riccati_fixed_points_and_recursion():
@@ -103,32 +100,33 @@ def test_a04_riccati_fixed_points_and_recursion():
     assert abs(P[0, 0] - (1 + math.sqrt(5)) / 2) <= 1e-6
 
     # 3x3 stationary residual
-    m = linearize(build_reference(TrajectorySpec("circle"), 2)[0], 0.1)
-    P3 = solve_dare(m.A, m.B, COSTS.Q, COSTS.R)
-    assert np.max(np.abs(riccati_map(P3, m.A, m.B, COSTS.Q, COSTS.R) - P3)) <= 1e-9
+    A = linearize(build_reference(TrajectorySpec("circle"), 2).inputs[0], 0.1)
+    B = input_matrix(0.1)
+    P3 = solve_dare(A, B, COSTS.Q, COSTS.R)
+    assert np.max(np.abs(riccati_map(P3, A, B, COSTS.Q, COSTS.R) - P3)) <= 1e-9
 
     # backward closed-loop recursion satisfied at every index
-    ref, models, sched = sinusoid_schedule(100)
+    ref, models, B, sched = sinusoid_schedule(100)
     for i in range(len(models) - 1):
-        A_K = closed_loop(models[i], sched.K[i])
+        A_K = models[i] + B @ sched.K[i]
         Q_K = COSTS.Q + sched.K[i].T @ COSTS.R @ sched.K[i]
         want = A_K.T @ sched.P[i + 1] @ A_K + Q_K
         assert np.max(np.abs(sched.P[i] - want)) <= 1e-9
 
     # constant-model schedule sits at the stationary solution
     flat = build_reference(TrajectorySpec("line", speed=1.0), 100)
-    fmodels = [linearize(flat[i], flat.T) for i in range(len(flat))]
-    fsched = backward_riccati(fmodels, COSTS)
-    P_inf = solve_dare(fmodels[0].A, fmodels[0].B, COSTS.Q, COSTS.R)
+    fmodels, fB = linearize(flat.inputs, flat.T), input_matrix(flat.T)
+    fsched = backward_riccati(fmodels, fB, COSTS)
+    P_inf = solve_dare(fmodels[0], fB, COSTS.Q, COSTS.R)
     assert np.max(np.abs(fsched.P[0] - P_inf)) <= 1e-8
 
 
 def test_a05_cost_decrease_identity(rng):
-    _, models, sched = sinusoid_schedule(100)
+    _, models, B, sched = sinusoid_schedule(100)
     X = rng.normal(size=(1000, 3))
     nsq = np.sum(X * X, axis=1)
     for i in range(len(models) - 1):
-        A_K = closed_loop(models[i], sched.K[i])
+        A_K = models[i] + B @ sched.K[i]
         Q_K = COSTS.Q + sched.K[i].T @ COSTS.R @ sched.K[i]
         lhs = (np.einsum("ij,jk,ik->i", X, sched.P[i], X)
                - np.einsum("ij,jk,ik->i", X @ A_K.T, sched.P[i + 1], X @ A_K.T))
@@ -138,10 +136,10 @@ def test_a05_cost_decrease_identity(rng):
 
 def test_a06_terminal_level_schedule_valid(rng):
     t0 = time.perf_counter()
-    ref, models, sched = sinusoid_schedule(600)
+    ref, _, _, sched = sinusoid_schedule(600)
     cons = TerminalConstraints(np.array([1.0, 1.0, math.pi]),
                                np.array([2.0, 10.0]))
-    u_refs = [ref[i].control.as_array() for i in range(len(ref))]
+    u_refs = ref.inputs
     levels = compute_c_schedule(sched, cons, u_refs)
     assert len(levels) == 600
     D = rng.normal(size=(1000, 3))
@@ -176,8 +174,8 @@ def _closed_loop_residuals(scn, duration):
     controller, agents = build_controller(scn)
     recorder = _RecordingSolver(controller.solver)
     controller.solver = recorder
-    z = (controller.traj[0].state if scn.initial_state is None
-         else RobotState(*scn.initial_state))
+    z = RobotState(*(controller.ref.poses[0] if scn.initial_state is None
+                     else scn.initial_state))
     for k in range(scn.duration):
         obstacles = [a.snapshot(k) for a in agents]
         step = controller.control_step(z, k, obstacles)
@@ -238,14 +236,14 @@ def test_a08_offset_start_converges_and_exact_start_stays(tracking_log):
 def test_a09_horizon_sensitivity_depends_on_terminal_weight():
     with_term = load_config(CONFIGS / "horizon_sweep.yaml")
     errs = {}
-    for value, _, m in sweep(with_term.scenario, *with_term.sweep_spec, jobs=4):
+    for value, _, m in sweep(with_term.scenario, *with_term.sweep_spec):
         errs[value] = m.xy_error_sum
     assert set(errs) == {5, 10, 20, 50}
     assert max(errs.values()) / min(errs.values()) <= 2.0
 
     no_term = load_config(CONFIGS / "horizon_sweep_no_terminal.yaml")
     errs0 = {}
-    for value, _, m in sweep(no_term.scenario, *no_term.sweep_spec, jobs=4):
+    for value, _, m in sweep(no_term.scenario, *no_term.sweep_spec):
         errs0[value] = m.xy_error_sum
     assert errs0[5] >= 2.0 * errs0[50]
 
@@ -253,7 +251,7 @@ def test_a09_horizon_sensitivity_depends_on_terminal_weight():
 def test_a10_terminal_weight_insensitive_once_positive():
     bundle = load_config(CONFIGS / "beta_sweep.yaml")
     errs = {}
-    for value, _, m in sweep(bundle.scenario, *bundle.sweep_spec, jobs=4):
+    for value, _, m in sweep(bundle.scenario, *bundle.sweep_spec):
         errs[value] = m.xy_error_sum
     for a in (1, 2, 5):
         for b in (1, 2, 5):

@@ -78,10 +78,10 @@ def test_position_rows_match_world_halfplane(rng):
     rows = position_rows(hp, ref, k=5, N=8)
     assert [r.step for r in rows] == list(range(1, 9))
     for row in rows:
-        point = ref[5 + row.step]
+        pose = ref.poses[5 + row.step]
         for _ in range(10):
             e_pos = rng.uniform(-1, 1, size=2)
-            z = from_error_frame(ErrorState(e_pos[0], e_pos[1], 0.0), point)
+            z = from_error_frame(ErrorState(e_pos[0], e_pos[1], 0.0), pose)
             lhs_world = hp.n @ np.array([z.x, z.y])
             lhs_row = row.e_coeff @ e_pos
             # same number on both routes when the heading error is zero
@@ -264,10 +264,8 @@ def test_velocity_rows_phase_and_path_validation():
         assert np.array_equal(rs.u_coeff, rv.u_coeff)
     # each row equals the pointwise construction at the shifted heading
     for j, row in enumerate(scalar_rows):
-        point = ref[2 + j]
-        cu, cw, const = velocity_constraint_row(
-            hp.n, hp.a, point.state.theta - 0.05, point.control.v,
-            point.control.omega, 0.05)
+        (v_r, w_r), theta = ref.inputs[2 + j], ref.poses[2 + j, 2]
+        cu, cw, const = velocity_constraint_row(hp.n, hp.a, theta - 0.05, v_r, w_r, 0.05)
         assert np.allclose(row.u_coeff, [cu, cw])
         assert row.rhs == pytest.approx(-const)
     with pytest.raises(ValueError):

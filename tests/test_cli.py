@@ -30,7 +30,6 @@ def test_minimal_config_materializes_defaults():
     assert scn.cfg.beta == 2.0
     assert scn.cfg.avoidance_mode == "off"
     assert scn.Q_diag == (1.0, 1.0, 0.5)
-    assert scn.seed == 0
 
 
 def test_invalid_horizon_is_a_config_error():
@@ -95,15 +94,6 @@ def test_manifest_round_trips_scenario(tmp_path):
         parse_config(text).scenario)
 
 
-def test_seed_override(tmp_path):
-    cfg = write_config(tmp_path, SHORT_RUN)
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet",
-                 "--seed", "7"]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["scenario"]["seed"] == 7
-
-
 def test_sweep_writes_per_value_logs(tmp_path):
     cfg = write_config(tmp_path, SHORT_RUN +
                        "sweep: {param: N, values: [5, 8]}\n")
@@ -130,6 +120,20 @@ def test_exit_codes_for_bad_invocations(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+@pytest.mark.parametrize("bad", [
+    "trajectory: {kind: sinusoid}\nreference_mode: foo\n",
+    "trajectory: {kind: sinusoid}\nQ_diag: [-1, 1, 0.5]\n",
+    "trajectory: {kind: sinusoid}\nR_diag: [0, 0.05]\n",
+    "trajectory: {kind: line, speed: 0.0}\n",
+    "trajectory: {kind: circle, angular_rate: 0.0}\n",
+])
+def test_bad_scenario_values_exit_two(tmp_path, capsys, bad):
+    cfg = write_config(tmp_path, "name: x\nduration: 30\n" + bad)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_dump_figures_requires_existing_log(tmp_path, capsys):

@@ -2,19 +2,23 @@
 time-varying linear model vs finite differences of the nonlinear field."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltvmpc.dynamics import (ControlInput, LinearModel, ReferencePoint, RobotState,
-                             derive_reference, error_field, from_error_frame, linearize,
-                             roll_reference, step_continuous, step_discrete,
-                             to_error_frame, wrap_angle)
+from ltvmpc.cli import load_config
+from ltvmpc.dynamics import (ControlInput, RobotState, derive_reference, error_field,
+                             from_error_frame, input_matrix, linearize, roll_reference,
+                             step_continuous, step_discrete, to_error_frame, wrap_angle)
 from ltvmpc.riccati import controllability_rank
+from ltvmpc.sim import TrajectorySpec, build_controller, build_reference
 
-from oracles import central_jacobian, euler_richardson
+from oracles import central_jacobian, euler_richardson, linearize_step
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 angles = st.floats(-10.0, 10.0, allow_nan=False)
 coords = st.floats(-100.0, 100.0, allow_nan=False)
@@ -80,22 +84,20 @@ def test_derive_reference_known_curves():
     line = np.column_stack([t, np.ones_like(t), np.zeros_like(t),
                             np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)])
     ref = derive_reference(line, 0.1)
-    assert all(p.control.v == pytest.approx(1.0) for p in ref.points)
-    assert all(p.control.omega == pytest.approx(0.0) for p in ref.points)
-    assert ref[0].state.theta == pytest.approx(0.0)
+    assert ref.poses.shape == (21, 3) and ref.inputs.shape == (21, 2) and len(ref) == 21
+    assert np.allclose(ref.inputs, [1.0, 0.0])
+    assert ref.poses[0, 2] == pytest.approx(0.0)
 
     # sinusoid x=t, y=sin t at t=0: derivatives (1, cos t) and (0, -sin t)
     sin0 = np.array([[0.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
-    p = derive_reference(sin0, 0.1)[0]
-    assert p.control.v == pytest.approx(math.sqrt(2))
-    assert p.state.theta == pytest.approx(math.pi / 4)
-    assert p.control.omega == pytest.approx(0.0)
+    ref = derive_reference(sin0, 0.1)
+    assert ref.inputs[0] == pytest.approx([math.sqrt(2), 0.0])
+    assert ref.poses[0, 2] == pytest.approx(math.pi / 4)
 
     circ0 = np.array([[1.0, 0.0, -1.0, 0.0, 1.0, 0.0]])
-    p = derive_reference(circ0, 0.1)[0]
-    assert p.control.v == pytest.approx(1.0)
-    assert p.state.theta == pytest.approx(math.pi / 2)
-    assert p.control.omega == pytest.approx(1.0)
+    ref = derive_reference(circ0, 0.1)
+    assert ref.inputs[0] == pytest.approx([1.0, 1.0])
+    assert ref.poses[0, 2] == pytest.approx(math.pi / 2)
 
 
 def test_derive_reference_rejects_stationary_sample():
@@ -111,65 +113,76 @@ def test_rolled_reference_is_flowed_by_its_own_feedforward():
                              np.sin(0.5 * t), 0.5 * np.cos(0.5 * t),
                              -0.25 * np.sin(0.5 * t)])
     ref = roll_reference(curve, 0.05)
-    z = ref[0].state
+    z = RobotState(*ref.poses[0])
     for k in range(len(ref) - 1):
-        z = step_discrete(z, ref[k].control, 0.05)
-        assert np.max(np.abs(z.as_array() - ref[k + 1].state.as_array())) <= 1e-12
+        z = step_discrete(z, ControlInput(*ref.inputs[k]), 0.05)
+        assert np.max(np.abs(z.as_array() - ref.poses[k + 1])) <= 1e-12
+    assert np.array_equal(ref.inputs, derive_reference(curve, 0.05).inputs)
 
 
 def test_error_frame_known_points():
-    ref = ReferencePoint(RobotState(1, 2, 0.5), ControlInput(1, 0))
-    e = to_error_frame(RobotState(0, 0, 0), ref)
+    e = to_error_frame(RobotState(0, 0, 0), (1, 2, 0.5))
     assert np.allclose(e.as_array(), [1, 2, 0.5])
-    ref = ReferencePoint(RobotState(1, 0, math.pi / 2), ControlInput(1, 0))
-    e = to_error_frame(RobotState(0, 0, math.pi / 2), ref)
+    pose = np.array([1, 0, math.pi / 2])
+    e = to_error_frame(RobotState(0, 0, math.pi / 2), pose)
     assert np.allclose(e.as_array(), [0, -1, 0], atol=1e-15)
-    z = from_error_frame(e, ref)
+    z = from_error_frame(e, pose)
     assert np.allclose(z.as_array(), [0, 0, math.pi / 2], atol=1e-15)
 
 
 @settings(max_examples=200, deadline=None)
 @given(coords, coords, angles, coords, coords, angles)
 def test_error_frame_round_trip(x, y, th, xr, yr, thr):
-    ref = ReferencePoint(RobotState(xr, yr, thr), ControlInput(0.5, 0.0))
+    pose = (xr, yr, thr)
     z = RobotState(x, y, th)
-    e = to_error_frame(z, ref)
-    z2 = from_error_frame(e, ref)
+    e = to_error_frame(z, pose)
+    z2 = from_error_frame(e, pose)
     assert abs(z2.x - z.x) <= 1e-9 * max(1.0, abs(z.x))
     assert abs(z2.y - z.y) <= 1e-9 * max(1.0, abs(z.y))
     assert abs(wrap_angle(z2.theta - z.theta)) <= 1e-12
 
 
 def test_linearize_known_model():
-    m = linearize(ReferencePoint(RobotState(0, 0, 0), ControlInput(1.0, 0.5)), 0.1)
-    assert np.allclose(m.A, [[1, 0.05, 0], [-0.05, 1, 0.1], [0, 0, 1]])
-    assert np.array_equal(m.B, [[-0.1, 0], [0, 0], [0, -0.1]])
-    m0 = linearize(ReferencePoint(RobotState(0, 0, 0), ControlInput(0.0, 0.0)), 0.1)
-    assert np.array_equal(m0.A, np.eye(3))
+    A = linearize(np.array([[1.0, 0.5], [0.0, 0.0]]), 0.1)
+    assert A.shape == (2, 3, 3)
+    assert np.allclose(A[0], [[1, 0.05, 0], [-0.05, 1, 0.1], [0, 0, 1]])
+    assert np.array_equal(A[1], np.eye(3))
+    assert np.array_equal(linearize((1.0, 0.5), 0.1), A[0])  # one input, one matrix
+    assert np.array_equal(input_matrix(0.1), [[-0.1, 0], [0, 0], [0, -0.1]])
 
 
-def test_linear_model_rejects_wrong_b():
-    with pytest.raises(ValueError):
-        LinearModel(np.eye(3), np.zeros((3, 2)), 0.1)
+@pytest.mark.parametrize("source", ["tracking.yaml", "sinusoid", "circle"])
+def test_linearize_stack_equals_per_step_oracle(source):
+    if source.endswith(".yaml"):
+        ref = build_controller(load_config(CONFIGS / source).scenario)[0].ref
+    else:
+        ref = build_reference(TrajectorySpec(source, T=0.1), 200)
+    A = linearize(ref.inputs, ref.T)
+    assert A.shape == (len(ref), 3, 3)
+    for A_k, (v_r, w_r) in zip(A, ref.inputs):
+        A_want, B_want = linearize_step(v_r, w_r, ref.T)
+        assert np.array_equal(A_k, A_want)
+    assert np.array_equal(input_matrix(ref.T), B_want)
 
 
 def test_linearize_matches_field_jacobian():
     T = 0.05
+    B = input_matrix(T)
     for v_r in np.linspace(0.0, 2.0, 5):
         for w_r in np.linspace(-1.0, 1.0, 5):
-            m = linearize(ReferencePoint(RobotState(0, 0, 0), ControlInput(v_r, w_r)), T)
+            A = linearize((v_r, w_r), T)
             Je = central_jacobian(lambda e: error_field(e, np.zeros(2), v_r, w_r),
                                   np.zeros(3))
             Ju = central_jacobian(lambda ub: error_field(np.zeros(3), ub, v_r, w_r),
                                   np.zeros(2))
-            assert np.max(np.abs((m.A - np.eye(3)) / T - Je)) <= 1e-6
-            assert np.max(np.abs(m.B / T - Ju)) <= 1e-6
+            assert np.max(np.abs((A - np.eye(3)) / T - Je)) <= 1e-6
+            assert np.max(np.abs(B / T - Ju)) <= 1e-6
 
 
 def test_controllability_rank_grid():
     T = 0.05
     for v_r in np.linspace(0.0, 2.0, 5):
         for w_r in np.linspace(-1.0, 1.0, 5):
-            m = linearize(ReferencePoint(RobotState(0, 0, 0), ControlInput(v_r, w_r)), T)
+            A = linearize((v_r, w_r), T)
             expected = 2 if (v_r == 0.0 and w_r == 0.0) else 3
-            assert controllability_rank(m.A, m.B) == expected, (v_r, w_r)
+            assert controllability_rank(A, input_matrix(T)) == expected, (v_r, w_r)

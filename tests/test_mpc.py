@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ltvmpc.avoidance import DecisionRow
-from ltvmpc.dynamics import RobotState, linearize
+from ltvmpc.dynamics import ControlInput, RobotState, input_matrix, linearize
 from ltvmpc.mpc import (MpcConfig, MpcController, _with_shared_slack, build_qp,
                         stage_cost_value, terminal_cost_value)
 from ltvmpc.qp import solve_qp
@@ -20,15 +20,14 @@ COSTS = CostMatrices(np.diag([1.0, 1.0, 0.5]), np.diag([0.1, 0.05]))
 
 def make_setup(n_ref=60, kind="sinusoid"):
     ref = build_reference(TrajectorySpec(kind), n_ref)
-    models = [linearize(ref[i], ref.T) for i in range(len(ref))]
-    schedule = backward_riccati(models, COSTS)
-    return ref, models, schedule
+    A, B = linearize(ref.inputs, ref.T), input_matrix(ref.T)
+    return ref, A, B, backward_riccati(A, B, COSTS)
 
 
 def test_problem_dimensions():
-    ref, models, schedule = make_setup()
+    ref, models, B, schedule = make_setup()
     cfg = MpcConfig(N=10)
-    p = build_qp(np.zeros(3), 0, ref, models, schedule, COSTS, cfg)
+    p = build_qp(np.zeros(3), 0, ref, models, B, schedule, COSTS, cfg)
     assert p.n == 50
     assert p.A_eq.shape == (30, 50)
     assert p.A_in.shape == (40, 50)
@@ -36,19 +35,19 @@ def test_problem_dimensions():
 
 
 def test_forbid_reverse_adds_one_row_per_step():
-    ref, models, schedule = make_setup()
+    ref, models, B, schedule = make_setup()
     cfg = MpcConfig(N=6, forbid_reverse=True)
-    p = build_qp(np.zeros(3), 0, ref, models, schedule, COSTS, cfg)
+    p = build_qp(np.zeros(3), 0, ref, models, B, schedule, COSTS, cfg)
     assert p.A_in.shape[0] == 4 * 6 + 6
 
 
 def test_extra_row_column_placement():
-    ref, models, schedule = make_setup()
+    ref, models, B, schedule = make_setup()
     N = 5
     cfg = MpcConfig(N=N)
     e_row = DecisionRow(step=3, rhs=0.7, e_coeff=np.array([0.6, -0.8]))
     u_row = DecisionRow(step=2, rhs=-0.1, u_coeff=np.array([1.5, 2.5]))
-    p = build_qp(np.zeros(3), 0, ref, models, schedule, COSTS, cfg,
+    p = build_qp(np.zeros(3), 0, ref, models, B, schedule, COSTS, cfg,
                  extra_rows=[e_row, u_row])
     r_e = p.A_in[-2]
     r_u = p.A_in[-1]
@@ -60,16 +59,16 @@ def test_extra_row_column_placement():
     assert p.b_in[-1] == -0.1
 
     with pytest.raises(ValueError):
-        build_qp(np.zeros(3), 0, ref, models, schedule, COSTS, cfg,
+        build_qp(np.zeros(3), 0, ref, models, B, schedule, COSTS, cfg,
                  extra_rows=[DecisionRow(step=0, rhs=0.0, e_coeff=np.ones(2))])
     with pytest.raises(ValueError):
-        build_qp(np.zeros(3), 0, ref, models, schedule, COSTS, cfg,
+        build_qp(np.zeros(3), 0, ref, models, B, schedule, COSTS, cfg,
                  extra_rows=[DecisionRow(step=N, rhs=0.0, u_coeff=np.ones(2))])
 
 
 @pytest.mark.parametrize("N", [1, 2, 10, 50])
 def test_assembly_is_bit_identical_to_loop_oracle(N):
-    ref, models, schedule = make_setup()
+    ref, models, B, schedule = make_setup()
     rng = np.random.default_rng(N)
     e0 = rng.normal(size=3)
     rows = [DecisionRow(step=N, rhs=0.3, e_coeff=np.array([0.6, -0.8])),
@@ -81,8 +80,8 @@ def test_assembly_is_bit_identical_to_loop_oracle(N):
         for forbid in (False, True):
             cfg = MpcConfig(N=N, forbid_reverse=forbid, u_max=np.array([0.9, 1.7]))
             for extra in ((), rows):
-                got = build_qp(e0, k, ref, models, schedule, COSTS, cfg, extra)
-                want = build_qp_loops(e0, k, ref, models, schedule, COSTS, cfg, extra)
+                got = build_qp(e0, k, ref, models, B, schedule, COSTS, cfg, extra)
+                want = build_qp_loops(e0, k, ref, models, B, schedule, COSTS, cfg, extra)
                 for name in ("H", "g", "A_eq", "b_eq", "A_in", "b_in"):
                     a, b = getattr(got, name), getattr(want, name)
                     assert a.shape == b.shape, (name, k, forbid, len(extra))
@@ -90,11 +89,11 @@ def test_assembly_is_bit_identical_to_loop_oracle(N):
 
 
 def test_shared_slack_wrapping():
-    ref, models, schedule = make_setup()
+    ref, models, B, schedule = make_setup()
     cfg = MpcConfig(N=4)
     rows = [DecisionRow(step=1, rhs=0.2, e_coeff=np.array([1.0, 0.0])),
             DecisionRow(step=0, rhs=0.1, u_coeff=np.array([0.0, 1.0]))]
-    p = build_qp(np.zeros(3), 0, ref, models, schedule, COSTS, cfg, rows)
+    p = build_qp(np.zeros(3), 0, ref, models, B, schedule, COSTS, cfg, rows)
     q = _with_shared_slack(p, len(rows), weight=1e4)
     assert q.n == p.n + 1
     assert q.H[-1, -1] == 1e4
@@ -108,9 +107,9 @@ def test_shared_slack_wrapping():
 
 
 def test_zero_error_start_is_a_fixed_point():
-    ref, models, schedule = make_setup()
+    ref, models, B, schedule = make_setup()
     cfg = MpcConfig(N=10)
-    p = build_qp(np.zeros(3), 7, ref, models, schedule, COSTS, cfg)
+    p = build_qp(np.zeros(3), 7, ref, models, B, schedule, COSTS, cfg)
     sol = solve_qp(p)
     assert sol.status == "optimal"
     assert np.max(np.abs(sol.x)) <= 1e-9
@@ -118,14 +117,14 @@ def test_zero_error_start_is_a_fixed_point():
 
 
 def test_input_bounds_respected_to_tolerance():
-    ref, models, schedule = make_setup()
+    ref, models, B, schedule = make_setup()
     cfg = MpcConfig(N=8, u_max=np.array([0.9, 0.6]))
     e0 = np.array([0.8, -0.6, 0.9])
-    p = build_qp(e0, 3, ref, models, schedule, COSTS, cfg)
+    p = build_qp(e0, 3, ref, models, B, schedule, COSTS, cfg)
     sol = solve_qp(p)
     assert sol.status == "optimal"
     for j in range(8):
-        u_ref = ref[3 + j].control.as_array()
+        u_ref = ref.inputs[3 + j]
         u = u_ref + sol.x[24 + 2 * j: 24 + 2 * j + 2]
         assert np.all(np.abs(u) <= cfg.u_max + 1e-9)
 
@@ -139,15 +138,14 @@ def test_terminal_cost_values():
         pytest.approx(0.5)
 
 
-def backward_pass(models, P_end, costs, k, N):
+def backward_pass(models, B, P_end, costs, k, N):
     """Dense finite-horizon oracle: gains for cost sum_{i=1}^{N-1} e'Qe
     + e_N' P_end e_N + sum u'Ru (all halved), indices clamped like the QP."""
     last = len(models) - 1
     P = P_end
     gains = [None] * N
     for i in range(N - 1, -1, -1):
-        m = models[min(k + i, last)]
-        A, B = m.A, m.B
+        A = models[min(k + i, last)]
         K = -np.linalg.solve(costs.R + B.T @ P @ B, B.T @ P @ A)
         AK = A + B @ K
         Q_i = costs.Q if i >= 1 else np.zeros((3, 3))
@@ -157,14 +155,14 @@ def backward_pass(models, P_end, costs, k, N):
 
 
 def test_soft_terminal_horizon_matches_dense_recursion(rng):
-    ref, models, schedule = make_setup()
+    ref, models, B, schedule = make_setup()
     N, k = 12, 9
     cfg = MpcConfig(N=N, beta=1.0, u_max=np.array([1e6, 1e6]))
     P_end = schedule.P_at(k + N)
-    gains = backward_pass(models, P_end, COSTS, k, N)
+    gains = backward_pass(models, B, P_end, COSTS, k, N)
     for _ in range(5):
         e0 = rng.uniform(-0.5, 0.5, size=3)
-        p = build_qp(e0, k, ref, models, schedule, COSTS, cfg)
+        p = build_qp(e0, k, ref, models, B, schedule, COSTS, cfg)
         sol = solve_qp(p)
         assert sol.status == "optimal"
         e = e0.copy()
@@ -173,25 +171,25 @@ def test_soft_terminal_horizon_matches_dense_recursion(rng):
             u_oracle = gains[i] @ e
             u_qp = sol.x[3 * N + 2 * i: 3 * N + 2 * i + 2]
             assert np.max(np.abs(u_qp - u_oracle)) <= 1e-6
-            m = models[min(k + i, last)]
-            e = m.A @ e + m.B @ u_oracle
+            e = models[min(k + i, last)] @ e + B @ u_oracle
             assert np.max(np.abs(sol.x[3 * i: 3 * i + 3] - e)) <= 1e-6
 
 
 def test_controller_holds_reference_exactly():
-    ref, models, schedule = make_setup()
-    controller = MpcController(ref, models, schedule, COSTS, MpcConfig(N=10))
-    z = RobotState(ref[4].state.x, ref[4].state.y, ref[4].state.theta)
+    ref, models, B, schedule = make_setup()
+    controller = MpcController(ref, models, B, schedule, COSTS, MpcConfig(N=10))
+    z = RobotState(*ref.poses[4])
+    u_ref = ControlInput(*ref.inputs[4])
     step = controller.control_step(z, 4)
     assert step.qp_status == "optimal"
-    assert step.u_applied.v == pytest.approx(ref[4].control.v, abs=1e-9)
-    assert step.u_applied.omega == pytest.approx(ref[4].control.omega, abs=1e-9)
+    assert step.u_applied.v == pytest.approx(u_ref.v, abs=1e-9)
+    assert step.u_applied.omega == pytest.approx(u_ref.omega, abs=1e-9)
     assert step.predicted_errors.shape == (11, 3)
     assert np.max(np.abs(step.predicted_errors)) <= 1e-9
     assert step.stage_cost <= 1e-18
 
     lqr = controller.lqr_control_step(z, 4)
-    assert lqr.u_applied.v == pytest.approx(ref[4].control.v, abs=1e-12)
+    assert lqr.u_applied.v == pytest.approx(u_ref.v, abs=1e-12)
     assert np.allclose(lqr.u_feedback, 0.0)
 
 

@@ -10,10 +10,10 @@ import scipy.linalg
 
 from ltvmpc import riccati
 from ltvmpc.cli import load_config
-from ltvmpc.dynamics import ControlInput, ReferencePoint, RobotState, linearize
-from ltvmpc.riccati import (CostMatrices, backward_riccati, closed_loop,
-                            controllability_rank, doubling_dare, lqr_gain,
-                            recursion_residuals, riccati_map, solve_dare)
+from ltvmpc.dynamics import input_matrix, linearize
+from ltvmpc.riccati import (CostMatrices, backward_riccati, controllability_rank,
+                            doubling_dare, lqr_gain, recursion_residuals, riccati_map,
+                            solve_dare)
 from ltvmpc.sim import build_controller
 
 from oracles import backward_riccati_chain
@@ -23,18 +23,25 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
+B = input_matrix(0.1)
+
+
 def tracking_model(v_r, w_r, T=0.1):
-    return linearize(ReferencePoint(RobotState(0, 0, 0), ControlInput(v_r, w_r)), T)
+    return linearize((v_r, w_r), T)
 
 
 def sinusoid_models(n=100, T=0.1):
     t = np.arange(n) * T
-    out = []
+    inputs = []
     for k in range(n):
         v_r = math.hypot(0.5, 0.5 * math.cos(0.5 * t[k]))
         w_r = (0.5 * -0.25 * math.sin(0.5 * t[k])) / v_r**2
-        out.append(tracking_model(v_r, w_r, T))
-    return out
+        inputs.append((v_r, w_r))
+    return linearize(inputs, T)
+
+
+def constant_models(v_r, w_r, n):
+    return np.repeat(tracking_model(v_r, w_r)[None], n, axis=0)
 
 
 def test_cost_matrices_validate():
@@ -61,61 +68,62 @@ def test_dare_deadbeat_plant_collapses_to_q():
 
 
 def test_dare_matches_scipy_and_residual():
-    m = tracking_model(1.0, 0.5)
+    A = tracking_model(1.0, 0.5)
     Q, R = np.eye(3), np.eye(2)
-    P = solve_dare(m.A, m.B, Q, R)
-    res = np.linalg.norm(P - riccati_map(P, m.A, m.B, Q, R))
+    P = solve_dare(A, B, Q, R)
+    res = np.linalg.norm(P - riccati_map(P, A, B, Q, R))
     assert res <= 1e-9
-    P_ref = scipy.linalg.solve_discrete_are(m.A, m.B, Q, R)
+    P_ref = scipy.linalg.solve_discrete_are(A, B, Q, R)
     assert np.max(np.abs(P - P_ref)) <= 1e-6
     assert np.min(np.linalg.eigvalsh(P)) > 0
 
 
 def test_dare_insensitive_to_initialization():
-    m = tracking_model(0.7, -0.3)
+    A = tracking_model(0.7, -0.3)
     Q, R = np.diag([1.0, 1.0, 0.5]), np.diag([0.1, 0.05])
-    P1 = solve_dare(m.A, m.B, Q, R, P0=Q)
-    P2 = solve_dare(m.A, m.B, Q, R, P0=10.0 * np.eye(3))
+    P1 = solve_dare(A, B, Q, R, P0=Q)
+    P2 = solve_dare(A, B, Q, R, P0=10.0 * np.eye(3))
     assert np.max(np.abs(P1 - P2)) <= 1e-7
 
 
 def test_dare_fails_loudly_when_uncontrollable():
-    m = tracking_model(0.0, 0.0)
+    A = tracking_model(0.0, 0.0)
     with pytest.raises(ValueError):
-        solve_dare(m.A, m.B, np.eye(3), np.eye(2), max_iter=20_000)
+        solve_dare(A, B, np.eye(3), np.eye(2), max_iter=20_000)
 
 
 def test_gain_stabilizes_closed_loop():
     assert np.allclose(lqr_gain(np.zeros((1, 1)), np.eye(1), np.eye(1), np.eye(1)), 0.0)
-    m = tracking_model(1.0, 0.5)
-    P = solve_dare(m.A, m.B, np.eye(3), np.eye(2))
-    K = lqr_gain(m.A, m.B, P, np.eye(2))
-    rho = np.max(np.abs(np.linalg.eigvals(closed_loop(m, K))))
+    A = tracking_model(1.0, 0.5)
+    P = solve_dare(A, B, np.eye(3), np.eye(2))
+    K = lqr_gain(A, B, P, np.eye(2))
+    rho = np.max(np.abs(np.linalg.eigvals(A + B @ K)))
     assert rho < 1.0
 
 
 def test_backward_schedule_constant_model_is_stationary():
-    models = [tracking_model(1.0, 0.5)] * 40
+    models = constant_models(1.0, 0.5, 40)
     costs = CostMatrices(np.eye(3), np.eye(2))
-    sched = backward_riccati(models, costs)
+    sched = backward_riccati(models, B, costs)
+    assert sched.P.shape == (40, 3, 3) and sched.K.shape == (39, 2, 3)
     P_end = sched.P[-1]
     for P in sched.P:
         assert np.max(np.abs(P - P_end)) <= 1e-8
 
 
 def test_backward_schedule_single_step():
-    models = [tracking_model(1.0, 0.5)]
-    sched = backward_riccati(models, CostMatrices(np.eye(3), np.eye(2)))
+    models = constant_models(1.0, 0.5, 1)
+    sched = backward_riccati(models, B, CostMatrices(np.eye(3), np.eye(2)))
     assert len(sched.P) == 1 and len(sched.K) == 0
-    assert np.allclose(sched.P[0], solve_dare(models[0].A, models[0].B,
-                                              np.eye(3), np.eye(2)), atol=1e-8)
+    assert np.allclose(sched.P[0], solve_dare(models[0], B, np.eye(3), np.eye(2)),
+                       atol=1e-8)
 
 
 def test_backward_schedule_recursion_residuals():
     models = sinusoid_models()
     costs = CostMatrices(np.eye(3), np.eye(2))
-    sched = backward_riccati(models, costs)
-    assert np.max(recursion_residuals(sched, models, costs)) <= 1e-9
+    sched = backward_riccati(models, B, costs)
+    assert np.max(recursion_residuals(sched, models, B, costs)) <= 1e-9
     for P in sched.P:
         assert np.max(np.abs(P - P.T)) <= 1e-10
         assert np.min(np.linalg.eigvalsh(P)) > 0
@@ -124,10 +132,10 @@ def test_backward_schedule_recursion_residuals():
 def test_exact_decrease_identity(rng):
     models = sinusoid_models()
     costs = CostMatrices(np.diag([1.0, 1.0, 0.5]), np.diag([0.1, 0.05]))
-    sched = backward_riccati(models, costs)
+    sched = backward_riccati(models, B, costs)
     X = rng.normal(size=(1000, 3))
     for i in range(len(sched.K)):
-        A_K = closed_loop(models[i], sched.K[i])
+        A_K = models[i] + B @ sched.K[i]
         Q_K = costs.Q + sched.K[i].T @ costs.R @ sched.K[i]
         lhs = np.einsum("ij,jk,ik->i", X, sched.P[i] - A_K.T @ sched.P[i + 1] @ A_K, X)
         rhs = np.einsum("ij,jk,ik->i", X, Q_K, X)
@@ -138,7 +146,7 @@ def test_exact_decrease_identity(rng):
 def test_stage_and_terminal_bounds(rng):
     models = sinusoid_models(50)
     costs = CostMatrices(np.diag([1.0, 1.0, 0.5]), np.diag([0.1, 0.05]))
-    sched = backward_riccati(models, costs)
+    sched = backward_riccati(models, B, costs)
     lam_min_q = np.min(np.linalg.eigvalsh(costs.Q))
     lam_max_p = max(np.max(np.linalg.eigvalsh(P)) for P in sched.P)
     X = rng.normal(size=(200, 3))
@@ -184,23 +192,21 @@ def test_doubling_dare_matches_scipy(rng):
 
 
 def test_doubling_dare_rejects_uncontrollable_and_non_finite():
-    bad = tracking_model(0.0, 0.0)
-    good = tracking_model(1.0, 0.5)
-    A = np.stack([good.A, bad.A, good.A])
-    B = np.stack([good.B, bad.B, good.B])
+    A = linearize([(1.0, 0.5), (0.0, 0.0), (1.0, 0.5)], 0.1)
+    B_stack = np.repeat(B[None], 3, axis=0)
     with pytest.raises(ValueError, match=r"model\(s\) \[1\]"):
-        doubling_dare(A, B, np.eye(3), np.eye(2))
+        doubling_dare(A, B_stack, np.eye(3), np.eye(2))
     A[2, 0, 0] = np.nan
     with pytest.raises(ValueError, match=r"non-finite for model\(s\) \[2\]"):
-        doubling_dare(A, B, np.eye(3), np.eye(2))
+        doubling_dare(A, B_stack, np.eye(3), np.eye(2))
 
 
 def test_constant_model_chains_are_bit_identical_to_plain_warm_start(monkeypatch):
     controller, _ = build_controller(load_config(CONFIGS / "avoid_static_velocity.yaml").scenario)
     doublings = count_calls(monkeypatch, "doubling_dare")
-    for models in (controller.models, [tracking_model(1.0, 0.5)] * 40):
-        sched = backward_riccati(models, controller.costs)
-        ref = backward_riccati_chain(models, controller.costs)
+    for models, B_models in ((controller.A, controller.B), (constant_models(1.0, 0.5, 40), B)):
+        sched = backward_riccati(models, B_models, controller.costs)
+        ref = backward_riccati_chain(models, B_models, controller.costs)
         assert len(sched.P) == len(ref.P) and len(sched.K) == len(ref.K)
         assert all(np.array_equal(a, b) for a, b in zip(sched.P, ref.P))
         assert all(np.array_equal(a, b) for a, b in zip(sched.K, ref.K))
@@ -210,8 +216,8 @@ def test_constant_model_chains_are_bit_identical_to_plain_warm_start(monkeypatch
 def test_sinusoid_schedule_close_to_plain_warm_start():
     models = sinusoid_models()
     costs = CostMatrices(np.diag([1.0, 1.0, 0.5]), np.diag([0.1, 0.05]))
-    sched = backward_riccati(models, costs)
-    ref = backward_riccati_chain(models, costs)
+    sched = backward_riccati(models, B, costs)
+    ref = backward_riccati_chain(models, B, costs)
     assert max(np.max(np.abs(a - b)) for a, b in zip(sched.P, ref.P)) <= 1e-9
     assert max(np.max(np.abs(a - b)) for a, b in zip(sched.K, ref.K)) <= 1e-9
 
@@ -219,21 +225,22 @@ def test_sinusoid_schedule_close_to_plain_warm_start():
 def test_doubling_start_needs_few_riccati_maps(monkeypatch):
     models = sinusoid_models(200)
     calls = count_calls(monkeypatch, "riccati_map")
-    backward_riccati(models, CostMatrices(np.eye(3), np.eye(2)))
+    backward_riccati(models, B, CostMatrices(np.eye(3), np.eye(2)))
     # the plain warm-started chain needs about 188 maps per step
     assert len(calls) <= len(models) + 200
 
 
 def test_uncontrollable_changed_model_fails_before_any_riccati_map(monkeypatch):
-    models = sinusoid_models(20)
-    models[7] = tracking_model(0.0, 0.0)
     calls = count_calls(monkeypatch, "riccati_map")
-    with pytest.raises(ValueError, match=r"step\(s\) \[7\]"):
-        backward_riccati(models, CostMatrices(np.eye(3), np.eye(2)))
+    # a standstill at step 7, at the last step, and throughout
+    for standstill, step in ((slice(7, 8), 7), (slice(19, 20), 19), (slice(None), 19)):
+        models = sinusoid_models(20)
+        models[standstill] = tracking_model(0.0, 0.0)
+        with pytest.raises(ValueError, match=rf"step\(s\) \[{step}\]"):
+            backward_riccati(models, B, CostMatrices(np.eye(3), np.eye(2)))
     assert not calls
 
 
 def test_rank_helper_on_degenerate_pairs():
     assert controllability_rank(np.eye(3), np.array([[-0.1, 0], [0, 0], [0, -0.1]])) == 2
-    m = tracking_model(0.0, 1.0)
-    assert controllability_rank(m.A, m.B) == 3
+    assert controllability_rank(tracking_model(0.0, 1.0), B) == 3

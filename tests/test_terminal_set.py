@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltvmpc.dynamics import linearize
-from ltvmpc.riccati import CostMatrices, backward_riccati, closed_loop
+from ltvmpc.dynamics import input_matrix, linearize
+from ltvmpc.riccati import CostMatrices, backward_riccati
 from ltvmpc.sim import TrajectorySpec, build_reference
 from ltvmpc.terminal_set import (OuterPolyhedron, TerminalConstraints,
                                  TerminalEllipsoid, compute_c_schedule,
@@ -152,15 +152,15 @@ def test_level_search_follows_exact_check_where_rounding_beats_the_bound():
 
 def _sinusoid_schedule(n=80):
     ref = build_reference(TrajectorySpec("sinusoid"), n)
-    models = [linearize(ref[i], ref.T) for i in range(len(ref))]
+    A, B = linearize(ref.inputs, ref.T), input_matrix(ref.T)
     costs = CostMatrices(np.diag([1.0, 1.0, 0.5]), np.diag([0.1, 0.05]))
-    return ref, models, backward_riccati(models, costs)
+    return ref, A, B, backward_riccati(A, B, costs)
 
 
 def test_schedule_levels_feasible_and_invariant(rng):
-    ref, models, sched = _sinusoid_schedule()
+    ref, models, B, sched = _sinusoid_schedule()
     cons = TerminalConstraints(np.array([1.0, 1.0, math.pi]), np.array([2.0, 10.0]))
-    u_refs = [ref[i].control.as_array() for i in range(len(ref))]
+    u_refs = ref.inputs
     levels = compute_c_schedule(sched, cons, u_refs)
     assert len(levels) == len(sched.P)
     assert [c for c, _ in levels] == [
@@ -173,7 +173,7 @@ def test_schedule_levels_feasible_and_invariant(rng):
     # measured with the next step's cost matrix
     for i in (0, len(sched.K) // 2, len(sched.K) - 1):
         c = levels[i][0]
-        A_K = closed_loop(models[i], sched.K[i])
+        A_K = models[i] + B @ sched.K[i]
         X = boundary_samples(sched.P[i], c, 100, rng)
         X_next = X @ A_K.T
         vals = np.einsum("ij,jk,ik->i", X_next, sched.P[i + 1], X_next)
