@@ -110,7 +110,7 @@ class DareError(ValueError):
 
 
 def doubling_dare(A, B, Q, R):
-    """Stabilizing DARE solutions for stacks A (L,n,n) and B (L,n,m) by SDA.
+    """Stabilizing DARE solutions for a stack A (L,n,n) and one B (n,m) by SDA.
 
     From G = B R^-1 B', H = Q, each doubling with W = I + G H sets
     A <- A W^-1 A, G <- G + A W^-1 G A', H <- H + A' H W^-1 A (H symmetrized),
@@ -122,7 +122,7 @@ def doubling_dare(A, B, Q, R):
     B = np.asarray(B, dtype=float)
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
-    G = B @ np.linalg.solve(R, B.swapaxes(-1, -2))
+    G = np.broadcast_to(B @ np.linalg.solve(R, B.T), A.shape).copy()
     H = np.broadcast_to(Q, A.shape).copy()
     eye = np.eye(A.shape[-1])
     for _ in range(64):
@@ -165,9 +165,9 @@ def backward_riccati(A, B, costs: CostMatrices) -> TerminalSchedule:
     computed in one batched call over exactly those steps before the chain
     runs. A constant-model sequence thus makes no doubling call and gives the
     same P and K as the plain warm-started chain. Raises ValueError naming
-    the step, before any Riccati map, when the last model is uncontrollable
-    (a standstill) or a changed model has no stabilizing DARE solution; every
-    other step shares its model with a later one of those.
+    the step, before any Riccati map, when the last model is not stabilizable
+    (a standstill, say) or a changed model has no stabilizing DARE solution;
+    every other step shares its model with a later one of those.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -175,16 +175,15 @@ def backward_riccati(A, B, costs: CostMatrices) -> TerminalSchedule:
     if L == 0:
         raise ValueError("backward_riccati needs at least one model")
     Q, R = costs.Q, costs.R
-    if controllability_rank(A[-1], B) < A.shape[-1]:
-        raise ValueError(f"uncontrollable model at step(s) [{L - 1}]: "
+    if not stabilizable(A[-1], B):
+        raise ValueError(f"unstabilizable model at step(s) [{L - 1}]: "
                          "no stabilizing frozen DARE solution")
 
     changed = np.flatnonzero(np.any(A[:-1] != A[1:], axis=(1, 2)))
     warm = {}
     if changed.size:
-        B_changed = np.repeat(B[None], changed.size, axis=0)
         try:
-            warm = dict(zip(changed.tolist(), doubling_dare(A[changed], B_changed, Q, R)))
+            warm = dict(zip(changed.tolist(), doubling_dare(A[changed], B, Q, R)))
         except DareError as exc:
             raise ValueError(f"no stabilizing frozen DARE solution at step(s) "
                              f"{changed[exc.models].tolist()}") from exc
@@ -238,6 +237,17 @@ def controllability_rank(A, B) -> int:
         blocks.append(A @ blocks[-1])
     C = np.hstack(blocks)
     s = np.linalg.svd(C, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
     return int(np.sum(s > s[0] * n * np.finfo(float).eps * 1e3))
+
+
+def stabilizable(A, B) -> bool:
+    """PBH test: rank [A - lam I, B] = n at every eigenvalue |lam| >= 1 - 1e-9,
+    with the rank threshold of `controllability_rank`; False at standstill."""
+    n = len(A)
+    for lam in np.linalg.eigvals(A):
+        if abs(lam) < 1 - 1e-9:
+            continue
+        s = np.linalg.svd(np.hstack([A - lam * np.eye(n), B]), compute_uv=False)
+        if np.sum(s > s[0] * n * np.finfo(float).eps * 1e3) < n:
+            return False
+    return True

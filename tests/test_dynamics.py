@@ -85,7 +85,7 @@ def test_derive_reference_known_curves():
                             np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)])
     ref = derive_reference(line, 0.1)
     assert ref.poses.shape == (21, 3) and ref.inputs.shape == (21, 2) and len(ref) == 21
-    assert np.allclose(ref.inputs, [1.0, 0.0])
+    assert ref.inputs == pytest.approx(np.tile([1.0, 0.0], (21, 1)))
     assert ref.poses[0, 2] == pytest.approx(0.0)
 
     # sinusoid x=t, y=sin t at t=0: derivatives (1, cos t) and (0, -sin t)

@@ -13,7 +13,7 @@ from ltvmpc.cli import load_config
 from ltvmpc.dynamics import input_matrix, linearize
 from ltvmpc.riccati import (CostMatrices, backward_riccati, controllability_rank,
                             doubling_dare, lqr_gain, recursion_residuals, riccati_map,
-                            solve_dare)
+                            solve_dare, stabilizable)
 from ltvmpc.sim import build_controller
 
 from oracles import backward_riccati_chain
@@ -178,7 +178,7 @@ def test_doubling_dare_matches_scipy(rng):
         m = int(rng.integers(1, n + 1))
         L = int(rng.integers(1, 6))
         A = rng.normal(size=(L, n, n)) * rng.uniform(0.2, 0.6)
-        B = rng.normal(size=(L, n, m))
+        B = rng.normal(size=(n, m))
         Fq = rng.normal(size=(n, n))
         Q = Fq @ Fq.T + 0.1 * np.eye(n)
         Fr = rng.normal(size=(m, m))
@@ -186,19 +186,18 @@ def test_doubling_dare_matches_scipy(rng):
         P = doubling_dare(A, B, Q, R)
         assert P.shape == (L, n, n)
         for l in range(L):
-            P_ref = scipy.linalg.solve_discrete_are(A[l], B[l], Q, R)
+            P_ref = scipy.linalg.solve_discrete_are(A[l], B, Q, R)
             assert np.max(np.abs(P[l] - P_ref)) <= 1e-9 * np.max(np.abs(P_ref))
             assert np.array_equal(P[l], P[l].T)
 
 
 def test_doubling_dare_rejects_uncontrollable_and_non_finite():
     A = linearize([(1.0, 0.5), (0.0, 0.0), (1.0, 0.5)], 0.1)
-    B_stack = np.repeat(B[None], 3, axis=0)
     with pytest.raises(ValueError, match=r"model\(s\) \[1\]"):
-        doubling_dare(A, B_stack, np.eye(3), np.eye(2))
+        doubling_dare(A, B, np.eye(3), np.eye(2))
     A[2, 0, 0] = np.nan
     with pytest.raises(ValueError, match=r"non-finite for model\(s\) \[2\]"):
-        doubling_dare(A, B_stack, np.eye(3), np.eye(2))
+        doubling_dare(A, B, np.eye(3), np.eye(2))
 
 
 def test_constant_model_chains_are_bit_identical_to_plain_warm_start(monkeypatch):
@@ -239,6 +238,20 @@ def test_uncontrollable_changed_model_fails_before_any_riccati_map(monkeypatch):
         with pytest.raises(ValueError, match=rf"step\(s\) \[{step}\]"):
             backward_riccati(models, B, CostMatrices(np.eye(3), np.eye(2)))
     assert not calls
+
+
+def test_uncontrollable_but_stabilizable_last_model_is_solved():
+    # the second state is uncontrollable but decays, so a stabilizing DARE exists
+    A = np.repeat(np.diag([1.2, 0.5])[None], 4, axis=0)
+    B_1 = np.array([[1.0], [0.0]])
+    assert controllability_rank(A[-1], B_1) == 1 and stabilizable(A[-1], B_1)
+    sched = backward_riccati(A, B_1, CostMatrices(np.eye(2), np.eye(1)))
+    P_ref = scipy.linalg.solve_discrete_are(A[-1], B_1, np.eye(2), np.eye(1))
+    assert np.max(np.abs(sched.P[-1] - P_ref)) <= 1e-9 * np.max(np.abs(P_ref))
+    # unstable and uncontrollable second state: no stabilizing solution
+    assert not stabilizable(np.diag([0.5, 1.2]), B_1)
+    assert not stabilizable(tracking_model(0.0, 0.0), B)
+    assert stabilizable(tracking_model(1.0, 0.5), B)
 
 
 def test_rank_helper_on_degenerate_pairs():
