@@ -33,9 +33,10 @@ def main():
         m = compute_metrics(log)
         write_log_csv(log, out / f"{scn.name}_log.csv")
         figures.write_run_bundle(log, out, scn.name)
-        if scn.cfg.avoidance_mode == "velocity_space":
+        if scn.mpc.avoidance == "velocity_space":
+            k = min(log.rows, key=lambda r: r.min_dist).k  # closest approach
             (out / f"{scn.name}_velocity_space.csv").write_text(
-                figures.velocity_space_csv(scn))
+                figures.velocity_space_csv(scn, k))
         print(f"{scn.name:<22} {m.min_clearance:>9.4f} {m.slack_total:>9.3f} "
               f"{str(m.converged):>10} {str(m.halted):>7}")
 

@@ -20,9 +20,9 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    bundle = load_config(CONFIG)
-    param, values = bundle.sweep_spec
-    results = sweep(bundle.scenario, param, values)
+    config = load_config(CONFIG)
+    param, values = config.sweep.param, config.sweep.values
+    results = sweep(config.scenario, param, values)
     (out / "beta_summary.csv").write_text(sweep_summary_csv(param, results))
 
     errs = {v: m.xy_error_sum for v, _, m in results}

@@ -14,9 +14,8 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def run_one(name):
-    bundle = load_config(CONFIGS / name)
-    param, values = bundle.sweep_spec
-    return sweep(bundle.scenario, param, values)
+    config = load_config(CONFIGS / name)
+    return sweep(config.scenario, config.sweep.param, config.sweep.values)
 
 
 def main():

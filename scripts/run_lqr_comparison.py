@@ -26,7 +26,7 @@ def main():
     write_log_csv(log_lqr, out / "lqr_cmp_lqr_log.csv")
     (out / "lqr_cmp_controls.csv").write_text(lqr_compare_csv(log_mpc, log_lqr))
 
-    w_cap = float(scn.cfg.u_max[1])
+    w_cap = float(scn.mpc.u_max[1])
     w_mpc = max(abs(r.omega) for r in log_mpc.rows)
     w_lqr = max(abs(r.omega) for r in log_lqr.rows)
     k1s = round(1.0 / scn.trajectory.T)

@@ -68,9 +68,6 @@ class ErrorState:
     def as_array(self) -> np.ndarray:
         return np.array([self.e1, self.e2, self.e3])
 
-    def inf_norm(self) -> float:
-        return float(np.max(np.abs(self.as_array())))
-
 
 @dataclass(frozen=True)
 class Reference:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .avoidance import velocity_debug_csv
 from .dynamics import RobotState, step_discrete
-from .sim import Scenario, SimLog, _fmt, _make_agent, build_controller, run_scenario
+from .sim import Scenario, SimLog, _fmt, _make_agent, build_controller
 
 
 def _table(header, rows) -> str:
@@ -52,7 +52,7 @@ def obstacle_paths_csv(scn: Scenario, n_steps: int = None) -> str:
     if n_steps is None:
         n_steps = scn.duration
     T = scn.trajectory.T
-    n_points = scn.duration + scn.cfg.N + 1
+    n_points = scn.duration + scn.mpc.N + 1
     agents = [_make_agent(o, T, n_points, scn.reference_mode) for o in scn.obstacles]
     rows = []
     for k in range(n_steps):
@@ -99,18 +99,13 @@ def terminal_set_csv(levels) -> str:
     return _table(tuple(header), rows)
 
 
-def velocity_space_csv(scn: Scenario, k: int = None) -> str:
+def velocity_space_csv(scn: Scenario, k: int) -> str:
     """Velocity-space dump (cone, tangent plane, per-step rows) at step k.
 
-    With k omitted the step of closest obstacle approach is used. The scenario
-    is replayed from scratch, so the dump reflects exactly what the controller
-    saw at that step. Raises if the scenario never produced velocity rows.
+    The scenario is replayed from scratch up to step k, so the dump reflects
+    exactly what the controller saw there. Raises if no velocity rows were
+    built at that step.
     """
-    if k is None:
-        log = run_scenario(scn)
-        if not log.rows:
-            raise ValueError("empty scenario")
-        k = min(log.rows, key=lambda r: r.min_dist).k
     controller, agents = build_controller(scn)
     z = RobotState(*(controller.ref.poses[0] if scn.initial_state is None
                      else scn.initial_state))

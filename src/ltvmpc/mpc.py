@@ -29,15 +29,16 @@ from .riccati import CostMatrices
 
 @dataclass(frozen=True)
 class MpcConfig:
-    """Controller parameters; validated on construction."""
+    """Controller parameters, validated on construction. The field names are
+    the keys of a config's `mpc` section."""
 
     N: int = 10
     beta: float = 2.0  # > 1 leaves Lyapunov-decrease slack for plant nonlinearity
     terminal_mode: str = "soft_beta"  # soft_beta | none
     u_max: np.ndarray = field(default_factory=lambda: np.array([2.0, 10.0]))
     slack_weight: float = 1e4
-    avoidance_mode: str = "off"  # off | state_space | velocity_space
-    theta_s: float = math.radians(20.0)
+    avoidance: str = "off"  # off | state_space | velocity_space
+    theta_s_deg: float = 20.0  # state-space plane rotation, degrees
     r_safe: float = 0.5
     d_activate: float = 3.0
     robot_radius: float = 0.2
@@ -51,14 +52,19 @@ class MpcConfig:
             raise ValueError("beta must be >= 0")
         if self.terminal_mode not in ("soft_beta", "none"):
             raise ValueError("terminal_mode must be 'soft_beta' or 'none'")
-        if self.avoidance_mode not in ("off", "state_space", "velocity_space"):
-            raise ValueError("avoidance_mode must be off, state_space or velocity_space")
+        if self.avoidance not in ("off", "state_space", "velocity_space"):
+            raise ValueError("avoidance must be off, state_space or velocity_space")
         u_max = np.asarray(self.u_max, dtype=float).reshape(2)
         if np.any(u_max <= 0):
             raise ValueError("u_max entries must be positive")
         if self.slack_weight <= 0:
             raise ValueError("slack_weight must be positive")
         object.__setattr__(self, "u_max", u_max)
+        object.__setattr__(self, "theta_s_deg", float(self.theta_s_deg))
+
+    def __eq__(self, other):  # field by field, with the u_max array compared by value
+        return isinstance(other, MpcConfig) and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in vars(self))
 
     @property
     def beta_eff(self) -> float:
@@ -217,7 +223,7 @@ class MpcController:
         cfg = self.cfg
         rows = []
         self.last_debug = None
-        if cfg.avoidance_mode == "off" or not obstacles:
+        if cfg.avoidance == "off" or not obstacles:
             return rows
         p_robot = np.array([z.x, z.y])
         i = self.ref.clamp(k)
@@ -226,9 +232,9 @@ class MpcController:
             dist = float(np.linalg.norm(obs.position - p_robot))
             if dist > cfg.d_activate:
                 continue
-            if cfg.avoidance_mode == "state_space":
+            if cfg.avoidance == "state_space":
                 hp, side, _inside = av.state_space_halfplane(
-                    p_robot, obs, cfg.theta_s, cfg.r_safe,
+                    p_robot, obs, math.radians(cfg.theta_s_deg), cfg.r_safe,
                     ref_heading=theta_ref,
                     prev_side=self._sides.get(idx, 0),
                 )

@@ -143,9 +143,8 @@ class QpSolver:
     the iteration count, never the answer.
     """
 
-    def __init__(self, max_iter: int = 500, check_convexity: bool = True):
+    def __init__(self, max_iter: int = 500):
         self.max_iter = max_iter
-        self.check_convexity = check_convexity
         self._checked_shapes = set()  # (n, m_eq) shapes whose convexity was checked
 
     # -- preconditions ----------------------------------------------------
@@ -283,7 +282,7 @@ class QpSolver:
 
     def solve(self, p: QpProblem, x0=None) -> QpSolution:
         shape = (p.n, p.A_eq.shape[0])
-        if self.check_convexity and shape not in self._checked_shapes:
+        if shape not in self._checked_shapes:
             self._check_problem(p)
             self._checked_shapes.add(shape)
 

@@ -40,10 +40,10 @@ class TrajectorySpec:
     x_speed: float = 0.5
     amplitude: float = 1.0
     angular_freq: float = 0.5
-    start: tuple = (0.0, 0.0)
+    start: tuple[float, ...] = (0.0, 0.0)
     heading: float = 0.0
     speed: float = 0.5
-    center: tuple = (0.0, 0.0)
+    center: tuple[float, ...] = (0.0, 0.0)
     radius: float = 1.0
     angular_rate: float = 0.5
     phase: float = 0.0
@@ -96,8 +96,8 @@ class ObstacleSpec:
 
     kind: str  # static | linear | unicycle
     radius: float = 0.3
-    position: tuple = (0.0, 0.0)
-    velocity: tuple = (0.0, 0.0)
+    position: tuple[float, ...] = (0.0, 0.0)
+    velocity: tuple[float, ...] = (0.0, 0.0)
     trajectory: TrajectorySpec = None
     control: str = "open_loop"
 
@@ -112,16 +112,17 @@ class ObstacleSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full experiment description; everything needed to reproduce a run."""
+    """Full experiment description; everything needed to reproduce a run.
+    The field names are a config's top-level keys."""
 
     name: str = "scenario"
     trajectory: TrajectorySpec = field(default_factory=lambda: TrajectorySpec("sinusoid"))
     duration: int = 600
-    initial_state: tuple = None  # None -> start on the reference
-    cfg: MpcConfig = field(default_factory=MpcConfig)
-    Q_diag: tuple = (1.0, 1.0, 0.5)
-    R_diag: tuple = (0.1, 0.05)
-    obstacles: tuple = ()
+    initial_state: tuple[float, ...] = None  # None -> start on the reference
+    mpc: MpcConfig = field(default_factory=MpcConfig)
+    Q_diag: tuple[float, ...] = (1.0, 1.0, 0.5)
+    R_diag: tuple[float, ...] = (0.1, 0.05)
+    obstacles: tuple[ObstacleSpec, ...] = ()
     controller: str = "mpc"  # mpc | lqr
     reference_mode: str = "rolled"  # rolled | analytic
 
@@ -135,13 +136,62 @@ class Scenario:
         if len(self.Q_diag) != 3 or len(self.R_diag) != 2:
             raise ValueError("Q_diag needs 3 entries and R_diag needs 2")
         self.costs()  # Q PSD and R PD, checked here rather than at the first run
-        n_points = self.duration + self.cfg.N + 1
+        n_points = self.duration + self.mpc.N + 1
         for spec in (self.trajectory,
                      *(o.trajectory for o in self.obstacles if o.kind == "unicycle")):
             derive_reference(spec.samples(n_points), spec.T)  # speed above zero throughout
 
     def costs(self) -> CostMatrices:
         return CostMatrices(np.diag(self.Q_diag), np.diag(self.R_diag))
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """Parameter study: one run per value of `param` (N or beta). The values
+    stay as written, since each run is named {name}_{param}{value}."""
+
+    param: str
+    values: tuple
+
+
+@dataclass(frozen=True)
+class TerminalSetSpec:
+    """Terminal-level search: state box e_max, first level c0, and the factor
+    each level shrinks by until its vertex box fits."""
+
+    e_max: tuple[float, ...] = (1.0, 1.0, math.pi)
+    c0: float = 10.0
+    shrink: float = 1.01
+
+    def __post_init__(self):
+        if len(self.e_max) != 3 or not all(e > 0 for e in self.e_max):
+            raise ValueError("e_max needs three positive entries")
+        if not (self.c0 > 0 and self.shrink > 1):
+            raise ValueError("c0 must be positive and shrink greater than 1")
+
+
+@dataclass(frozen=True)
+class Config:
+    """One config file: the scenario (its fields are the top-level keys) and
+    the optional `sweep` and `terminal_set` sections. Every sweep value is
+    checked by building the scenario its run would use."""
+
+    scenario: Scenario
+    sweep: SweepSpec = None
+    terminal_set: TerminalSetSpec = field(default_factory=TerminalSetSpec)
+
+    def __post_init__(self):
+        if self.sweep is None:
+            return
+        if self.sweep.param not in ("N", "beta"):
+            raise ValueError("sweep.param must be 'N' or 'beta'")
+        if not self.sweep.values:
+            raise ValueError("sweep.values must be a non-empty list")
+        for value in self.sweep.values:
+            try:
+                sweep_scenario(self.scenario, self.sweep.param, value)
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"sweep.values: {value!r}: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -264,12 +314,12 @@ def build_controller(scn: Scenario):
     """The controller and obstacle agents exactly as run_scenario builds them
     (exposed so figure dumps can replay a run and inspect controller state)."""
     T = scn.trajectory.T
-    n_points = scn.duration + scn.cfg.N + 1
+    n_points = scn.duration + scn.mpc.N + 1
     ref = build_reference(scn.trajectory, n_points, scn.reference_mode)
     A, B = linearize(ref.inputs, T), input_matrix(T)
     costs = scn.costs()
     schedule = backward_riccati(A, B, costs)
-    controller = MpcController(ref, A, B, schedule, costs, scn.cfg)
+    controller = MpcController(ref, A, B, schedule, costs, scn.mpc)
     agents = [_make_agent(o, T, n_points, scn.reference_mode) for o in scn.obstacles]
     return controller, agents
 
@@ -343,21 +393,21 @@ def compute_metrics(log: SimLog) -> Metrics:
 # -- parameter studies ----------------------------------------------------------------
 
 
-def _run_sweep_case(scn: Scenario, param: str, value):
+def sweep_scenario(scn: Scenario, param: str, value) -> Scenario:
+    """The scenario one sweep value runs: N or beta set, named {name}_{param}{value}."""
     if param == "N":
-        scn = replace(scn, cfg=replace(scn.cfg, N=int(value)))
+        mpc = replace(scn.mpc, N=int(value))
     elif param == "beta":
-        scn = replace(scn, cfg=replace(scn.cfg, beta=float(value)))
+        mpc = replace(scn.mpc, beta=float(value))
     else:
         raise ValueError(f"unknown sweep parameter '{param}'")
-    scn = replace(scn, name=f"{scn.name}_{param}{value}")
-    log = run_scenario(scn)
-    return value, log, compute_metrics(log)
+    return replace(scn, mpc=mpc, name=f"{scn.name}_{param}{value}")
 
 
 def sweep(scn: Scenario, param: str, values):
     """Run the scenario once per parameter value; returns [(value, log, metrics)]."""
-    return [_run_sweep_case(scn, param, v) for v in values]
+    logs = [(v, run_scenario(sweep_scenario(scn, param, v))) for v in values]
+    return [(v, log, compute_metrics(log)) for v, log in logs]
 
 
 def lqr_comparison(scn: Scenario):
@@ -392,22 +442,9 @@ def write_log_csv(log: SimLog, path):
 
 def read_log_csv(path):
     """Parse a log CSV back into a list of SimRow."""
+    parse = {c: {"k": int, "qp_status": str}.get(c, float) for c in CSV_COLUMNS}
     with open(path) as f:
-        header = f.readline().strip().split(",")
-        if tuple(header) != CSV_COLUMNS:
+        if tuple(f.readline().strip().split(",")) != CSV_COLUMNS:
             raise ValueError(f"unexpected log columns in {path}")
-        rows = []
-        for line in f:
-            vals = line.strip().split(",")
-            d = dict(zip(CSV_COLUMNS, vals))
-            rows.append(SimRow(
-                k=int(d["k"]), t=float(d["t"]), x=float(d["x"]), y=float(d["y"]),
-                theta=float(d["theta"]), x_ref=float(d["x_ref"]), y_ref=float(d["y_ref"]),
-                theta_ref=float(d["theta_ref"]), e1=float(d["e1"]), e2=float(d["e2"]),
-                e3=float(d["e3"]), v=float(d["v"]), omega=float(d["omega"]),
-                v_ref=float(d["v_ref"]), omega_ref=float(d["omega_ref"]),
-                stage_cost=float(d["stage_cost"]), terminal_cost=float(d["terminal_cost"]),
-                qp_status=d["qp_status"], slack=float(d["slack"]),
-                min_dist=float(d["min_dist"]),
-            ))
-    return rows
+        return [SimRow(**{c: parse[c](v) for c, v in zip(CSV_COLUMNS, line.strip().split(","))})
+                for line in f]

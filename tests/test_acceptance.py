@@ -236,22 +236,24 @@ def test_a08_offset_start_converges_and_exact_start_stays(tracking_log):
 def test_a09_horizon_sensitivity_depends_on_terminal_weight():
     with_term = load_config(CONFIGS / "horizon_sweep.yaml")
     errs = {}
-    for value, _, m in sweep(with_term.scenario, *with_term.sweep_spec):
+    for value, _, m in sweep(with_term.scenario, with_term.sweep.param,
+                             with_term.sweep.values):
         errs[value] = m.xy_error_sum
     assert set(errs) == {5, 10, 20, 50}
     assert max(errs.values()) / min(errs.values()) <= 2.0
 
     no_term = load_config(CONFIGS / "horizon_sweep_no_terminal.yaml")
     errs0 = {}
-    for value, _, m in sweep(no_term.scenario, *no_term.sweep_spec):
+    for value, _, m in sweep(no_term.scenario, no_term.sweep.param,
+                             no_term.sweep.values):
         errs0[value] = m.xy_error_sum
     assert errs0[5] >= 2.0 * errs0[50]
 
 
 def test_a10_terminal_weight_insensitive_once_positive():
-    bundle = load_config(CONFIGS / "beta_sweep.yaml")
+    config = load_config(CONFIGS / "beta_sweep.yaml")
     errs = {}
-    for value, _, m in sweep(bundle.scenario, *bundle.sweep_spec):
+    for value, _, m in sweep(config.scenario, config.sweep.param, config.sweep.values):
         errs[value] = m.xy_error_sum
     for a in (1, 2, 5):
         for b in (1, 2, 5):
@@ -265,7 +267,7 @@ def test_a10_terminal_weight_insensitive_once_positive():
 def test_a11_input_clipping_versus_unclipped_gain():
     scn = load_scenario("lqr_comparison.yaml")
     log_mpc, log_lqr = lqr_comparison(scn)
-    w_max = scn.cfg.u_max[1]
+    w_max = scn.mpc.u_max[1]
     assert np.max(np.abs(log_mpc.column("omega"))) <= w_max + 1e-9
     assert np.max(np.abs(log_lqr.column("omega"))) > w_max
     k_settle = round(1.0 / scn.trajectory.T)
@@ -354,7 +356,7 @@ def test_static_hyperplane_scene_collision_free_with_reported_slack():
     log = run_scenario(load_scenario("avoid_static_hyperplane.yaml"))
     m = compute_metrics(log)
     assert m.converged and not m.halted
-    assert m.min_clearance >= log.scenario.cfg.robot_radius + log.scenario.obstacles[0].radius
+    assert m.min_clearance >= log.scenario.mpc.robot_radius + log.scenario.obstacles[0].radius
     slack = log.column("slack")
     assert m.slack_total > 0.0 and m.slack_total == pytest.approx(slack.sum())
     assert np.count_nonzero(slack > 0.0) == 23

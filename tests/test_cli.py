@@ -2,12 +2,16 @@
 files, and process exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
+import yaml
 
 import ltvmpc.cli as cli
-from ltvmpc.cli import ConfigError, load_config, main, parse_config
-from ltvmpc.sim import SimLog
+from ltvmpc.cli import ConfigError, config_from_dict, load_config, main, parse_config
+from ltvmpc.sim import SimLog, SweepSpec
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 MINIMAL = """
 name: tiny
@@ -26,9 +30,9 @@ def test_minimal_config_materializes_defaults():
     scn = parse_config(MINIMAL).scenario
     assert scn.name == "tiny"
     assert scn.duration == 600
-    assert scn.cfg.N == 10
-    assert scn.cfg.beta == 2.0
-    assert scn.cfg.avoidance_mode == "off"
+    assert scn.mpc.N == 10
+    assert scn.mpc.beta == 2.0
+    assert scn.mpc.avoidance == "off"
     assert scn.Q_diag == (1.0, 1.0, 0.5)
 
 
@@ -45,8 +49,9 @@ def test_unknown_keys_rejected():
 
 
 def test_sweep_section_parsed():
-    bundle = parse_config(SHORT_RUN + "sweep: {param: beta, values: [0.1, 1, 2, 5]}\n")
-    assert bundle.sweep_spec == ("beta", [0.1, 1, 2, 5])
+    config = parse_config(SHORT_RUN + "sweep: {param: beta, values: [0.1, 1, 2, 5]}\n")
+    assert config.sweep == SweepSpec("beta", (0.1, 1, 2, 5))
+    assert [type(v) for v in config.sweep.values] == [float, int, int, int]  # as written
     with pytest.raises(ConfigError, match="sweep.param"):
         parse_config(SHORT_RUN + "sweep: {param: Q, values: [1]}\n")
     with pytest.raises(ConfigError, match="sweep.values"):
@@ -89,9 +94,36 @@ def test_manifest_round_trips_scenario(tmp_path):
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-    reloaded = load_config(out / "manifest.json").scenario
-    assert cli.scenario_to_dict(reloaded) == cli.scenario_to_dict(
-        parse_config(text).scenario)
+    assert load_config(out / "manifest.json") == parse_config(text)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+def test_manifest_config_block_is_the_config(tmp_path, path):
+    config = load_config(path)
+    cli.write_manifest(tmp_path, "run", path, config)
+    block = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert config_from_dict(block) == config
+    assert parse_config(yaml.safe_dump(block)) == config
+    other_bounds = {**block, "mpc": {**block["mpc"], "u_max": [1.0, 1.0]}}
+    assert config_from_dict(other_bounds) != config  # u_max compared by value
+
+
+def test_manifest_config_block_reruns_byte_identical(tmp_path):
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    assert main(["run", "--config", str(CONFIGS / "avoid_static_hyperplane.yaml"),
+                 "--out", str(out1), "--quiet"]) == 0
+    block = json.loads((out1 / "manifest.json").read_text())["config"]
+    cfg = write_config(tmp_path, yaml.safe_dump(block))
+    assert main(["run", "--config", str(cfg), "--out", str(out2), "--quiet"]) == 0
+    log = f"{block['name']}_log.csv"
+    assert (out1 / log).read_bytes() == (out2 / log).read_bytes()
+
+
+def test_old_format_manifest_is_a_config_error(tmp_path, capsys):
+    old = tmp_path / "manifest.json"
+    old.write_text(json.dumps({"tool": "ltvmpc", "scenario": {"name": "x"}}))
+    assert main(["run", "--config", str(old), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_sweep_writes_per_value_logs(tmp_path):
@@ -128,6 +160,12 @@ def test_exit_codes_for_bad_invocations(tmp_path, capsys):
     "trajectory: {kind: sinusoid}\nR_diag: [0, 0.05]\n",
     "trajectory: {kind: line, speed: 0.0}\n",
     "trajectory: {kind: circle, angular_rate: 0.0}\n",
+    "trajectory: {kind: sinusoid}\nsweep: {param: N, values: [0]}\n",
+    "trajectory: {kind: sinusoid}\nsweep: {param: beta, values: [-1]}\n",
+    "trajectory: {kind: sinusoid}\nsweep: {param: N, values: [abc]}\n",
+    "trajectory: {kind: sinusoid}\nterminal_set: {shrink: 1.0}\n",
+    "trajectory: {kind: sinusoid}\nterminal_set: {c0: -1.0}\n",
+    "trajectory: {kind: sinusoid}\nterminal_set: {e_max: [1, 1]}\n",
 ])
 def test_bad_scenario_values_exit_two(tmp_path, capsys, bad):
     cfg = write_config(tmp_path, "name: x\nduration: 30\n" + bad)

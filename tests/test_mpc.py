@@ -201,7 +201,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         MpcConfig(terminal_mode="hard")
     with pytest.raises(ValueError):
-        MpcConfig(avoidance_mode="both")
+        MpcConfig(avoidance="both")
     with pytest.raises(ValueError):
         MpcConfig(u_max=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):

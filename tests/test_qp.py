@@ -165,7 +165,7 @@ def test_shape_validation():
         QpProblem(H=np.eye(2), g=np.zeros(2),
                   A_eq=np.zeros((3, 2)), b_eq=np.zeros(3))  # more eq than vars
     with pytest.raises(ValueError):
-        QpSolver(check_convexity=True).solve(
+        QpSolver().solve(
             QpProblem(H=-np.eye(2), g=np.zeros(2)))
 
 

@@ -13,7 +13,7 @@ from ltvmpc.sim import (Metrics, ObstacleSpec, Scenario, SimLog, SimRow,
                         write_log_csv)
 
 SHORT = Scenario(name="short", trajectory=TrajectorySpec("sinusoid"),
-                 duration=40, cfg=MpcConfig(N=8))
+                 duration=40, mpc=MpcConfig(N=8))
 
 
 def test_zero_duration_gives_empty_log():
@@ -83,7 +83,7 @@ def test_repeated_runs_are_identical():
                    obstacles=(ObstacleSpec("linear", radius=0.2,
                                            position=(4.0, 1.0),
                                            velocity=(-0.2, 0.0)),),
-                   cfg=MpcConfig(N=8, avoidance_mode="velocity_space"))
+                   mpc=MpcConfig(N=8, avoidance="velocity_space"))
     assert log_to_csv(run_scenario(scn)) == log_to_csv(run_scenario(scn))
 
 
@@ -114,7 +114,7 @@ def test_obstacle_run_logs_clearance():
     scn = Scenario(name="clear", duration=40,
                    obstacles=(ObstacleSpec("static", radius=0.3,
                                            position=(1.0, 2.5)),),
-                   cfg=MpcConfig(N=8))
+                   mpc=MpcConfig(N=8))
     m = compute_metrics(run_scenario(scn))
     assert np.isfinite(m.min_clearance)
     assert m.min_clearance > 1.0  # obstacle sits well off the path
