@@ -2,21 +2,20 @@
 
 Library layout: dynamics (exact step, error frame, array reference and
 linearization), riccati (DARE + backward schedule), terminal_set (level-set
-sizing), qp (active-set solver with phase-1 start), avoidance (hyperplane and
-velocity-cone rows), mpc (the receding-horizon controller), sim (scenario
+sizing), qp (dual active set without equality rows, primal active set with a
+phase-1 start otherwise), avoidance (hyperplane and velocity-cone rows), mpc
+(condensed and stacked QPs, the receding-horizon controller), sim (scenario
 engine + metrics), figures (plot-data CSV bundles), cli (batch front end).
 """
 
-from .avoidance import (DecisionRow, HalfPlane, Obstacle, VoCone,
-                        nonlinear_velocity_margin, state_space_halfplane,
+from .avoidance import (DecisionRow, HalfPlane, Obstacle, VoCone, state_space_halfplane,
                         tangent_halfplane, velocity_constraint_row, velocity_obstacle)
 from .dynamics import (ControlInput, ErrorState, Reference, RobotState, derive_reference,
                        from_error_frame, input_matrix, linearize, roll_reference,
                        step_continuous, step_discrete, to_error_frame, wrap_angle)
-from .mpc import MpcConfig, MpcController, MpcStep, build_qp
+from .mpc import MpcConfig, MpcController, MpcStep, build_qp, condense_qp
 from .qp import QpProblem, QpSolution, QpSolver, kkt_residuals, solve_qp
-from .riccati import (CostMatrices, TerminalSchedule, backward_riccati,
-                      controllability_rank, lqr_gain, solve_dare)
+from .riccati import CostMatrices, TerminalSchedule, backward_riccati, lqr_gain, solve_dare
 from .sim import (Metrics, ObstacleSpec, Scenario, SimLog, SimRow, TrajectorySpec,
                   build_controller, build_reference, compute_metrics, lqr_comparison,
                   read_log_csv, run_scenario, sweep, write_log_csv)
@@ -33,9 +32,9 @@ __all__ = [
     "Reference", "RobotState", "Scenario", "SimLog",
     "SimRow", "TerminalConstraints", "TerminalEllipsoid", "TerminalSchedule",
     "TrajectorySpec", "VoCone", "backward_riccati", "build_controller", "build_qp",
-    "build_reference", "compute_c_schedule", "compute_metrics", "controllability_rank",
+    "build_reference", "compute_c_schedule", "compute_metrics", "condense_qp",
     "derive_reference", "from_error_frame", "input_matrix", "kkt_residuals", "linearize",
-    "lqr_comparison", "lqr_gain", "nonlinear_velocity_margin", "outer_polyhedron",
+    "lqr_comparison", "lqr_gain", "outer_polyhedron",
     "read_log_csv", "roll_reference", "run_scenario", "shrink_level", "solve_dare",
     "solve_qp", "state_space_halfplane", "step_continuous", "step_discrete", "sweep",
     "tangent_halfplane", "to_error_frame", "velocity_constraint_row",

@@ -211,16 +211,6 @@ def tangent_halfplane(cone: VoCone, u_pref) -> HalfPlane:
     return HalfPlane(n, float(n @ cone.apex), "ge")
 
 
-def nonlinear_velocity_margin(n, a: float, speed: float, theta: float, omega: float,
-                              dt: float) -> float:
-    """Signed margin f = n . u(next) - a of the velocity half-plane, where the
-    velocity vector after dt is speed * (cos, sin)(theta + omega dt).
-    Nonnegative f means the constraint n . u >= a holds."""
-    n = np.asarray(n, dtype=float).reshape(2)
-    phase = theta + omega * dt
-    return float(n[0] * speed * math.cos(phase) + n[1] * speed * math.sin(phase) - a)
-
-
 def velocity_constraint_row(n, a: float, theta: float, u_r: float, w_r: float, dt: float):
     """First-order row in the input deviations (e_u, e_w) at the reference.
 

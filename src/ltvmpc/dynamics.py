@@ -196,25 +196,3 @@ def linearize(inputs, T: float) -> np.ndarray:
 def input_matrix(T: float) -> np.ndarray:
     """Constant input map B = [[-T, 0], [0, 0], [0, -T]] of the error model."""
     return np.array([[-T, 0.0], [0.0, 0.0], [0.0, -T]])
-
-
-def error_field(e: np.ndarray, u_b: np.ndarray, v_r: float, w_r: float) -> np.ndarray:
-    """Nonlinear continuous-time error dynamics around a moving reference.
-
-    With the applied input split as (v, w) = (v_r + v_b, w_r + w_b):
-      e1' = v_r cos(e3) - (v_r + v_b) + e2 (w_r + w_b)
-      e2' = v_r sin(e3) - e1 (w_r + w_b)
-      e3' = -w_b
-    Its Jacobian at (e, u_b) = 0 equals ((A - I)/T, B/T) of linearize and
-    input_matrix, which the tests check by central finite differences.
-    """
-    e1, e2, e3 = e
-    v_b, w_b = u_b
-    w = w_r + w_b
-    return np.array(
-        [
-            v_r * math.cos(e3) - (v_r + v_b) + e2 * w,
-            v_r * math.sin(e3) - e1 * w,
-            -w_b,
-        ]
-    )

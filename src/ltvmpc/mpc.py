@@ -1,6 +1,6 @@
-"""Error-space MPC with a stacked QP, soft terminal cost, and avoidance rows.
+"""Error-space MPC over a stacked or a condensed QP, with a soft terminal
+cost and avoidance rows.
 
-Decision vector per solve: [e(1) ... e(N), u_b(0) ... u_b(N-1)] (5N entries).
 The predicted errors follow the time-varying linear model, read from the
 stack A (L, 3, 3) and the constant B with step indices clamped at the
 reference end; the applied input is u = u_ref + u_b, so the input box
@@ -9,9 +9,14 @@ feed-forward. The terminal block weights e(N) by beta * P(k+N) from the
 Riccati schedule ("soft" terminal ingredient: no hard terminal set
 membership constraint is imposed).
 
-Obstacle rows arrive as DecisionRow entries. If they make the QP infeasible,
-the solve is repeated once with a shared nonnegative slack on the avoidance
-rows only (quadratic penalty); input bounds and dynamics stay hard.
+A controller without avoidance solves the condensed QP over the 2N inputs
+(`condense_qp`: the dynamics are eliminated, e = Phi e(0) + Gamma u_b) by the
+dual active-set method. An avoidance controller solves the stacked QP over
+[e(1) ... e(N), u_b(0) ... u_b(N-1)] (`build_qp`, 5N entries, the dynamics
+as equality rows) by the primal active-set method. Obstacle rows arrive as
+DecisionRow entries. If they make the QP infeasible, the solve is repeated
+once with a shared nonnegative slack on the avoidance rows only (quadratic
+penalty); input bounds and dynamics stay hard.
 """
 
 from __future__ import annotations
@@ -98,6 +103,60 @@ def terminal_cost_value(e: np.ndarray, P: np.ndarray, beta: float) -> float:
     return float(0.5 * beta * e @ P @ e)
 
 
+def _input_rows(U, cfg: MpcConfig, n: int, first: int):
+    """Input-bound rows over n columns, u_b(0) starting at column `first`,
+    for the reference inputs U (N, 2): per step +v, +omega, -v, -omega
+    (-u_max - u_ref <= u_b <= u_max - u_ref), then one no-reverse row per step
+    when reversing is forbidden. Returns (rows, bounds)."""
+    N = len(U)
+    v_col = first + 2 * np.arange(N)  # column of v in u_b(j); omega follows
+    rows = np.zeros((4 * N, n))
+    cols = (v_col[:, None] + [0, 1, 0, 1]).ravel()
+    rows[np.arange(4 * N), cols] = np.tile([1.0, 1.0, -1.0, -1.0], N)
+    bounds = np.hstack([cfg.u_max - U, cfg.u_max + U]).ravel()
+    if cfg.forbid_reverse:
+        rev = np.zeros((N, n))
+        rev[np.arange(N), v_col] = -1.0
+        rows, bounds = np.vstack([rows, rev]), np.concatenate([bounds, U[:, 0]])
+    return rows, bounds
+
+
+def condense_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
+                cfg: MpcConfig):
+    """The tracking QP of `build_qp` without avoidance rows, over u_b alone.
+
+    The dynamics are eliminated: the stacked predicted errors are
+    e = Phi e0 + Gamma u_b, where row block j of Gamma holds
+    A_j ... A_(i+1) B in column block i <= j. One loop over the horizon
+    builds [Gamma | Phi e0] three rows at a time; the cost terms are then
+    batched products: H = Gamma' Qbar Gamma + Rbar and g = Gamma' Qbar Phi e0,
+    with beta * P(k+N) as the last block of Qbar. The inequality rows are
+    the input bounds and no-reverse rows of `build_qp`, in the same order.
+    Returns (problem, free, Gamma): the predicted errors are free + Gamma u_b.
+    """
+    N = cfg.N
+    steps = ref.clamp(np.arange(k, k + N))
+    A = A[steps]
+    M = np.empty((N, 3, 2 * N + 1))  # row block j: [Gamma_j | Phi_j e0]
+    block = np.zeros((3, 2 * N + 1))
+    block[:, -1] = e0
+    for j in range(N):
+        block = A[j] @ block
+        block[:, 2 * j: 2 * j + 2] = B
+        M[j] = block
+    W = np.empty((N, 3, 3))
+    W[:-1] = costs.Q
+    W[-1] = cfg.beta_eff * schedule.P_at(k + N)
+    M = M.reshape(3 * N, 2 * N + 1)
+    HG = M.T @ (W @ M.reshape(N, 3, 2 * N + 1)).reshape(3 * N, 2 * N + 1)
+    H = HG[:-1, :-1].copy()
+    j = np.arange(N)
+    H.reshape(N, 2, N, 2)[j, :, j, :] += costs.R
+    A_in, b_in = _input_rows(ref.inputs[steps], cfg, 2 * N, 0)
+    problem = QpProblem(H=0.5 * (H + H.T), g=HG[:-1, -1], A_in=A_in, b_in=b_in)
+    return problem, M[:, -1], M[:, :-1]
+
+
 def build_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
              cfg: MpcConfig, extra_rows=()) -> QpProblem:
     """Assemble the stacked tracking QP at timestep k from the model stack
@@ -114,7 +173,6 @@ def build_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
     e0 = np.asarray(e0, dtype=float).reshape(3)
     steps = ref.clamp(np.arange(k, k + N))
     A = A[steps]
-    U = ref.inputs[steps]
     j = np.arange(N)
     u0 = 3 * N + 2 * j  # column of v in u_b(j); omega follows
     # (row, column) index grids of the per-step blocks: e(j+1) rows/columns and
@@ -138,19 +196,7 @@ def build_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
     b_eq = np.zeros(3 * N)
     b_eq[:3] = A[0] @ e0
 
-    bounds = np.zeros((N, 4, n))  # per step j: +v, +omega, -v, -omega rows
-    bounds[j, 0, u0] = 1.0
-    bounds[j, 1, u0 + 1] = 1.0
-    bounds[j, 2, u0] = -1.0
-    bounds[j, 3, u0 + 1] = -1.0
-    A_in = [bounds.reshape(4 * N, n)]
-    b_in = [np.hstack([cfg.u_max - U, cfg.u_max + U]).ravel()]
-    if cfg.forbid_reverse:
-        rev = np.zeros((N, n))
-        rev[j, u0] = -1.0
-        A_in.append(rev)
-        b_in.append(U[:, 0])
-
+    A_in, b_in = _input_rows(ref.inputs[steps], cfg, n, 3 * N)
     rows = []
     rhs = []
     for dr in extra_rows:
@@ -166,11 +212,8 @@ def build_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
         rows.append(row)
         rhs.append(dr.rhs)
     if rows:
-        A_in.append(np.array(rows))
-        b_in.append(np.array(rhs))
-
-    return QpProblem(H=H, g=g, A_eq=A_eq, b_eq=b_eq,
-                     A_in=np.vstack(A_in), b_in=np.concatenate(b_in))
+        A_in, b_in = np.vstack([A_in, rows]), np.concatenate([b_in, rhs])
+    return QpProblem(H=H, g=g, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in)
 
 
 def _with_shared_slack(p: QpProblem, n_avoid: int, weight: float) -> QpProblem:
@@ -195,12 +238,18 @@ class MpcController:
     """Receding-horizon tracking controller bound to one reference, its model
     stack A, input matrix B and terminal schedule.
 
+    With avoidance off every step solves the condensed QP (`condense_qp`) by
+    the dual active-set method and expands the predicted errors from
+    Gamma u_b. With avoidance on every step solves the stacked QP
+    (`build_qp`) by the primal active-set method, started from
+    `_rollout_start`, the prediction under u_b = 0, and falls back to the
+    shared slack when the avoidance rows make it infeasible.
+
     Holds the QP solver, the previous plan's heading errors (used to
     linearize the velocity-space rows) and the per-obstacle side memory used
     by the state-space avoidance hysteresis (obstacles are identified by their
     position in the list passed to control_step, which the simulator keeps
-    stable). No previous solution is reused: every solve starts from
-    `_rollout_start`, the prediction under u_b = 0.
+    stable). No previous solution is reused.
     """
 
     def __init__(self, ref: Reference, A, B, schedule, costs: CostMatrices, cfg: MpcConfig):
@@ -280,26 +329,32 @@ class MpcController:
         e0_arr = e0.as_array()
         extra = self._avoidance_rows(z, e0, k, obstacles)
 
-        problem = build_qp(e0_arr, k, self.ref, self.A, self.B, self.schedule,
-                           self.costs, cfg, extra)
-        sol = self.solver.solve(problem, x0=self._rollout_start(e0_arr, k))
         slack_used = 0.0
-        if sol.status == "infeasible" and extra:
-            slacked = _with_shared_slack(problem, len(extra), cfg.slack_weight)
-            ssol = self.solver.solve(slacked)
-            if ssol.status != "infeasible":
-                slack_used = float(ssol.x[-1])
-                sol = QpSolution(ssol.x[:-1], ssol.lambda_eq,
-                                 ssol.mu_in[: problem.A_in.shape[0]],
-                                 ssol.status, ssol.kkt_residual)
+        if cfg.avoidance == "off":
+            problem, free, Gamma = condense_qp(e0_arr, k, self.ref, self.A, self.B,
+                                               self.schedule, self.costs, cfg)
+            sol = self.solver.solve(problem)
+            u_plan, e_plan = sol.x, free + Gamma @ sol.x
+        else:
+            problem = build_qp(e0_arr, k, self.ref, self.A, self.B, self.schedule,
+                               self.costs, cfg, extra)
+            sol = self.solver.solve(problem, x0=self._rollout_start(e0_arr, k))
+            if sol.status == "infeasible" and extra:
+                slacked = _with_shared_slack(problem, len(extra), cfg.slack_weight)
+                ssol = self.solver.solve(slacked)
+                if ssol.status != "infeasible":
+                    slack_used = float(ssol.x[-1])
+                    sol = QpSolution(ssol.x[:-1], ssol.lambda_eq,
+                                     ssol.mu_in[: problem.A_in.shape[0]],
+                                     ssol.status, ssol.kkt_residual)
+            u_plan, e_plan = sol.x[3 * N:], sol.x[: 3 * N]
 
-        x = sol.x
-        u_b0 = x[3 * N: 3 * N + 2].copy()
+        u_b0 = u_plan[:2].copy()
         if sol.status == "infeasible":
             u_b0 = np.zeros(2)  # hold the feed-forward; the simulator will halt
         u_ref = self.ref.inputs[i]
         u_applied = ControlInput(u_ref[0] + u_b0[0], u_ref[1] + u_b0[1])
-        predicted = np.vstack([e0_arr, x[: 3 * N].reshape(N, 3)])
+        predicted = np.vstack([e0_arr, e_plan.reshape(N, 3)])
         n_active = 0
         if extra and sol.mu_in.size >= len(extra):
             n_active = int(np.sum(sol.mu_in[-len(extra):] > 1e-8))

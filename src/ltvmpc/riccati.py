@@ -223,26 +223,11 @@ def recursion_residuals(schedule: TerminalSchedule, A, B, costs: CostMatrices):
     return res
 
 
-def controllability_rank(A, B) -> int:
-    """Numerical rank of [B, AB, ..., A^(n-1)B] via SVD.
-
-    Threshold sigma_max * n * machine_eps * 1e3, loose enough to ignore
-    roundoff but tight enough to detect the rank drop at v_r = w_r = 0.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    n = A.shape[0]
-    blocks = [B]
-    for _ in range(n - 1):
-        blocks.append(A @ blocks[-1])
-    C = np.hstack(blocks)
-    s = np.linalg.svd(C, compute_uv=False)
-    return int(np.sum(s > s[0] * n * np.finfo(float).eps * 1e3))
-
-
 def stabilizable(A, B) -> bool:
     """PBH test: rank [A - lam I, B] = n at every eigenvalue |lam| >= 1 - 1e-9,
-    with the rank threshold of `controllability_rank`; False at standstill."""
+    counting singular values above sigma_max * n * machine_eps * 1e3 (loose
+    enough to ignore roundoff, tight enough to see the rank drop at
+    standstill); False at standstill."""
     n = len(A)
     for lam in np.linalg.eigvals(A):
         if abs(lam) < 1 - 1e-9:

@@ -11,6 +11,7 @@ open-loop or with their own controller; only the primary robot avoids.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -127,8 +128,13 @@ class Scenario:
     reference_mode: str = "rolled"  # rolled | analytic
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or not self.name or "/" in self.name \
+                or os.sep in self.name:
+            raise ValueError("name must be a non-empty string without path separators")
         if self.duration < 0:
             raise ValueError("duration must be >= 0")
+        if self.initial_state is not None and len(self.initial_state) != 3:
+            raise ValueError("initial_state needs 3 entries (x, y, heading)")
         if self.controller not in ("mpc", "lqr"):
             raise ValueError("controller must be 'mpc' or 'lqr'")
         if self.reference_mode not in ("rolled", "analytic"):

@@ -6,6 +6,7 @@ so a shared bug cannot hide on both sides of a comparison.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -280,3 +281,117 @@ def central_jacobian(f, x, h=1e-6):
         dx[i] = h
         cols.append((np.asarray(f(x + dx)) - np.asarray(f(x - dx))) / (2 * h))
     return np.column_stack(cols)
+
+
+def adjoint_multipliers(errors, A_steps, Q, P_end):
+    """Dynamics multipliers of the stacked QP at a plan, by the backward
+    adjoint recursion of its stationarity in the errors.
+
+    errors (N, 3) holds e(1)..e(N), A_steps (N, 3, 3) the models A_0..A_(N-1)
+    of the horizon and P_end the terminal weight beta * P(k+N). Row block j
+    of the dynamics reads e(j+1) - A_j e(j) - B u_b(j) = 0, so stationarity in
+    e(j+1) is W_(j+1) e(j+1) + lam_j - A_(j+1)' lam_(j+1) = 0, with W = Q
+    before the last step and P_end at it. Returns lam_0..lam_(N-1) stacked.
+    """
+    N = len(errors)
+    lam = [None] * N
+    lam[N - 1] = -np.asarray(P_end) @ errors[N - 1]
+    for j in range(N - 2, -1, -1):
+        lam[j] = A_steps[j + 1].T @ lam[j + 1] - Q @ errors[j]
+    return np.concatenate(lam)
+
+
+def _fmt_matrix(name, M):
+    lines = [name]
+    for row in np.atleast_2d(M):
+        lines.append(" ".join(f"{v:.17g}" for v in row))
+    return lines
+
+
+def dump_problem(p: QpProblem) -> str:
+    """Serialize to a plain-text block: dimension header plus row-major
+    matrices at 17 significant digits (bit-exact for IEEE doubles)."""
+    lines = [f"qp n {p.n} me {p.A_eq.shape[0]} mi {p.A_in.shape[0]}"]
+    lines += _fmt_matrix("H", p.H)
+    lines += _fmt_matrix("g", p.g)
+    if p.A_eq.shape[0]:
+        lines += _fmt_matrix("A_eq", p.A_eq)
+        lines += _fmt_matrix("b_eq", p.b_eq)
+    if p.A_in.shape[0]:
+        lines += _fmt_matrix("A_in", p.A_in)
+        lines += _fmt_matrix("b_in", p.b_in)
+    return "\n".join(lines) + "\n"
+
+
+def load_problem(text: str) -> QpProblem:
+    """Parse the dump_problem format back into a QpProblem."""
+    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    head = lines[0].split()
+    if head[0] != "qp":
+        raise ValueError("not a qp dump")
+    n, me, mi = int(head[2]), int(head[4]), int(head[6])
+    pos = 1
+    blocks = {}
+    while pos < len(lines):
+        name = lines[pos].strip()
+        rows = {"H": n, "g": 1, "A_eq": me, "b_eq": 1, "A_in": mi, "b_in": 1}[name]
+        data = [[float(v) for v in lines[pos + 1 + r].split()] for r in range(rows)]
+        blocks[name] = np.array(data)
+        pos += 1 + rows
+    return QpProblem(
+        H=blocks["H"],
+        g=blocks["g"].reshape(-1),
+        A_eq=blocks.get("A_eq"),
+        b_eq=blocks["b_eq"].reshape(-1) if "b_eq" in blocks else None,
+        A_in=blocks.get("A_in"),
+        b_in=blocks["b_in"].reshape(-1) if "b_in" in blocks else None,
+    )
+
+
+def error_field(e: np.ndarray, u_b: np.ndarray, v_r: float, w_r: float) -> np.ndarray:
+    """Nonlinear continuous-time error dynamics around a moving reference.
+
+    With the applied input split as (v, w) = (v_r + v_b, w_r + w_b):
+      e1' = v_r cos(e3) - (v_r + v_b) + e2 (w_r + w_b)
+      e2' = v_r sin(e3) - e1 (w_r + w_b)
+      e3' = -w_b
+    Its Jacobian at (e, u_b) = 0 equals ((A - I)/T, B/T) of linearize and
+    input_matrix, which the tests check by central finite differences.
+    """
+    e1, e2, e3 = e
+    v_b, w_b = u_b
+    w = w_r + w_b
+    return np.array(
+        [
+            v_r * math.cos(e3) - (v_r + v_b) + e2 * w,
+            v_r * math.sin(e3) - e1 * w,
+            -w_b,
+        ]
+    )
+
+
+def nonlinear_velocity_margin(n, a: float, speed: float, theta: float, omega: float,
+                              dt: float) -> float:
+    """Signed margin f = n . u(next) - a of the velocity half-plane, where the
+    velocity vector after dt is speed * (cos, sin)(theta + omega dt).
+    Nonnegative f means the constraint n . u >= a holds."""
+    n = np.asarray(n, dtype=float).reshape(2)
+    phase = theta + omega * dt
+    return float(n[0] * speed * math.cos(phase) + n[1] * speed * math.sin(phase) - a)
+
+
+def controllability_rank(A, B) -> int:
+    """Numerical rank of [B, AB, ..., A^(n-1)B] via SVD.
+
+    Threshold sigma_max * n * machine_eps * 1e3, loose enough to ignore
+    roundoff but tight enough to detect the rank drop at v_r = w_r = 0.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    n = A.shape[0]
+    blocks = [B]
+    for _ in range(n - 1):
+        blocks.append(A @ blocks[-1])
+    C = np.hstack(blocks)
+    s = np.linalg.svd(C, compute_uv=False)
+    return int(np.sum(s > s[0] * n * np.finfo(float).eps * 1e3))

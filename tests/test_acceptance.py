@@ -3,6 +3,7 @@ single pass/fail line under `pytest -v`. Tolerances are stated inline; shared
 expensive runs are module-scoped fixtures. Scenario inputs come from the
 checked-in config files so the gate exercises exactly what ships."""
 
+import csv
 import math
 import time
 from dataclasses import replace
@@ -12,22 +13,23 @@ import numpy as np
 import pytest
 
 from ltvmpc.avoidance import (tangent_halfplane, velocity_constraint_row,
-                              velocity_obstacle, nonlinear_velocity_margin, Obstacle)
+                              velocity_obstacle, Obstacle)
 from ltvmpc.cli import load_config
-from ltvmpc.dynamics import (OMEGA_EPS, ControlInput, RobotState, error_field,
-                             input_matrix, linearize, step_discrete, wrap_angle)
+from ltvmpc.dynamics import (OMEGA_EPS, ControlInput, RobotState, input_matrix,
+                             linearize, step_discrete, wrap_angle)
 from ltvmpc.mpc import MpcConfig
 from ltvmpc.qp import QpProblem, solve_qp
-from ltvmpc.riccati import (CostMatrices, backward_riccati, controllability_rank,
-                            riccati_map, solve_dare)
+from ltvmpc.riccati import CostMatrices, backward_riccati, riccati_map, solve_dare
 from ltvmpc.sim import (Scenario, TrajectorySpec, build_controller,
                         build_reference, compute_metrics, lqr_comparison,
                         run_scenario, sweep)
 from ltvmpc.terminal_set import TerminalConstraints, compute_c_schedule
 
-from oracles import euler_richardson, qp_brute_force, velocity_hits_disc
+from oracles import (controllability_rank, error_field, euler_richardson,
+                     nonlinear_velocity_margin, qp_brute_force, velocity_hits_disc)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 COSTS = CostMatrices(np.diag([1.0, 1.0, 0.5]), np.diag([0.1, 0.05]))
 
 
@@ -323,6 +325,19 @@ def test_a13_velocity_rows_match_derivatives_and_exclude_cone(rng):
             assert not velocity_hits_disc(u, d, 1.0, cone.apex, cone.tau)
 
 
+def assert_log_matches_bench_reference(log, config_name):
+    """The benchmark's seed-0 reference rule on a shipped avoidance scene: the
+    benchmark runs the shipped configs on seed 0, and its recorded log must
+    agree in states, inputs and slack within 1e-6 and in every QP status."""
+    with open(BENCH_REFERENCE / config_name.replace(".yaml", ".csv"), newline="") as f:
+        want = list(csv.DictReader(f))
+    assert len(log.rows) == len(want), config_name
+    for got, row in zip(log.rows, want):
+        assert got.qp_status == row["qp_status"], (config_name, got.k)
+        for col in ("x", "y", "theta", "v", "omega", "slack"):
+            assert abs(getattr(got, col) - float(row[col])) <= 1e-6, (config_name, got.k, col)
+
+
 def test_a14_avoidance_scenes_keep_distance_and_reconverge():
     budgets = {}
 
@@ -330,6 +345,7 @@ def test_a14_avoidance_scenes_keep_distance_and_reconverge():
         t0 = time.perf_counter()
         log = run_scenario(load_scenario(name))
         budgets[name] = time.perf_counter() - t0
+        assert_log_matches_bench_reference(log, name)
         return log, compute_metrics(log)
 
     log, m = timed_run("avoid_static_velocity.yaml")
@@ -354,6 +370,7 @@ def test_static_hyperplane_scene_collision_free_with_reported_slack():
     # The rotated plane can cut through the current pose, so this scene keeps
     # only the physical radii (not r_safe) and leans on the reported slack.
     log = run_scenario(load_scenario("avoid_static_hyperplane.yaml"))
+    assert_log_matches_bench_reference(log, "avoid_static_hyperplane.yaml")
     m = compute_metrics(log)
     assert m.converged and not m.halted
     assert m.min_clearance >= log.scenario.mpc.robot_radius + log.scenario.obstacles[0].radius

@@ -6,14 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from ltvmpc.avoidance import (HalfPlane, Obstacle, VoCone, nonlinear_velocity_margin,
-                              position_rows, state_space_halfplane, tangent_halfplane,
+from ltvmpc.avoidance import (HalfPlane, Obstacle, VoCone, position_rows,
+                              state_space_halfplane, tangent_halfplane,
                               velocity_constraint_row, velocity_debug_csv,
                               velocity_obstacle, velocity_rows)
 from ltvmpc.dynamics import ErrorState, from_error_frame
 from ltvmpc.sim import TrajectorySpec, build_reference
 
-from oracles import velocity_hits_disc
+from oracles import nonlinear_velocity_margin, velocity_hits_disc
 
 
 def _rot(phi):

@@ -166,9 +166,13 @@ def test_exit_codes_for_bad_invocations(tmp_path, capsys):
     "trajectory: {kind: sinusoid}\nterminal_set: {shrink: 1.0}\n",
     "trajectory: {kind: sinusoid}\nterminal_set: {c0: -1.0}\n",
     "trajectory: {kind: sinusoid}\nterminal_set: {e_max: [1, 1]}\n",
+    "trajectory: {kind: sinusoid}\ninitial_state: [0.0, 1.0]\n",
+    "name: sub/x\ntrajectory: {kind: sinusoid}\n",
+    "name: null\ntrajectory: {kind: sinusoid}\n",
 ])
 def test_bad_scenario_values_exit_two(tmp_path, capsys, bad):
-    cfg = write_config(tmp_path, "name: x\nduration: 30\n" + bad)
+    head = "" if bad.startswith("name:") else "name: x\n"
+    cfg = write_config(tmp_path, head + "duration: 30\n" + bad)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

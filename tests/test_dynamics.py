@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltvmpc.cli import load_config
-from ltvmpc.dynamics import (ControlInput, RobotState, derive_reference, error_field,
-                             from_error_frame, input_matrix, linearize, roll_reference,
-                             step_continuous, step_discrete, to_error_frame, wrap_angle)
-from ltvmpc.riccati import controllability_rank
+from ltvmpc.dynamics import (ControlInput, RobotState, derive_reference, from_error_frame,
+                             input_matrix, linearize, roll_reference, step_continuous,
+                             step_discrete, to_error_frame, wrap_angle)
 from ltvmpc.sim import TrajectorySpec, build_controller, build_reference
 
-from oracles import central_jacobian, euler_richardson, linearize_step
+from oracles import (central_jacobian, controllability_rank, error_field, euler_richardson,
+                     linearize_step)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

@@ -1,21 +1,28 @@
-"""Stacked tracking QP: dimensions, row placement, bound handling, and
-equivalence with a dense finite-horizon backward-pass oracle when nothing
-but the dynamics constrains the problem."""
+"""Stacked and condensed tracking QPs: dimensions, row placement, bound
+handling, equivalence with a dense finite-horizon backward-pass oracle when
+nothing but the dynamics constrains the problem, and the condensed plan
+against the stacked problem's primal solve and KKT conditions."""
+
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ltvmpc.avoidance import DecisionRow
-from ltvmpc.dynamics import ControlInput, RobotState, input_matrix, linearize
-from ltvmpc.mpc import (MpcConfig, MpcController, _with_shared_slack, build_qp,
+from ltvmpc import qp
+from ltvmpc.avoidance import DecisionRow, Obstacle
+from ltvmpc.cli import load_config
+from ltvmpc.dynamics import ControlInput, RobotState, input_matrix, linearize, step_discrete
+from ltvmpc.mpc import (MpcConfig, MpcController, _with_shared_slack, build_qp, condense_qp,
                         stage_cost_value, terminal_cost_value)
-from ltvmpc.qp import solve_qp
+from ltvmpc.qp import QpSolution, QpSolver, kkt_residuals, solve_qp
 from ltvmpc.riccati import CostMatrices, backward_riccati
-from ltvmpc.sim import TrajectorySpec, build_reference
+from ltvmpc.sim import TrajectorySpec, build_controller, build_reference
 
-from oracles import build_qp_loops
+from oracles import adjoint_multipliers, build_qp_loops
 
 COSTS = CostMatrices(np.diag([1.0, 1.0, 0.5]), np.diag([0.1, 0.05]))
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def make_setup(n_ref=60, kind="sinusoid"):
@@ -191,6 +198,61 @@ def test_controller_holds_reference_exactly():
     lqr = controller.lqr_control_step(z, 4)
     assert lqr.u_applied.v == pytest.approx(u_ref.v, abs=1e-12)
     assert np.allclose(lqr.u_feedback, 0.0)
+
+
+@pytest.mark.parametrize("config, N, every", [
+    ("tracking.yaml", 10, 1),
+    ("tracking.yaml", 50, 20),
+    ("lqr_comparison.yaml", 10, 1),  # the omega bound binds in the transient
+])
+def test_condensed_plan_matches_stacked_primal_solve(config, N, every):
+    scn = load_config(CONFIGS / config).scenario
+    scn = replace(scn, mpc=replace(scn.mpc, N=N))
+    ctl, _ = build_controller(scn)
+    ref, cfg = ctl.ref, ctl.cfg
+    solver = QpSolver()
+    z = RobotState(*scn.initial_state)
+    bound_steps = 0
+    for k in range(scn.duration):
+        step = ctl.control_step(z, k)
+        if k % every == 0:
+            e0 = step.predicted_errors[0]
+            problem, free, Gamma = condense_qp(e0, k, ref, ctl.A, ctl.B, ctl.schedule,
+                                               ctl.costs, cfg)
+            sol = solver.solve(problem)
+            e = free + Gamma @ sol.x
+            assert np.array_equal(step.predicted_errors[1:].ravel(), e)
+            dense = build_qp(e0, k, ref, ctl.A, ctl.B, ctl.schedule, ctl.costs, cfg)
+            want = solver.solve(dense, x0=ctl._rollout_start(e0, k))
+            assert sol.status == want.status == "optimal"
+            assert np.max(np.abs(sol.x - want.x[3 * N:])) <= 1e-9, k
+            assert np.max(np.abs(e - want.x[: 3 * N])) <= 1e-9, k
+            # the expanded plan with adjoint dynamics multipliers is a KKT
+            # point of the stacked problem
+            lam = adjoint_multipliers(e.reshape(N, 3), ctl.A[ref.clamp(np.arange(k, k + N))],
+                                      ctl.costs.Q, cfg.beta_eff * ctl.schedule.P_at(k + N))
+            full = QpSolution(np.concatenate([e, sol.x]), lam, sol.mu_in, sol.status)
+            assert max(kkt_residuals(dense, full)) <= 1e-8, k
+            bound_steps += bool(np.any(sol.mu_in > 0.0))
+        z = step_discrete(z, step.u_applied, scn.trajectory.T)
+    if config == "lqr_comparison.yaml":
+        assert bound_steps > 0
+
+
+def test_only_avoidance_controllers_take_the_primal_path(monkeypatch):
+    ref, models, B, schedule = make_setup()
+    calls = []
+    solve_kkt = qp._solve_kkt
+    monkeypatch.setattr(qp, "_solve_kkt", lambda *args: calls.append(1) or solve_kkt(*args))
+    z = RobotState(*(ref.poses[4] + [0.1, -0.2, 0.1]))
+    plain = MpcController(ref, models, B, schedule, COSTS, MpcConfig(N=10))
+    assert plain.control_step(z, 4).qp_status == "optimal"
+    assert calls == []
+    avoiding = MpcController(ref, models, B, schedule, COSTS,
+                             MpcConfig(N=10, avoidance="state_space"))
+    obstacle = Obstacle(ref.poses[12, :2] + [0.0, 0.1], 0.3)
+    assert avoiding.control_step(z, 4, [obstacle]).qp_status == "optimal"
+    assert len(calls) >= 1
 
 
 def test_config_validation():

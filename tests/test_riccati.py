@@ -11,12 +11,11 @@ import scipy.linalg
 from ltvmpc import riccati
 from ltvmpc.cli import load_config
 from ltvmpc.dynamics import input_matrix, linearize
-from ltvmpc.riccati import (CostMatrices, backward_riccati, controllability_rank,
-                            doubling_dare, lqr_gain, recursion_residuals, riccati_map,
-                            solve_dare, stabilizable)
+from ltvmpc.riccati import (CostMatrices, backward_riccati, doubling_dare, lqr_gain,
+                            recursion_residuals, riccati_map, solve_dare, stabilizable)
 from ltvmpc.sim import build_controller
 
-from oracles import backward_riccati_chain
+from oracles import backward_riccati_chain, controllability_rank
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
