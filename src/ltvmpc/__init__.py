@@ -2,8 +2,7 @@
 
 Library layout: dynamics (exact step, error frame, array reference and
 linearization), riccati (DARE + backward schedule), terminal_set (level-set
-sizing), qp (dual active set without equality rows, primal active set with a
-phase-1 start otherwise), avoidance (hyperplane and velocity-cone rows), mpc
+sizing), qp (primal active set with a phase-1 start), avoidance (hyperplane and velocity-cone rows), mpc
 (condensed and stacked QPs, the receding-horizon controller), sim (scenario
 engine + metrics), figures (plot-data CSV bundles), cli (batch front end).
 """

@@ -10,10 +10,10 @@ Riccati schedule ("soft" terminal ingredient: no hard terminal set
 membership constraint is imposed).
 
 A controller without avoidance solves the condensed QP over the 2N inputs
-(`condense_qp`: the dynamics are eliminated, e = Phi e(0) + Gamma u_b) by the
-dual active-set method. An avoidance controller solves the stacked QP over
+(`condense_qp`: the dynamics are eliminated, e = Phi e(0) + Gamma u_b). An
+avoidance controller solves the stacked QP over
 [e(1) ... e(N), u_b(0) ... u_b(N-1)] (`build_qp`, 5N entries, the dynamics
-as equality rows) by the primal active-set method. Obstacle rows arrive as
+as equality rows). Both go to the same active-set solver. Obstacle rows arrive as
 DecisionRow entries. If they make the QP infeasible, the solve is repeated
 once with a shared nonnegative slack on the avoidance rows only (quadratic
 penalty); input bounds and dynamics stay hard.
@@ -238,10 +238,9 @@ class MpcController:
     """Receding-horizon tracking controller bound to one reference, its model
     stack A, input matrix B and terminal schedule.
 
-    With avoidance off every step solves the condensed QP (`condense_qp`) by
-    the dual active-set method and expands the predicted errors from
-    Gamma u_b. With avoidance on every step solves the stacked QP
-    (`build_qp`) by the primal active-set method, started from
+    With avoidance off every step solves the condensed QP (`condense_qp`)
+    from u_b = 0 and expands the predicted errors from Gamma u_b. With
+    avoidance on every step solves the stacked QP (`build_qp`) started from
     `_rollout_start`, the prediction under u_b = 0, and falls back to the
     shared slack when the avoidance rows make it infeasible.
 

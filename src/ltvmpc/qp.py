@@ -1,23 +1,14 @@
 """Self-contained dense convex QP solver.
 
-Solves   min 0.5 x'Hx + g'x   s.t.  A_eq x = b_eq,  A_in x <= b_in.
+Solves   min 0.5 x'Hx + g'x   s.t.  A_eq x = b_eq,  A_in x <= b_in
+with H symmetric PSD (positive definite on the null space of A_eq).
 
-The problem's shape picks one of two methods:
-
-* Without equality rows H must be positive definite. Goldfarb and Idnani's
-  dual active-set method (1983) factors H once by Cholesky, starts from the
-  unconstrained minimizer and adds the most violated row at a time, taking
-  dual steps that drop rows whose multiplier would turn negative. It needs no
-  feasible start, and a violated row that cannot be added certifies
-  infeasibility.
-* With equality rows H must be PSD and positive definite on the null space
-  of A_eq. A primal active-set method runs from a phase-1 slack minimization
-  that finds a feasible start (and detects infeasibility: the minimized slack
-  is a violation certificate).
-
-A run that exhausts its iteration budget is reported as `max_iter`, never
-replaced by a second algorithm. Correctness is always judged by the returned
-KKT residuals, never by the solver's internal state.
+The primary algorithm is a primal active-set method with a phase-1 slack
+minimization for finding a feasible start (and for detecting infeasibility:
+the minimized slack is a violation certificate). A run that exhausts its
+iteration budget is reported as `max_iter`, never replaced by a second
+algorithm. Correctness is always judged by the returned KKT residuals, never
+by the solver's internal state.
 """
 
 from __future__ import annotations
@@ -28,7 +19,6 @@ import numpy as np
 
 FEAS_TOL = 1e-9  # feasibility considered exact below this
 INFEAS_TOL = 1e-7  # phase-1 slack above this certifies infeasibility
-ADD_TOL = 1e-12  # dual method: a row joins when violated beyond this, relative to its scale
 
 
 def _as_2d(M, n_cols):
@@ -145,88 +135,12 @@ def _solve_kkt(H, grad, A_act, r_act):
     return sol[:n], sol[n:]
 
 
-def _dual_active_set(p: QpProblem, max_iter: int):
-    """Goldfarb-Idnani dual active set on a problem without equality rows.
-
-    Works in the coordinates of the Cholesky factor H = LL': row c maps to
-    d = L^-1 c, so c'H^-1 c = d.d. Adding row q moves x along the part of its
-    d orthogonal to the working rows' d and raises its multiplier, while the
-    working multipliers change by -r per unit step (r: the projection's
-    coefficients, re-solved by QR at every working-set change). A partial step
-    drops the working row whose multiplier reaches zero first; a row whose d
-    lies in the working span and no multiplier can give way certifies
-    infeasibility. The Cholesky factor doubles as the positive-definiteness
-    check. numpy has no triangular solve, so the start solves H itself and
-    L^-1 is formed only once a row is violated: a problem whose unconstrained
-    minimizer is feasible costs one Cholesky and one solve.
-    Returns (x, mu_in, status).
-    """
-    try:
-        L = np.linalg.cholesky(p.H)
-    except np.linalg.LinAlgError:
-        raise ValueError("H is not positive definite") from None
-    x = np.linalg.solve(p.H, -p.g)
-    C, b = p.A_in, p.b_in
-    mu = np.zeros(b.shape[0])
-    if not b.size:
-        return x, mu, "optimal"
-    row_norm = np.max(np.abs(C), axis=1)
-    Linv = None  # H^-1 = Linv' Linv, formed once a row is violated
-    work = []  # working row indices, in the order they were added
-    D = np.zeros((0, p.n))  # their rows of C Linv'
-    it = 0
-    while it < max_iter:
-        viol = C @ x - b
-        viol[work] = -np.inf
-        q = int(np.argmax(viol))
-        if viol[q] <= ADD_TOL * (1.0 + abs(b[q]) + row_norm[q] * np.max(np.abs(x))):
-            return x, mu, "optimal"
-        if Linv is None:
-            Linv = np.linalg.inv(L)
-        d_q = Linv @ C[q]
-        while it < max_iter:  # dual steps until q joins the working set
-            it += 1
-            if work:
-                Qw, Rw = np.linalg.qr(D.T)
-                proj = Qw.T @ d_q
-                r = np.linalg.solve(Rw, proj)
-                z = d_q - Qw @ proj
-            else:
-                r, z = np.zeros(0), d_q
-            blocking = np.nonzero(r > 1e-14)[0]
-            t_drop, j = np.inf, -1
-            if blocking.size:
-                ratios = mu[work][blocking] / r[blocking]
-                j = int(blocking[np.argmin(ratios)])
-                t_drop = float(np.min(ratios))
-            rate = float(z @ z)  # violation decrease of row q per unit step
-            dependent = rate <= 1e-20 * float(d_q @ d_q)
-            if dependent and j < 0:
-                return x, mu, "infeasible"
-            t_add = np.inf if dependent else float(C[q] @ x - b[q]) / rate
-            t = min(t_drop, t_add)
-            if not dependent:
-                x = x - t * (Linv.T @ z)
-            mu[work] -= t * r
-            mu[q] += t
-            if t_add <= t_drop:
-                work.append(q)
-                D = np.vstack([D, d_q])
-                break
-            mu[work[j]] = 0.0
-            del work[j]
-            D = np.delete(D, j, axis=0)
-    return x, mu, "max_iter"
-
-
 class QpSolver:
-    """QP solver with its iteration budget: the dual active set for problems
-    without equality rows, the primal active set for the rest.
+    """Active-set QP solver with its iteration budget.
 
-    The only state kept between solves is the set of equality-constrained
-    problem shapes whose convexity was already checked. A start point passed
-    to `solve` seeds the primal method only and changes its iteration count,
-    never the answer.
+    The only state kept between solves is the set of problem shapes whose
+    convexity was already checked. A start point passed to `solve` changes
+    the iteration count, never the answer.
     """
 
     def __init__(self, max_iter: int = 500):
@@ -236,11 +150,14 @@ class QpSolver:
     # -- preconditions ----------------------------------------------------
 
     def _check_problem(self, p: QpProblem):
-        # reduced Hessian on the equality null space must be PSD
-        _, s, Vt = np.linalg.svd(p.A_eq)
-        rank = int(np.sum(s > s[0] * max(p.A_eq.shape) * np.finfo(float).eps))
-        Z = Vt[rank:].T
-        Hz = Z.T @ p.H @ Z
+        if p.A_eq.shape[0]:
+            # reduced Hessian on the equality null space must be PSD
+            _, s, Vt = np.linalg.svd(p.A_eq)
+            rank = int(np.sum(s > s[0] * max(p.A_eq.shape) * np.finfo(float).eps)) if s.size else 0
+            Z = Vt[rank:].T
+            Hz = Z.T @ p.H @ Z if Z.shape[1] else np.zeros((0, 0))
+        else:
+            Hz = p.H
         if Hz.size and np.min(np.linalg.eigvalsh(Hz)) < -1e-8:
             raise ValueError("H is not PSD on the equality null space")
 
@@ -364,12 +281,6 @@ class QpSolver:
     # -- main entry ----------------------------------------------------------
 
     def solve(self, p: QpProblem, x0=None) -> QpSolution:
-        if not p.A_eq.shape[0]:
-            x, mu, status = _dual_active_set(p, self.max_iter)
-            sol = QpSolution(x, np.zeros(0), mu, status)
-            if status != "infeasible":
-                sol.kkt_residual = max(kkt_residuals(p, sol))
-            return sol
         shape = (p.n, p.A_eq.shape[0])
         if shape not in self._checked_shapes:
             self._check_problem(p)

@@ -1,7 +1,7 @@
 """Stacked and condensed tracking QPs: dimensions, row placement, bound
 handling, equivalence with a dense finite-horizon backward-pass oracle when
 nothing but the dynamics constrains the problem, and the condensed plan
-against the stacked problem's primal solve and KKT conditions."""
+against the stacked problem's solve and KKT conditions."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -205,7 +205,7 @@ def test_controller_holds_reference_exactly():
     ("tracking.yaml", 50, 20),
     ("lqr_comparison.yaml", 10, 1),  # the omega bound binds in the transient
 ])
-def test_condensed_plan_matches_stacked_primal_solve(config, N, every):
+def test_condensed_plan_matches_stacked_solve(config, N, every):
     scn = load_config(CONFIGS / config).scenario
     scn = replace(scn, mpc=replace(scn.mpc, N=N))
     ctl, _ = build_controller(scn)
@@ -239,20 +239,27 @@ def test_condensed_plan_matches_stacked_primal_solve(config, N, every):
         assert bound_steps > 0
 
 
-def test_only_avoidance_controllers_take_the_primal_path(monkeypatch):
+def test_condensed_step_without_binding_bound_factors_only_its_hessian(monkeypatch):
+    # With no bound binding, the condensed QP starts at u_b = 0 and its first
+    # step lands on the unconstrained minimizer: one solve with H (no active
+    # rows). The stacked QP of an avoidance controller carries its 3N
+    # dynamics rows into every KKT solve.
     ref, models, B, schedule = make_setup()
     calls = []
     solve_kkt = qp._solve_kkt
-    monkeypatch.setattr(qp, "_solve_kkt", lambda *args: calls.append(1) or solve_kkt(*args))
+    monkeypatch.setattr(qp, "_solve_kkt",
+                        lambda *args: calls.append(args[2].shape[0]) or solve_kkt(*args))
     z = RobotState(*(ref.poses[4] + [0.1, -0.2, 0.1]))
     plain = MpcController(ref, models, B, schedule, COSTS, MpcConfig(N=10))
-    assert plain.control_step(z, 4).qp_status == "optimal"
-    assert calls == []
+    step = plain.control_step(z, 4)
+    assert step.qp_status == "optimal"
+    assert calls == [0]
+    calls.clear()
     avoiding = MpcController(ref, models, B, schedule, COSTS,
                              MpcConfig(N=10, avoidance="state_space"))
     obstacle = Obstacle(ref.poses[12, :2] + [0.0, 0.1], 0.3)
     assert avoiding.control_step(z, 4, [obstacle]).qp_status == "optimal"
-    assert len(calls) >= 1
+    assert calls and min(calls) >= 30
 
 
 def test_config_validation():

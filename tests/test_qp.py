@@ -1,7 +1,5 @@
-"""Dual and primal active-set methods: hand-checked small problems, a
-brute-force active-subset oracle over random convex problems (with duplicate,
-degenerate and contradictory rows for the dual method), multiplier signs,
-which problems take which method, and the text dump."""
+"""Active-set solver: hand-checked small problems, a brute-force active-subset
+oracle over random convex problems, multiplier signs, and the text dump."""
 
 import numpy as np
 import pytest
@@ -90,41 +88,6 @@ def test_500_random_problems_match_enumeration_oracle(rng):
                 np.max(np.abs(sol.x - x_ref)) > 1e-5:
             mismatches.append(trial)
     assert mismatches == []
-
-
-@st.composite
-def inequality_problems(draw):
-    """A PD problem with general rows only: rows with room around a point,
-    rows all through one point (a degenerate vertex), exact and scaled
-    duplicates of rows, or a contradictory pair among random rows."""
-    kind = draw(st.sampled_from(["interior", "degenerate", "duplicate", "contradictory"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = int(rng.integers(1, 5))
-    m = int(rng.integers(1, 6))
-    M = rng.normal(size=(n, n))
-    x_feas = rng.normal(size=n)
-    A = rng.normal(size=(m, n))
-    b = A @ x_feas + (0.0 if kind == "degenerate" else rng.uniform(0.0, 1.0, size=m))
-    if kind == "duplicate":
-        A, b = np.vstack([A, A[:1], 2.0 * A[-1:]]), np.concatenate([b, b[:1], 2.0 * b[-1:]])
-    if kind == "contradictory":  # a.x <= c and a.x >= c + gap
-        gap = rng.uniform(0.1, 1.0)
-        A, b = np.vstack([A, -A[:1]]), np.concatenate([b, -b[:1] - gap])
-    return QpProblem(H=M @ M.T + 0.1 * np.eye(n), g=3.0 * rng.normal(size=n), A_in=A, b_in=b)
-
-
-@settings(max_examples=150, deadline=None)
-@given(p=inequality_problems())
-def test_dual_method_matches_enumeration_oracle(p):
-    sol = QpSolver().solve(p)
-    ref = qp_brute_force(p.H, p.g, A_in=p.A_in, b_in=p.b_in)
-    assert (sol.status == "infeasible") == (ref is None)
-    if ref is not None:
-        assert sol.status == "optimal"
-        assert abs(p.objective(sol.x) - ref[1]) <= 1e-8
-        assert np.max(np.abs(sol.x - ref[0])) <= 1e-6
-        assert np.all(sol.mu_in >= 0.0)
-        assert sol.kkt_residual <= 1e-9
 
 
 def test_contradictory_rows_are_certified_infeasible():
@@ -271,32 +234,16 @@ def test_equality_only_qp_takes_one_factorization(monkeypatch):
 
 
 def test_one_blocking_bound_takes_two_factorizations(monkeypatch):
-    # The equality row x3 = 0 keeps this problem on the primal path. From 0
-    # the step to the equality-constrained minimizer (2, 2, 0) is cut at
-    # x1 = 1; the second solve, on that bound, is a full step to (1, 2, 0).
-    p = QpProblem(H=np.eye(3), g=np.array([-2.0, -2.0, 0.0]),
-                  A_eq=np.array([[0.0, 0.0, 1.0]]), b_eq=np.array([0.0]),
-                  A_in=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), b_in=np.array([1.0, 5.0]))
-    calls = counting_kkt(monkeypatch)
-    sol = solve_qp(p)
-    assert calls == [1, 2]
-    x_ref, _ = qp_brute_force(p.H, p.g, p.A_eq, p.b_eq, p.A_in, p.b_in)
-    assert sol.status == "optimal"
-    assert np.allclose(sol.x, x_ref, atol=1e-12)
-    mu_ref = stationarity_multipliers(p.H, p.g, np.vstack([p.A_eq, p.A_in[:1]]), x_ref)
-    assert np.allclose(sol.mu_in, [mu_ref[1], 0.0], atol=1e-12)
-    assert sol.mu_in[0] > 0.0
-
-
-def test_problem_without_equality_rows_takes_the_dual_method(monkeypatch):
-    # No KKT matrix is factored: the dual method starts at the unconstrained
-    # minimizer (2, 2) and adds the violated bound x1 <= 1 in one full step.
+    # From 0 the step to the unconstrained minimizer (2, 2) is cut at x1 = 1;
+    # the second solve, on that bound, is a full step to (1, 2).
     p = QpProblem(H=np.eye(2), g=np.array([-2.0, -2.0]),
                   A_in=np.array([[1.0, 0.0], [0.0, 1.0]]), b_in=np.array([1.0, 5.0]))
     calls = counting_kkt(monkeypatch)
     sol = solve_qp(p)
-    assert calls == []
+    assert calls == [0, 1]
+    x_ref, _ = qp_brute_force(p.H, p.g, A_in=p.A_in, b_in=p.b_in)
     assert sol.status == "optimal"
-    assert np.allclose(sol.x, [1.0, 2.0], atol=1e-12)
-    assert np.allclose(sol.mu_in, [1.0, 0.0], atol=1e-12)
-    assert sol.kkt_residual == max(kkt_residuals(p, sol)) <= 1e-12
+    assert np.allclose(sol.x, x_ref, atol=1e-12)
+    mu_ref = stationarity_multipliers(p.H, p.g, p.A_in[:1], x_ref)
+    assert np.allclose(sol.mu_in, [mu_ref[0], 0.0], atol=1e-12)
+    assert sol.mu_in[0] > 0.0
