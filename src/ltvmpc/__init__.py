@@ -2,9 +2,10 @@
 
 Library layout: dynamics (exact step, error frame, array reference and
 linearization), riccati (DARE + backward schedule), terminal_set (level-set
-sizing), qp (primal active set with a phase-1 start), avoidance (hyperplane and velocity-cone rows), mpc
-(condensed and stacked QPs, the receding-horizon controller), sim (scenario
-engine + metrics), figures (plot-data CSV bundles), cli (batch front end).
+sizing), qp (active-set solver with phase-1 start), avoidance (hyperplane and
+velocity-cone rows), mpc (condensed and stacked QPs, the receding-horizon
+controller), sim (scenario engine + metrics), figures (plot-data CSV bundles),
+cli (batch front end).
 """
 
 from .avoidance import (DecisionRow, HalfPlane, Obstacle, VoCone, state_space_halfplane,

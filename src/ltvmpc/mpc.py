@@ -13,10 +13,10 @@ A controller without avoidance solves the condensed QP over the 2N inputs
 (`condense_qp`: the dynamics are eliminated, e = Phi e(0) + Gamma u_b). An
 avoidance controller solves the stacked QP over
 [e(1) ... e(N), u_b(0) ... u_b(N-1)] (`build_qp`, 5N entries, the dynamics
-as equality rows). Both go to the same active-set solver. Obstacle rows arrive as
-DecisionRow entries. If they make the QP infeasible, the solve is repeated
-once with a shared nonnegative slack on the avoidance rows only (quadratic
-penalty); input bounds and dynamics stay hard.
+as equality rows). Both go to the same active-set solver. Obstacle rows
+arrive as DecisionRow entries. If they make the QP infeasible, the solve is
+repeated once with a shared nonnegative slack on the avoidance rows only
+(quadratic penalty); input bounds and dynamics stay hard.
 """
 
 from __future__ import annotations
