@@ -9,9 +9,12 @@ feed-forward. The terminal block weights e(N) by beta * P(k+N) from the
 Riccati schedule ("soft" terminal ingredient: no hard terminal set
 membership constraint is imposed).
 
-A controller without avoidance solves the condensed QP over the 2N inputs
-(`condense_qp`: the dynamics are eliminated, e = Phi e(0) + Gamma u_b). An
-avoidance controller solves the stacked QP over
+A controller without avoidance first takes the unconstrained minimizer from
+the horizon maps (`horizon_maps`: a backward Riccati recursion gives
+u_b = G e(0) and e = F e(0), batched over a block of start steps); if that
+plan keeps every input bound it is the optimum. Otherwise it solves the
+condensed QP over the 2N inputs (`condense_qp`: the dynamics are eliminated,
+e = Phi e(0) + Gamma u_b). An avoidance controller solves the stacked QP over
 [e(1) ... e(N), u_b(0) ... u_b(N-1)] (`build_qp`, 5N entries, the dynamics
 as equality rows). Both go to the same active-set solver. Obstacle rows
 arrive as DecisionRow entries. If they make the QP infeasible, the solve is
@@ -30,6 +33,8 @@ from . import avoidance as av
 from .dynamics import ControlInput, ErrorState, Reference, to_error_frame
 from .qp import QpProblem, QpSolution, QpSolver
 from .riccati import CostMatrices
+
+MAP_BLOCK = 64  # start steps per batch of `horizon_maps` built by the controller
 
 
 @dataclass(frozen=True)
@@ -64,6 +69,12 @@ class MpcConfig:
             raise ValueError("u_max entries must be positive")
         if self.slack_weight <= 0:
             raise ValueError("slack_weight must be positive")
+        if self.tau is not None and self.tau <= 0:
+            raise ValueError("tau must be positive")
+        if self.robot_radius < 0 or self.r_safe < 0:
+            raise ValueError("robot_radius and r_safe must be >= 0")
+        if self.d_activate <= 0:
+            raise ValueError("d_activate must be positive")
         object.__setattr__(self, "u_max", u_max)
         object.__setattr__(self, "theta_s_deg", float(self.theta_s_deg))
 
@@ -157,6 +168,35 @@ def condense_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
     return problem, M[:, -1], M[:, :-1]
 
 
+def horizon_maps(ks, ref: Reference, A, B, schedule, costs: CostMatrices, cfg: MpcConfig):
+    """Unconstrained minimizer maps of `condense_qp` for each start step in ks.
+
+    A backward Riccati recursion over the horizon, batched over ks, from the
+    terminal weight beta * P(k+N) with the same index clamping:
+    K_j = -(R + B'S B)^-1 B'S A_j, S <- Q + A_j'S (A_j + B K_j); then a
+    forward closed-loop pass. Returns (G, F), G (len(ks), 2N, 3) and
+    F (len(ks), 3N, 3): without binding bounds the solution is u_b = G e0,
+    with predicted errors e = F e0. Every map is computed independently of
+    the others in ks, so its floats do not depend on the batching.
+    """
+    N = cfg.N
+    ks = np.asarray(ks)
+    As = A[ref.clamp(ks[:, None] + np.arange(N))]  # (len(ks), N, 3, 3)
+    S = cfg.beta_eff * schedule.P_at(ks + N)
+    K = np.empty(As.shape[:2] + B.T.shape)
+    for j in range(N - 1, -1, -1):
+        BtS = B.T @ S
+        K[:, j] = -np.linalg.solve(costs.R + BtS @ B, BtS @ As[:, j])
+        S = costs.Q + As[:, j].swapaxes(1, 2) @ S @ (As[:, j] + B @ K[:, j])
+    G = np.empty(K.shape)
+    F = np.empty(As.shape)
+    Phi = np.broadcast_to(np.eye(3), (len(ks), 3, 3))
+    for j in range(N):
+        G[:, j] = K[:, j] @ Phi
+        Phi = F[:, j] = As[:, j] @ Phi + B @ G[:, j]
+    return G.reshape(len(ks), 2 * N, 3), F.reshape(len(ks), 3 * N, 3)
+
+
 def build_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
              cfg: MpcConfig, extra_rows=()) -> QpProblem:
     """Assemble the stacked tracking QP at timestep k from the model stack
@@ -238,17 +278,23 @@ class MpcController:
     """Receding-horizon tracking controller bound to one reference, its model
     stack A, input matrix B and terminal schedule.
 
-    With avoidance off every step solves the condensed QP (`condense_qp`)
-    from u_b = 0 and expands the predicted errors from Gamma u_b. With
-    avoidance on every step solves the stacked QP (`build_qp`) started from
-    `_rollout_start`, the prediction under u_b = 0, and falls back to the
-    shared slack when the avoidance rows make it infeasible.
+    With avoidance off a step applies the plan G e0 of the horizon maps, and
+    predicts F e0, when that plan keeps every input-bound (and no-reverse)
+    row: the QP is strictly convex, so its unconstrained minimizer is then
+    its unique optimum. The maps are built lazily, MAP_BLOCK start steps at a
+    time, and only the latest block is kept. Otherwise the step solves the
+    condensed QP (`condense_qp`) from u_b = 0 and expands the predicted
+    errors from Gamma u_b. With avoidance on every step solves the stacked QP
+    (`build_qp`) started from `_rollout_start`, the prediction under u_b = 0,
+    and falls back to the shared slack when the avoidance rows make it
+    infeasible.
 
-    Holds the QP solver, the previous plan's heading errors (used to
-    linearize the velocity-space rows) and the per-obstacle side memory used
-    by the state-space avoidance hysteresis (obstacles are identified by their
-    position in the list passed to control_step, which the simulator keeps
-    stable). No previous solution is reused.
+    Holds the QP solver, the latest block of horizon maps, the previous
+    plan's heading errors (used to linearize the velocity-space rows) and the
+    per-obstacle side memory used by the state-space avoidance hysteresis
+    (obstacles are identified by their position in the list passed to
+    control_step, which the simulator keeps stable). No previous solution is
+    reused.
     """
 
     def __init__(self, ref: Reference, A, B, schedule, costs: CostMatrices, cfg: MpcConfig):
@@ -263,6 +309,7 @@ class MpcController:
         self._sides = {}
         self._plan_e3 = None  # previous solve's predicted heading errors
         self._plan_k = None
+        self._maps = (None, None, None)  # (block index, G, F) of the latest map batch
         self.last_debug = None  # (cone, halfplane, rows) of the latest velocity solve
 
     # -- avoidance row assembly -------------------------------------------
@@ -330,10 +377,27 @@ class MpcController:
 
         slack_used = 0.0
         if cfg.avoidance == "off":
-            problem, free, Gamma = condense_qp(e0_arr, k, self.ref, self.A, self.B,
-                                               self.schedule, self.costs, cfg)
-            sol = self.solver.solve(problem)
-            u_plan, e_plan = sol.x, free + Gamma @ sol.x
+            block, G, F = self._maps
+            if block != k // MAP_BLOCK:
+                block = k // MAP_BLOCK
+                G, F = horizon_maps(block * MAP_BLOCK + np.arange(MAP_BLOCK), self.ref,
+                                    self.A, self.B, self.schedule, self.costs, cfg)
+                self._maps = block, G, F
+            u_plan = G[k % MAP_BLOCK] @ e0_arr
+            U = self.ref.inputs[self.ref.clamp(np.arange(k, k + N))]
+            u_b = u_plan.reshape(N, 2)
+            # the rows of `_input_rows`, checked without building them
+            inside = np.all(u_b <= cfg.u_max - U) and np.all(-u_b <= cfg.u_max + U)
+            if cfg.forbid_reverse:
+                inside = inside and np.all(-u_b[:, 0] <= U[:, 0])
+            if inside:  # the unconstrained minimizer is the QP's unique optimum
+                sol = QpSolution(u_plan, np.zeros(0), np.zeros(0), "optimal")
+                e_plan = F[k % MAP_BLOCK] @ e0_arr
+            else:
+                problem, free, Gamma = condense_qp(e0_arr, k, self.ref, self.A, self.B,
+                                                   self.schedule, self.costs, cfg)
+                sol = self.solver.solve(problem)
+                u_plan, e_plan = sol.x, free + Gamma @ sol.x
         else:
             problem = build_qp(e0_arr, k, self.ref, self.A, self.B, self.schedule,
                                self.costs, cfg, extra)

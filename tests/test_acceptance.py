@@ -17,8 +17,8 @@ from ltvmpc.avoidance import (tangent_halfplane, velocity_constraint_row,
 from ltvmpc.cli import load_config
 from ltvmpc.dynamics import (OMEGA_EPS, ControlInput, RobotState, input_matrix,
                              linearize, step_discrete, wrap_angle)
-from ltvmpc.mpc import MpcConfig
-from ltvmpc.qp import QpProblem, solve_qp
+from ltvmpc.mpc import MpcConfig, condense_qp, horizon_maps
+from ltvmpc.qp import QpProblem, QpSolution, kkt_residuals, solve_qp
 from ltvmpc.riccati import CostMatrices, backward_riccati, riccati_map, solve_dare
 from ltvmpc.sim import (Scenario, TrajectorySpec, build_controller,
                         build_reference, compute_metrics, lqr_comparison,
@@ -171,6 +171,21 @@ class _RecordingSolver:
         return sol
 
 
+def _map_step_residual(ctl, step, k):
+    """KKT residual of a step that took the horizon maps: the plan G e0,
+    tied bit for bit to the applied input and the predicted errors, with
+    zero multipliers in its condensed QP."""
+    e0 = step.predicted_errors[0]
+    G, F = horizon_maps([k], ctl.ref, ctl.A, ctl.B, ctl.schedule, ctl.costs, ctl.cfg)
+    u_plan = G[0] @ e0
+    assert np.array_equal(step.u_feedback, u_plan[:2])
+    assert np.array_equal(step.predicted_errors[1:].ravel(), F[0] @ e0)
+    problem, _, _ = condense_qp(e0, k, ctl.ref, ctl.A, ctl.B, ctl.schedule, ctl.costs,
+                                ctl.cfg)
+    plan = QpSolution(u_plan, np.zeros(0), np.zeros(problem.A_in.shape[0]), "optimal")
+    return max(kkt_residuals(problem, plan))
+
+
 def _closed_loop_residuals(scn, duration):
     scn = replace(scn, duration=duration)
     controller, agents = build_controller(scn)
@@ -180,8 +195,11 @@ def _closed_loop_residuals(scn, duration):
                      else scn.initial_state))
     for k in range(scn.duration):
         obstacles = [a.snapshot(k) for a in agents]
+        solved = len(recorder.residuals)
         step = controller.control_step(z, k, obstacles)
         assert step.qp_status == "optimal"
+        if scn.mpc.avoidance == "off" and len(recorder.residuals) == solved:
+            recorder.residuals.append(_map_step_residual(controller, step, k))
         z = step_discrete(z, step.u_applied, scn.trajectory.T)
         for a in agents:
             a.advance(k)

@@ -169,6 +169,10 @@ def test_exit_codes_for_bad_invocations(tmp_path, capsys):
     "trajectory: {kind: sinusoid}\ninitial_state: [0.0, 1.0]\n",
     "name: sub/x\ntrajectory: {kind: sinusoid}\n",
     "name: null\ntrajectory: {kind: sinusoid}\n",
+    "trajectory: {kind: sinusoid}\nmpc: {tau: 0}\n",
+    "trajectory: {kind: sinusoid}\nmpc: {robot_radius: -0.2}\n",
+    "trajectory: {kind: sinusoid}\nmpc: {r_safe: -0.5}\n",
+    "trajectory: {kind: sinusoid}\nmpc: {d_activate: -1}\n",
 ])
 def test_bad_scenario_values_exit_two(tmp_path, capsys, bad):
     head = "" if bad.startswith("name:") else "name: x\n"

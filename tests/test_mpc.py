@@ -1,23 +1,25 @@
-"""Stacked and condensed tracking QPs: dimensions, row placement, bound
-handling, equivalence with a dense finite-horizon backward-pass oracle when
-nothing but the dynamics constrains the problem, and the condensed plan
-against the stacked problem's solve and KKT conditions."""
+"""Stacked and condensed tracking QPs and the horizon maps: dimensions, row
+placement, bound handling, equivalence with a dense finite-horizon
+backward-pass oracle when nothing but the dynamics constrains the problem,
+the maps against the condensed solve, and each step's plan against the
+stacked problem's solve and KKT conditions."""
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ltvmpc import qp
+from ltvmpc import mpc, qp
 from ltvmpc.avoidance import DecisionRow, Obstacle
 from ltvmpc.cli import load_config
 from ltvmpc.dynamics import ControlInput, RobotState, input_matrix, linearize, step_discrete
-from ltvmpc.mpc import (MpcConfig, MpcController, _with_shared_slack, build_qp, condense_qp,
-                        stage_cost_value, terminal_cost_value)
+from ltvmpc.mpc import (MAP_BLOCK, MpcConfig, MpcController, _with_shared_slack, build_qp,
+                        condense_qp, horizon_maps, stage_cost_value, terminal_cost_value)
 from ltvmpc.qp import QpSolution, QpSolver, kkt_residuals, solve_qp
 from ltvmpc.riccati import CostMatrices, backward_riccati
-from ltvmpc.sim import TrajectorySpec, build_controller, build_reference
+from ltvmpc.sim import TrajectorySpec, build_controller, build_reference, run_scenario
 
 from oracles import adjoint_multipliers, build_qp_loops
 
@@ -200,6 +202,19 @@ def test_controller_holds_reference_exactly():
     assert np.allclose(lqr.u_feedback, 0.0)
 
 
+class _CountingSolver:
+    """Wraps a QpSolver and counts its solves, so a test can tell the steps
+    that fell back to the condensed QP from those taken by the maps."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def solve(self, p, x0=None):
+        self.calls += 1
+        return self.inner.solve(p, x0)
+
+
 @pytest.mark.parametrize("config, N, every", [
     ("tracking.yaml", 10, 1),
     ("tracking.yaml", 50, 20),
@@ -210,18 +225,27 @@ def test_condensed_plan_matches_stacked_solve(config, N, every):
     scn = replace(scn, mpc=replace(scn.mpc, N=N))
     ctl, _ = build_controller(scn)
     ref, cfg = ctl.ref, ctl.cfg
+    ctl.solver = counting = _CountingSolver(ctl.solver)
     solver = QpSolver()
     z = RobotState(*scn.initial_state)
-    bound_steps = 0
+    bound_steps = fallback_steps = 0
     for k in range(scn.duration):
+        before = counting.calls
         step = ctl.control_step(z, k)
+        fallback = counting.calls > before
+        fallback_steps += fallback
         if k % every == 0:
             e0 = step.predicted_errors[0]
             problem, free, Gamma = condense_qp(e0, k, ref, ctl.A, ctl.B, ctl.schedule,
                                                ctl.costs, cfg)
             sol = solver.solve(problem)
             e = free + Gamma @ sol.x
-            assert np.array_equal(step.predicted_errors[1:].ravel(), e)
+            if fallback:
+                assert np.array_equal(step.predicted_errors[1:].ravel(), e), k
+            else:
+                G, F = horizon_maps([k], ref, ctl.A, ctl.B, ctl.schedule, ctl.costs, cfg)
+                assert np.array_equal(step.predicted_errors[1:].ravel(), F[0] @ e0), k
+                assert np.all(problem.A_in @ (G[0] @ e0) <= problem.b_in), k
             dense = build_qp(e0, k, ref, ctl.A, ctl.B, ctl.schedule, ctl.costs, cfg)
             want = solver.solve(dense, x0=ctl._rollout_start(e0, k))
             assert sol.status == want.status == "optimal"
@@ -233,17 +257,20 @@ def test_condensed_plan_matches_stacked_solve(config, N, every):
                                       ctl.costs.Q, cfg.beta_eff * ctl.schedule.P_at(k + N))
             full = QpSolution(np.concatenate([e, sol.x]), lam, sol.mu_in, sol.status)
             assert max(kkt_residuals(dense, full)) <= 1e-8, k
-            bound_steps += bool(np.any(sol.mu_in > 0.0))
+            binding = bool(np.any(sol.mu_in > 0.0))
+            assert fallback or not binding, k  # a binding bound never takes the maps
+            bound_steps += binding
         z = step_discrete(z, step.u_applied, scn.trajectory.T)
     if config == "lqr_comparison.yaml":
         assert bound_steps > 0
+        assert fallback_steps >= bound_steps
 
 
 def test_condensed_step_without_binding_bound_factors_only_its_hessian(monkeypatch):
-    # With no bound binding, the condensed QP starts at u_b = 0 and its first
-    # step lands on the unconstrained minimizer: one solve with H (no active
-    # rows). The stacked QP of an avoidance controller carries its 3N
-    # dynamics rows into every KKT solve.
+    # With no bound binding, the step takes the horizon maps and factors
+    # nothing. A binding step solves the condensed QP, which has no equality
+    # rows: its first KKT solve is with H alone. The stacked QP of an
+    # avoidance controller carries its 3N dynamics rows into every KKT solve.
     ref, models, B, schedule = make_setup()
     calls = []
     solve_kkt = qp._solve_kkt
@@ -253,13 +280,148 @@ def test_condensed_step_without_binding_bound_factors_only_its_hessian(monkeypat
     plain = MpcController(ref, models, B, schedule, COSTS, MpcConfig(N=10))
     step = plain.control_step(z, 4)
     assert step.qp_status == "optimal"
-    assert calls == [0]
+    assert calls == []
+
+    problems = []
+    tight = MpcController(ref, models, B, schedule, COSTS,
+                          MpcConfig(N=10, u_max=np.array([0.9, 0.6])))
+    solve = tight.solver.solve
+    tight.solver.solve = lambda p, x0=None: problems.append(p) or solve(p, x0)
+    far = RobotState(*(ref.poses[3] + [0.8, -0.6, 0.9]))
+    assert tight.control_step(far, 3).qp_status == "optimal"
+    assert [(p.n, p.A_eq.shape[0]) for p in problems] == [(20, 0)]
+    assert calls[0] == 0 and max(calls) >= 1  # a bound entered the working set
     calls.clear()
     avoiding = MpcController(ref, models, B, schedule, COSTS,
                              MpcConfig(N=10, avoidance="state_space"))
     obstacle = Obstacle(ref.poses[12, :2] + [0.0, 0.1], 0.3)
     assert avoiding.control_step(z, 4, [obstacle]).qp_status == "optimal"
     assert calls and min(calls) >= 30
+
+
+def test_plan_outside_a_bound_falls_back_to_the_qp():
+    # A robot 0.5 m ahead of its reference backs up within the input bounds:
+    # the maps' plan reverses, so with reversing forbidden the step must
+    # solve the QP.
+    ref, models, B, schedule = make_setup()
+    x, y, theta = ref.poses[5]
+    z = RobotState(x + 0.5 * np.cos(theta), y + 0.5 * np.sin(theta), theta)
+    free = MpcController(ref, models, B, schedule, COSTS, MpcConfig(N=10))
+    free.solver = unused = _CountingSolver(free.solver)
+    assert free.control_step(z, 5).u_applied.v < 0.0
+    assert unused.calls == 0
+    cfg = MpcConfig(N=10, forbid_reverse=True)
+    ctl = MpcController(ref, models, B, schedule, COSTS, cfg)
+    ctl.solver = counting = _CountingSolver(ctl.solver)
+    step = ctl.control_step(z, 5)
+    assert counting.calls == 1 and step.qp_status == "optimal"
+    assert step.u_applied.v >= -1e-12
+    e0 = step.predicted_errors[0]
+    problem, free_e, Gamma = condense_qp(e0, 5, ref, models, B, schedule, COSTS, cfg)
+    sol = QpSolver().solve(problem)
+    assert np.array_equal(step.predicted_errors[1:].ravel(), free_e + Gamma @ sol.x)
+
+    # 1.0 m ahead the plan would back up faster than u_max: the lower bound
+    # on v binds, so the step falls back even with reversing allowed.
+    z = RobotState(x + np.cos(theta), y + np.sin(theta), theta)
+    step = free.control_step(z, 5)
+    assert unused.calls == 1 and step.qp_status == "optimal"
+    assert step.u_applied.v == pytest.approx(-free.cfg.u_max[0], abs=1e-9)
+
+
+def _rollout(gains, models, B, e0, k):
+    """Inputs and errors of the oracle gains applied along the horizon."""
+    last = len(models) - 1
+    u, e = [], [e0]
+    for i, K in enumerate(gains):
+        u.append(K @ e[-1])
+        e.append(models[min(k + i, last)] @ e[-1] + B @ u[-1])
+    return np.concatenate(u), np.concatenate(e[1:])
+
+
+def test_horizon_maps_match_backward_pass_oracle(rng):
+    ref, models, B, schedule = make_setup()
+    for N, k, cfg_kw in ((12, 9, {}), (10, 55, {}), (8, 3, {"terminal_mode": "none"})):
+        cfg = MpcConfig(N=N, **cfg_kw)
+        gains = backward_pass(models, B, cfg.beta_eff * schedule.P_at(k + N), COSTS, k, N)
+        G, F = horizon_maps([k], ref, models, B, schedule, COSTS, cfg)
+        assert G.shape == (1, 2 * N, 3) and F.shape == (1, 3 * N, 3)
+        assert np.max(np.abs(G[0, :2] - gains[0])) <= 1e-12
+        for e0 in rng.uniform(-0.5, 0.5, size=(5, 3)):
+            u, e = _rollout(gains, models, B, e0, k)
+            assert np.max(np.abs(G[0] @ e0 - u)) <= 1e-12
+            assert np.max(np.abs(F[0] @ e0 - e)) <= 1e-12
+
+
+@pytest.mark.parametrize("cfg", [
+    MpcConfig(N=10),
+    MpcConfig(N=12, terminal_mode="none"),
+    MpcConfig(N=6, forbid_reverse=True),
+    MpcConfig(N=30, beta=5.0),
+])
+def test_horizon_maps_match_condensed_solve(cfg, rng):
+    ref, models, B, schedule = make_setup()
+    N = cfg.N
+    # the last starts run past the reference end: models, reference inputs
+    # and the terminal weight clamp
+    ks = np.array([0, 7, 31, len(ref) - N, len(ref) - 3, len(ref) + 5])
+    G, F = horizon_maps(ks, ref, models, B, schedule, COSTS, cfg)
+    solver = QpSolver()
+    for i, k in enumerate(ks):
+        e0 = rng.uniform(-0.05, 0.05, size=3)
+        problem, free, Gamma = condense_qp(e0, k, ref, models, B, schedule, COSTS, cfg)
+        sol = solver.solve(problem)
+        assert sol.status == "optimal" and not np.any(sol.mu_in > 0.0), k
+        assert np.max(np.abs(G[i] @ e0 - sol.x)) <= 1e-9, k
+        assert np.max(np.abs(F[i] @ e0 - (free + Gamma @ sol.x))) <= 1e-9, k
+
+
+def test_horizon_map_does_not_depend_on_its_block():
+    ref, models, B, schedule = make_setup()
+    cfg = MpcConfig(N=10)
+    G, F = horizon_maps(np.arange(MAP_BLOCK), ref, models, B, schedule, COSTS, cfg)
+    for k in (2, 50, 63):
+        for ks in ([k], np.arange(k, k + 3), np.arange(k - 2, k + 1)):
+            g, f = horizon_maps(ks, ref, models, B, schedule, COSTS, cfg)
+            j = list(ks).index(k)
+            assert np.array_equal(g[j], G[k]) and np.array_equal(f[j], F[k]), (k, list(ks))
+
+
+def test_fresh_controller_matches_sequential_run():
+    ref, models, B, schedule = make_setup(n_ref=160)
+    cfg = MpcConfig(N=10)
+    seq = MpcController(ref, models, B, schedule, COSTS, cfg)
+    z = RobotState(*(ref.poses[0] + [0.3, -0.4, 0.2]))
+    for k in range(140):
+        step = seq.control_step(z, k)
+        if k in (3, 63, 64, 100, 139):
+            fresh = MpcController(ref, models, B, schedule, COSTS, cfg).control_step(z, k)
+            assert fresh.u_applied == step.u_applied, k
+            assert np.array_equal(fresh.predicted_errors, step.predicted_errors), k
+            assert fresh.qp_status == step.qp_status == "optimal"
+        z = step_discrete(z, step.u_applied, ref.T)
+
+
+def test_tracking_at_n50_takes_the_maps_on_every_step(monkeypatch):
+    counts = {"solve": 0, "maps": 0}
+    solve, maps = QpSolver.solve, mpc.horizon_maps
+
+    def counted_solve(self, *args, **kw):
+        counts["solve"] += 1
+        return solve(self, *args, **kw)
+
+    def counted_maps(*args):
+        counts["maps"] += 1
+        return maps(*args)
+
+    monkeypatch.setattr(QpSolver, "solve", counted_solve)
+    monkeypatch.setattr(mpc, "horizon_maps", counted_maps)
+    scn = load_config(CONFIGS / "tracking.yaml").scenario
+    scn = replace(scn, mpc=replace(scn.mpc, N=50))
+    log = run_scenario(scn)
+    assert len(log.rows) == scn.duration == 600
+    assert {row.qp_status for row in log.rows} == {"optimal"}
+    assert counts == {"solve": 0, "maps": math.ceil(600 / MAP_BLOCK)}
 
 
 def test_config_validation():
@@ -275,4 +437,8 @@ def test_config_validation():
         MpcConfig(u_max=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         MpcConfig(slack_weight=0.0)
+    for bad in ({"tau": 0.0}, {"tau": -1.0}, {"robot_radius": -0.2}, {"r_safe": -0.5},
+                {"d_activate": 0.0}):
+        with pytest.raises(ValueError):
+            MpcConfig(**bad)
     assert MpcConfig(terminal_mode="none", beta=3.0).beta_eff == 0.0
