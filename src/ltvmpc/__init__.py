@@ -10,13 +10,12 @@ cli (batch front end).
 
 from .avoidance import (DecisionRow, HalfPlane, Obstacle, VoCone, state_space_halfplane,
                         tangent_halfplane, velocity_constraint_row, velocity_obstacle)
-from .dynamics import (ControlInput, ErrorState, Reference, RobotState, derive_reference,
-                       from_error_frame, input_matrix, linearize, roll_reference,
-                       step_continuous, step_discrete, to_error_frame, wrap_angle)
+from .dynamics import (ErrorState, Reference, RobotState, derive_reference, input_matrix,
+                       linearize, roll_reference, step_discrete, to_error_frame, wrap_angle)
 from .mpc import MpcConfig, MpcController, MpcStep, build_qp, condense_qp
-from .qp import QpProblem, QpSolution, QpSolver, kkt_residuals, solve_qp
+from .qp import QpProblem, QpSolution, QpSolver, kkt_residuals
 from .riccati import CostMatrices, TerminalSchedule, backward_riccati, lqr_gain, solve_dare
-from .sim import (Metrics, ObstacleSpec, Scenario, SimLog, SimRow, TrajectorySpec,
+from .sim import (Metrics, ObstacleSpec, Scenario, SimLog, TrajectorySpec,
                   build_controller, build_reference, compute_metrics, lqr_comparison,
                   read_log_csv, run_scenario, sweep, write_log_csv)
 from .terminal_set import (OuterPolyhedron, TerminalConstraints, TerminalEllipsoid,
@@ -26,17 +25,17 @@ from .terminal_set import (OuterPolyhedron, TerminalConstraints, TerminalEllipso
 __version__ = "0.1.0"
 
 __all__ = [
-    "ControlInput", "CostMatrices", "DecisionRow", "ErrorState", "HalfPlane",
+    "CostMatrices", "DecisionRow", "ErrorState", "HalfPlane",
     "Metrics", "MpcConfig", "MpcController", "MpcStep", "Obstacle",
     "ObstacleSpec", "OuterPolyhedron", "QpProblem", "QpSolution", "QpSolver",
     "Reference", "RobotState", "Scenario", "SimLog",
-    "SimRow", "TerminalConstraints", "TerminalEllipsoid", "TerminalSchedule",
+    "TerminalConstraints", "TerminalEllipsoid", "TerminalSchedule",
     "TrajectorySpec", "VoCone", "backward_riccati", "build_controller", "build_qp",
     "build_reference", "compute_c_schedule", "compute_metrics", "condense_qp",
-    "derive_reference", "from_error_frame", "input_matrix", "kkt_residuals", "linearize",
+    "derive_reference", "input_matrix", "kkt_residuals", "linearize",
     "lqr_comparison", "lqr_gain", "outer_polyhedron",
     "read_log_csv", "roll_reference", "run_scenario", "shrink_level", "solve_dare",
-    "solve_qp", "state_space_halfplane", "step_continuous", "step_discrete", "sweep",
+    "state_space_halfplane", "step_discrete", "sweep",
     "tangent_halfplane", "to_error_frame", "velocity_constraint_row",
     "velocity_obstacle", "vertices_feasible", "wrap_angle", "write_log_csv",
 ]

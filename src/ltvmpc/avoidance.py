@@ -59,10 +59,6 @@ class HalfPlane:
             raise ValueError("sense must be 'le' or 'ge'")
         object.__setattr__(self, "n", n)
 
-    def satisfied(self, x, margin: float = 0.0) -> bool:
-        v = float(self.n @ np.asarray(x, dtype=float))
-        return v <= self.a - margin if self.sense == "le" else v >= self.a + margin
-
 
 @dataclass(frozen=True)
 class VoCone:
@@ -83,15 +79,6 @@ class VoCone:
         object.__setattr__(self, "axis", axis / nrm)
         if not 0 < self.half_angle < math.pi / 2:
             raise ValueError("half angle must lie in (0, pi/2)")
-
-    def contains(self, u, tol: float = 0.0) -> bool:
-        """Membership in the untruncated cone (interior plus boundary)."""
-        w = np.asarray(u, dtype=float).reshape(2) - self.apex
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return False
-        cos_ang = float(w @ self.axis) / nw
-        return cos_ang >= math.cos(self.half_angle) - tol
 
 
 @dataclass(frozen=True)

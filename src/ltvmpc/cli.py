@@ -183,14 +183,14 @@ def _cmd_run(args) -> int:
     log = run_scenario(scn)
     write_log_csv(log, out / f"{scn.name}_log.csv")
     figures.write_run_bundle(log, out, scn.name)
-    if log.rows:
+    if len(log.rows):
         _write_json(out / f"{scn.name}_metrics.json", _metrics_dict(compute_metrics(log)))
     write_manifest(out, "run", args.config, config)
     if log.halted:
         print(f"{scn.name}: halted — {log.halt_reason}", file=sys.stderr)
         return 1
     if not args.quiet:
-        m = compute_metrics(log) if log.rows else None
+        m = compute_metrics(log) if len(log.rows) else None
         extra = "" if m is None else (f" xy_error_sum={m.xy_error_sum:.4g}"
                                       f" converged={m.converged}")
         print(f"{scn.name}: {len(log.rows)} steps{extra} -> {out}")
@@ -227,8 +227,8 @@ def _cmd_compare_lqr(args) -> int:
         figures.lqr_compare_csv(log_mpc, log_lqr))
     write_manifest(out, "compare-lqr", args.config, config)
     if not args.quiet:
-        w_mpc = max((abs(r.omega) for r in log_mpc.rows), default=0.0)
-        w_lqr = max((abs(r.omega) for r in log_lqr.rows), default=0.0)
+        w_mpc = max(np.abs(log_mpc.rows.omega).tolist(), default=0.0)
+        w_lqr = max(np.abs(log_lqr.rows.omega).tolist(), default=0.0)
         print(f"max |omega|: mpc={w_mpc:.4g} lqr={w_lqr:.4g}")
     return 1 if log_mpc.halted else 0
 
@@ -259,9 +259,10 @@ def _cmd_dump_figures(args) -> int:
         raise ConfigError(f"no log at {log_path}; run the scenario first")
     log = SimLog(scn, read_log_csv(log_path))
     paths = figures.write_run_bundle(log, out, scn.name)
-    if scn.mpc.avoidance == "velocity_space" and log.rows and scn.obstacles:
+    if (scn.mpc.avoidance == "velocity_space" and scn.controller == "mpc"
+            and len(log.rows) and scn.obstacles):
         p = out / f"{scn.name}_velocity_space.csv"
-        k = min(log.rows, key=lambda r: r.min_dist).k  # closest approach
+        k = int(log.rows.k[np.argmin(log.rows.min_dist)])  # closest approach
         p.write_text(figures.velocity_space_csv(scn, k))
         paths.append(p)
     if not args.quiet:

@@ -1,6 +1,7 @@
 """Unicycle kinematics, exact discretization, and tracking-error coordinates.
 
-The robot is a planar unicycle z = (x, y, theta) driven by u = (v, omega).
+The robot is a planar unicycle z = (x, y, theta) driven by u = (v, omega),
+a length-2 array like each row of a Reference's inputs.
 Everything downstream (Riccati design, MPC, simulation) works on the error
 state e = R(theta) (z_ref - z) expressed in the robot's local frame, so this
 module also owns the error-frame transforms and the linearized time-varying
@@ -44,17 +45,6 @@ class RobotState:
 
 
 @dataclass(frozen=True)
-class ControlInput:
-    """Forward speed v [m/s] and turn rate omega [rad/s]."""
-
-    v: float
-    omega: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v, self.omega])
-
-
-@dataclass(frozen=True)
 class ErrorState:
     """Tracking error in the robot frame; e3 is normalized to (-pi, pi]."""
 
@@ -87,20 +77,16 @@ class Reference:
         return np.minimum(k, len(self.poses) - 1)
 
 
-def step_continuous(z: RobotState, u: ControlInput) -> np.ndarray:
-    """Continuous-time field zdot = (v cos th, v sin th, omega)."""
-    return np.array([u.v * math.cos(z.theta), u.v * math.sin(z.theta), u.omega])
-
-
-def step_discrete(z: RobotState, u: ControlInput, T: float) -> RobotState:
-    """Advance one sampling period under constant (v, omega): exact arc motion.
+def step_discrete(z: RobotState, u, T: float) -> RobotState:
+    """Advance one sampling period under constant u = (v, omega): exact arc motion.
 
     For |omega| < OMEGA_EPS uses the Taylor limit with its second-order
     correction so the two branches join C1-continuously.
     """
     if T < 0:
         raise ValueError("sampling period T must be >= 0")
-    v, w, th = u.v, u.omega, z.theta
+    v, w = u
+    th = z.theta
     if abs(w) < OMEGA_EPS:
         x = z.x + T * v * math.cos(th) - 0.5 * v * T * T * w * math.sin(th)
         y = z.y + T * v * math.sin(th) + 0.5 * v * T * T * w * math.cos(th)
@@ -152,7 +138,7 @@ def roll_reference(samples: np.ndarray, T: float, v_min: float = 1e-9) -> Refere
     z = RobotState(x[0], y[0], theta_r[0])
     poses = [(z.x, z.y, z.theta)]
     for u in inputs[:-1]:
-        z = step_discrete(z, ControlInput(*u), T)
+        z = step_discrete(z, u, T)
         poses.append((z.x, z.y, z.theta))
     return Reference(np.array(poses), inputs, T)
 
@@ -164,16 +150,6 @@ def to_error_frame(z: RobotState, pose) -> ErrorState:
     dx, dy = x_r - z.x, y_r - z.y
     c, s = math.cos(z.theta), math.sin(z.theta)
     return ErrorState(c * dx + s * dy, -s * dx + c * dy, th_r - z.theta)
-
-
-def from_error_frame(e: ErrorState, pose) -> RobotState:
-    """Invert to_error_frame: recover the robot pose from (error, reference pose)."""
-    x_r, y_r, th_r = pose
-    theta = th_r - e.e3
-    c, s = math.cos(theta), math.sin(theta)
-    x = x_r - (c * e.e1 - s * e.e2)
-    y = y_r - (s * e.e1 + c * e.e2)
-    return RobotState(x, y, theta)
 
 
 def linearize(inputs, T: float) -> np.ndarray:

@@ -9,39 +9,34 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from .avoidance import velocity_debug_csv
-from .dynamics import RobotState, step_discrete
-from .sim import Scenario, SimLog, _fmt, _make_agent, build_controller
+from .sim import (Scenario, SimLog, _column_table, _make_agent, _table, build_controller,
+                  closed_loop)
 
 
-def _table(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _columns(rows, names) -> str:
+    return _column_table(names, [rows[c] for c in names])
 
 
 def trajectory_overlay_csv(rows) -> str:
     """Robot path against the reference path."""
-    return _table(("k", "t", "x", "y", "x_ref", "y_ref"),
-                  ((r.k, r.t, r.x, r.y, r.x_ref, r.y_ref) for r in rows))
+    return _columns(rows, ("k", "t", "x", "y", "x_ref", "y_ref"))
 
 
 def error_curves_csv(rows) -> str:
-    return _table(("t", "e1", "e2", "e3", "e_inf"),
-                  ((r.t, r.e1, r.e2, r.e3, max(abs(r.e1), abs(r.e2), abs(r.e3)))
-                   for r in rows))
+    e_inf = np.max(np.abs([rows.e1, rows.e2, rows.e3]), axis=0)
+    return _column_table(("t", "e1", "e2", "e3", "e_inf"),
+                         [rows.t, rows.e1, rows.e2, rows.e3, e_inf])
 
 
 def control_curves_csv(rows) -> str:
-    return _table(("t", "v", "omega", "v_ref", "omega_ref"),
-                  ((r.t, r.v, r.omega, r.v_ref, r.omega_ref) for r in rows))
+    return _columns(rows, ("t", "v", "omega", "v_ref", "omega_ref"))
 
 
 def cost_curves_csv(rows) -> str:
-    return _table(("t", "stage_cost", "terminal_cost", "slack", "min_dist"),
-                  ((r.t, r.stage_cost, r.terminal_cost, r.slack, r.min_dist)
-                   for r in rows))
+    return _columns(rows, ("t", "stage_cost", "terminal_cost", "slack", "min_dist"))
 
 
 def obstacle_paths_csv(scn: Scenario, n_steps: int = None) -> str:
@@ -79,13 +74,10 @@ def sweep_summary_csv(param: str, results) -> str:
 def lqr_compare_csv(log_mpc: SimLog, log_lqr: SimLog) -> str:
     """Per-step controls of the paired runs, aligned on k."""
     n = min(len(log_mpc.rows), len(log_lqr.rows))
-    rows = []
-    for i in range(n):
-        a, b = log_mpc.rows[i], log_lqr.rows[i]
-        rows.append((a.k, a.t, a.v, a.omega, b.v, b.omega,
-                     abs(a.v - b.v), abs(a.omega - b.omega)))
-    return _table(("k", "t", "v_mpc", "omega_mpc", "v_lqr", "omega_lqr",
-                   "dv", "domega"), rows)
+    a, b = log_mpc.rows[:n], log_lqr.rows[:n]
+    return _column_table(("k", "t", "v_mpc", "omega_mpc", "v_lqr", "omega_lqr", "dv", "domega"),
+                         [a.k, a.t, a.v, a.omega, b.v, b.omega, np.abs(a.v - b.v),
+                          np.abs(a.omega - b.omega)])
 
 
 def terminal_set_csv(levels) -> str:
@@ -102,22 +94,15 @@ def terminal_set_csv(levels) -> str:
 def velocity_space_csv(scn: Scenario, k: int) -> str:
     """Velocity-space dump (cone, tangent plane, per-step rows) at step k.
 
-    The scenario is replayed from scratch up to step k, so the dump reflects
-    exactly what the controller saw there. Raises if no velocity rows were
+    The scenario's closed loop (`sim.closed_loop`, the one run_scenario
+    consumes) runs from scratch and stops at step k, so the dump is the
+    controller's own `last_debug` there. Raises if no velocity rows were
     built at that step.
     """
     controller, agents = build_controller(scn)
-    z = RobotState(*(controller.ref.poses[0] if scn.initial_state is None
-                     else scn.initial_state))
-    T = scn.trajectory.T
-    for j in range(k + 1):
-        obstacles = [a.snapshot(j) for a in agents]
-        step = controller.control_step(z, j, obstacles)
+    for j, *_ in closed_loop(scn, controller, agents):
         if j == k:
             break
-        z = step_discrete(z, step.u_applied, T)
-        for a in agents:
-            a.advance(j)
     if controller.last_debug is None:
         raise ValueError(f"no velocity-space constraint active at step {k}")
     return velocity_debug_csv(*controller.last_debug)

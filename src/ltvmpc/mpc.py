@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import avoidance as av
-from .dynamics import ControlInput, ErrorState, Reference, to_error_frame
+from .dynamics import ErrorState, Reference, to_error_frame
 from .qp import QpProblem, QpSolution, QpSolver
 from .riccati import CostMatrices
 
@@ -44,7 +44,6 @@ class MpcConfig:
 
     N: int = 10
     beta: float = 2.0  # > 1 leaves Lyapunov-decrease slack for plant nonlinearity
-    terminal_mode: str = "soft_beta"  # soft_beta | none
     u_max: np.ndarray = field(default_factory=lambda: np.array([2.0, 10.0]))
     slack_weight: float = 1e4
     avoidance: str = "off"  # off | state_space | velocity_space
@@ -60,8 +59,6 @@ class MpcConfig:
             raise ValueError("horizon must be >= 1")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
-        if self.terminal_mode not in ("soft_beta", "none"):
-            raise ValueError("terminal_mode must be 'soft_beta' or 'none'")
         if self.avoidance not in ("off", "state_space", "velocity_space"):
             raise ValueError("avoidance must be off, state_space or velocity_space")
         u_max = np.asarray(self.u_max, dtype=float).reshape(2)
@@ -82,16 +79,12 @@ class MpcConfig:
         return isinstance(other, MpcConfig) and all(
             np.array_equal(getattr(self, f), getattr(other, f)) for f in vars(self))
 
-    @property
-    def beta_eff(self) -> float:
-        return self.beta if self.terminal_mode == "soft_beta" else 0.0
-
 
 @dataclass
 class MpcStep:
     """Everything the simulator logs about one controller invocation."""
 
-    u_applied: ControlInput
+    u_applied: np.ndarray  # (v, omega)
     u_feedback: np.ndarray
     predicted_errors: np.ndarray  # (N+1, 3) including the measured e(0)
     stage_cost: float
@@ -157,7 +150,7 @@ def condense_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
         M[j] = block
     W = np.empty((N, 3, 3))
     W[:-1] = costs.Q
-    W[-1] = cfg.beta_eff * schedule.P_at(k + N)
+    W[-1] = cfg.beta * schedule.P_at(k + N)
     M = M.reshape(3 * N, 2 * N + 1)
     HG = M.T @ (W @ M.reshape(N, 3, 2 * N + 1)).reshape(3 * N, 2 * N + 1)
     H = HG[:-1, :-1].copy()
@@ -182,7 +175,7 @@ def horizon_maps(ks, ref: Reference, A, B, schedule, costs: CostMatrices, cfg: M
     N = cfg.N
     ks = np.asarray(ks)
     As = A[ref.clamp(ks[:, None] + np.arange(N))]  # (len(ks), N, 3, 3)
-    S = cfg.beta_eff * schedule.P_at(ks + N)
+    S = cfg.beta * schedule.P_at(ks + N)
     K = np.empty(As.shape[:2] + B.T.shape)
     for j in range(N - 1, -1, -1):
         BtS = B.T @ S
@@ -225,7 +218,7 @@ def build_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
     H = np.zeros((n, n))
     H[e_row[:-1], e_col[:-1]] = costs.Q
     P_term = schedule.P_at(k + N)
-    H[3 * (N - 1): 3 * N, 3 * (N - 1): 3 * N] = cfg.beta_eff * P_term
+    H[3 * (N - 1): 3 * N, 3 * (N - 1): 3 * N] = cfg.beta * P_term
     H[u_row, u_col] = costs.R
     g = np.zeros(n)
 
@@ -415,8 +408,6 @@ class MpcController:
         u_b0 = u_plan[:2].copy()
         if sol.status == "infeasible":
             u_b0 = np.zeros(2)  # hold the feed-forward; the simulator will halt
-        u_ref = self.ref.inputs[i]
-        u_applied = ControlInput(u_ref[0] + u_b0[0], u_ref[1] + u_b0[1])
         predicted = np.vstack([e0_arr, e_plan.reshape(N, 3)])
         n_active = 0
         if extra and sol.mu_in.size >= len(extra):
@@ -426,11 +417,11 @@ class MpcController:
             self._plan_e3 = predicted[1:, 2].copy()
             self._plan_k = k
         return MpcStep(
-            u_applied=u_applied,
+            u_applied=self.ref.inputs[i] + u_b0,
             u_feedback=u_b0,
             predicted_errors=predicted,
             stage_cost=stage_cost_value(e0_arr, u_b0, self.costs),
-            terminal_cost=terminal_cost_value(e0_arr, P_k, cfg.beta_eff),
+            terminal_cost=terminal_cost_value(e0_arr, P_k, cfg.beta),
             qp_status=sol.status,
             active_avoidance_rows=n_active,
             slack_used=slack_used,
@@ -442,8 +433,6 @@ class MpcController:
         i = self.ref.clamp(k)
         e0 = to_error_frame(z, self.ref.poses[i]).as_array()
         u_b = self.schedule.K_at(k) @ e0
-        u_ref = self.ref.inputs[i]
-        u_applied = ControlInput(u_ref[0] + u_b[0], u_ref[1] + u_b[1])
         predicted = np.zeros((cfg.N + 1, 3))
         predicted[0] = e0
         e = e0
@@ -453,10 +442,10 @@ class MpcController:
             e = (A_j + self.B @ K_j) @ e
             predicted[j + 1] = e
         return MpcStep(
-            u_applied=u_applied,
+            u_applied=self.ref.inputs[i] + u_b,
             u_feedback=u_b,
             predicted_errors=predicted,
             stage_cost=stage_cost_value(e0, u_b, self.costs),
-            terminal_cost=terminal_cost_value(e0, self.schedule.P_at(k), cfg.beta_eff),
+            terminal_cost=terminal_cost_value(e0, self.schedule.P_at(k), cfg.beta),
             qp_status="optimal",
         )

@@ -303,8 +303,3 @@ class QpSolver:
         sol = QpSolution(x, lam, mu, status)
         sol.kkt_residual = max(kkt_residuals(p, sol))
         return sol
-
-
-def solve_qp(problem: QpProblem, x0=None, max_iter: int = 500) -> QpSolution:
-    """One-shot convenience wrapper around a fresh QpSolver."""
-    return QpSolver(max_iter=max_iter).solve(problem, x0=x0)

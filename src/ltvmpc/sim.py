@@ -6,6 +6,10 @@ discrete dynamics by default, which makes "start on the reference, apply the
 feed-forward" an exact fixed point of the loop). Obstacles are static discs,
 constant-velocity discs, or secondary unicycles tracking their own reference
 open-loop or with their own controller; only the primary robot avoids.
+
+The loop itself is one generator, `closed_loop`. `run_scenario` writes each
+of its steps into one preallocated record array with a field per CSV column
+(LOG_DTYPE), so metrics, the log CSV and the figure slices all read columns.
 """
 
 from __future__ import annotations
@@ -17,14 +21,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .avoidance import Obstacle
-from .dynamics import (ControlInput, Reference, RobotState, derive_reference, input_matrix,
-                       linearize, roll_reference, step_discrete)
+from .dynamics import (Reference, RobotState, derive_reference, input_matrix, linearize,
+                       roll_reference, step_discrete)
 from .mpc import MpcConfig, MpcController
 from .riccati import CostMatrices, backward_riccati
 
 CSV_COLUMNS = ("k", "t", "x", "y", "theta", "x_ref", "y_ref", "theta_ref",
                "e1", "e2", "e3", "v", "omega", "v_ref", "omega_ref",
                "stage_cost", "terminal_cost", "qp_status", "slack", "min_dist")
+# one field per column; "infeasible" is the longest QP status
+LOG_DTYPE = np.dtype([(c, {"k": int, "qp_status": "U10"}.get(c, float)) for c in CSV_COLUMNS])
 
 CONVERGENCE_TOL = 0.01  # final-window error bound for the converged flag
 CONVERGENCE_WINDOW = 0.10  # fraction of the log checked for convergence
@@ -200,39 +206,15 @@ class Config:
                 raise ValueError(f"sweep.values: {value!r}: {e}") from e
 
 
-@dataclass(frozen=True)
-class SimRow:
-    k: int
-    t: float
-    x: float
-    y: float
-    theta: float
-    x_ref: float
-    y_ref: float
-    theta_ref: float
-    e1: float
-    e2: float
-    e3: float
-    v: float
-    omega: float
-    v_ref: float
-    omega_ref: float
-    stage_cost: float
-    terminal_cost: float
-    qp_status: str
-    slack: float
-    min_dist: float
-
-
 @dataclass
 class SimLog:
+    """One run: `rows` is a record array of LOG_DTYPE, one record per step
+    up to and including the halting step, so `rows.v` is the v column."""
+
     scenario: Scenario
-    rows: list
+    rows: np.recarray
     halted: bool = False
     halt_reason: str = ""
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows])
 
 
 @dataclass(frozen=True)
@@ -291,14 +273,14 @@ class _UnicycleAgent:
         else:
             self.controller = None
 
-    def _plan(self, k: int) -> ControlInput:
+    def _plan(self, k: int) -> np.ndarray:
         if self.controller is not None:
             return self.controller.control_step(self.z, k).u_applied
-        return ControlInput(*self.ref.inputs[self.ref.clamp(k)])
+        return self.ref.inputs[self.ref.clamp(k)]
 
     def snapshot(self, k: int) -> Obstacle:
         self._pending = self._plan(k)
-        vel = self._pending.v * np.array([math.cos(self.z.theta), math.sin(self.z.theta)])
+        vel = self._pending[0] * np.array([math.cos(self.z.theta), math.sin(self.z.theta)])
         return Obstacle(np.array([self.z.x, self.z.y]), self.radius, vel)
 
     def advance(self, k: int):
@@ -330,68 +312,68 @@ def build_controller(scn: Scenario):
     return controller, agents
 
 
-def run_scenario(scn: Scenario) -> SimLog:
+def closed_loop(scn: Scenario, controller, agents):
+    """The closed loop of scn, one step at a time: yields (k, z, obstacles, step)
+    after the controller acts at step k and before the plant and the agents
+    advance. Ends after `scn.duration` steps, or after a step whose QP is
+    infeasible."""
     T = scn.trajectory.T
-    controller, agents = build_controller(scn)
     ref = controller.ref
-
     z = RobotState(*(ref.poses[0] if scn.initial_state is None else scn.initial_state))
-    rows = []
-    halted = False
-    reason = ""
     for k in range(scn.duration):
         obstacles = [a.snapshot(k) for a in agents]
         if scn.controller == "lqr":
             step = controller.lqr_control_step(z, k)
         else:
             step = controller.control_step(z, k, obstacles)
+        yield k, z, obstacles, step
+        if step.qp_status == "infeasible":
+            return
+        z = step_discrete(z, step.u_applied, T)
+        for a in agents:
+            a.advance(k)
+
+
+def run_scenario(scn: Scenario) -> SimLog:
+    controller, agents = build_controller(scn)
+    ref, T = controller.ref, scn.trajectory.T
+    rows = np.recarray(scn.duration, dtype=LOG_DTYPE)
+    n = 0
+    for k, z, obstacles, step in closed_loop(scn, controller, agents):
         p = np.array([z.x, z.y])
         min_dist = math.inf
         for o in obstacles:
             min_dist = min(min_dist, float(np.linalg.norm(o.position - p)))
-        e = step.predicted_errors[0]
-        (x_ref, y_ref, theta_ref), (v_ref, omega_ref) = ref.poses[k], ref.inputs[k]
-        rows.append(SimRow(
-            k=k, t=k * T, x=z.x, y=z.y, theta=z.theta,
-            x_ref=x_ref, y_ref=y_ref, theta_ref=theta_ref,
-            e1=e[0], e2=e[1], e3=e[2],
-            v=step.u_applied.v, omega=step.u_applied.omega,
-            v_ref=v_ref, omega_ref=omega_ref,
-            stage_cost=step.stage_cost, terminal_cost=step.terminal_cost,
-            qp_status=step.qp_status, slack=step.slack_used, min_dist=min_dist,
-        ))
-        if step.qp_status == "infeasible":
-            halted = True
-            reason = f"unrecoverable QP infeasibility at step {k}"
-            break
-        z = step_discrete(z, step.u_applied, T)
-        for a in agents:
-            a.advance(k)
-    return SimLog(scn, rows, halted, reason)
+        rows[k] = (k, k * T, z.x, z.y, z.theta, *ref.poses[k], *step.predicted_errors[0],
+                   *step.u_applied, *ref.inputs[k], step.stage_cost, step.terminal_cost,
+                   step.qp_status, step.slack_used, min_dist)
+        n = k + 1
+    if n and rows.qp_status[n - 1] == "infeasible":
+        return SimLog(scn, rows[:n], True, f"unrecoverable QP infeasibility at step {n - 1}")
+    return SimLog(scn, rows[:n])
 
 
 def compute_metrics(log: SimLog) -> Metrics:
     rows = log.rows
-    if not rows:
+    if not len(rows):
         raise ValueError("empty log")
-    e = np.array([[r.e1, r.e2, r.e3] for r in rows])
+    e = np.column_stack([rows.e1, rows.e2, rows.e3])
     xy_error_sum = float(np.sum(np.abs(e[:, 0])) + np.sum(np.abs(e[:, 1])))
-    effort = (float(sum(abs(r.v) for r in rows)), float(sum(abs(r.omega) for r in rows)))
+    # the builtin sum adds in step order; np.sum would add pairwise
+    effort = (float(sum(np.abs(rows.v).tolist())), float(sum(np.abs(rows.omega).tolist())))
     n_tail = max(1, math.ceil(CONVERGENCE_WINDOW * len(rows)))
     tail = np.max(np.abs(e[-n_tail:]), axis=1)
     converged = bool(np.all(tail < CONVERGENCE_TOL)) and not log.halted
-    min_clearance = float(min((r.min_dist for r in rows), default=math.inf))
+    min_clearance = float(np.min(rows.min_dist))
 
     e_inf = np.max(np.abs(e), axis=1)
     entered = np.nonzero(e_inf < LYAP_ENTRY)[0]
     violations = 0
     if entered.size:
         k0 = int(entered[0])
-        for i in range(k0, len(rows) - 1):
-            decrease = rows[i].terminal_cost - rows[i + 1].terminal_cost
-            if decrease + LYAP_TOL < rows[i].stage_cost:
-                violations += 1
-    slack_total = float(sum(r.slack for r in rows))
+        decrease = rows.terminal_cost[k0:-1] - rows.terminal_cost[k0 + 1:]
+        violations = int(np.count_nonzero(decrease + LYAP_TOL < rows.stage_cost[k0:-1]))
+    slack_total = float(sum(rows.slack.tolist()))
     return Metrics(xy_error_sum, effort, converged, min_clearance, violations,
                    slack_total, log.halted)
 
@@ -434,11 +416,22 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-def log_to_csv(log: SimLog) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in log.rows:
-        lines.append(",".join(_fmt(getattr(r, c)) for c in CSV_COLUMNS))
+def _table(header, rows) -> str:
+    """CSV text, one line per row; floats at 17 significant digits, which
+    round-trip exactly."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def _column_table(header, columns) -> str:
+    """CSV text from equal-length array columns, each read once via .tolist()."""
+    return _table(header, zip(*(c.tolist() for c in columns)))
+
+
+def log_to_csv(log: SimLog) -> str:
+    return _column_table(CSV_COLUMNS, [log.rows[c] for c in CSV_COLUMNS])
 
 
 def write_log_csv(log: SimLog, path):
@@ -446,11 +439,10 @@ def write_log_csv(log: SimLog, path):
         f.write(log_to_csv(log))
 
 
-def read_log_csv(path):
-    """Parse a log CSV back into a list of SimRow."""
-    parse = {c: {"k": int, "qp_status": str}.get(c, float) for c in CSV_COLUMNS}
+def read_log_csv(path) -> np.recarray:
+    """Parse a log CSV back into a record array of LOG_DTYPE."""
     with open(path) as f:
         if tuple(f.readline().strip().split(",")) != CSV_COLUMNS:
             raise ValueError(f"unexpected log columns in {path}")
-        return [SimRow(**{c: parse[c](v) for c, v in zip(CSV_COLUMNS, line.strip().split(","))})
-                for line in f]
+        records = [tuple(line.strip().split(",")) for line in f]
+    return np.array(records, dtype=LOG_DTYPE).view(np.recarray)

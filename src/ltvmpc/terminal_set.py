@@ -36,10 +36,6 @@ class TerminalEllipsoid:
             raise ValueError("level c must be positive")
         object.__setattr__(self, "P", 0.5 * (P + P.T))
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
-        x = np.asarray(x, dtype=float)
-        return float(x @ self.P @ x) <= self.c * (1.0 + tol)
-
 
 @dataclass(frozen=True)
 class OuterPolyhedron:

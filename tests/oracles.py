@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from ltvmpc.qp import QpProblem
+from ltvmpc.dynamics import RobotState
+from ltvmpc.qp import QpProblem, QpSolver
 from ltvmpc.riccati import TerminalSchedule, lqr_gain, solve_dare
 
 
@@ -121,7 +122,7 @@ def build_qp_loops(e0, k: int, ref, A, B, schedule, costs, cfg, extra_rows=()):
     for j in range(1, N):
         H[3 * (j - 1): 3 * j, 3 * (j - 1): 3 * j] = costs.Q
     P_term = schedule.P_at(min(k + N, len(schedule.P) - 1))
-    H[3 * (N - 1): 3 * N, 3 * (N - 1): 3 * N] = cfg.beta_eff * P_term
+    H[3 * (N - 1): 3 * N, 3 * (N - 1): 3 * N] = cfg.beta * P_term
     for j in range(N):
         i0 = 3 * N + 2 * j
         H[i0: i0 + 2, i0: i0 + 2] = costs.R
@@ -395,3 +396,40 @@ def controllability_rank(A, B) -> int:
     C = np.hstack(blocks)
     s = np.linalg.svd(C, compute_uv=False)
     return int(np.sum(s > s[0] * n * np.finfo(float).eps * 1e3))
+
+
+def solve_qp(problem: QpProblem, x0=None, max_iter: int = 500):
+    """One-shot convenience wrapper around a fresh QpSolver."""
+    return QpSolver(max_iter=max_iter).solve(problem, x0=x0)
+
+
+def step_continuous(z: RobotState, u) -> np.ndarray:
+    """Continuous-time field zdot = (v cos th, v sin th, omega) under u = (v, omega)."""
+    v, w = u
+    return np.array([v * math.cos(z.theta), v * math.sin(z.theta), w])
+
+
+def from_error_frame(e, pose) -> RobotState:
+    """Invert to_error_frame: recover the robot pose from (error, reference pose)."""
+    x_r, y_r, th_r = pose
+    theta = th_r - e.e3
+    c, s = math.cos(theta), math.sin(theta)
+    x = x_r - (c * e.e1 - s * e.e2)
+    y = y_r - (s * e.e1 + c * e.e2)
+    return RobotState(x, y, theta)
+
+
+def halfplane_satisfied(hp, x, margin: float = 0.0) -> bool:
+    """Whether x lies on the feasible side of the HalfPlane hp."""
+    v = float(hp.n @ np.asarray(x, dtype=float))
+    return v <= hp.a - margin if hp.sense == "le" else v >= hp.a + margin
+
+
+def cone_contains(cone, u, tol: float = 0.0) -> bool:
+    """Membership of u in the untruncated VoCone (interior plus boundary)."""
+    w = np.asarray(u, dtype=float).reshape(2) - cone.apex
+    nw = float(np.linalg.norm(w))
+    if nw == 0.0:
+        return False
+    cos_ang = float(w @ cone.axis) / nw
+    return cos_ang >= math.cos(cone.half_angle) - tol

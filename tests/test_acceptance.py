@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from ltvmpc.avoidance import (tangent_halfplane, velocity_constraint_row,
-                              velocity_obstacle, Obstacle)
-from ltvmpc.cli import load_config
-from ltvmpc.dynamics import (OMEGA_EPS, ControlInput, RobotState, input_matrix,
+                              velocity_debug_csv, velocity_obstacle, Obstacle)
+from ltvmpc.cli import load_config, main
+from ltvmpc.dynamics import (OMEGA_EPS, RobotState, input_matrix,
                              linearize, step_discrete, wrap_angle)
-from ltvmpc.mpc import MpcConfig, condense_qp, horizon_maps
-from ltvmpc.qp import QpProblem, QpSolution, kkt_residuals, solve_qp
+from ltvmpc.mpc import MpcConfig, MpcController, condense_qp, horizon_maps
+from ltvmpc.qp import QpProblem, QpSolution, kkt_residuals
 from ltvmpc.riccati import CostMatrices, backward_riccati, riccati_map, solve_dare
 from ltvmpc.sim import (Scenario, TrajectorySpec, build_controller,
                         build_reference, compute_metrics, lqr_comparison,
@@ -26,11 +26,19 @@ from ltvmpc.sim import (Scenario, TrajectorySpec, build_controller,
 from ltvmpc.terminal_set import TerminalConstraints, compute_c_schedule
 
 from oracles import (controllability_rank, error_field, euler_richardson,
-                     nonlinear_velocity_margin, qp_brute_force, velocity_hits_disc)
+                     nonlinear_velocity_margin, qp_brute_force, solve_qp, velocity_hits_disc)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 COSTS = CostMatrices(np.diag([1.0, 1.0, 0.5]), np.diag([0.1, 0.05]))
+REPLAY_SCENE = (  # a short velocity-space pass by one static disc
+    "name: replay\n"
+    "duration: 60\n"
+    "trajectory: {kind: line, speed: 0.5}\n"
+    "R_diag: [1.0, 0.05]\n"
+    "mpc: {N: 10, avoidance: velocity_space, robot_radius: 0.22}\n"
+    "obstacles:\n"
+    "  - {kind: static, position: [3.0, 0.0], radius: 0.3}\n")
 
 
 def load_scenario(name):
@@ -56,7 +64,7 @@ def test_a01_discrete_step_matches_fine_integration_oracle(rng):
     U = np.column_stack([rng.uniform(-2, 2, n), rng.uniform(-3, 3, n)])
     T = rng.uniform(0.01, 0.2, n)
     want = euler_richardson(Z, U, T)
-    got = np.array([step_discrete(RobotState(*z), ControlInput(*u), t).as_array()
+    got = np.array([step_discrete(RobotState(*z), u, t).as_array()
                     for z, u, t in zip(Z, U, T)])
     err_xy = np.max(np.abs(got[:, :2] - want[:, :2]))
     err_th = np.max(np.abs(wrap_angle(got[:, 2] - want[:, 2])))
@@ -65,8 +73,8 @@ def test_a01_discrete_step_matches_fine_integration_oracle(rng):
     # continuity across the small-turn-rate branch switch
     z0, T_b = RobotState(0.3, -0.2, 0.7), 0.2
     for w0 in (OMEGA_EPS, -OMEGA_EPS):
-        lo = step_discrete(z0, ControlInput(1.3, w0 * (1 - 1e-3)), T_b).as_array()
-        hi = step_discrete(z0, ControlInput(1.3, w0 * (1 + 1e-3)), T_b).as_array()
+        lo = step_discrete(z0, (1.3, w0 * (1 - 1e-3)), T_b).as_array()
+        hi = step_discrete(z0, (1.3, w0 * (1 + 1e-3)), T_b).as_array()
         assert np.max(np.abs(hi - lo)) <= 1e-8
     assert time.perf_counter() - t0 < 5.0
 
@@ -238,9 +246,8 @@ def test_a07_qp_certificates_on_shipped_instances_and_random_oracle(rng):
 
 def test_a08_offset_start_converges_and_exact_start_stays(tracking_log):
     m = compute_metrics(tracking_log)
-    e = np.abs(np.column_stack([tracking_log.column("e1"),
-                                tracking_log.column("e2"),
-                                tracking_log.column("e3")]))
+    e = np.abs(np.column_stack([tracking_log.rows.e1, tracking_log.rows.e2,
+                                tracking_log.rows.e3]))
     n_tail = math.ceil(0.10 * len(tracking_log.rows))
     assert len(tracking_log.rows) == 600
     assert np.max(e[-n_tail:]) < 0.01
@@ -248,8 +255,7 @@ def test_a08_offset_start_converges_and_exact_start_stays(tracking_log):
 
     on_ref = run_scenario(replace(load_scenario("tracking.yaml"),
                                   initial_state=None, duration=100))
-    e_on = np.column_stack([on_ref.column("e1"), on_ref.column("e2"),
-                            on_ref.column("e3")])
+    e_on = np.column_stack([on_ref.rows.e1, on_ref.rows.e2, on_ref.rows.e3])
     assert np.max(np.abs(e_on)) <= 1e-6
 
 
@@ -288,23 +294,22 @@ def test_a11_input_clipping_versus_unclipped_gain():
     scn = load_scenario("lqr_comparison.yaml")
     log_mpc, log_lqr = lqr_comparison(scn)
     w_max = scn.mpc.u_max[1]
-    assert np.max(np.abs(log_mpc.column("omega"))) <= w_max + 1e-9
-    assert np.max(np.abs(log_lqr.column("omega"))) > w_max
+    assert np.max(np.abs(log_mpc.rows.omega)) <= w_max + 1e-9
+    assert np.max(np.abs(log_lqr.rows.omega)) > w_max
     k_settle = round(1.0 / scn.trajectory.T)
-    dv = np.abs(log_mpc.column("v") - log_lqr.column("v"))[k_settle:]
-    dw = np.abs(log_mpc.column("omega") - log_lqr.column("omega"))[k_settle:]
+    dv = np.abs(log_mpc.rows.v - log_lqr.rows.v)[k_settle:]
+    dw = np.abs(log_mpc.rows.omega - log_lqr.rows.omega)[k_settle:]
     assert max(np.max(dv), np.max(dw)) <= 0.05
 
 
 def test_a12_terminal_cost_decreases_after_entry(tracking_log):
     m = compute_metrics(tracking_log)
     assert m.lyapunov_violations == 0
-    e_inf = np.max(np.abs(np.column_stack([tracking_log.column("e1"),
-                                           tracking_log.column("e2"),
-                                           tracking_log.column("e3")])), axis=1)
+    e_inf = np.max(np.abs(np.column_stack([tracking_log.rows.e1, tracking_log.rows.e2,
+                                           tracking_log.rows.e3])), axis=1)
     entered = np.nonzero(e_inf < 0.05)[0]
     assert entered.size > 0
-    vf = tracking_log.column("terminal_cost")[entered[0]:]
+    vf = tracking_log.rows.terminal_cost[entered[0]:]
     assert np.all(np.diff(vf) <= 1e-6)
 
 
@@ -392,22 +397,14 @@ def test_static_hyperplane_scene_collision_free_with_reported_slack():
     m = compute_metrics(log)
     assert m.converged and not m.halted
     assert m.min_clearance >= log.scenario.mpc.robot_radius + log.scenario.obstacles[0].radius
-    slack = log.column("slack")
+    slack = log.rows.slack
     assert m.slack_total > 0.0 and m.slack_total == pytest.approx(slack.sum())
     assert np.count_nonzero(slack > 0.0) == 23
 
 
 def test_a15_manifest_rerun_is_byte_identical(tmp_path):
-    from ltvmpc.cli import main
     cfg = tmp_path / "scene.yaml"
-    cfg.write_text(
-        "name: replay\n"
-        "duration: 60\n"
-        "trajectory: {kind: line, speed: 0.5}\n"
-        "R_diag: [1.0, 0.05]\n"
-        "mpc: {N: 10, avoidance: velocity_space, robot_radius: 0.22}\n"
-        "obstacles:\n"
-        "  - {kind: static, position: [3.0, 0.0], radius: 0.3}\n")
+    cfg.write_text(REPLAY_SCENE)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["run", "--config", str(cfg), "--out", str(out1), "--quiet"]) == 0
     assert main(["run", "--config", str(out1 / "manifest.json"),
@@ -415,3 +412,29 @@ def test_a15_manifest_rerun_is_byte_identical(tmp_path):
     a = (out1 / "replay_log.csv").read_bytes()
     b = (out2 / "replay_log.csv").read_bytes()
     assert a == b
+
+
+def test_velocity_space_dump_is_the_logged_run_at_closest_approach(tmp_path, monkeypatch):
+    # record what the controller itself built at every step of `run`; the
+    # dump `dump-figures` writes from the log must be that step's geometry
+    recorded = []
+    control_step = MpcController.control_step
+
+    def recording(self, *args, **kwargs):
+        step = control_step(self, *args, **kwargs)
+        recorded.append(self.last_debug)
+        return step
+
+    cfg = tmp_path / "scene.yaml"
+    cfg.write_text(REPLAY_SCENE)
+    monkeypatch.setattr(MpcController, "control_step", recording)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    monkeypatch.undo()
+    assert main(["dump-figures", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    with open(tmp_path / "replay_log.csv", newline="") as f:
+        dist = [float(row["min_dist"]) for row in csv.DictReader(f)]
+    assert len(recorded) == len(dist) == 60
+    k = dist.index(min(dist))  # closest approach, the first on a tie
+    assert recorded[k] is not None
+    dump = (tmp_path / "replay_velocity_space.csv").read_text()
+    assert dump == velocity_debug_csv(*recorded[k])

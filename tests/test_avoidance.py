@@ -10,10 +10,11 @@ from ltvmpc.avoidance import (HalfPlane, Obstacle, VoCone, position_rows,
                               state_space_halfplane, tangent_halfplane,
                               velocity_constraint_row, velocity_debug_csv,
                               velocity_obstacle, velocity_rows)
-from ltvmpc.dynamics import ErrorState, from_error_frame
+from ltvmpc.dynamics import ErrorState
 from ltvmpc.sim import TrajectorySpec, build_reference
 
-from oracles import nonlinear_velocity_margin, velocity_hits_disc
+from oracles import (cone_contains, from_error_frame, halfplane_satisfied,
+                     nonlinear_velocity_margin, velocity_hits_disc)
 
 
 def _rot(phi):
@@ -32,7 +33,7 @@ def test_head_on_plane_points_at_obstacle():
     assert hp.a == pytest.approx(1.5)
     assert hp.sense == "le"
     assert side == 1 and not inside
-    assert hp.satisfied((0.0, 0.0)) and not hp.satisfied((1.8, 0.0))
+    assert halfplane_satisfied(hp, (0.0, 0.0)) and not halfplane_satisfied(hp, (1.8, 0.0))
 
 
 def test_mirrored_obstacle_mirrors_the_plane(rng):
@@ -69,7 +70,7 @@ def test_inside_safety_disc_is_flagged():
     hp, _, inside = state_space_halfplane((1.8, 0.0), Obstacle((2.0, 0.0), 0.3),
                                           0.0, r_safe=0.5, ref_heading=0.0)
     assert inside
-    assert hp.satisfied((1.4, 0.0))
+    assert halfplane_satisfied(hp, (1.4, 0.0))
 
 
 def test_position_rows_match_world_halfplane(rng):
@@ -110,7 +111,7 @@ def test_obstacle_velocity_translates_apex():
     assert moving.half_angle == still.half_angle
     shift = np.array([0.0, 1.0])
     for u in [(0.8, 0.1), (0.3, 0.4), (1.5, -0.2)]:
-        assert still.contains(u) == moving.contains(np.asarray(u) + shift)
+        assert cone_contains(still, u) == cone_contains(moving, np.asarray(u) + shift)
 
 
 def test_overlapping_discs_rejected():
@@ -129,7 +130,7 @@ def test_cone_membership_against_time_grid_oracle(rng):
         for _ in range(1000):
             u = rng.uniform(-2.5, 2.5, size=2)
             if velocity_hits_disc(u, d, r_sum, v_obs, cone.tau):
-                assert cone.contains(u, tol=1e-3)
+                assert cone_contains(cone, u, tol=1e-3)
         # robustly-interior, fast-enough velocities do collide
         for _ in range(200):
             phi = rng.uniform(-cone.half_angle + 0.05, cone.half_angle - 0.05)
@@ -147,7 +148,7 @@ def test_tangent_plane_touches_cone_boundary():
         ray = _rot(want_side * cone.half_angle) @ cone.axis
         assert hp.n @ ray == pytest.approx(0.0, abs=1e-12)
         assert hp.n @ cone.axis == pytest.approx(-math.sin(cone.half_angle), abs=1e-12)
-        assert hp.satisfied(u_pref)
+        assert halfplane_satisfied(hp, u_pref)
 
 
 def test_tangent_tie_breaks_left_and_reflection_swaps():

@@ -4,12 +4,13 @@ files, and process exit codes."""
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import ltvmpc.cli as cli
 from ltvmpc.cli import ConfigError, config_from_dict, load_config, main, parse_config
-from ltvmpc.sim import SimLog, SweepSpec
+from ltvmpc.sim import LOG_DTYPE, SimLog, SweepSpec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -46,6 +47,8 @@ def test_unknown_keys_rejected():
         parse_config("name: x\ntrajectory: {kind: line, speeed: 1.0}\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("name: x\ntrajectory: {kind: line}\nextra: 1\n")
+    with pytest.raises(ConfigError, match="unknown key 'mpc.terminal_mode'"):
+        parse_config("name: x\ntrajectory: {kind: line}\nmpc: {terminal_mode: none}\n")
 
 
 def test_sweep_section_parsed():
@@ -196,7 +199,8 @@ def test_halted_run_exits_one(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, SHORT_RUN)
 
     def fake_run(scn):
-        return SimLog(scn, [], halted=True, halt_reason="forced for the test")
+        return SimLog(scn, np.recarray(0, dtype=LOG_DTYPE), halted=True,
+                      halt_reason="forced for the test")
 
     monkeypatch.setattr(cli, "run_scenario", fake_run)
     assert main(["run", "--config", str(cfg), "--out",

@@ -10,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltvmpc.cli import load_config
-from ltvmpc.dynamics import (ControlInput, RobotState, derive_reference, from_error_frame,
-                             input_matrix, linearize, roll_reference, step_continuous,
-                             step_discrete, to_error_frame, wrap_angle)
+from ltvmpc.dynamics import (RobotState, derive_reference, input_matrix, linearize,
+                             roll_reference, step_discrete, to_error_frame, wrap_angle)
 from ltvmpc.sim import TrajectorySpec, build_controller, build_reference
 
 from oracles import (central_jacobian, controllability_rank, error_field, euler_richardson,
-                     linearize_step)
+                     from_error_frame, linearize_step, step_continuous)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -35,21 +34,21 @@ def test_wrap_angle_range_and_idempotence():
 
 
 def test_continuous_field_known_points():
-    assert np.allclose(step_continuous(RobotState(0, 0, 0), ControlInput(1, 0)),
+    assert np.allclose(step_continuous(RobotState(0, 0, 0), (1, 0)),
                        [1, 0, 0])
-    assert np.allclose(step_continuous(RobotState(0, 0, math.pi / 2), ControlInput(1, 0)),
+    assert np.allclose(step_continuous(RobotState(0, 0, math.pi / 2), (1, 0)),
                        [0, 1, 0], atol=1e-15)
-    out = step_continuous(RobotState(0, 0, math.pi / 4), ControlInput(math.sqrt(2), 0.5))
+    out = step_continuous(RobotState(0, 0, math.pi / 4), (math.sqrt(2), 0.5))
     assert np.allclose(out, [1, 1, 0.5], atol=1e-15)
 
 
 def test_discrete_step_known_points():
-    z = step_discrete(RobotState(0, 0, 0), ControlInput(1, 0), 0.1)
+    z = step_discrete(RobotState(0, 0, 0), (1, 0), 0.1)
     assert np.allclose(z.as_array(), [0.1, 0, 0], atol=1e-15)
     # quarter circle of radius v/omega = 1
-    z = step_discrete(RobotState(0, 0, 0), ControlInput(math.pi / 2, math.pi / 2), 1.0)
+    z = step_discrete(RobotState(0, 0, 0), (math.pi / 2, math.pi / 2), 1.0)
     assert np.allclose(z.as_array(), [1, 1, math.pi / 2], atol=1e-12)
-    z = step_discrete(RobotState(0, 0, 0), ControlInput(1, 1), 0.1)
+    z = step_discrete(RobotState(0, 0, 0), (1, 1), 0.1)
     assert np.allclose(z.as_array(), [math.sin(0.1), 1 - math.cos(0.1), 0.1], atol=1e-15)
 
 
@@ -60,7 +59,7 @@ def test_discrete_step_matches_richardson_euler(rng):
     u = np.column_stack([rng.uniform(-2, 2, n), rng.uniform(-10, 10, n)])
     T = rng.uniform(0.01, 0.2, n)
     want = euler_richardson(z, u, T)
-    got = np.array([step_discrete(RobotState(*z[i]), ControlInput(*u[i]), T[i]).as_array()
+    got = np.array([step_discrete(RobotState(*z[i]), u[i], T[i]).as_array()
                     for i in range(n)])
     err_xy = np.max(np.abs(got[:, :2] - want[:, :2]))
     err_th = np.max(np.abs(wrap_angle(got[:, 2] - want[:, 2])))
@@ -73,9 +72,9 @@ def test_discrete_step_branch_continuity():
     for th in (0.0, 0.7, -2.1):
         for sign in (1.0, -1.0):
             lo = step_discrete(RobotState(0.3, -0.2, th),
-                               ControlInput(1.7, sign * eps * (1 - 1e-3)), 0.2)
+                               (1.7, sign * eps * (1 - 1e-3)), 0.2)
             hi = step_discrete(RobotState(0.3, -0.2, th),
-                               ControlInput(1.7, sign * eps * (1 + 1e-3)), 0.2)
+                               (1.7, sign * eps * (1 + 1e-3)), 0.2)
             assert np.max(np.abs(lo.as_array() - hi.as_array())) <= 1e-8
 
 
@@ -115,7 +114,7 @@ def test_rolled_reference_is_flowed_by_its_own_feedforward():
     ref = roll_reference(curve, 0.05)
     z = RobotState(*ref.poses[0])
     for k in range(len(ref) - 1):
-        z = step_discrete(z, ControlInput(*ref.inputs[k]), 0.05)
+        z = step_discrete(z, ref.inputs[k], 0.05)
         assert np.max(np.abs(z.as_array() - ref.poses[k + 1])) <= 1e-12
     assert np.array_equal(ref.inputs, derive_reference(curve, 0.05).inputs)
 

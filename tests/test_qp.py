@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltvmpc import qp
-from ltvmpc.qp import QpProblem, QpSolver, kkt_residuals, solve_qp
+from ltvmpc.qp import QpProblem, QpSolver, kkt_residuals
 
-from oracles import dump_problem, load_problem, qp_brute_force, stationarity_multipliers
+from oracles import (dump_problem, load_problem, qp_brute_force, solve_qp,
+                     stationarity_multipliers)
 
 
 def scalar_problem(**kw):

@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from ltvmpc.figures import error_curves_csv
 from ltvmpc.mpc import MpcConfig
-from ltvmpc.sim import (Metrics, ObstacleSpec, Scenario, SimLog, SimRow,
-                        TrajectorySpec, compute_metrics, log_to_csv,
-                        lqr_comparison, read_log_csv, run_scenario, sweep,
-                        write_log_csv)
+from ltvmpc.sim import (CSV_COLUMNS, LOG_DTYPE, LYAP_ENTRY, LYAP_TOL, Metrics, ObstacleSpec,
+                        Scenario, SimLog, TrajectorySpec, compute_metrics, log_to_csv,
+                        lqr_comparison, read_log_csv, run_scenario, sweep, write_log_csv)
 
 SHORT = Scenario(name="short", trajectory=TrajectorySpec("sinusoid"),
                  duration=40, mpc=MpcConfig(N=8))
@@ -18,24 +18,29 @@ SHORT = Scenario(name="short", trajectory=TrajectorySpec("sinusoid"),
 
 def test_zero_duration_gives_empty_log():
     log = run_scenario(Scenario(name="empty", duration=0))
-    assert log.rows == []
+    assert len(log.rows) == 0
     assert not log.halted
     with pytest.raises(ValueError, match="empty log"):
         compute_metrics(log)
 
 
-def hand_row(k, e1, e2, e3, v=0.3, omega=-0.1):
-    return SimRow(k=k, t=0.05 * k, x=0.0, y=0.0, theta=0.0, x_ref=0.0,
-                  y_ref=0.0, theta_ref=0.0, e1=e1, e2=e2, e3=e3, v=v,
-                  omega=omega, v_ref=0.0, omega_ref=0.0, stage_cost=0.0,
-                  terminal_cost=0.0, qp_status="optimal", slack=0.0,
-                  min_dist=math.inf)
+def hand_row(k, e1, e2, e3, v=0.3, omega=-0.1, **fields):
+    """One log record; the fields not given are 0, except t = 0.05 k, an
+    optimal QP status and no obstacle (min_dist inf)."""
+    row = {**dict.fromkeys(CSV_COLUMNS, 0.0), "k": k, "t": 0.05 * k, "e1": e1, "e2": e2,
+           "e3": e3, "v": v, "omega": omega, "qp_status": "optimal", "min_dist": math.inf,
+           **fields}
+    return tuple(row[c] for c in CSV_COLUMNS)
+
+
+def hand_log(rows):
+    return SimLog(SHORT, np.array(rows, dtype=LOG_DTYPE).view(np.recarray))
 
 
 def test_metrics_on_hand_built_rows():
     rows = [hand_row(0, 1.0, -2.0, 0.0), hand_row(1, 0.5, 0.5, 0.0),
             hand_row(2, 0.0, 0.0, 0.0)]
-    m = compute_metrics(SimLog(SHORT, rows))
+    m = compute_metrics(hand_log(rows))
     assert m.xy_error_sum == pytest.approx(4.0, abs=1e-15)
     assert m.input_effort == (pytest.approx(0.9), pytest.approx(0.3))
     assert m.converged  # tail window is the final all-zero row
@@ -45,6 +50,36 @@ def test_metrics_on_hand_built_rows():
     assert not m.halted
 
 
+def test_metrics_and_error_curves_match_per_step_loops():
+    # the column arithmetic against the per-step loops it replaced: a run
+    # with an obstacle, and a hand log whose terminal cost twice fails to
+    # decrease by the stage cost
+    run = run_scenario(Scenario(name="loops", duration=40, initial_state=(0.0, 0.3, 0.1),
+                                obstacles=(ObstacleSpec("static", position=(1.0, 1.0)),),
+                                mpc=MpcConfig(N=8)))
+    costs = [(0.5, 0.2, 0.0, 2.0), (0.4, 0.1, 0.3, 1.5), (0.4, 0.1, 0.0, 1.7),
+             (0.2, 0.1, 0.1, 1.1), (0.1, 0.1, 0.0, 0.9)]
+    hand = hand_log([hand_row(k, 0.01 * k, -0.02, 0.0, terminal_cost=vf, stage_cost=l,
+                              slack=s, min_dist=d)
+                     for k, (vf, l, s, d) in enumerate(costs)])
+    for log in (run, hand):
+        rows = [dict(zip(CSV_COLUMNS, r)) for r in log.rows.tolist()]
+        e_inf = [max(abs(r["e1"]), abs(r["e2"]), abs(r["e3"])) for r in rows]
+        k0 = next(k for k, e in enumerate(e_inf) if e < LYAP_ENTRY)
+        violations = sum(rows[i]["terminal_cost"] - rows[i + 1]["terminal_cost"] + LYAP_TOL
+                         < rows[i]["stage_cost"] for i in range(k0, len(rows) - 1))
+        m = compute_metrics(log)
+        assert m.input_effort == (sum(abs(r["v"]) for r in rows),
+                                  sum(abs(r["omega"]) for r in rows))
+        assert m.slack_total == sum(r["slack"] for r in rows)
+        assert m.min_clearance == min(r["min_dist"] for r in rows)
+        assert m.lyapunov_violations == violations
+        curves = [line.split(",") for line in error_curves_csv(log.rows).splitlines()[1:]]
+        assert [float(c[-1]) for c in curves] == e_inf
+    assert compute_metrics(hand).lyapunov_violations == 2
+    assert math.isfinite(compute_metrics(run).min_clearance)
+
+
 def test_on_reference_run_stays_exact():
     log = run_scenario(Scenario(name="onref", duration=100))
     assert len(log.rows) == 100
@@ -52,7 +87,7 @@ def test_on_reference_run_stays_exact():
     assert m.xy_error_sum <= 1e-4
     assert m.converged
     assert m.slack_total == 0.0
-    assert all(r.qp_status == "optimal" for r in log.rows)
+    assert all(log.rows.qp_status == "optimal")
 
 
 def test_offset_start_converges():
@@ -64,17 +99,19 @@ def test_offset_start_converges():
 
 
 def test_csv_round_trip(tmp_path):
-    log = run_scenario(SHORT)
-    path = tmp_path / "short_log.csv"
-    write_log_csv(log, path)
-    rows = read_log_csv(path)
-    assert len(rows) == len(log.rows)
-    for a, b in zip(log.rows, rows):
-        assert a.k == b.k
-        assert a.qp_status == b.qp_status
-        for f in ("t", "x", "y", "theta", "e1", "e2", "e3", "v", "omega",
-                  "stage_cost", "terminal_cost", "slack", "min_dist"):
-            assert getattr(a, f) == getattr(b, f)  # 17 significant digits
+    # every status the QP solver returns, so a too-narrow status field shows
+    hand = hand_log([hand_row(0, 1.0, -2.0, 0.3, x_ref=0.1, theta_ref=-3.0, slack=0.25),
+                     hand_row(1, 0.5, 0.5, 0.0, qp_status="max_iter", min_dist=1.5),
+                     hand_row(2, 0.0, 0.0, 0.0, v_ref=0.5, qp_status="infeasible")])
+    for log in (run_scenario(SHORT), hand):
+        path = tmp_path / f"{len(log.rows)}_log.csv"
+        write_log_csv(log, path)
+        rows = read_log_csv(path)
+        assert len(rows) == len(log.rows)
+        for c in CSV_COLUMNS:
+            assert np.array_equal(rows[c], log.rows[c]), c  # 17 significant digits
+    assert rows.qp_status.tolist() == ["optimal", "max_iter", "infeasible"]
+    assert rows.min_dist[0] == math.inf
 
 
 def test_repeated_runs_are_identical():
@@ -107,7 +144,7 @@ def test_lqr_comparison_agrees_on_reference():
     assert log_mpc.scenario.name == "cmp_mpc"
     assert log_lqr.scenario.name == "cmp_lqr"
     for col in ("x", "y", "theta", "v", "omega"):
-        assert np.allclose(log_mpc.column(col), log_lqr.column(col), atol=1e-7)
+        assert np.allclose(log_mpc.rows[col], log_lqr.rows[col], atol=1e-7)
 
 
 def test_obstacle_run_logs_clearance():
