@@ -18,9 +18,11 @@ K (L-1, m, n). Every frozen DARE is solved by the fixed-point iteration
 `solve_dare`, which converges only linearly (about 190 Riccati maps from a
 neighbour's solution). Where the model changes along the sequence, its
 iteration starts from the structure-preserving doubling algorithm (SDA; Chu,
-Fan, Lin et al., 2004-05), run once over all those models as one stack, and
-then needs about one map. The chain, the gains and the P recursion stay one
-step at a time so that their floats do not depend on the batching.
+Fan, Lin et al., 2004-05), and then needs about one map. Both run once over
+all those models as one stack, as do the gains and the closed-loop terms;
+only a run of unchanged models (a backward chain, cut short at its fixed
+point) and the P recursion itself go one step at a time. Every stacked
+operation gives each model the floats it gets alone.
 """
 
 from __future__ import annotations
@@ -74,31 +76,48 @@ class TerminalSchedule:
 
 
 def riccati_map(P, A, B, Q, R):
-    """One Riccati difference step: A'PA - A'PB (R + B'PB)^-1 B'PA + Q."""
-    M = B.T @ P @ A
-    G = np.linalg.solve(R + B.T @ P @ B, M)
-    return A.T @ P @ A - M.T @ G + Q
+    """One Riccati difference step: A'PA - A'PB (R + B'PB)^-1 B'PA + Q, for one
+    model or a stack P, A (L, n, n)."""
+    BtP = B.T @ P
+    M = BtP @ A
+    G = np.linalg.solve(R + BtP @ B, M)
+    return A.swapaxes(-1, -2) @ P @ A - M.swapaxes(-1, -2) @ G + Q
 
 
 def solve_dare(A, B, Q, R, tol: float = 1e-10, max_iter: int = 100_000, P0=None):
-    """Fixed point of the Riccati difference iteration, symmetrized each step.
+    """Fixed point of the Riccati difference iteration, symmetrized each step,
+    for one model A (n, n) or a stack A (L, n, n) sharing B, Q and R.
 
-    Converges linearly for stabilizable (A, B); P0 warm-starts the iteration
-    (defaults to Q). Raises ValueError if the fixed-point residual does not
-    reach tol within max_iter.
+    Converges linearly for stabilizable (A, B); P0 (shaped like A) warm-starts
+    the iteration (defaults to Q). Each step maps only the models not yet
+    converged; a model is done once the Frobenius norm of its own step is at
+    most tol, so its result does not depend on the rest of the stack. Raises
+    ValueError if a model's residual does not reach tol within max_iter.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
-    P = Q.copy() if P0 is None else np.asarray(P0, dtype=float).copy()
+    P = np.empty(A.shape)
+    P[...] = Q if P0 is None else P0
+    P = P.reshape((-1,) + Q.shape)
+    A_left = A.reshape(P.shape)
+    left = np.arange(len(P))  # the models not yet converged
+    out = np.empty_like(P)
     for _ in range(max_iter):
-        P_next = riccati_map(P, A, B, Q, R)
-        P_next = 0.5 * (P_next + P_next.T)
-        if np.linalg.norm(P_next - P, ord="fro") <= tol:
-            return P_next
+        P_next = riccati_map(P, A_left, B, Q, R)
+        P_next = 0.5 * (P_next + P_next.swapaxes(-1, -2))
+        step = (P_next - P).reshape(len(P), -1)
+        done = np.sqrt(np.vecdot(step, step)) <= tol
+        n_done = np.count_nonzero(done)
+        if n_done:
+            out[left[done]] = P_next[done]
+            if n_done == len(done):
+                return out.reshape(A.shape)
+            left, P_next, A_left = left[~done], P_next[~done], A_left[~done]
         P = P_next
-    raise ValueError(f"Riccati iteration did not converge within {max_iter} steps")
+    raise ValueError(f"Riccati iteration did not converge within {max_iter} steps "
+                     f"for model(s) {left.tolist()}")
 
 
 class DareError(ValueError):
@@ -127,8 +146,7 @@ def doubling_dare(A, B, Q, R):
     eye = np.eye(A.shape[-1])
     for _ in range(64):
         W = eye + G @ H
-        W_A = np.linalg.solve(W, A)
-        W_G = np.linalg.solve(W, G)
+        W_A, W_G = np.split(np.linalg.solve(W, np.concatenate((A, G), axis=-1)), 2, axis=-1)
         A_t = A.swapaxes(-1, -2)
         H_next = H + A_t @ H @ W_A
         H_next = 0.5 * (H_next + H_next.swapaxes(-1, -2))
@@ -148,7 +166,8 @@ def doubling_dare(A, B, Q, R):
 
 
 def lqr_gain(A, B, P, R):
-    """Infinite-horizon feedback K = -(R + B'PB)^-1 B'PA, so u = K x."""
+    """Infinite-horizon feedback K = -(R + B'PB)^-1 B'PA, so u = K x; for one
+    model or a stack A, P (L, n, n), giving K (L, m, n)."""
     BtP = B.T @ P
     return -np.linalg.solve(R + BtP @ B, BtP @ A)
 
@@ -159,15 +178,20 @@ def backward_riccati(A, B, costs: CostMatrices) -> TerminalSchedule:
 
     K(i) is the frozen DARE gain of model i; P is the backward closed-loop
     recursion anchored at the final frozen DARE solution. The frozen DAREs are
-    solved backward by `solve_dare`, each warm-started as follows: the last
-    step from Q; a step whose A equals the next step's bit for bit from that
-    step's solution; any other step from its `doubling_dare` solution,
-    computed in one batched call over exactly those steps before the chain
-    runs. A constant-model sequence thus makes no doubling call and gives the
-    same P and K as the plain warm-started chain. Raises ValueError naming
-    the step, before any Riccati map, when the last model is not stabilizable
-    (a standstill, say) or a changed model has no stabilizing DARE solution;
-    every other step shares its model with a later one of those.
+    solved by `solve_dare`. The last step and every step whose A differs from
+    the next step's start a run: they are solved in one stacked call, the
+    last step from Q and the others from their `doubling_dare` solutions,
+    computed in one batched call over exactly those steps. Each earlier step
+    of a run (its A equal to the next step's bit for bit) is warm-started from
+    the next step's solution, backward; once a step returns its start bit for
+    bit, every earlier step of the run takes that same P. A constant-model
+    sequence thus makes no doubling call and gives the same P and K as the
+    plain warm-started chain. The gains, A_K and Q_K are computed for the
+    whole stack at once; only the P recursion runs step by step. Raises
+    ValueError naming the step, before any Riccati map, when the last model is
+    not stabilizable (a standstill, say) or a changed model has no
+    stabilizing DARE solution; every other step shares its model with a
+    later one of those.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -180,31 +204,33 @@ def backward_riccati(A, B, costs: CostMatrices) -> TerminalSchedule:
                          "no stabilizing frozen DARE solution")
 
     changed = np.flatnonzero(np.any(A[:-1] != A[1:], axis=(1, 2)))
-    warm = {}
+    P0 = Q[None]
     if changed.size:
         try:
-            warm = dict(zip(changed.tolist(), doubling_dare(A[changed], B, Q, R)))
+            P0 = np.concatenate((doubling_dare(A[changed], B, Q, R), P0))
         except DareError as exc:
             raise ValueError(f"no stabilizing frozen DARE solution at step(s) "
                              f"{changed[exc.models].tolist()}") from exc
 
-    # Frozen DARE solution per step, solved backward with warm starts.
+    # Frozen DARE solution per step: the runs' last steps at once, then each
+    # run backward from its last step until the chain reaches a fixed point.
+    heads = np.append(changed, L - 1)
     dare = np.empty_like(A)
-    P_prev = None
-    for i in range(L - 1, -1, -1):
-        P_prev = solve_dare(A[i], B, Q, R, P0=warm.get(i, P_prev))
-        dare[i] = P_prev
+    dare[heads] = solve_dare(A[heads], B, Q, R, P0=P0)
+    for first, head in zip(np.append(0, heads[:-1] + 1).tolist(), heads.tolist()):
+        for i in range(head - 1, first - 1, -1):
+            dare[i] = solve_dare(A[i], B, Q, R, P0=dare[i + 1])
+            if np.array_equal(dare[i], dare[i + 1]):
+                dare[first:i] = dare[i]
+                break
 
-    K = np.empty((L - 1,) + B.T.shape)
-    for i in range(L - 1):
-        K[i] = lqr_gain(A[i], B, dare[i], R)
-
+    K = lqr_gain(A[:-1], B, dare[:-1], R)
+    A_K = A[:-1] + B @ K
+    Q_K = Q + K.swapaxes(-1, -2) @ R @ K
     P = np.empty_like(A)
     P[L - 1] = dare[L - 1]
     for i in range(L - 2, -1, -1):
-        A_K = A[i] + B @ K[i]
-        Q_K = Q + K[i].T @ R @ K[i]
-        P_i = A_K.T @ P[i + 1] @ A_K + Q_K
+        P_i = A_K[i].T @ P[i + 1] @ A_K[i] + Q_K[i]
         P[i] = 0.5 * (P_i + P_i.T)
     return TerminalSchedule(P, K)
 

@@ -426,8 +426,14 @@ def _table(header, rows) -> str:
 
 
 def _column_table(header, columns) -> str:
-    """CSV text from equal-length array columns, each read once via .tolist()."""
-    return _table(header, zip(*(c.tolist() for c in columns)))
+    """CSV text from equal-length array columns, as `_table` writes it: each
+    column read once via .tolist(), each row formatted in one call with a
+    format per column (strings as they are, floats at 17 significant digits,
+    integers in decimal)."""
+    fmt = ",".join({"U": "%s", "f": "%.17g"}.get(c.dtype.kind, "%d") for c in columns)
+    lines = [",".join(header)]
+    lines += [fmt % row for row in zip(*(c.tolist() for c in columns))]
+    return "\n".join(lines) + "\n"
 
 
 def log_to_csv(log: SimLog) -> str:

@@ -12,7 +12,7 @@ import numpy as np
 
 from ltvmpc.dynamics import RobotState
 from ltvmpc.qp import QpProblem, QpSolver
-from ltvmpc.riccati import TerminalSchedule, lqr_gain, solve_dare
+from ltvmpc.riccati import TerminalSchedule
 
 
 def euler_fine(z, u, T, substeps=10_000):
@@ -186,25 +186,77 @@ def build_qp_loops(e0, k: int, ref, A, B, schedule, costs, cfg, extra_rows=()):
                      A_in=np.array(rows), b_in=np.array(rhs))
 
 
-def backward_riccati_chain(A, B, costs):
-    """The terminal schedule with every frozen DARE warm-started from the
-    next step's solution (the last from Q), as `backward_riccati` did before
-    its doubling start: the reference its results must equal bit for bit on
-    constant-model sequences and stay close to elsewhere. A is the model
-    stack and B the constant input matrix."""
+def riccati_map_step(P, A, B, Q, R):
+    """One Riccati difference step for a single model, as 2-D products."""
+    M = B.T @ P @ A
+    G = np.linalg.solve(R + B.T @ P @ B, M)
+    return A.T @ P @ A - M.T @ G + Q
+
+
+def solve_dare_step(A, B, Q, R, P0, tol=1e-10, max_iter=100_000):
+    """The fixed-point DARE iteration for a single model, symmetrized each
+    step, stopping once the step's Frobenius norm is at most tol."""
+    P = Q.copy() if P0 is None else P0.copy()
+    for _ in range(max_iter):
+        P_next = riccati_map_step(P, A, B, Q, R)
+        P_next = 0.5 * (P_next + P_next.T)
+        if np.linalg.norm(P_next - P, ord="fro") <= tol:
+            return P_next
+        P = P_next
+    raise ValueError(f"Riccati iteration did not converge within {max_iter} steps")
+
+
+def doubling_dare_two_solves(A, B, Q, R):
+    """The batched SDA start with W^-1 A and W^-1 G solved separately."""
+    G = np.broadcast_to(B @ np.linalg.solve(R, B.T), A.shape).copy()
+    H = np.broadcast_to(Q, A.shape).copy()
+    eye = np.eye(A.shape[-1])
+    for _ in range(64):
+        W = eye + G @ H
+        W_A = np.linalg.solve(W, A)
+        W_G = np.linalg.solve(W, G)
+        A_t = A.swapaxes(-1, -2)
+        H_next = H + A_t @ H @ W_A
+        H_next = 0.5 * (H_next + H_next.swapaxes(-1, -2))
+        G = G + A @ W_G @ A_t
+        A = A @ W_A
+        converged = np.max(np.abs(H_next - H), axis=(1, 2)) <= 1e-13 * np.max(
+            np.abs(H_next), axis=(1, 2))
+        H = H_next
+        if converged.all():
+            return H
+    raise ValueError("doubling DARE did not converge within 64 doublings")
+
+
+def backward_riccati_steps(A, B, costs, doubling=True):
+    """The terminal schedule built one step at a time: every frozen DARE by
+    its own fixed-point iteration, warm-started backward from the next step's
+    solution (the last from Q) or, with `doubling`, from the SDA solution
+    wherever the model differs from the next step's; then one gain and one
+    closed-loop P step per model. This is `backward_riccati` before its
+    stacked build, the reference its P and K must equal bit for bit; with
+    doubling=False it is the plain warm-started chain. A is the model stack
+    and B the constant input matrix."""
     L = len(A)
     if L == 0:
         raise ValueError("backward_riccati needs at least one model")
     Q, R = costs.Q, costs.R
+    warm = {}
+    changed = np.flatnonzero(np.any(A[:-1] != A[1:], axis=(1, 2)))
+    if doubling and changed.size:
+        warm = dict(zip(changed.tolist(), doubling_dare_two_solves(A[changed], B, Q, R)))
 
     # Frozen DARE solution per step, solved backward with warm starts.
     dare = [None] * L
     P_prev = None
     for i in range(L - 1, -1, -1):
-        P_prev = solve_dare(A[i], B, Q, R, P0=P_prev)
+        P_prev = solve_dare_step(A[i], B, Q, R, P0=warm.get(i, P_prev))
         dare[i] = P_prev
 
-    K = [lqr_gain(A[i], B, dare[i], R) for i in range(L - 1)]
+    K = []
+    for i in range(L - 1):
+        BtP = B.T @ dare[i]
+        K.append(-np.linalg.solve(R + BtP @ B, BtP @ A[i]))
 
     P = [None] * L
     P[L - 1] = dare[L - 1]
@@ -213,7 +265,7 @@ def backward_riccati_chain(A, B, costs):
         Q_K = Q + K[i].T @ R @ K[i]
         P_i = A_K.T @ P[i + 1] @ A_K + Q_K
         P[i] = 0.5 * (P_i + P_i.T)
-    return TerminalSchedule(np.array(P), np.array(K))
+    return TerminalSchedule(np.array(P), np.array(K).reshape((L - 1,) + B.T.shape))
 
 
 def stationarity_multipliers(H, g, A_act, x):

@@ -2,6 +2,7 @@
 cost-to-go decrease identity the whole stability argument leans on."""
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,9 @@ from ltvmpc.riccati import (CostMatrices, backward_riccati, doubling_dare, lqr_g
                             recursion_residuals, riccati_map, solve_dare, stabilizable)
 from ltvmpc.sim import build_controller
 
-from oracles import backward_riccati_chain, controllability_rank
+import oracles
+from oracles import (backward_riccati_steps, controllability_rank, doubling_dare_two_solves,
+                     solve_dare_step)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -158,16 +161,18 @@ def test_stage_and_terminal_bounds(rng):
             assert 0.5 * x @ sched.P[i] @ x <= 0.5 * lam_max_p * n2 + 1e-12
 
 
-def count_calls(monkeypatch, name):
-    """Wrap riccati.<name> (looked up as a module global) with a call counter."""
+def count_calls(monkeypatch, name, module=riccati):
+    """Wrap module.<name> (looked up as a module global) with a counter of the
+    models it is called on: one entry per call, holding the stack length of a
+    stacked (3-D) first argument and 1 otherwise, so sum() counts models."""
     calls = []
-    real = getattr(riccati, name)
+    real = getattr(module, name)
 
     def counted(*args):
-        calls.append(1)
+        calls.append(len(args[0]) if np.ndim(args[0]) == 3 else 1)
         return real(*args)
 
-    monkeypatch.setattr(riccati, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -184,6 +189,7 @@ def test_doubling_dare_matches_scipy(rng):
         R = Fr @ Fr.T + 0.1 * np.eye(m)
         P = doubling_dare(A, B, Q, R)
         assert P.shape == (L, n, n)
+        assert np.array_equal(P, doubling_dare_two_solves(A, B, Q, R))
         for l in range(L):
             P_ref = scipy.linalg.solve_discrete_are(A[l], B, Q, R)
             assert np.max(np.abs(P[l] - P_ref)) <= 1e-9 * np.max(np.abs(P_ref))
@@ -204,7 +210,7 @@ def test_constant_model_chains_are_bit_identical_to_plain_warm_start(monkeypatch
     doublings = count_calls(monkeypatch, "doubling_dare")
     for models, B_models in ((controller.A, controller.B), (constant_models(1.0, 0.5, 40), B)):
         sched = backward_riccati(models, B_models, controller.costs)
-        ref = backward_riccati_chain(models, B_models, controller.costs)
+        ref = backward_riccati_steps(models, B_models, controller.costs, doubling=False)
         assert len(sched.P) == len(ref.P) and len(sched.K) == len(ref.K)
         assert all(np.array_equal(a, b) for a, b in zip(sched.P, ref.P))
         assert all(np.array_equal(a, b) for a, b in zip(sched.K, ref.K))
@@ -215,7 +221,7 @@ def test_sinusoid_schedule_close_to_plain_warm_start():
     models = sinusoid_models()
     costs = CostMatrices(np.diag([1.0, 1.0, 0.5]), np.diag([0.1, 0.05]))
     sched = backward_riccati(models, B, costs)
-    ref = backward_riccati_chain(models, B, costs)
+    ref = backward_riccati_steps(models, B, costs, doubling=False)
     assert max(np.max(np.abs(a - b)) for a, b in zip(sched.P, ref.P)) <= 1e-9
     assert max(np.max(np.abs(a - b)) for a, b in zip(sched.K, ref.K)) <= 1e-9
 
@@ -225,7 +231,7 @@ def test_doubling_start_needs_few_riccati_maps(monkeypatch):
     calls = count_calls(monkeypatch, "riccati_map")
     backward_riccati(models, B, CostMatrices(np.eye(3), np.eye(2)))
     # the plain warm-started chain needs about 188 maps per step
-    assert len(calls) <= len(models) + 200
+    assert sum(calls) <= len(models) + 200
 
 
 def test_uncontrollable_changed_model_fails_before_any_riccati_map(monkeypatch):
@@ -256,3 +262,87 @@ def test_uncontrollable_but_stabilizable_last_model_is_solved():
 def test_rank_helper_on_degenerate_pairs():
     assert controllability_rank(np.eye(3), np.array([[-0.1, 0], [0, 0], [0, -0.1]])) == 2
     assert controllability_rank(tracking_model(0.0, 1.0), B) == 3
+
+
+def config_stack(name, **mpc):
+    """The model stack, B and costs that build_controller gives config `name`,
+    with the MpcConfig fields in `mpc` replaced."""
+    scn = load_config(CONFIGS / name).scenario
+    controller, _ = build_controller(replace(scn, mpc=replace(scn.mpc, **mpc)))
+    return controller.A, controller.B, controller.costs
+
+
+def mixed_models():
+    """Changed models with two long constant runs, at the start and in the
+    middle, each ending at a changed model (its doubling-started step)."""
+    models = sinusoid_models(420)
+    models[:180] = models[179]
+    models[200:380] = models[379]
+    return models
+
+
+STACKS = {
+    "track_n50": lambda: config_stack("tracking.yaml", N=50),
+    "terminal_set": lambda: config_stack("terminal_set.yaml"),
+    "lqr_comparison": lambda: config_stack("lqr_comparison.yaml"),
+    **{p.stem: (lambda p=p: config_stack(p.name)) for p in sorted(CONFIGS.glob("avoid_*.yaml"))},
+    "L1": lambda: (sinusoid_models(1), B, CostMatrices(np.eye(3), np.eye(2))),
+    "L2": lambda: (sinusoid_models(2), B, CostMatrices(np.eye(3), np.eye(2))),
+    "mixed": lambda: (mixed_models(), B,
+                      CostMatrices(np.diag([1.0, 1.0, 0.5]), np.diag([0.1, 0.05]))),
+}
+
+
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_stacked_schedule_is_bit_identical_to_per_step_build(stack):
+    A, B_s, costs = STACKS[stack]()
+    sched = backward_riccati(A, B_s, costs)
+    ref = backward_riccati_steps(A, B_s, costs)
+    assert sched.P.shape == ref.P.shape and sched.K.shape == ref.K.shape
+    assert np.array_equal(sched.P, ref.P) and np.array_equal(sched.K, ref.K)
+
+
+def test_constant_run_stops_mapping_at_its_fixed_point(monkeypatch):
+    A, B_s, costs = config_stack("avoid_face_to_face.yaml")
+    ref_maps = count_calls(monkeypatch, "riccati_map_step", oracles)
+    ref = backward_riccati_steps(A, B_s, costs)
+    maps = count_calls(monkeypatch, "riccati_map")
+    sched = backward_riccati(A, B_s, costs)
+    # the per-step chain maps every step of the scene's one constant run
+    assert sum(ref_maps) == 654 and sum(maps) < sum(ref_maps)
+    assert np.array_equal(sched.P, ref.P) and np.array_equal(sched.K, ref.K)
+
+
+def test_each_constant_run_of_a_mixed_stack_stops_at_its_fixed_point(monkeypatch):
+    models = mixed_models()
+    chained = []  # the model of each single-model solve_dare call, a chain step
+    real = riccati.solve_dare
+
+    def recorded(A, *args, **kwargs):
+        if np.ndim(A) == 2:
+            chained.append(A)
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(riccati, "solve_dare", recorded)
+    backward_riccati(models, B, CostMatrices(np.eye(3), np.eye(2)))
+    for run_model in (models[0], models[200]):
+        # each run has 179 chain steps before its doubling-started step
+        assert 0 < sum(np.array_equal(A, run_model) for A in chained) < 179
+
+
+def test_stacked_dare_and_gain_equal_per_model_calls(rng):
+    A = sinusoid_models(12)
+    Q, R = np.diag([1.0, 1.0, 0.5]), np.diag([0.1, 0.05])
+    # starts at different distances converge after different numbers of maps
+    P0 = np.array([Q * (1.0 + rng.uniform(0.0, 50.0)) for _ in A])
+    P = solve_dare(A, B, Q, R, P0=P0)
+    assert P.shape == A.shape
+    for l in range(len(A)):
+        P_l = solve_dare(A[l], B, Q, R, P0=P0[l])
+        assert P_l.shape == (3, 3)
+        assert np.array_equal(P[l], P_l)
+        assert np.array_equal(P_l, solve_dare_step(A[l], B, Q, R, P0=P0[l]))
+    assert np.array_equal(solve_dare(A, B, Q, R)[3], solve_dare_step(A[3], B, Q, R, None))
+    K = lqr_gain(A, B, P, R)
+    assert K.shape == (12, 2, 3)
+    assert all(np.array_equal(K[l], lqr_gain(A[l], B, P[l], R)) for l in range(len(A)))

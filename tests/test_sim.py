@@ -9,7 +9,7 @@ import pytest
 from ltvmpc.figures import error_curves_csv
 from ltvmpc.mpc import MpcConfig
 from ltvmpc.sim import (CSV_COLUMNS, LOG_DTYPE, LYAP_ENTRY, LYAP_TOL, Metrics, ObstacleSpec,
-                        Scenario, SimLog, TrajectorySpec, compute_metrics, log_to_csv,
+                        Scenario, SimLog, TrajectorySpec, _table, compute_metrics, log_to_csv,
                         lqr_comparison, read_log_csv, run_scenario, sweep, write_log_csv)
 
 SHORT = Scenario(name="short", trajectory=TrajectorySpec("sinusoid"),
@@ -112,6 +112,16 @@ def test_csv_round_trip(tmp_path):
             assert np.array_equal(rows[c], log.rows[c]), c  # 17 significant digits
     assert rows.qp_status.tolist() == ["optimal", "max_iter", "infeasible"]
     assert rows.min_dist[0] == math.inf
+
+
+def test_column_writer_matches_per_value_formatting():
+    # _table formats value by value through _fmt, the reference for _column_table
+    hand = hand_log([hand_row(0, -0.0, 5e-324, -1.7976931348623157e308, slack=math.nan),
+                     hand_row(-3, 1e-300, 0.1, 2.0 / 3.0, qp_status="infeasible",
+                              min_dist=-math.inf)])
+    for log in (run_scenario(SHORT), hand):
+        columns = [log.rows[c] for c in CSV_COLUMNS]
+        assert log_to_csv(log) == _table(CSV_COLUMNS, zip(*(c.tolist() for c in columns)))
 
 
 def test_repeated_runs_are_identical():
