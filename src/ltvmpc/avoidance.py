@@ -100,12 +100,6 @@ def _rot(phi: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _error_rot(theta: float) -> np.ndarray:
-    """World-to-robot rotation used by the error definition."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [-s, c]])
-
-
 # -- method 1: state-space half-planes ----------------------------------------
 
 
@@ -148,16 +142,20 @@ def position_rows(hp: HalfPlane, ref, k: int, N: int):
 
     The predicted world position at step j is p_ref(k+j) - R(theta)' e_pos
     with theta taken as the reference heading, so n . p <= a becomes
-    -(R(theta_ref) n) . e_pos <= a - n . p_ref. ref is the dynamics.Reference;
-    its step indices clamp at the end.
+    -(R(theta_ref) n) . e_pos <= a - n . p_ref, with R(theta) the
+    world-to-robot rotation [[c, s], [-s, c]] of the error definition. ref is
+    the dynamics.Reference; its step indices clamp at the end.
+
+    Both products run per pose, as stacks of 2 x 2 and 1 x 2 matrices: a
+    single (N, 2) product would sum each row's two terms differently.
     """
-    rows = []
     poses = ref.poses[ref.clamp(np.arange(k + 1, k + N + 1))]
-    for j, pose in enumerate(poses, start=1):
-        w = _error_rot(pose[2]) @ hp.n
-        rhs = hp.a - float(hp.n @ pose[:2])
-        rows.append(DecisionRow(step=j, rhs=rhs, e_coeff=-w))
-    return rows
+    R = np.array([[[c, s], [-s, c]] for c, s in
+                  ((math.cos(th), math.sin(th)) for th in poses[:, 2].tolist())])
+    W = -(R @ hp.n)
+    n_dot_p = (poses[:, None, :2] @ hp.n)[:, 0].tolist()
+    return [DecisionRow(step=j, rhs=hp.a - d, e_coeff=W[j - 1])
+            for j, d in enumerate(n_dot_p, start=1)]
 
 
 # -- method 2: velocity obstacles ----------------------------------------------
@@ -203,14 +201,14 @@ def velocity_constraint_row(n, a: float, theta: float, u_r: float, w_r: float, d
 
     Expanding the margin at (u_r, w_r) and flipping f >= 0 into a <= row:
         coef_eu * e_u + coef_ew * e_w + const <= 0.
-    Returns (coef_eu, coef_ew, const).
+    Returns (coef_eu, coef_ew, const), computed on Python floats.
     """
-    n = np.asarray(n, dtype=float).reshape(2)
+    n0, n1 = float(n[0]), float(n[1])
     phase = theta + w_r * dt
     c, s = math.cos(phase), math.sin(phase)
-    coef_eu = -n[0] * c - n[1] * s
-    coef_ew = (n[0] * u_r * s - n[1] * u_r * c) * dt
-    const = -n[0] * u_r * c - n[1] * u_r * s + a
+    coef_eu = -n0 * c - n1 * s
+    coef_ew = (n0 * u_r * s - n1 * u_r * c) * dt
+    const = -n0 * u_r * c - n1 * u_r * s + a
     return coef_eu, coef_ew, const
 
 
@@ -225,18 +223,19 @@ def velocity_rows(hp: HalfPlane, ref, k: int, N: int, e3_path, dt: float):
     steering out of the solution. ref is the dynamics.Reference; its step
     indices clamp at the end.
     """
-    e3_path = np.atleast_1d(np.asarray(e3_path, dtype=float))
-    if e3_path.size == 1:
-        e3_path = np.full(N, float(e3_path[0]))
-    elif e3_path.size != N:
+    e3_path = np.atleast_1d(np.asarray(e3_path, dtype=float)).tolist()
+    if len(e3_path) == 1:
+        e3_path = e3_path * N
+    elif len(e3_path) != N:
         raise ValueError("e3_path must be a scalar or have one entry per step")
-    rows = []
     steps = ref.clamp(np.arange(k, k + N))
-    for j, (pose, (v_r, w_r)) in enumerate(zip(ref.poses[steps], ref.inputs[steps])):
-        theta_est = pose[2] - e3_path[j]
-        cu, cw, const = velocity_constraint_row(hp.n, hp.a, theta_est, v_r, w_r, dt)
-        rows.append(DecisionRow(step=j, rhs=-const, u_coeff=np.array([cu, cw])))
-    return rows
+    n = hp.n.tolist()
+    coefs = [velocity_constraint_row(n, hp.a, theta - e3, v_r, w_r, dt)
+             for theta, (v_r, w_r), e3 in zip(ref.poses[steps, 2].tolist(),
+                                              ref.inputs[steps].tolist(), e3_path)]
+    C = np.array(coefs)
+    return [DecisionRow(step=j, rhs=-const, u_coeff=C[j, :2])
+            for j, (_, _, const) in enumerate(coefs)]
 
 
 # -- debug dump -----------------------------------------------------------------

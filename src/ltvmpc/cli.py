@@ -183,14 +183,14 @@ def _cmd_run(args) -> int:
     log = run_scenario(scn)
     write_log_csv(log, out / f"{scn.name}_log.csv")
     figures.write_run_bundle(log, out, scn.name)
-    if len(log.rows):
-        _write_json(out / f"{scn.name}_metrics.json", _metrics_dict(compute_metrics(log)))
+    m = compute_metrics(log) if len(log.rows) else None
+    if m is not None:
+        _write_json(out / f"{scn.name}_metrics.json", _metrics_dict(m))
     write_manifest(out, "run", args.config, config)
     if log.halted:
         print(f"{scn.name}: halted — {log.halt_reason}", file=sys.stderr)
         return 1
     if not args.quiet:
-        m = compute_metrics(log) if len(log.rows) else None
         extra = "" if m is None else (f" xy_error_sum={m.xy_error_sum:.4g}"
                                       f" converged={m.converged}")
         print(f"{scn.name}: {len(log.rows)} steps{extra} -> {out}")

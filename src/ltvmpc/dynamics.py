@@ -25,8 +25,9 @@ TAU = 2.0 * math.pi
 
 
 def wrap_angle(theta):
-    """Wrap an angle (scalar or array) to the half-open interval (-pi, pi]."""
-    return np.mod(theta - math.pi, -TAU) + math.pi
+    """Wrap an angle (scalar or array) to the half-open interval (-pi, pi];
+    float `%` and numpy's mod round alike, so both wrap to the same bits."""
+    return (theta - math.pi) % -TAU + math.pi
 
 
 @dataclass(frozen=True)
@@ -77,23 +78,25 @@ class Reference:
         return np.minimum(k, len(self.poses) - 1)
 
 
-def step_discrete(z: RobotState, u, T: float) -> RobotState:
-    """Advance one sampling period under constant u = (v, omega): exact arc motion.
+def _arc(x: float, y: float, th: float, v: float, w: float, T: float):
+    """Exact arc motion over T under constant (v, w), on floats, heading not
+    wrapped. For |w| < OMEGA_EPS uses the Taylor limit with its second-order
+    correction so the two branches join C1-continuously."""
+    th_next = th + T * w
+    if abs(w) < OMEGA_EPS:
+        return (x + T * v * math.cos(th) - 0.5 * v * T * T * w * math.sin(th),
+                y + T * v * math.sin(th) + 0.5 * v * T * T * w * math.cos(th), th_next)
+    return (x + (v / w) * (math.sin(th_next) - math.sin(th)),
+            y + (v / w) * (math.cos(th) - math.cos(th_next)), th_next)
 
-    For |omega| < OMEGA_EPS uses the Taylor limit with its second-order
-    correction so the two branches join C1-continuously.
-    """
+
+def step_discrete(z: RobotState, u, T: float) -> RobotState:
+    """Advance one sampling period under constant u = (v, omega): exact arc
+    motion (`_arc`)."""
     if T < 0:
         raise ValueError("sampling period T must be >= 0")
     v, w = u
-    th = z.theta
-    if abs(w) < OMEGA_EPS:
-        x = z.x + T * v * math.cos(th) - 0.5 * v * T * T * w * math.sin(th)
-        y = z.y + T * v * math.sin(th) + 0.5 * v * T * T * w * math.cos(th)
-    else:
-        x = z.x + (v / w) * (math.sin(th + T * w) - math.sin(th))
-        y = z.y + (v / w) * (math.cos(th) - math.cos(th + T * w))
-    return RobotState(x, y, th + T * w)
+    return RobotState(*_arc(z.x, z.y, z.theta, v, w, T))
 
 
 def _flat_outputs(samples: np.ndarray, v_min: float):
@@ -133,13 +136,15 @@ def roll_reference(samples: np.ndarray, T: float, v_min: float = 1e-9) -> Refere
     and then obeys z_ref(k+1) = step_discrete(z_ref(k), u_ref(k), T). A robot
     started on this reference and fed u_ref stays on it to machine precision,
     which is what makes the zero-error fixed point of the closed loop exact.
+    The float loop shares `_arc` and `wrap_angle` with step_discrete.
     """
     x, y, theta_r, inputs = _flat_outputs(samples, v_min)
-    z = RobotState(x[0], y[0], theta_r[0])
-    poses = [(z.x, z.y, z.theta)]
-    for u in inputs[:-1]:
-        z = step_discrete(z, u, T)
-        poses.append((z.x, z.y, z.theta))
+    pose = (float(x[0]), float(y[0]), float(wrap_angle(theta_r[0])))
+    poses = [pose]
+    for v, w in inputs[:-1].tolist():
+        px, py, th = _arc(*pose, v, w, T)
+        pose = (px, py, wrap_angle(th))
+        poses.append(pose)
     return Reference(np.array(poses), inputs, T)
 
 

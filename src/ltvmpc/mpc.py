@@ -24,6 +24,7 @@ repeated once with a shared nonnegative slack on the avoidance rows only
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -96,33 +97,53 @@ class MpcStep:
 
 def stage_cost_value(e: np.ndarray, u_b: np.ndarray, costs: CostMatrices) -> float:
     """Running cost 0.5 (e'Qe + u_b'R u_b)."""
-    e = np.asarray(e, dtype=float)
-    u_b = np.asarray(u_b, dtype=float)
     return float(0.5 * (e @ costs.Q @ e + u_b @ costs.R @ u_b))
 
 
 def terminal_cost_value(e: np.ndarray, P: np.ndarray, beta: float) -> float:
     """Terminal cost 0.5 * beta * e'Pe."""
-    e = np.asarray(e, dtype=float)
     return float(0.5 * beta * e @ P @ e)
+
+
+@functools.cache
+def _bound_rows(N: int, n: int, first: int, forbid_reverse: bool) -> np.ndarray:
+    """The rows of `_input_rows`, built once per layout and read-only."""
+    v_col = first + 2 * np.arange(N)  # column of v in u_b(j); omega follows
+    rows = np.zeros((5 * N if forbid_reverse else 4 * N, n))
+    cols = (v_col[:, None] + [0, 1, 0, 1]).ravel()
+    rows[np.arange(4 * N), cols] = np.tile([1.0, 1.0, -1.0, -1.0], N)
+    if forbid_reverse:
+        rows[4 * N + np.arange(N), v_col] = -1.0
+    rows.flags.writeable = False
+    return rows
 
 
 def _input_rows(U, cfg: MpcConfig, n: int, first: int):
     """Input-bound rows over n columns, u_b(0) starting at column `first`,
     for the reference inputs U (N, 2): per step +v, +omega, -v, -omega
     (-u_max - u_ref <= u_b <= u_max - u_ref), then one no-reverse row per step
-    when reversing is forbidden. Returns (rows, bounds)."""
-    N = len(U)
-    v_col = first + 2 * np.arange(N)  # column of v in u_b(j); omega follows
-    rows = np.zeros((4 * N, n))
-    cols = (v_col[:, None] + [0, 1, 0, 1]).ravel()
-    rows[np.arange(4 * N), cols] = np.tile([1.0, 1.0, -1.0, -1.0], N)
-    bounds = np.hstack([cfg.u_max - U, cfg.u_max + U]).ravel()
+    when reversing is forbidden. Returns (rows, bounds), the rows read-only."""
+    bounds = np.concatenate([cfg.u_max - U, cfg.u_max + U], axis=1).ravel()
     if cfg.forbid_reverse:
-        rev = np.zeros((N, n))
-        rev[np.arange(N), v_col] = -1.0
-        rows, bounds = np.vstack([rows, rev]), np.concatenate([bounds, U[:, 0]])
-    return rows, bounds
+        bounds = np.concatenate([bounds, U[:, 0]])
+    return _bound_rows(len(U), n, first, cfg.forbid_reverse), bounds
+
+
+@functools.cache
+def _stacked_layout(N: int):
+    """`build_qp`'s layout, built once per N: the (row, column) index grids
+    of the per-step blocks (e(j+1) and u_b(j) rows/columns, broadcast to
+    (N, 3, 3) and (N, 3, 2) / (N, 2, 2)) and the dynamics rows' identity
+    blocks on e(1)..e(N), read-only."""
+    j = np.arange(N)
+    u0 = 3 * N + 2 * j  # column of v in u_b(j); omega follows
+    e_row = 3 * j[:, None, None] + np.arange(3)[None, :, None]
+    e_col = 3 * j[:, None, None] + np.arange(3)[None, None, :]
+    u_row = u0[:, None, None] + np.arange(2)[None, :, None]
+    u_col = u0[:, None, None] + np.arange(2)[None, None, :]
+    eye_rows = np.eye(3 * N, 5 * N)
+    eye_rows.flags.writeable = False
+    return e_row, e_col, u_row, u_col, eye_rows
 
 
 def condense_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
@@ -199,21 +220,15 @@ def build_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
     dynamics steps; inequalities are 4N two-sided input bounds
     (-u_max - u_ref <= u_b <= u_max - u_ref), optional no-reverse rows, then
     the avoidance rows in the order given. Model/reference/schedule indices
-    clamp at the trajectory end (setpoint hold).
+    clamp at the trajectory end (setpoint hold). The layout and bound rows
+    are cached per (N, forbid_reverse); the avoidance rows take one scatter.
     """
     N = cfg.N
     n = 5 * N
     e0 = np.asarray(e0, dtype=float).reshape(3)
     steps = ref.clamp(np.arange(k, k + N))
     A = A[steps]
-    j = np.arange(N)
-    u0 = 3 * N + 2 * j  # column of v in u_b(j); omega follows
-    # (row, column) index grids of the per-step blocks: e(j+1) rows/columns and
-    # u_b(j) columns, broadcast to (N, 3, 3) and (N, 3, 2) / (N, 2, 2)
-    e_row = 3 * j[:, None, None] + np.arange(3)[None, :, None]
-    e_col = 3 * j[:, None, None] + np.arange(3)[None, None, :]
-    u_row = u0[:, None, None] + np.arange(2)[None, :, None]
-    u_col = u0[:, None, None] + np.arange(2)[None, None, :]
+    e_row, e_col, u_row, u_col, eye_rows = _stacked_layout(N)
 
     H = np.zeros((n, n))
     H[e_row[:-1], e_col[:-1]] = costs.Q
@@ -222,30 +237,30 @@ def build_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
     H[u_row, u_col] = costs.R
     g = np.zeros(n)
 
-    A_eq = np.zeros((3 * N, n))
-    A_eq[e_row, e_col] = np.eye(3)
+    A_eq = eye_rows.copy()
     A_eq[e_row[1:], e_col[:-1]] = -A[1:]
     A_eq[e_row, u_col] = -B
     b_eq = np.zeros(3 * N)
     b_eq[:3] = A[0] @ e0
 
-    A_in, b_in = _input_rows(ref.inputs[steps], cfg, n, 3 * N)
-    rows = []
-    rhs = []
-    for dr in extra_rows:
-        row = np.zeros(n)
+    bound_rows, bounds = _input_rows(ref.inputs[steps], cfg, n, 3 * N)
+    m0 = len(bounds)
+    A_in = np.zeros((m0 + len(extra_rows), n))
+    A_in[:m0] = bound_rows
+    b_in = np.concatenate([bounds, [dr.rhs for dr in extra_rows]])
+    pairs = []  # (row, first column, two coefficients)
+    for i, dr in enumerate(extra_rows, start=m0):
         if dr.e_coeff is not None:
             if not 1 <= dr.step <= N:
                 raise ValueError("error-space row step must lie in 1..N")
-            row[3 * (dr.step - 1): 3 * (dr.step - 1) + 2] = dr.e_coeff
+            pairs.append((i, 3 * (dr.step - 1), dr.e_coeff))
         if dr.u_coeff is not None:
             if not 0 <= dr.step <= N - 1:
                 raise ValueError("input-space row step must lie in 0..N-1")
-            row[3 * N + 2 * dr.step: 3 * N + 2 * dr.step + 2] = dr.u_coeff
-        rows.append(row)
-        rhs.append(dr.rhs)
-    if rows:
-        A_in, b_in = np.vstack([A_in, rows]), np.concatenate([b_in, rhs])
+            pairs.append((i, 3 * N + 2 * dr.step, dr.u_coeff))
+    if pairs:
+        at, col, coeff = zip(*pairs)
+        A_in[np.array(at)[:, None], np.array(col)[:, None] + [0, 1]] = coeff
     return QpProblem(H=H, g=g, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in)
 
 
@@ -352,10 +367,10 @@ class MpcController:
         """Equality-feasible start: predicted errors under u_b = 0."""
         N = self.cfg.N
         x = np.zeros(5 * N)
+        E = x[:3 * N].reshape(N, 3)
         e = e0
         for j, A_j in enumerate(self.A[self.ref.clamp(np.arange(k, k + N))]):
-            e = A_j @ e
-            x[3 * j: 3 * j + 3] = e
+            e = E[j] = A_j @ e
         return x
 
     # -- main steps -----------------------------------------------------------
@@ -408,7 +423,9 @@ class MpcController:
         u_b0 = u_plan[:2].copy()
         if sol.status == "infeasible":
             u_b0 = np.zeros(2)  # hold the feed-forward; the simulator will halt
-        predicted = np.vstack([e0_arr, e_plan.reshape(N, 3)])
+        predicted = np.empty((N + 1, 3))
+        predicted[0] = e0_arr
+        predicted[1:] = e_plan.reshape(N, 3)
         n_active = 0
         if extra and sol.mu_in.size >= len(extra):
             n_active = int(np.sum(sol.mu_in[-len(extra):] > 1e-8))

@@ -86,6 +86,107 @@ def qp_brute_force(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, tol=1e-8):
     return best
 
 
+def arc_step(z, u, T):
+    """One exact unicycle step on (x, y, theta) written out as the library's
+    step_discrete was before its float kernel, wrapping with numpy's mod:
+    the chain `roll_reference` and `step_discrete` must match bit for bit."""
+    x, y, th = z
+    v, w = u
+    if abs(w) < 1e-6:
+        x = x + T * v * math.cos(th) - 0.5 * v * T * T * w * math.sin(th)
+        y = y + T * v * math.sin(th) + 0.5 * v * T * T * w * math.cos(th)
+    else:
+        x = x + (v / w) * (math.sin(th + T * w) - math.sin(th))
+        y = y + (v / w) * (math.cos(th) - math.cos(th + T * w))
+    return x, y, float(np.mod(th + T * w - math.pi, -2.0 * math.pi) + math.pi)
+
+
+def solve_kkt_fresh(H, grad, A_act, r_act):
+    """Equality-constrained step with a freshly assembled KKT matrix per
+    solve: the active-set loop's step before its one-buffer form."""
+    n = H.shape[0]
+    na = A_act.shape[0]
+    if na == 0:
+        try:
+            return np.linalg.solve(H, -grad), np.zeros(0)
+        except np.linalg.LinAlgError:
+            return np.linalg.lstsq(H, -grad, rcond=None)[0], np.zeros(0)
+    KKT = np.zeros((n + na, n + na))
+    KKT[:n, :n] = H
+    KKT[:n, n:] = A_act.T
+    KKT[n:, :n] = A_act
+    rhs = np.concatenate([-grad, r_act])
+    try:
+        sol = np.linalg.solve(KKT, rhs)
+    except np.linalg.LinAlgError:
+        sol = np.linalg.lstsq(KKT, rhs, rcond=None)[0]
+    if not np.all(np.isfinite(sol)):
+        sol = np.linalg.lstsq(KKT, rhs, rcond=None)[0]
+    return sol[:n], sol[n:]
+
+
+class FreshKktSolver(QpSolver):
+    """QpSolver whose active-set loop stacks [A_eq; A_in[work]] anew, builds
+    a fresh KKT matrix (`solve_kkt_fresh`) and a fresh free-row mask on every
+    iteration: the loop before its one-buffer form, which
+    `QpSolver._active_set_loop` must match bit for bit. `kkt_rows` records
+    the active-row count of every factorization, phase-1 passes included."""
+
+    def __init__(self, max_iter: int = 500):
+        super().__init__(max_iter)
+        self.kkt_rows = []
+
+    def _active_set_loop(self, H, g, A_eq, b_eq, A_in, b_in, x, max_iter):
+        m_e, m_i = A_eq.shape[0], A_in.shape[0]
+        work = []
+        lam = np.zeros(m_e)
+        mu = np.zeros(m_i)
+        for _ in range(max_iter):
+            grad = H @ x + g
+            if work:
+                A_act = np.vstack([A_eq, A_in[work]]) if m_e else A_in[work]
+                b_act = np.concatenate([b_eq, b_in[work]]) if m_e else b_in[work]
+            else:
+                A_act, b_act = A_eq, b_eq
+            r_act = b_act - A_act @ x if A_act.shape[0] else np.zeros(0)
+            self.kkt_rows.append(A_act.shape[0])
+            p_step, mults = solve_kkt_fresh(H, grad, A_act, r_act)
+
+            if np.max(np.abs(p_step), initial=0.0) > 1e-11 * (1.0 + np.max(np.abs(x))):
+                alpha = 1.0
+                block = -1
+                if m_i:
+                    mask = np.ones(m_i, dtype=bool)
+                    mask[work] = False
+                    rows = np.where(mask)[0]
+                    if rows.size:
+                        Ap = A_in[rows] @ p_step
+                        pos = Ap > 1e-13
+                        if np.any(pos):
+                            ratios = (b_in[rows[pos]] - A_in[rows[pos]] @ x) / Ap[pos]
+                            ratios = np.maximum(ratios, 0.0)
+                            j = int(np.argmin(ratios))
+                            if ratios[j] < alpha:
+                                alpha = float(ratios[j])
+                                block = int(rows[pos][j])
+                if block >= 0:
+                    x = x + alpha * p_step
+                    work.append(block)
+                    work.sort()
+                    continue
+                x = x + p_step
+
+            lam = mults[:m_e]
+            mu_w = mults[m_e:]
+            if mu_w.size == 0 or np.min(mu_w) >= -1e-9:
+                mu = np.zeros(m_i)
+                for idx, w in enumerate(work):
+                    mu[w] = max(mu_w[idx], 0.0)
+                return x, lam, mu, "optimal"
+            work.pop(int(np.argmin(mu_w)))
+        return x, lam, mu, "max_iter"
+
+
 def linearize_step(v_r, w_r, T):
     """Error matrices (A, B) of one reference input, entry by entry: the
     per-step formula the vectorized `dynamics.linearize` must match bit for

@@ -14,8 +14,8 @@ from ltvmpc.dynamics import (RobotState, derive_reference, input_matrix, lineari
                              roll_reference, step_discrete, to_error_frame, wrap_angle)
 from ltvmpc.sim import TrajectorySpec, build_controller, build_reference
 
-from oracles import (central_jacobian, controllability_rank, error_field, euler_richardson,
-                     from_error_frame, linearize_step, step_continuous)
+from oracles import (arc_step, central_jacobian, controllability_rank, error_field,
+                     euler_richardson, from_error_frame, linearize_step, step_continuous)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -117,6 +117,23 @@ def test_rolled_reference_is_flowed_by_its_own_feedforward():
         z = step_discrete(z, ref.inputs[k], 0.05)
         assert np.max(np.abs(z.as_array() - ref.poses[k + 1])) <= 1e-12
     assert np.array_equal(ref.inputs, derive_reference(curve, 0.05).inputs)
+
+
+@pytest.mark.parametrize("kind", ["sinusoid", "line", "circle"])
+def test_rolled_reference_equals_the_step_chain_bit_for_bit(kind):
+    # The float loop of roll_reference against the chain of step_discrete
+    # calls and against the arc step written out with numpy's mod, over the
+    # 651 points of an N = 50 tracking run; the circle's heading wraps at pi.
+    ref = build_reference(TrajectorySpec(kind), 651)
+    z = RobotState(*ref.poses[0])
+    chain, written = [ref.poses[0]], [tuple(ref.poses[0])]
+    for u in ref.inputs[:-1]:
+        z = step_discrete(z, u, ref.T)
+        chain.append(z.as_array())
+        written.append(arc_step(written[-1], u, ref.T))
+    assert np.array_equal(ref.poses, np.array(chain))
+    assert np.array_equal(ref.poses, np.array(written))
+    assert kind != "circle" or np.any(np.abs(np.diff(ref.poses[:, 2])) > math.pi)
 
 
 def test_error_frame_known_points():

@@ -19,9 +19,10 @@ from ltvmpc.mpc import (MAP_BLOCK, MpcConfig, MpcController, _with_shared_slack,
                         condense_qp, horizon_maps, stage_cost_value, terminal_cost_value)
 from ltvmpc.qp import QpSolution, QpSolver, kkt_residuals
 from ltvmpc.riccati import CostMatrices, backward_riccati
-from ltvmpc.sim import TrajectorySpec, build_controller, build_reference, run_scenario
+from ltvmpc.sim import (TrajectorySpec, build_controller, build_reference, closed_loop,
+                        run_scenario)
 
-from oracles import adjoint_multipliers, build_qp_loops, solve_qp
+from oracles import FreshKktSolver, adjoint_multipliers, build_qp_loops, solve_qp
 
 COSTS = CostMatrices(np.diag([1.0, 1.0, 0.5]), np.diag([0.1, 0.05]))
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -95,6 +96,40 @@ def test_assembly_is_bit_identical_to_loop_oracle(N):
                     a, b = getattr(got, name), getattr(want, name)
                     assert a.shape == b.shape, (name, k, forbid, len(extra))
                     assert np.array_equal(a, b), (name, k, forbid, len(extra))
+                    a[...] = np.nan  # a problem owns its arrays; the cached layout stays
+
+
+@pytest.mark.parametrize("config", ["avoid_intersection.yaml", "avoid_static_hyperplane_90.yaml"])
+def test_stacked_steps_solve_bit_identically_to_fresh_kkt_loop(config, monkeypatch):
+    # The stacked QPs of a scene's first steps, phase-1 starts and the
+    # slack fallback included, re-solved by the solver and by the loop that
+    # assembles a fresh KKT matrix per iteration: same floats, same KKT calls.
+    scn = load_config(CONFIGS / config).scenario
+    ctl, agents = build_controller(scn)
+    captured = []
+    solve = ctl.solver.solve
+    ctl.solver.solve = lambda p, x0=None: captured.append((p, x0)) or solve(p, x0)
+    for k, *_ in closed_loop(scn, ctl, agents):
+        if k == 2:
+            break
+    calls = []
+    solve_kkt = qp._solve_kkt
+    monkeypatch.setattr(qp, "_solve_kkt",
+                        lambda *args: calls.append(args[2].shape[0]) or solve_kkt(*args))
+    phase1 = slacked = 0
+    for p, x0 in captured:
+        calls.clear()
+        got = QpSolver(max_iter=800).solve(p, x0)
+        ref = FreshKktSolver(max_iter=800)
+        want = ref.solve(p, x0)
+        assert got.status == want.status
+        for name in ("x", "lambda_eq", "mu_in"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert calls == ref.kkt_rows
+        phase1 += x0 is not None and bool((p.A_in @ x0 - p.b_in).max() > qp.FEAS_TOL)
+        slacked += p.n == 5 * scn.mpc.N + 1
+    assert phase1 >= 2
+    assert slacked == (3 if "hyperplane_90" in config else 0)
 
 
 def test_shared_slack_wrapping():

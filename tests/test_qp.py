@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ltvmpc import qp
 from ltvmpc.qp import QpProblem, QpSolver, kkt_residuals
 
-from oracles import (dump_problem, load_problem, qp_brute_force, solve_qp,
+from oracles import (FreshKktSolver, dump_problem, load_problem, qp_brute_force, solve_qp,
                      stationarity_multipliers)
 
 
@@ -246,6 +246,31 @@ def test_convexity_checked_once_per_shape(monkeypatch):
     assert sorted(checked) == [(2, 1), (3, 1)]
 
 
+def test_nonconvex_problem_of_a_checked_shape_raises():
+    # Box rows |x| <= 1: solved as a convex QP, diag(1, -1) would stop at
+    # (-1, 1), while its minimum over the box lies at (-1, -1).
+    box = dict(A_in=np.vstack([np.eye(2), -np.eye(2)]), b_in=np.ones(4))
+    solver = QpSolver()
+    solver.solve(QpProblem(H=np.eye(2), g=np.ones(2), **box))
+    with pytest.raises(ValueError):
+        solver.solve(QpProblem(H=np.diag([1.0, -1.0]), g=np.ones(2), **box))
+
+
+def test_nearby_hessian_is_covered_by_the_checked_margin(monkeypatch):
+    checked = []
+    check = QpSolver._check_problem
+    monkeypatch.setattr(QpSolver, "_check_problem",
+                        lambda self, p: checked.append(p.n) or check(self, p))
+    A_eq = np.ones((1, 3))
+    solver = QpSolver()
+    for H in (np.eye(3), np.eye(3) * (1 + 1e-12), np.diag([1.0, 1.0, 3.0])):
+        solver.solve(QpProblem(H=H, g=np.ones(3), A_eq=A_eq, b_eq=[1.0]))
+    # the second H lies within the first check's margin, the third does not
+    assert checked == [3, 3]
+    solver.solve(QpProblem(H=np.eye(3), g=np.ones(3), A_eq=2 * A_eq, b_eq=[1.0]))
+    assert checked == [3, 3, 3]  # a new A_eq is checked again
+
+
 def test_nonconvex_problem_of_new_shape_still_raises():
     solver = QpSolver()
     solver.solve(QpProblem(H=np.eye(2), g=np.ones(2)))
@@ -296,3 +321,62 @@ def test_one_blocking_bound_takes_two_factorizations(monkeypatch):
     mu_ref = stationarity_multipliers(p.H, p.g, p.A_in[:1], x_ref)
     assert np.allclose(sol.mu_in, [mu_ref[0], 0.0], atol=1e-12)
     assert sol.mu_in[0] > 0.0
+
+
+def assert_same_loop_result(got, want):
+    assert got[3] == want[3]
+    for a, b in zip(got[:3], want[:3]):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_active_set_loop_is_bit_identical_to_fresh_kkt_loop(monkeypatch):
+    # Loops started at a feasible point with some rows active there and a
+    # gradient pushing across them: blocking steps, drops, equality rows and
+    # exhausted budgets must give the fresh-KKT loop's floats and KKT calls.
+    calls = counting_kkt(monkeypatch)
+    rng = np.random.default_rng(11)
+    seen = set()
+    for trial in range(300):
+        n = int(rng.integers(2, 7))
+        m_e = int(rng.integers(0, min(3, n)))
+        m_i = int(rng.integers(2, 11))
+        M = rng.normal(size=(n, n))
+        H = M @ M.T + 0.05 * np.eye(n)
+        x = rng.normal(size=n)
+        A_eq = rng.normal(size=(m_e, n))
+        A_in = rng.normal(size=(m_i, n))
+        b_in = A_in @ x + np.where(rng.random(m_i) < 0.3, 0.0, rng.uniform(0.0, 0.5, m_i))
+        g = 5.0 * rng.normal(size=n)
+        max_iter = 2 if trial % 10 == 0 else 500
+        calls.clear()
+        got = QpSolver()._active_set_loop(H, g, A_eq, A_eq @ x, A_in, b_in, x, max_iter)
+        ref = FreshKktSolver()
+        want = ref._active_set_loop(H, g, A_eq, A_eq @ x, A_in, b_in, x, max_iter)
+        assert_same_loop_result(got, want)
+        assert calls == ref.kkt_rows, trial
+        steps = np.diff(calls)
+        seen |= {"block"} if (steps > 0).any() else set()
+        seen |= {"drop"} if (steps < 0).any() else set()
+        seen |= {got[3]} | ({"equality"} if m_e else set())
+    assert seen == {"block", "drop", "equality", "optimal", "max_iter"}
+
+
+def test_solve_with_phase1_is_bit_identical_to_fresh_kkt_loop(monkeypatch):
+    calls = counting_kkt(monkeypatch)
+    seen = set()
+    kinds = ["interior", "degenerate", "duplicate", "contradictory"]
+    for seed in range(120):
+        p = inequality_problem(kinds[seed % 4], seed) if seed % 3 else \
+            random_problem(np.random.default_rng(seed))
+        calls.clear()
+        got = QpSolver().solve(p)
+        ref = FreshKktSolver()
+        want = ref.solve(p)
+        assert_same_loop_result((got.x, got.lambda_eq, got.mu_in, got.status),
+                                (want.x, want.lambda_eq, want.mu_in, want.status))
+        assert got.kkt_residual == want.kkt_residual
+        assert calls == ref.kkt_rows, seed
+        seen.add(got.status)
+        if p.A_in.shape[0] and (-p.b_in).max() > qp.FEAS_TOL:
+            seen.add("phase-1")
+    assert seen == {"optimal", "infeasible", "phase-1"}
