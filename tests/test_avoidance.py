@@ -80,6 +80,10 @@ def test_position_rows_match_world_halfplane(rng):
     assert [r.step for r in rows] == list(range(1, 9))
     for row in rows:
         pose = ref.poses[5 + row.step]
+        # bit for bit the per-pose products: the error rotation times n, and n . p
+        c, s = math.cos(pose[2]), math.sin(pose[2])
+        assert np.array_equal(row.e_coeff, -(np.array([[c, s], [-s, c]]) @ hp.n))
+        assert row.rhs == hp.a - float(hp.n @ pose[:2])
         for _ in range(10):
             e_pos = rng.uniform(-1, 1, size=2)
             z = from_error_frame(ErrorState(e_pos[0], e_pos[1], 0.0), pose)
