@@ -3,11 +3,13 @@
     python scripts/compare_outputs.py OLD NEW
 
 Runs the shipped command set (`run` on tracking and the five avoidance
-scenes, `compare-lqr`, `terminal-set` and the three sweeps) once in each
-checkout, from that checkout's own `src/` and `configs/`, and byte-compares
-every file written, manifests excepted (they hold a timestamp and the output
-path). Prints each difference and exits 1 if there is any, else 0. BLAS runs
-on one thread unless OPENBLAS_NUM_THREADS is set. Standard library only.
+scenes, then `dump-figures` in the same directory for the three
+velocity-space scenes, `compare-lqr`, `terminal-set` and the three sweeps)
+once in each checkout, from that checkout's own `src/` and `configs/`, and
+byte-compares every file written, manifests excepted (they hold a timestamp
+and the output path). Prints each difference and exits 1 if there is any,
+else 0. BLAS runs on one thread unless OPENBLAS_NUM_THREADS is set. Standard
+library only.
 """
 
 import filecmp
@@ -17,11 +19,15 @@ import sys
 import tempfile
 from pathlib import Path
 
-COMMANDS = [("run", c) for c in ("tracking", "avoid_face_to_face", "avoid_intersection",
-                                 "avoid_static_hyperplane", "avoid_static_hyperplane_90",
-                                 "avoid_static_velocity")] + [
-    ("compare-lqr", "lqr_comparison"), ("terminal-set", "terminal_set"),
-    ("sweep", "beta_sweep"), ("sweep", "horizon_sweep"), ("sweep", "horizon_sweep_no_terminal")]
+VELOCITY_SCENES = ("avoid_face_to_face", "avoid_intersection", "avoid_static_velocity")
+# (commands run in order into one output directory, config)
+COMMANDS = [(("run", "dump-figures") if c in VELOCITY_SCENES else ("run",), c)
+            for c in ("tracking", "avoid_face_to_face", "avoid_intersection",
+                      "avoid_static_hyperplane", "avoid_static_hyperplane_90",
+                      "avoid_static_velocity")] + [
+    (("compare-lqr",), "lqr_comparison"), (("terminal-set",), "terminal_set"),
+    (("sweep",), "beta_sweep"), (("sweep",), "horizon_sweep"),
+    (("sweep",), "horizon_sweep_no_terminal")]
 
 
 def start(checkout: Path, command: str, config: str, out: Path):
@@ -36,19 +42,21 @@ def start(checkout: Path, command: str, config: str, out: Path):
 def main(old: str, new: str) -> int:
     diffs = []
     with tempfile.TemporaryDirectory() as tmp:
-        for command, config in COMMANDS:
+        for commands, config in COMMANDS:
             outs = [Path(tmp) / side / config for side in ("old", "new")]
-            procs = [start(Path(c).resolve(), command, config, o) for c, o in zip((old, new), outs)]
-            codes = [p.wait() for p in procs]
-            if codes[0] != codes[1]:
-                diffs.append(f"{command} {config}: exit codes {codes[0]} != {codes[1]}")
-            names = sorted({f.relative_to(o) for o in outs for f in o.rglob("*") if f.is_file()}
-                           - {Path("manifest.json")})
-            for name in names:
-                a, b = (o / name for o in outs)
-                if not (a.exists() and b.exists() and filecmp.cmp(a, b, shallow=False)):
-                    diffs.append(f"{command} {config}: {name} differs")
-            print(f"{command} {config}: {len(names)} files compared", flush=True)
+            for command in commands:  # compared after each, as a later one may rewrite files
+                procs = [start(Path(c).resolve(), command, config, o)
+                         for c, o in zip((old, new), outs)]
+                codes = [p.wait() for p in procs]
+                if codes[0] != codes[1]:
+                    diffs.append(f"{command} {config}: exit codes {codes[0]} != {codes[1]}")
+                names = sorted({f.relative_to(o) for o in outs for f in o.rglob("*")
+                                if f.is_file()} - {Path("manifest.json")})
+                for name in names:
+                    a, b = (o / name for o in outs)
+                    if not (a.exists() and b.exists() and filecmp.cmp(a, b, shallow=False)):
+                        diffs.append(f"{command} {config}: {name} differs")
+                print(f"{command} {config}: {len(names)} files compared", flush=True)
     print("\n".join(diffs) if diffs else "all outputs byte-identical")
     return 1 if diffs else 0
 

@@ -14,14 +14,17 @@ Two constructions, both yielding rows that drop straight into the QP:
    velocity least. The induced constraint on speed/turn-rate deviations is
    the first-order expansion of the signed margin at the reference input.
 
-Both emit DecisionRow entries tied to a horizon step; the MPC maps them onto
-its stacked decision vector.
+Both emit one float block of shape (N, 3) per obstacle: row j holds
+(c1, c2, rhs) of the row c . x <= rhs over one variable pair of horizon step
+j, the position part of e(j+1) for the half-planes and u_b(j) for the
+velocity rows. The MPC places the pairs in its stacked decision vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,56 +46,22 @@ class Obstacle:
             raise ValueError("radius must be >= 0")
 
 
-@dataclass(frozen=True)
-class HalfPlane:
+class HalfPlane(NamedTuple):
     """Constraint n . x (sense) a with unit normal n; sense is 'le' or 'ge'."""
 
     n: np.ndarray
     a: float
     sense: str = "le"
 
-    def __post_init__(self):
-        n = np.asarray(self.n, dtype=float).reshape(2)
-        if not math.isclose(float(n @ n), 1.0, rel_tol=0, abs_tol=1e-9):
-            raise ValueError("normal must be unit length")
-        if self.sense not in ("le", "ge"):
-            raise ValueError("sense must be 'le' or 'ge'")
-        object.__setattr__(self, "n", n)
 
-
-@dataclass(frozen=True)
-class VoCone:
-    """Velocity-obstacle cone: apex at the obstacle velocity, axis toward the
-    obstacle, half-angle from the combined radius, horizon tau."""
+class VoCone(NamedTuple):
+    """Velocity-obstacle cone: apex at the obstacle velocity, unit axis toward
+    the obstacle, half-angle from the combined radius, horizon tau."""
 
     apex: np.ndarray
     axis: np.ndarray
     half_angle: float
     tau: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "apex", np.asarray(self.apex, dtype=float).reshape(2))
-        axis = np.asarray(self.axis, dtype=float).reshape(2)
-        nrm = float(np.linalg.norm(axis))
-        if nrm == 0:
-            raise ValueError("axis must be nonzero")
-        object.__setattr__(self, "axis", axis / nrm)
-        if not 0 < self.half_angle < math.pi / 2:
-            raise ValueError("half angle must lie in (0, pi/2)")
-
-
-@dataclass(frozen=True)
-class DecisionRow:
-    """One <= row over the MPC decision vector, tied to horizon step `step`.
-
-    e_coeff acts on the position part of the predicted error at that step,
-    u_coeff on the input deviation (e_u, e_omega); unused slot is None.
-    """
-
-    step: int
-    rhs: float
-    e_coeff: np.ndarray = None
-    u_coeff: np.ndarray = None
 
 
 def _rot(phi: float) -> np.ndarray:
@@ -112,9 +81,9 @@ def state_space_halfplane(p_robot, obstacle: Obstacle, theta_s: float, r_safe: f
     +/- theta_s. The sign follows the side of the obstacle relative to the
     reference direction (cross product), held by hysteresis within
     HYSTERESIS_RAD of the switching boundaries; pass the previously used side
-    as prev_side (0 when none). Returns (halfplane, side, inside) where
-    inside flags a robot already within r_safe of the center (the plane is
-    still emitted and points away from the obstacle).
+    as prev_side (0 when none). Returns (halfplane, side); a robot already
+    within r_safe of the center still gets a plane pointing away from the
+    obstacle.
     """
     p_robot = np.asarray(p_robot, dtype=float).reshape(2)
     d = obstacle.position - p_robot
@@ -133,8 +102,7 @@ def state_space_halfplane(p_robot, obstacle: Obstacle, theta_s: float, r_safe: f
         side = 1 if ang >= 0.0 else -1
     n = _rot(side * theta_s) @ d_hat
     a = float(n @ obstacle.position) - r_safe
-    inside = dist <= r_safe
-    return HalfPlane(n, a, "le"), side, inside
+    return HalfPlane(n, a, "le"), side
 
 
 def position_rows(hp: HalfPlane, ref, k: int, N: int):
@@ -144,7 +112,8 @@ def position_rows(hp: HalfPlane, ref, k: int, N: int):
     with theta taken as the reference heading, so n . p <= a becomes
     -(R(theta_ref) n) . e_pos <= a - n . p_ref, with R(theta) the
     world-to-robot rotation [[c, s], [-s, c]] of the error definition. ref is
-    the dynamics.Reference; its step indices clamp at the end.
+    the dynamics.Reference; its step indices clamp at the end. Returns the
+    (N, 3) block: row j - 1 holds the row of e(j)'s position pair.
 
     Both products run per pose, as stacks of 2 x 2 and 1 x 2 matrices: a
     single (N, 2) product would sum each row's two terms differently.
@@ -152,10 +121,10 @@ def position_rows(hp: HalfPlane, ref, k: int, N: int):
     poses = ref.poses[ref.clamp(np.arange(k + 1, k + N + 1))]
     R = np.array([[[c, s], [-s, c]] for c, s in
                   ((math.cos(th), math.sin(th)) for th in poses[:, 2].tolist())])
-    W = -(R @ hp.n)
-    n_dot_p = (poses[:, None, :2] @ hp.n)[:, 0].tolist()
-    return [DecisionRow(step=j, rhs=hp.a - d, e_coeff=W[j - 1])
-            for j, d in enumerate(n_dot_p, start=1)]
+    rows = np.empty((N, 3))
+    rows[:, :2] = -(R @ hp.n)
+    rows[:, 2] = hp.a - (poses[:, None, :2] @ hp.n)[:, 0]
+    return rows
 
 
 # -- method 2: velocity obstacles ----------------------------------------------
@@ -167,7 +136,9 @@ def velocity_obstacle(p_robot, r_robot: float, obstacle: Obstacle, tau: float) -
     Built from the disc union D((p_j - p_i)/t + v_j, (r_i + r_j)/t) over
     t in (0, tau]; its convex hull is the cone with apex v_j, axis toward the
     obstacle, half-angle asin((r_i + r_j)/dist). Raises ValueError when the
-    discs already overlap (dist <= r_i + r_j).
+    discs already overlap (dist <= r_i + r_j). The axis d / dist is divided
+    by its own norm once more, which moves its last bits in about a third of
+    directions; the shipped outputs depend on those bits.
     """
     p_robot = np.asarray(p_robot, dtype=float).reshape(2)
     d = obstacle.position - p_robot
@@ -177,7 +148,9 @@ def velocity_obstacle(p_robot, r_robot: float, obstacle: Obstacle, tau: float) -
         raise ValueError("already in collision: center distance <= combined radius")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    return VoCone(apex=obstacle.velocity, axis=d / dist, half_angle=math.asin(r_sum / dist), tau=tau)
+    axis = d / dist
+    return VoCone(obstacle.velocity, axis / float(np.linalg.norm(axis)),
+                  math.asin(r_sum / dist), tau)
 
 
 def tangent_halfplane(cone: VoCone, u_pref) -> HalfPlane:
@@ -213,7 +186,8 @@ def velocity_constraint_row(n, a: float, theta: float, u_r: float, w_r: float, d
 
 
 def velocity_rows(hp: HalfPlane, ref, k: int, N: int, e3_path, dt: float):
-    """Linearized velocity rows for horizon steps 0..N-1.
+    """Linearized velocity rows for horizon steps 0..N-1, as the (N, 3)
+    block whose row j holds the row of u_b(j).
 
     The heading estimate at step j is the reference heading at k+j shifted by
     the matching entry of e3_path (a scalar applies one shift everywhere).
@@ -233,22 +207,21 @@ def velocity_rows(hp: HalfPlane, ref, k: int, N: int, e3_path, dt: float):
     coefs = [velocity_constraint_row(n, hp.a, theta - e3, v_r, w_r, dt)
              for theta, (v_r, w_r), e3 in zip(ref.poses[steps, 2].tolist(),
                                               ref.inputs[steps].tolist(), e3_path)]
-    C = np.array(coefs)
-    return [DecisionRow(step=j, rhs=-const, u_coeff=C[j, :2])
-            for j, (_, _, const) in enumerate(coefs)]
+    rows = np.array(coefs)
+    rows[:, 2] = -rows[:, 2]
+    return rows
 
 
 # -- debug dump -----------------------------------------------------------------
 
 
 def velocity_debug_csv(cone: VoCone, hp: HalfPlane, rows) -> str:
-    """Velocity-space snapshot (cone, half-plane, per-step rows) as CSV."""
+    """Velocity-space snapshot (cone, half-plane, the (N, 3) row block) as CSV."""
     lines = ["record,field0,field1,field2,field3"]
     lines.append(f"cone_apex,{cone.apex[0]:.17g},{cone.apex[1]:.17g},,")
     lines.append(f"cone_axis,{cone.axis[0]:.17g},{cone.axis[1]:.17g},,")
     lines.append(f"cone_shape,{cone.half_angle:.17g},{cone.tau:.17g},,")
     lines.append(f"halfplane,{hp.n[0]:.17g},{hp.n[1]:.17g},{hp.a:.17g},{hp.sense}")
-    for r in rows:
-        cu, cw = (r.u_coeff if r.u_coeff is not None else (0.0, 0.0))
-        lines.append(f"row_step_{r.step},{cu:.17g},{cw:.17g},{r.rhs:.17g},")
+    lines += [f"row_step_{j},{cu:.17g},{cw:.17g},{rhs:.17g},"
+              for j, (cu, cw, rhs) in enumerate(rows.tolist())]
     return "\n".join(lines) + "\n"

@@ -67,19 +67,30 @@ def _from_dict(cls, d, where: str, sections=()):
 def _value(hint, value, path: str):
     """One config value by its type hint: a nested dataclass from a mapping, a
     tuple from a list (items converted to floats or dataclasses by the hint's
-    item type, else kept as written); anything else as written."""
+    item type, else kept as written); anything else as written. No float may
+    be NaN or infinite, except the entries of `terminal_set.e_max`, where
+    .inf leaves an error unbounded."""
     if dataclasses.is_dataclass(hint):
         return _from_dict(hint, value, path)
     if hint is not tuple and typing.get_origin(hint) is not tuple:
-        return value
+        return _finite(value, path)
     if not isinstance(value, list):
         raise ConfigError(f"'{path}' must be a list")
     item = (typing.get_args(hint) or (None,))[0]
     try:
-        return tuple(float(v) if item is float else _value(item, v, f"{path}[{i}]")
-                     for i, v in enumerate(value))
+        items = tuple(float(v) if item is float else _value(item, v, f"{path}[{i}]")
+                      for i, v in enumerate(value))
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{path}: {e}") from e
+    return items if path == "terminal_set.e_max" else _finite(items, path)
+
+
+def _finite(value, path: str):
+    """`value`, unless it is or lists a float that is NaN or infinite."""
+    items = value if isinstance(value, (list, tuple)) else [value]
+    if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+        raise ConfigError(f"'{path}' must be finite")
+    return value
 
 
 def _to_dict(obj):
@@ -261,10 +272,15 @@ def _cmd_dump_figures(args) -> int:
     paths = figures.write_run_bundle(log, out, scn.name)
     if (scn.mpc.avoidance == "velocity_space" and scn.controller == "mpc"
             and len(log.rows) and scn.obstacles):
-        p = out / f"{scn.name}_velocity_space.csv"
         k = int(log.rows.k[np.argmin(log.rows.min_dist)])  # closest approach
-        p.write_text(figures.velocity_space_csv(scn, k))
-        paths.append(p)
+        text = figures.velocity_space_csv(scn, k)
+        if text is None:
+            print(f"{scn.name}: no velocity-space constraint active at the closest approach"
+                  f" (step {k}); no velocity-space dump written", file=sys.stderr)
+        else:
+            p = out / f"{scn.name}_velocity_space.csv"
+            p.write_text(text)
+            paths.append(p)
     if not args.quiet:
         print("\n".join(str(p) for p in paths))
     return 0

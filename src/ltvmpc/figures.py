@@ -91,21 +91,19 @@ def terminal_set_csv(levels) -> str:
     return _table(tuple(header), rows)
 
 
-def velocity_space_csv(scn: Scenario, k: int) -> str:
+def velocity_space_csv(scn: Scenario, k: int) -> str | None:
     """Velocity-space dump (cone, tangent plane, per-step rows) at step k.
 
     The scenario's closed loop (`sim.closed_loop`, the one run_scenario
     consumes) runs from scratch and stops at step k, so the dump is the
-    controller's own `last_debug` there. Raises if no velocity rows were
-    built at that step.
+    controller's own `last_debug` there. None if no velocity rows were built
+    at that step (no obstacle within d_activate).
     """
     controller, agents = build_controller(scn)
     for j, *_ in closed_loop(scn, controller, agents):
         if j == k:
             break
-    if controller.last_debug is None:
-        raise ValueError(f"no velocity-space constraint active at step {k}")
-    return velocity_debug_csv(*controller.last_debug)
+    return None if controller.last_debug is None else velocity_debug_csv(*controller.last_debug)
 
 
 def write_run_bundle(log: SimLog, out_dir, stem: str = None):

@@ -17,9 +17,10 @@ condensed QP over the 2N inputs (`condense_qp`: the dynamics are eliminated,
 e = Phi e(0) + Gamma u_b). An avoidance controller solves the stacked QP over
 [e(1) ... e(N), u_b(0) ... u_b(N-1)] (`build_qp`, 5N entries, the dynamics
 as equality rows). Both go to the same active-set solver. Obstacle rows
-arrive as DecisionRow entries. If they make the QP infeasible, the solve is
-repeated once with a shared nonnegative slack on the avoidance rows only
-(quadratic penalty); input bounds and dynamics stay hard.
+arrive as (N, 3) blocks, one per obstacle (see `avoidance`). If they make
+the QP infeasible, the solve is repeated once with a shared nonnegative
+slack on the avoidance rows only (quadratic penalty); input bounds and
+dynamics stay hard.
 """
 
 from __future__ import annotations
@@ -212,16 +213,19 @@ def horizon_maps(ks, ref: Reference, A, B, schedule, costs: CostMatrices, cfg: M
 
 
 def build_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
-             cfg: MpcConfig, extra_rows=()) -> QpProblem:
+             cfg: MpcConfig, avoid=()) -> QpProblem:
     """Assemble the stacked tracking QP at timestep k from the model stack
     A (L, 3, 3), the constant input matrix B and the reference inputs.
 
     Layout: variables [e(1)..e(N), u_b(0)..u_b(N-1)]; equalities are the N
     dynamics steps; inequalities are 4N two-sided input bounds
     (-u_max - u_ref <= u_b <= u_max - u_ref), optional no-reverse rows, then
-    the avoidance rows in the order given. Model/reference/schedule indices
-    clamp at the trajectory end (setpoint hold). The layout and bound rows
-    are cached per (N, forbid_reverse); the avoidance rows take one scatter.
+    the avoidance rows: `avoid` stacks (N, 3) blocks whose row j holds
+    (c1, c2, rhs) over e(j+1)'s position pair under state-space avoidance,
+    over u_b(j) under velocity-space avoidance. Model/reference/schedule
+    indices clamp at the trajectory end (setpoint hold). The layout and bound
+    rows are cached per (N, forbid_reverse); the avoidance rows take one
+    scatter.
     """
     N = cfg.N
     n = 5 * N
@@ -244,23 +248,15 @@ def build_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
     b_eq[:3] = A[0] @ e0
 
     bound_rows, bounds = _input_rows(ref.inputs[steps], cfg, n, 3 * N)
+    avoid = np.asarray(avoid, dtype=float).reshape(-1, 3)
     m0 = len(bounds)
-    A_in = np.zeros((m0 + len(extra_rows), n))
+    A_in = np.zeros((m0 + len(avoid), n))
     A_in[:m0] = bound_rows
-    b_in = np.concatenate([bounds, [dr.rhs for dr in extra_rows]])
-    pairs = []  # (row, first column, two coefficients)
-    for i, dr in enumerate(extra_rows, start=m0):
-        if dr.e_coeff is not None:
-            if not 1 <= dr.step <= N:
-                raise ValueError("error-space row step must lie in 1..N")
-            pairs.append((i, 3 * (dr.step - 1), dr.e_coeff))
-        if dr.u_coeff is not None:
-            if not 0 <= dr.step <= N - 1:
-                raise ValueError("input-space row step must lie in 0..N-1")
-            pairs.append((i, 3 * N + 2 * dr.step, dr.u_coeff))
-    if pairs:
-        at, col, coeff = zip(*pairs)
-        A_in[np.array(at)[:, None], np.array(col)[:, None] + [0, 1]] = coeff
+    b_in = np.concatenate([bounds, avoid[:, 2]])
+    if len(avoid):
+        cols = e_col[:, 0, :2] if cfg.avoidance == "state_space" else u_col[:, 0]
+        j = np.arange(N)[:, None]
+        A_in[m0:].reshape(-1, N, n)[:, j, cols] = avoid[:, :2].reshape(-1, N, 2)
     return QpProblem(H=H, g=g, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in)
 
 
@@ -324,10 +320,10 @@ class MpcController:
 
     def _avoidance_rows(self, z, e0: ErrorState, k: int, obstacles):
         cfg = self.cfg
-        rows = []
+        blocks = []
         self.last_debug = None
         if cfg.avoidance == "off" or not obstacles:
-            return rows
+            return np.empty((0, 3))
         p_robot = np.array([z.x, z.y])
         i = self.ref.clamp(k)
         theta_ref, v_ref = self.ref.poses[i, 2], self.ref.inputs[i, 0]
@@ -336,13 +332,13 @@ class MpcController:
             if dist > cfg.d_activate:
                 continue
             if cfg.avoidance == "state_space":
-                hp, side, _inside = av.state_space_halfplane(
+                hp, side = av.state_space_halfplane(
                     p_robot, obs, math.radians(cfg.theta_s_deg), cfg.r_safe,
                     ref_heading=theta_ref,
                     prev_side=self._sides.get(idx, 0),
                 )
                 self._sides[idx] = side
-                rows.extend(av.position_rows(hp, self.ref, k, cfg.N))
+                blocks.append(av.position_rows(hp, self.ref, k, cfg.N))
             else:  # velocity_space
                 if dist <= cfg.robot_radius + obs.radius:
                     continue  # already overlapping; no cone exists, leave it to the log
@@ -351,9 +347,9 @@ class MpcController:
                 hp = av.tangent_halfplane(cone, u_pref)
                 vrows = av.velocity_rows(hp, self.ref, k, cfg.N,
                                          self._heading_error_path(e0, k), self.ref.T)
-                rows.extend(vrows)
+                blocks.append(vrows)
                 self.last_debug = (cone, hp, vrows)
-        return rows
+        return np.concatenate(blocks) if blocks else np.empty((0, 3))
 
     def _heading_error_path(self, e0: ErrorState, k: int) -> np.ndarray:
         """Per-step heading-error estimates: measured now, previous plan later."""
@@ -381,7 +377,7 @@ class MpcController:
         i = self.ref.clamp(k)
         e0 = to_error_frame(z, self.ref.poses[i])
         e0_arr = e0.as_array()
-        extra = self._avoidance_rows(z, e0, k, obstacles)
+        avoid = self._avoidance_rows(z, e0, k, obstacles)
 
         slack_used = 0.0
         if cfg.avoidance == "off":
@@ -408,10 +404,10 @@ class MpcController:
                 u_plan, e_plan = sol.x, free + Gamma @ sol.x
         else:
             problem = build_qp(e0_arr, k, self.ref, self.A, self.B, self.schedule,
-                               self.costs, cfg, extra)
+                               self.costs, cfg, avoid)
             sol = self.solver.solve(problem, x0=self._rollout_start(e0_arr, k))
-            if sol.status == "infeasible" and extra:
-                slacked = _with_shared_slack(problem, len(extra), cfg.slack_weight)
+            if sol.status == "infeasible" and len(avoid):
+                slacked = _with_shared_slack(problem, len(avoid), cfg.slack_weight)
                 ssol = self.solver.solve(slacked)
                 if ssol.status != "infeasible":
                     slack_used = float(ssol.x[-1])
@@ -427,8 +423,8 @@ class MpcController:
         predicted[0] = e0_arr
         predicted[1:] = e_plan.reshape(N, 3)
         n_active = 0
-        if extra and sol.mu_in.size >= len(extra):
-            n_active = int(np.sum(sol.mu_in[-len(extra):] > 1e-8))
+        if len(avoid) and sol.mu_in.size >= len(avoid):
+            n_active = int(np.sum(sol.mu_in[-len(avoid):] > 1e-8))
         P_k = self.schedule.P_at(k)
         if sol.status != "infeasible":
             self._plan_e3 = predicted[1:, 2].copy()

@@ -60,6 +60,8 @@ class TrajectorySpec:
             raise ValueError("trajectory kind must be sinusoid, line or circle")
         if self.T <= 0:
             raise ValueError("sampling period T must be positive")
+        if len(self.start) != 2 or len(self.center) != 2:
+            raise ValueError("start and center need 2 entries")
 
     def samples(self, n: int) -> np.ndarray:
         t = np.arange(n) * self.T
@@ -115,6 +117,10 @@ class ObstacleSpec:
             raise ValueError("unicycle obstacle needs a trajectory")
         if self.control not in ("open_loop", "mpc"):
             raise ValueError("obstacle control must be open_loop or mpc")
+        if self.radius < 0:
+            raise ValueError("radius must be >= 0")
+        if len(self.position) != 2 or len(self.velocity) != 2:
+            raise ValueError("position and velocity need 2 entries")
 
 
 @dataclass(frozen=True)
@@ -147,6 +153,9 @@ class Scenario:
             raise ValueError("reference_mode must be 'rolled' or 'analytic'")
         if len(self.Q_diag) != 3 or len(self.R_diag) != 2:
             raise ValueError("Q_diag needs 3 entries and R_diag needs 2")
+        if self.mpc.avoidance == "velocity_space" and any(
+                self.mpc.robot_radius + o.radius <= 0 for o in self.obstacles):
+            raise ValueError("velocity_space avoidance needs robot_radius + obstacle radius > 0")
         self.costs()  # Q PSD and R PD, checked here rather than at the first run
         n_points = self.duration + self.mpc.N + 1
         for spec in (self.trajectory,

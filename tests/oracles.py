@@ -203,7 +203,7 @@ def linearize_step(v_r, w_r, T):
     return A, B
 
 
-def build_qp_loops(e0, k: int, ref, A, B, schedule, costs, cfg, extra_rows=()):
+def build_qp_loops(e0, k: int, ref, A, B, schedule, costs, cfg, avoid=()):
     """Assemble the stacked tracking QP at timestep k, block by block and row
     by row in plain Python loops: the reference `mpc.build_qp` must match
     bit for bit.
@@ -211,8 +211,10 @@ def build_qp_loops(e0, k: int, ref, A, B, schedule, costs, cfg, extra_rows=()):
     Layout: variables [e(1)..e(N), u_b(0)..u_b(N-1)]; equalities are the N
     dynamics steps; inequalities are 4N two-sided input bounds
     (-u_max - u_ref <= u_b <= u_max - u_ref), optional no-reverse rows, then
-    the avoidance rows in the order given. Model/reference/schedule indices
-    clamp at the trajectory end (setpoint hold).
+    the avoidance rows in the order given: `avoid` stacks (N, 3) blocks, row
+    j of a block holding (c1, c2, rhs) over e(j+1)'s position pair under
+    state-space avoidance and over u_b(j) otherwise. Model/reference/schedule
+    indices clamp at the trajectory end (setpoint hold).
     """
     N = cfg.N
     n = 5 * N
@@ -270,18 +272,14 @@ def build_qp_loops(e0, k: int, ref, A, B, schedule, costs, cfg, extra_rows=()):
             rows.append(row)
             rhs.append(u_ref[0])
 
-    for dr in extra_rows:
+    for i, (c1, c2, b) in enumerate(avoid):
+        j = i % N
+        col = 3 * j if cfg.avoidance == "state_space" else 3 * N + 2 * j
         row = np.zeros(n)
-        if dr.e_coeff is not None:
-            if not 1 <= dr.step <= N:
-                raise ValueError("error-space row step must lie in 1..N")
-            row[3 * (dr.step - 1): 3 * (dr.step - 1) + 2] = dr.e_coeff
-        if dr.u_coeff is not None:
-            if not 0 <= dr.step <= N - 1:
-                raise ValueError("input-space row step must lie in 0..N-1")
-            row[3 * N + 2 * dr.step: 3 * N + 2 * dr.step + 2] = dr.u_coeff
+        row[col] = c1
+        row[col + 1] = c2
         rows.append(row)
-        rhs.append(dr.rhs)
+        rhs.append(b)
 
     return QpProblem(H=H, g=g, A_eq=A_eq, b_eq=b_eq,
                      A_in=np.array(rows), b_in=np.array(rhs))

@@ -26,13 +26,13 @@ def _rot(phi):
 
 
 def test_head_on_plane_points_at_obstacle():
-    hp, side, inside = state_space_halfplane(
+    hp, side = state_space_halfplane(
         (0.0, 0.0), Obstacle((2.0, 0.0), 0.3), theta_s=0.0, r_safe=0.5,
         ref_heading=0.0)
     assert np.allclose(hp.n, [1.0, 0.0])
     assert hp.a == pytest.approx(1.5)
     assert hp.sense == "le"
-    assert side == 1 and not inside
+    assert side == 1
     assert halfplane_satisfied(hp, (0.0, 0.0)) and not halfplane_satisfied(hp, (1.8, 0.0))
 
 
@@ -42,9 +42,9 @@ def test_mirrored_obstacle_mirrors_the_plane(rng):
         if abs(p_obs[1]) < 0.1 or np.linalg.norm(p_obs) < 0.2:
             continue
         theta_s = rng.uniform(0, math.radians(80))
-        hp_u, side_u, _ = state_space_halfplane(
+        hp_u, side_u = state_space_halfplane(
             (0, 0), Obstacle(p_obs, 0.3), theta_s, 0.4, ref_heading=0.0)
-        hp_d, side_d, _ = state_space_halfplane(
+        hp_d, side_d = state_space_halfplane(
             (0, 0), Obstacle(p_obs * [1, -1], 0.3), theta_s, 0.4, ref_heading=0.0)
         assert side_u == -side_d
         assert hp_u.n[0] == pytest.approx(hp_d.n[0], abs=1e-12)
@@ -54,22 +54,22 @@ def test_mirrored_obstacle_mirrors_the_plane(rng):
 
 def test_side_held_by_hysteresis_near_dead_ahead():
     obs = Obstacle((2.0, 0.01), 0.3)  # barely on the left of the reference ray
-    _, side_fresh, _ = state_space_halfplane((0, 0), obs, 0.3, 0.5, 0.0)
+    _, side_fresh = state_space_halfplane((0, 0), obs, 0.3, 0.5, 0.0)
     assert side_fresh == 1
-    _, side_held, _ = state_space_halfplane((0, 0), obs, 0.3, 0.5, 0.0,
-                                            prev_side=-1)
+    _, side_held = state_space_halfplane((0, 0), obs, 0.3, 0.5, 0.0,
+                                         prev_side=-1)
     assert side_held == -1
     # well off the boundary the fresh side wins regardless of history
     obs_left = Obstacle((2.0, 1.0), 0.3)
-    _, side, _ = state_space_halfplane((0, 0), obs_left, 0.3, 0.5, 0.0,
-                                       prev_side=-1)
+    _, side = state_space_halfplane((0, 0), obs_left, 0.3, 0.5, 0.0,
+                                    prev_side=-1)
     assert side == 1
 
 
-def test_inside_safety_disc_is_flagged():
-    hp, _, inside = state_space_halfplane((1.8, 0.0), Obstacle((2.0, 0.0), 0.3),
-                                          0.0, r_safe=0.5, ref_heading=0.0)
-    assert inside
+def test_plane_inside_safety_disc_points_away():
+    hp, _ = state_space_halfplane((1.8, 0.0), Obstacle((2.0, 0.0), 0.3),
+                                  0.0, r_safe=0.5, ref_heading=0.0)
+    assert not halfplane_satisfied(hp, (1.8, 0.0))  # the robot is past the plane
     assert halfplane_satisfied(hp, (1.4, 0.0))
 
 
@@ -77,20 +77,20 @@ def test_position_rows_match_world_halfplane(rng):
     ref = build_reference(TrajectorySpec("sinusoid"), 30)
     hp = HalfPlane(np.array([0.6, 0.8]), 1.2, "le")
     rows = position_rows(hp, ref, k=5, N=8)
-    assert [r.step for r in rows] == list(range(1, 9))
-    for row in rows:
-        pose = ref.poses[5 + row.step]
+    assert rows.shape == (8, 3)
+    for j, (c1, c2, rhs) in enumerate(rows, start=1):  # the row of e(j)
+        pose = ref.poses[5 + j]
         # bit for bit the per-pose products: the error rotation times n, and n . p
         c, s = math.cos(pose[2]), math.sin(pose[2])
-        assert np.array_equal(row.e_coeff, -(np.array([[c, s], [-s, c]]) @ hp.n))
-        assert row.rhs == hp.a - float(hp.n @ pose[:2])
+        assert np.array_equal([c1, c2], -(np.array([[c, s], [-s, c]]) @ hp.n))
+        assert rhs == hp.a - float(hp.n @ pose[:2])
         for _ in range(10):
             e_pos = rng.uniform(-1, 1, size=2)
             z = from_error_frame(ErrorState(e_pos[0], e_pos[1], 0.0), pose)
             lhs_world = hp.n @ np.array([z.x, z.y])
-            lhs_row = row.e_coeff @ e_pos
+            lhs_row = np.array([c1, c2]) @ e_pos
             # same number on both routes when the heading error is zero
-            assert lhs_world - hp.a == pytest.approx(lhs_row - row.rhs, abs=1e-12)
+            assert lhs_world - hp.a == pytest.approx(lhs_row - rhs, abs=1e-12)
 
 
 # -- velocity cones --------------------------------------------------------------
@@ -263,16 +263,14 @@ def test_velocity_rows_phase_and_path_validation():
     hp = HalfPlane(np.array([0.0, 1.0]), -0.3, "ge")
     scalar_rows = velocity_rows(hp, ref, k=2, N=6, e3_path=0.05, dt=0.05)
     vector_rows = velocity_rows(hp, ref, k=2, N=6, e3_path=np.full(6, 0.05), dt=0.05)
-    assert [r.step for r in scalar_rows] == list(range(6))
-    for rs, rv in zip(scalar_rows, vector_rows):
-        assert rs.rhs == rv.rhs
-        assert np.array_equal(rs.u_coeff, rv.u_coeff)
-    # each row equals the pointwise construction at the shifted heading
+    assert scalar_rows.shape == (6, 3)
+    assert np.array_equal(scalar_rows, vector_rows)
+    # row j (the row of u_b(j)) is bit for bit the pointwise construction at
+    # the shifted heading
     for j, row in enumerate(scalar_rows):
         (v_r, w_r), theta = ref.inputs[2 + j], ref.poses[2 + j, 2]
         cu, cw, const = velocity_constraint_row(hp.n, hp.a, theta - 0.05, v_r, w_r, 0.05)
-        assert np.allclose(row.u_coeff, [cu, cw])
-        assert row.rhs == pytest.approx(-const)
+        assert row.tolist() == [cu, cw, -const]
     with pytest.raises(ValueError):
         velocity_rows(hp, ref, 2, 6, e3_path=np.zeros(4), dt=0.05)
 

@@ -176,6 +176,21 @@ def test_exit_codes_for_bad_invocations(tmp_path, capsys):
     "trajectory: {kind: sinusoid}\nmpc: {robot_radius: -0.2}\n",
     "trajectory: {kind: sinusoid}\nmpc: {r_safe: -0.5}\n",
     "trajectory: {kind: sinusoid}\nmpc: {d_activate: -1}\n",
+    "trajectory: {kind: sinusoid}\nobstacles: [{kind: static, position: [3, 0], radius: -0.3}]\n",
+    "trajectory: {kind: sinusoid}\nobstacles: [{kind: static, position: [3], radius: 0.3}]\n",
+    "trajectory: {kind: sinusoid}\nobstacles: [{kind: linear, position: [3, 0, 0]}]\n",
+    "trajectory: {kind: sinusoid}\nobstacles: [{kind: linear, velocity: [0.1]}]\n",
+    "trajectory: {kind: sinusoid}\nobstacles: [{kind: linear, velocity: [0.1, 0, 0]}]\n",
+    "trajectory: {kind: line, start: [0.0]}\n",
+    "trajectory: {kind: circle, center: [0.0]}\n",
+    "trajectory: {kind: sinusoid}\nmpc: {avoidance: state_space, theta_s_deg: .nan}\n",
+    "trajectory: {kind: sinusoid}\nmpc: {beta: .inf}\n",
+    "trajectory: {kind: sinusoid}\nmpc: {u_max: [-.inf, 10]}\n",
+    "trajectory: {kind: sinusoid, amplitude: .nan}\n",
+    "trajectory: {kind: sinusoid}\nsweep: {param: N, values: [.inf]}\n",
+    "trajectory: {kind: sinusoid}\nterminal_set: {e_max: [1, 1, .nan]}\n",
+    "trajectory: {kind: sinusoid}\nmpc: {avoidance: velocity_space, robot_radius: 0}\n"
+    "obstacles: [{kind: static, position: [3, 0], radius: 0}]\n",
 ])
 def test_bad_scenario_values_exit_two(tmp_path, capsys, bad):
     head = "" if bad.startswith("name:") else "name: x\n"
@@ -183,6 +198,11 @@ def test_bad_scenario_values_exit_two(tmp_path, capsys, bad):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_terminal_set_e_max_may_be_unbounded():
+    assert parse_config(MINIMAL + "terminal_set: {e_max: [1, 1, .inf]}\n") \
+        .terminal_set.e_max == (1.0, 1.0, float("inf"))
 
 
 def test_dump_figures_requires_existing_log(tmp_path, capsys):
@@ -193,6 +213,23 @@ def test_dump_figures_requires_existing_log(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert main(["dump-figures", "--config", str(cfg), "--out", str(out),
                  "--quiet"]) == 0
+
+
+def test_dump_figures_skips_velocity_dump_without_active_rows(tmp_path, capsys):
+    # the obstacle never comes within d_activate, so no velocity rows exist
+    cfg = write_config(tmp_path, """
+name: far
+duration: 5
+trajectory: {kind: line}
+mpc: {avoidance: velocity_space}
+obstacles: [{kind: static, position: [3.0, 10.0], radius: 0.3}]
+""")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert main(["dump-figures", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert "no velocity-space dump written" in capsys.readouterr().err
+    assert not (out / "far_velocity_space.csv").exists()
+    assert (out / "far_trajectory.csv").exists()
 
 
 def test_halted_run_exits_one(tmp_path, capsys, monkeypatch):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ltvmpc import mpc, qp
-from ltvmpc.avoidance import DecisionRow, Obstacle
+from ltvmpc.avoidance import Obstacle
 from ltvmpc.cli import load_config
 from ltvmpc.dynamics import RobotState, input_matrix, linearize, step_discrete
 from ltvmpc.mpc import (MAP_BLOCK, MpcConfig, MpcController, _with_shared_slack, build_qp,
@@ -52,28 +52,26 @@ def test_forbid_reverse_adds_one_row_per_step():
 
 
 def test_extra_row_column_placement():
+    # row j of a block acts on e(j+1)'s position pair under state-space
+    # avoidance and on u_b(j) under velocity-space avoidance
     ref, models, B, schedule = make_setup()
     N = 5
-    cfg = MpcConfig(N=N)
-    e_row = DecisionRow(step=3, rhs=0.7, e_coeff=np.array([0.6, -0.8]))
-    u_row = DecisionRow(step=2, rhs=-0.1, u_coeff=np.array([1.5, 2.5]))
-    p = build_qp(np.zeros(3), 0, ref, models, B, schedule, COSTS, cfg,
-                 extra_rows=[e_row, u_row])
-    r_e = p.A_in[-2]
-    r_u = p.A_in[-1]
-    assert np.allclose(r_e[3 * 2: 3 * 2 + 2], [0.6, -0.8])
-    assert np.count_nonzero(r_e) == 2
-    assert p.b_in[-2] == 0.7
-    assert np.allclose(r_u[3 * N + 4: 3 * N + 6], [1.5, 2.5])
-    assert np.count_nonzero(r_u) == 2
-    assert p.b_in[-1] == -0.1
-
-    with pytest.raises(ValueError):
-        build_qp(np.zeros(3), 0, ref, models, B, schedule, COSTS, cfg,
-                 extra_rows=[DecisionRow(step=0, rhs=0.0, e_coeff=np.ones(2))])
-    with pytest.raises(ValueError):
-        build_qp(np.zeros(3), 0, ref, models, B, schedule, COSTS, cfg,
-                 extra_rows=[DecisionRow(step=N, rhs=0.0, u_coeff=np.ones(2))])
+    block = np.zeros((N, 3))
+    block[2] = (0.6, -0.8, 0.7)
+    block[4] = (1.5, 2.5, -0.1)
+    for mode, col in (("state_space", 3 * 2), ("velocity_space", 3 * N + 2 * 2)):
+        cfg = MpcConfig(N=N, avoidance=mode)
+        p = build_qp(np.zeros(3), 0, ref, models, B, schedule, COSTS, cfg, block)
+        assert p.A_in.shape[0] == 4 * N + N
+        rows, b = p.A_in[-N:], p.b_in[-N:]
+        assert np.array_equal(rows[2, col: col + 2], [0.6, -0.8])
+        assert np.count_nonzero(rows[2]) == 2
+        step4 = 3 * 4 if mode == "state_space" else 3 * N + 2 * 4
+        assert np.array_equal(rows[4, step4: step4 + 2], [1.5, 2.5])
+        assert np.count_nonzero(rows) == 4
+        assert np.array_equal(b, block[:, 2])
+    with pytest.raises(ValueError):  # rows come in whole blocks of N
+        build_qp(np.zeros(3), 0, ref, models, B, schedule, COSTS, cfg, block[:-1])
 
 
 @pytest.mark.parametrize("N", [1, 2, 10, 50])
@@ -81,22 +79,22 @@ def test_assembly_is_bit_identical_to_loop_oracle(N):
     ref, models, B, schedule = make_setup()
     rng = np.random.default_rng(N)
     e0 = rng.normal(size=3)
-    rows = [DecisionRow(step=N, rhs=0.3, e_coeff=np.array([0.6, -0.8])),
-            DecisionRow(step=1, rhs=-0.2, e_coeff=rng.normal(size=2)),
-            DecisionRow(step=N - 1, rhs=0.1, u_coeff=np.array([1.5, -2.5])),
-            DecisionRow(step=0, rhs=0.4, u_coeff=rng.normal(size=2))]
+    blocks = rng.normal(size=(2 * N, 3))  # two obstacles' blocks
     # k = len(ref) - 3 clamps models, references and the terminal weight
     for k in (0, 7, len(ref) - 3):
         for forbid in (False, True):
-            cfg = MpcConfig(N=N, forbid_reverse=forbid, u_max=np.array([0.9, 1.7]))
-            for extra in ((), rows):
-                got = build_qp(e0, k, ref, models, B, schedule, COSTS, cfg, extra)
-                want = build_qp_loops(e0, k, ref, models, B, schedule, COSTS, cfg, extra)
-                for name in ("H", "g", "A_eq", "b_eq", "A_in", "b_in"):
-                    a, b = getattr(got, name), getattr(want, name)
-                    assert a.shape == b.shape, (name, k, forbid, len(extra))
-                    assert np.array_equal(a, b), (name, k, forbid, len(extra))
-                    a[...] = np.nan  # a problem owns its arrays; the cached layout stays
+            for mode in ("state_space", "velocity_space"):
+                cfg = MpcConfig(N=N, forbid_reverse=forbid, u_max=np.array([0.9, 1.7]),
+                                avoidance=mode)
+                for avoid in ((), blocks[:N], blocks):
+                    got = build_qp(e0, k, ref, models, B, schedule, COSTS, cfg, avoid)
+                    want = build_qp_loops(e0, k, ref, models, B, schedule, COSTS, cfg, avoid)
+                    case = (k, forbid, mode, len(avoid))
+                    for name in ("H", "g", "A_eq", "b_eq", "A_in", "b_in"):
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert a.shape == b.shape, (name, *case)
+                        assert np.array_equal(a, b), (name, *case)
+                        a[...] = np.nan  # a problem owns its arrays; the cached layout stays
 
 
 @pytest.mark.parametrize("config", ["avoid_intersection.yaml", "avoid_static_hyperplane_90.yaml"])
@@ -134,9 +132,9 @@ def test_stacked_steps_solve_bit_identically_to_fresh_kkt_loop(config, monkeypat
 
 def test_shared_slack_wrapping():
     ref, models, B, schedule = make_setup()
-    cfg = MpcConfig(N=4)
-    rows = [DecisionRow(step=1, rhs=0.2, e_coeff=np.array([1.0, 0.0])),
-            DecisionRow(step=0, rhs=0.1, u_coeff=np.array([0.0, 1.0]))]
+    N = 4
+    cfg = MpcConfig(N=N, avoidance="state_space")
+    rows = np.tile([1.0, 0.0, 0.2], (2 * N, 1))  # two obstacles' blocks
     p = build_qp(np.zeros(3), 0, ref, models, B, schedule, COSTS, cfg, rows)
     q = _with_shared_slack(p, len(rows), weight=1e4)
     assert q.n == p.n + 1
@@ -144,8 +142,8 @@ def test_shared_slack_wrapping():
     assert q.A_in.shape[0] == p.A_in.shape[0] + 1
     # only the avoidance rows and the nonnegativity row touch the slack column
     slack_col = q.A_in[:, -1]
-    assert np.allclose(slack_col[: -3], 0.0)
-    assert np.allclose(slack_col[-3:], [-1.0, -1.0, -1.0])
+    assert np.array_equal(slack_col[: -2 * N - 1], np.zeros(4 * N))
+    assert np.array_equal(slack_col[-2 * N - 1:], np.full(2 * N + 1, -1.0))
     assert q.b_in[-1] == 0.0
     assert np.allclose(q.A_eq[:, -1], 0.0)
 
