@@ -82,13 +82,10 @@ def lqr_compare_csv(log_mpc: SimLog, log_lqr: SimLog) -> str:
 
 def terminal_set_csv(levels) -> str:
     """Level schedule rows (i, c, 8 vertices) from compute_c_schedule output."""
-    header = ["i", "c"]
-    for j in range(8):
-        header += [f"v{j}_e1", f"v{j}_e2", f"v{j}_e3"]
-    rows = []
-    for i, (c, poly) in enumerate(levels):
-        rows.append([i, c] + list(poly.vertices.reshape(-1)))
-    return _table(tuple(header), rows)
+    header = ["i", "c"] + [f"v{j}_{e}" for j in range(8) for e in ("e1", "e2", "e3")]
+    vertices = np.array([poly.vertices.reshape(-1) for _, poly in levels]).reshape(-1, 24)
+    return _column_table(header, [np.arange(len(levels)), np.array([c for c, _ in levels]),
+                                  *vertices.T])
 
 
 def velocity_space_csv(scn: Scenario, k: int) -> str | None:

@@ -314,7 +314,7 @@ class MpcController:
         self._plan_e3 = None  # previous solve's predicted heading errors
         self._plan_k = None
         self._maps = (None, None, None)  # (block index, G, F) of the latest map batch
-        self.last_debug = None  # (cone, halfplane, rows) of the latest velocity solve
+        self.last_debug = None  # (cone, halfplane, rows) of the nearest obstacle's velocity rows
 
     # -- avoidance row assembly -------------------------------------------
 
@@ -327,6 +327,7 @@ class MpcController:
         p_robot = np.array([z.x, z.y])
         i = self.ref.clamp(k)
         theta_ref, v_ref = self.ref.poses[i, 2], self.ref.inputs[i, 0]
+        nearest = math.inf
         for idx, obs in enumerate(obstacles):
             dist = float(np.linalg.norm(obs.position - p_robot))
             if dist > cfg.d_activate:
@@ -348,7 +349,8 @@ class MpcController:
                 vrows = av.velocity_rows(hp, self.ref, k, cfg.N,
                                          self._heading_error_path(e0, k), self.ref.T)
                 blocks.append(vrows)
-                self.last_debug = (cone, hp, vrows)
+                if dist < nearest:
+                    nearest, self.last_debug = dist, (cone, hp, vrows)
         return np.concatenate(blocks) if blocks else np.empty((0, 3))
 
     def _heading_error_path(self, e0: ErrorState, k: int) -> np.ndarray:

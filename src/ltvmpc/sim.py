@@ -25,6 +25,7 @@ from .dynamics import (Reference, RobotState, derive_reference, input_matrix, li
                        roll_reference, step_discrete)
 from .mpc import MpcConfig, MpcController
 from .riccati import CostMatrices, backward_riccati
+from .terminal_set import C_MIN
 
 CSV_COLUMNS = ("k", "t", "x", "y", "theta", "x_ref", "y_ref", "theta_ref",
                "e1", "e2", "e3", "v", "omega", "v_ref", "omega_ref",
@@ -187,8 +188,8 @@ class TerminalSetSpec:
     def __post_init__(self):
         if len(self.e_max) != 3 or not all(e > 0 for e in self.e_max):
             raise ValueError("e_max needs three positive entries")
-        if not (self.c0 > 0 and self.shrink > 1):
-            raise ValueError("c0 must be positive and shrink greater than 1")
+        if not (self.c0 >= C_MIN and self.shrink > 1):
+            raise ValueError(f"c0 must be at least {C_MIN:g} and shrink greater than 1")
 
 
 @dataclass(frozen=True)

@@ -1,51 +1,62 @@
-"""Terminal-set sizing: ellipsoid levels, outer hexahedra, and the shrink loop.
+"""Terminal-set sizing: ellipsoid levels, outer hexahedra, and the level search.
 
 The terminal region at step i is the sublevel set {x : x' P(i) x <= c(i)}.
 Checking state/input feasibility on the ellipsoid directly is nonlinear, so
 each ellipsoid gets an outer box aligned with the eigenvectors of P: its 8
 corners over-approximate the ellipsoid, and feasibility of all corners under
 the terminal controller certifies feasibility of the whole set. c(i) is the
-first level of the sequence c0, c0/shrink, ... whose corners pass;
-shrink_level locates it from a closed-form bound on the box radius and
-confirms it with the corner check.
+first level of the sequence c0, c0/shrink, ... whose corners pass: shrink_level
+bisects that sequence, cached per (c0, shrink), on the exact corner check, and
+compute_c_schedule builds the boxes of a whole schedule in one stacked eigh.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+C_MIN = 1e-12  # the level search's floor: no level below it is accepted
+
+
+@functools.cache
+def _corners(n: int) -> np.ndarray:
+    """The 2^n sign vectors of an n-box, in itertools.product order."""
+    return np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+
 
 @dataclass(frozen=True)
 class TerminalEllipsoid:
-    """Sublevel set {x : x' P x <= c} with P symmetric PD."""
+    """Sublevel set {x : x' P x <= c} with P symmetric PD; stacked, P (L, n, n), c (L, 1)."""
 
     P: np.ndarray
     c: float
 
     def __post_init__(self):
         P = np.asarray(self.P, dtype=float)
-        if not np.allclose(P, P.T, atol=1e-9):
+        Pt = np.swapaxes(P, -1, -2)
+        if not np.allclose(P, Pt, atol=1e-9):
             raise ValueError("P must be symmetric")
         if np.min(np.linalg.eigvalsh(P)) <= 0:
             raise ValueError("P must be positive definite")
-        if self.c <= 0:
+        if np.min(self.c) <= 0:
             raise ValueError("level c must be positive")
-        object.__setattr__(self, "P", 0.5 * (P + P.T))
+        object.__setattr__(self, "P", 0.5 * (P + Pt))
 
 
 @dataclass(frozen=True)
 class OuterPolyhedron:
     """Eigenvector-aligned box around an ellipsoid, stored as its 8 vertices."""
 
-    vertices: np.ndarray  # (8, n)
+    vertices: np.ndarray  # (8, n), or (L, 8, n) for the boxes of a stack
 
     def __post_init__(self):
         V = np.asarray(self.vertices, dtype=float)
-        if V.ndim != 2 or V.shape[0] != 2 ** V.shape[1]:
+        if V.ndim not in (2, 3) or V.shape[-2] != 2 ** V.shape[-1]:
             raise ValueError("expected 2^n vertices of dimension n")
         object.__setattr__(self, "vertices", V)
 
@@ -67,12 +78,11 @@ class TerminalConstraints:
 
 
 def outer_polyhedron(ell: TerminalEllipsoid) -> OuterPolyhedron:
-    """Tight eigen-aligned box: semi-axes sqrt(c / eigenvalue) per direction."""
+    """Tight eigen-aligned box: semi-axes sqrt(c / eigenvalue) per direction
+    (of a stack of ellipsoids, the stack of their boxes)."""
     lam, V = np.linalg.eigh(ell.P)
-    semi = np.sqrt(ell.c / lam)
-    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=lam.shape[0])))
-    vertices = corners * semi @ V.T
-    return OuterPolyhedron(vertices)
+    semi = np.sqrt(ell.c / lam)[..., None, :]
+    return OuterPolyhedron(_corners(lam.shape[-1]) * semi @ np.swapaxes(V, -1, -2))
 
 
 def vertices_feasible(poly: OuterPolyhedron, cons: TerminalConstraints, K, u_ref) -> bool:
@@ -85,72 +95,62 @@ def vertices_feasible(poly: OuterPolyhedron, cons: TerminalConstraints, K, u_ref
     return bool(np.all(np.abs(u) <= cons.u_max[None, :]))
 
 
-def _radius_bound(limit, spread) -> float:
-    """Largest r with r * spread <= limit in every column. A zero-spread
-    column does not depend on r: it allows any r or none."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(spread > 0, limit / spread, np.where(limit >= 0, np.inf, -np.inf))
-    return float(np.min(r, initial=np.inf))
+@functools.lru_cache(maxsize=8)
+def _sequence(c0: float, shrink: float) -> list:
+    """Levels c0, c0/shrink, (c0/shrink)/shrink, ...; searches append to it."""
+    return [float(c0)]
 
 
 def shrink_level(P, cons: TerminalConstraints, K, u_ref, c0: float = 10.0,
-                 shrink: float = 1.01, c_min: float = 1e-12):
+                 shrink: float = 1.01, c_min: float = C_MIN):
     """Largest c in the sequence c0, c0/shrink, c0/shrink^2, ... whose outer
     box passes vertices_feasible. Raises ValueError if none above c_min does.
 
-    The box scales with r = sqrt(c), and its corners come in +-pairs, so the
-    corner checks hold exactly for r <= r_max, where r_max is the per-column
-    minimum of e_max / max|vertex| and (u_max - |u_ref|) / max|K vertex| on
-    the unit-level box. The sequence is walked in plain floats up to the
-    first c with sqrt(c) <= r_max; that c is then confirmed with the exact
-    corner predicate, stepping forward while it fails and back while the
-    previous level passes, since rounding at the boundary can differ from
-    the bound. The result is the same c the divide-until-feasible loop finds.
+    The box scales with r = sqrt(c) and its corners come in exact +-pairs,
+    so, rounding being monotone, some corner fails exactly when
+    |offset| + m r > limit in some column: m the column's max |entry| on the
+    unit-level box, offset 0 and limit e_max for a state, |u_ref| and u_max
+    for an input. That check only tightens as c grows, so a bisection of the
+    sequence (in the floats the repeated division gives, cached per
+    (c0, shrink) and grown until its last level passes or falls below c_min)
+    finds the first level that passes.
     """
     lam, Vec = np.linalg.eigh(np.asarray(P, dtype=float))
-    if np.min(lam) <= 0:
+    if lam[0] <= 0:
         raise ValueError("P must be positive definite")
-    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=lam.shape[0])))
-    unit_vertices = corners * np.sqrt(1.0 / lam) @ Vec.T  # box at c = 1
+    unit_vertices = _corners(lam.shape[0]) * np.sqrt(1.0 / lam) @ Vec.T  # box at c = 1
     unit_inputs = unit_vertices @ np.asarray(K, dtype=float).T
-    u_ref = np.asarray(u_ref, dtype=float).reshape(-1)
+    spread = np.abs(np.hstack([unit_vertices, unit_inputs])).max(axis=0).tolist()
+    offset = [0.0] * lam.shape[0] + np.abs(np.asarray(u_ref, dtype=float)).ravel().tolist()
+    checks = list(zip(spread, offset, cons.e_max.tolist() + cons.u_max.tolist()))
 
-    def corners_pass(c):
-        r = np.sqrt(c)
-        ok_state = not np.any(np.abs(unit_vertices) * r > cons.e_max[None, :])
-        ok_input = not np.any(np.abs(u_ref[None, :] + unit_inputs * r) > cons.u_max[None, :])
-        return ok_state and ok_input
+    def passes(c):
+        r = math.sqrt(c)
+        for m, a, limit in checks:
+            if a + m * r > limit:
+                return False
+        return True
 
-    r_max = min(_radius_bound(cons.e_max, np.max(np.abs(unit_vertices), axis=0)),
-                _radius_bound(cons.u_max - np.abs(u_ref), np.max(np.abs(unit_inputs), axis=0)))
-    levels = [float(c0)]  # the sequence walked so far
-    while math.sqrt(levels[-1]) > r_max and levels[-1] / shrink >= c_min:
+    levels = _sequence(c0, shrink)
+    while not passes(levels[-1]) and levels[-1] >= c_min:
         levels.append(levels[-1] / shrink)
-    for i in itertools.count(len(levels) - 1):
-        if i == len(levels):
-            levels.append(levels[-1] / shrink)
-        if levels[i] < c_min:
-            raise ValueError("terminal level shrank below c_min without becoming feasible")
-        if corners_pass(levels[i]):
-            break
-    while i > 0 and corners_pass(levels[i - 1]):
-        i -= 1
+    i = bisect.bisect_left(levels, True, key=passes)
+    if i == len(levels) or levels[i] < c_min:
+        raise ValueError("terminal level shrank below c_min without becoming feasible")
     return levels[i]
 
 
 def compute_c_schedule(schedule, cons: TerminalConstraints, inputs, c0: float = 10.0,
-                       shrink: float = 1.01, c_min: float = 1e-12):
+                       shrink: float = 1.01, c_min: float = C_MIN):
     """Per-timestep terminal levels and their outer boxes.
 
     schedule is a TerminalSchedule (P indexed 0..T_end, K 0..T_end-1; the
     final step reuses the last gain). inputs (L, 2) holds the reference input
-    per timestep for the input check. Returns a list of (c, OuterPolyhedron).
+    per timestep for the input check. Returns a list of (c, OuterPolyhedron),
+    the boxes outer_polyhedron gives, built in one eigh over the P stack.
     """
     inputs = np.asarray(inputs, dtype=float)
-    out = []
-    for i in range(len(schedule.P)):
-        K = schedule.K_at(i)
-        c = shrink_level(schedule.P[i], cons, K, inputs[i], c0=c0, shrink=shrink, c_min=c_min)
-        poly = outer_polyhedron(TerminalEllipsoid(schedule.P[i], c))
-        out.append((c, poly))
-    return out
+    cs = [shrink_level(P, cons, schedule.K_at(i), inputs[i], c0, shrink, c_min)
+          for i, P in enumerate(schedule.P)]
+    boxes = outer_polyhedron(TerminalEllipsoid(schedule.P, np.array(cs)[:, None]))
+    return [(c, OuterPolyhedron(v)) for c, v in zip(cs, boxes.vertices)]

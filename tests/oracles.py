@@ -406,22 +406,36 @@ def unit_box_corners_pass(P, e_max, u_max, K, u_ref):
     """Corner check at level c, evaluated candidate by candidate as the
     divide-until-feasible loop always did: the unit-level eigen box scaled by
     sqrt(c), every corner tested against the state box and, through
-    u = u_ref + K x, the input box. Returns the predicate c -> bool."""
+    u = u_ref + K x, the input box. Returns the predicate c -> bool. Each
+    entry is checked on its own in plain floats, the same products, sums and
+    comparisons an elementwise numpy check makes, at a fraction of its
+    per-call cost."""
     lam, V = np.linalg.eigh(np.asarray(P, dtype=float))
     corners = np.array(list(itertools.product((-1.0, 1.0), repeat=lam.shape[0])))
     unit_vertices = corners * np.sqrt(1.0 / lam) @ V.T
     unit_inputs = unit_vertices @ np.asarray(K, dtype=float).T
-    e_max = np.asarray(e_max, dtype=float)
-    u_max = np.asarray(u_max, dtype=float)
-    u_ref = np.asarray(u_ref, dtype=float)
+    e_max, u_max, u_ref = (np.asarray(a, dtype=float).tolist() for a in (e_max, u_max, u_ref))
+    state = [(abs(x), e) for row in unit_vertices.tolist() for x, e in zip(row, e_max)]
+    inputs = [(x, u0, um) for row in unit_inputs.tolist()
+              for x, u0, um in zip(row, u_ref, u_max)]
 
     def feasible(c):
-        r = np.sqrt(c)
-        if np.any(np.abs(unit_vertices) * r > e_max[None, :]):
+        r = math.sqrt(c)
+        if any(x * r > e for x, e in state):
             return False
-        return not np.any(np.abs(u_ref[None, :] + unit_inputs * r) > u_max[None, :])
+        return not any(abs(u0 + x * r) > um for x, u0, um in inputs)
 
     return feasible
+
+
+def eigen_box_vertices(P, c):
+    """The outer box of {x : x' P x <= c} built level by level as it always
+    was: eigh of the symmetrized P, semi-axes sqrt(c / eigenvalue), the
+    corners in itertools.product order mapped back by the eigenvectors."""
+    P = np.asarray(P, dtype=float)
+    lam, V = np.linalg.eigh(0.5 * (P + P.T))
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=lam.shape[0])))
+    return corners * np.sqrt(c / lam) @ V.T
 
 
 def central_jacobian(f, x, h=1e-6):

@@ -11,6 +11,7 @@ import yaml
 import ltvmpc.cli as cli
 from ltvmpc.cli import ConfigError, config_from_dict, load_config, main, parse_config
 from ltvmpc.sim import LOG_DTYPE, SimLog, SweepSpec
+from ltvmpc.terminal_set import C_MIN
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -168,6 +169,7 @@ def test_exit_codes_for_bad_invocations(tmp_path, capsys):
     "trajectory: {kind: sinusoid}\nsweep: {param: N, values: [abc]}\n",
     "trajectory: {kind: sinusoid}\nterminal_set: {shrink: 1.0}\n",
     "trajectory: {kind: sinusoid}\nterminal_set: {c0: -1.0}\n",
+    "trajectory: {kind: sinusoid}\nterminal_set: {c0: 1.0e-13}\n",
     "trajectory: {kind: sinusoid}\nterminal_set: {e_max: [1, 1]}\n",
     "trajectory: {kind: sinusoid}\ninitial_state: [0.0, 1.0]\n",
     "name: sub/x\ntrajectory: {kind: sinusoid}\n",
@@ -197,6 +199,15 @@ def test_bad_scenario_values_exit_two(tmp_path, capsys, bad):
     cfg = write_config(tmp_path, head + "duration: 30\n" + bad)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_terminal_set_c0_below_the_search_floor_exits_two(tmp_path, capsys):
+    # below C_MIN no level can be accepted; the search itself would raise
+    assert parse_config(MINIMAL + "terminal_set: {c0: 1.0e-12}\n").terminal_set.c0 == C_MIN
+    cfg = write_config(tmp_path, SHORT_RUN + "terminal_set: {c0: 1.0e-13}\n")
+    assert main(["terminal-set", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "c0 must be at least 1e-12" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

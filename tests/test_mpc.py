@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 
 from ltvmpc import mpc, qp
-from ltvmpc.avoidance import Obstacle
+from ltvmpc.avoidance import Obstacle, velocity_debug_csv
 from ltvmpc.cli import load_config
 from ltvmpc.dynamics import RobotState, input_matrix, linearize, step_discrete
 from ltvmpc.mpc import (MAP_BLOCK, MpcConfig, MpcController, _with_shared_slack, build_qp,
                         condense_qp, horizon_maps, stage_cost_value, terminal_cost_value)
 from ltvmpc.qp import QpSolution, QpSolver, kkt_residuals
 from ltvmpc.riccati import CostMatrices, backward_riccati
-from ltvmpc.sim import (TrajectorySpec, build_controller, build_reference, closed_loop,
-                        run_scenario)
+from ltvmpc.sim import (Scenario, TrajectorySpec, build_controller, build_reference,
+                        closed_loop, run_scenario)
 
 from oracles import FreshKktSolver, adjoint_multipliers, build_qp_loops, solve_qp
 
@@ -433,6 +433,24 @@ def test_fresh_controller_matches_sequential_run():
             assert np.array_equal(fresh.predicted_errors, step.predicted_errors), k
             assert fresh.qp_status == step.qp_status == "optimal"
         z = step_discrete(z, step.u_applied, ref.T)
+
+
+def test_velocity_debug_keeps_the_nearest_obstacle():
+    # two static discs on a line reference, both within d_activate: the robot
+    # where the closed loop of that scene is at step 111, 0.77 m from the
+    # first disc and 2.98 m from the second
+    scn = Scenario(name="two_discs", trajectory=TrajectorySpec("line"), duration=120,
+                   R_diag=(1.0, 0.05),
+                   mpc=MpcConfig(avoidance="velocity_space", r_safe=0.5, robot_radius=0.22))
+    near, far = Obstacle(np.array([2.0, 0.6]), 0.3), Obstacle(np.array([4.5, 0.0]), 0.3)
+    z, k = RobotState(1.525, 0.0, 0.0), 111
+
+    def dump(obstacles):
+        controller, _ = build_controller(scn)
+        controller.control_step(z, k, obstacles)
+        return velocity_debug_csv(*controller.last_debug)
+
+    assert dump([near, far]) == dump([far, near]) == dump([near]) != dump([far])
 
 
 def test_tracking_at_n50_takes_the_maps_on_every_step(monkeypatch):

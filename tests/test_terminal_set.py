@@ -2,22 +2,37 @@
 search, and the one-step invariance of the produced level sets."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ltvmpc.cli as cli
+from ltvmpc import terminal_set
 from ltvmpc.dynamics import input_matrix, linearize
 from ltvmpc.riccati import CostMatrices, backward_riccati
-from ltvmpc.sim import TrajectorySpec, build_reference
+from ltvmpc.sim import TrajectorySpec, build_controller, build_reference
 from ltvmpc.terminal_set import (OuterPolyhedron, TerminalConstraints,
                                  TerminalEllipsoid, compute_c_schedule,
                                  outer_polyhedron, shrink_level, vertices_feasible)
 
-from oracles import shrink_sequence_level, unit_box_corners_pass
+from oracles import eigen_box_vertices, shrink_sequence_level, unit_box_corners_pass
 
 LOOSE = TerminalConstraints(np.full(3, 1e3), np.full(2, 1e3))
+SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "terminal_set.yaml"
+
+
+@pytest.fixture(scope="module")
+def shipped():
+    """(schedule, constraints, reference inputs, spec) of the shipped
+    terminal-set config, as `ltvmpc terminal-set` builds them."""
+    config = cli.load_config(SHIPPED)
+    controller, _ = build_controller(config.scenario)
+    spec = config.terminal_set
+    cons = TerminalConstraints(np.asarray(spec.e_max), config.scenario.mpc.u_max)
+    return controller.schedule, cons, controller.ref.inputs, spec
 
 
 def boundary_samples(P, c, n, rng):
@@ -178,3 +193,60 @@ def test_schedule_levels_feasible_and_invariant(rng):
         X_next = X @ A_K.T
         vals = np.einsum("ij,jk,ik->i", X_next, sched.P[i + 1], X_next)
         assert np.all(vals <= c + 1e-9)
+
+
+def test_shipped_schedule_equals_per_level_route_bit_for_bit(shipped):
+    sched, cons, u_refs, spec = shipped
+    levels = compute_c_schedule(sched, cons, u_refs, c0=spec.c0, shrink=spec.shrink)
+    assert len(levels) == len(sched.P) == 611
+    for i, (c, poly) in enumerate(levels):
+        feasible = unit_box_corners_pass(sched.P[i], cons.e_max, cons.u_max, sched.K_at(i),
+                                         u_refs[i])
+        want = shrink_sequence_level(spec.c0, spec.shrink, feasible)
+        assert c == want
+        box = outer_polyhedron(TerminalEllipsoid(sched.P[i], want)).vertices
+        assert np.array_equal(poly.vertices, box)
+        assert np.array_equal(box, eigen_box_vertices(sched.P[i], want))
+
+
+def test_level_search_does_not_depend_on_cache_order(shipped):
+    sched, cons, u_refs, spec = shipped
+    steps = range(0, len(sched.P), 7)
+
+    def level(i):
+        return shrink_level(sched.P[i], cons, sched.K_at(i), u_refs[i], spec.c0, spec.shrink)
+
+    fresh = []
+    for i in steps:  # each search on an empty cache, as in a fresh process
+        terminal_set._sequence.cache_clear()
+        fresh.append(level(i))
+    terminal_set._sequence.cache_clear()
+    assert [level(i) for i in reversed(steps)] == fresh[::-1]
+    terminal_set._sequence.cache_clear()
+    with pytest.raises(ValueError):  # walks the same sequence below c_min first
+        shrink_level(np.eye(3), TerminalConstraints(np.ones(3), np.ones(2)), np.zeros((2, 3)),
+                     np.array([2.0, 0.0]), spec.c0, spec.shrink)
+    assert [level(i) for i in steps] == fresh
+
+
+def test_terminal_set_calls_one_search_and_one_vertex_check_per_level(tmp_path, monkeypatch):
+    # the benchmark times terminal_set.shrink_level per level, and its gate
+    # counts failed levels from cli.vertices_feasible
+    calls = {"shrink_level": 0, "vertices_feasible": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(terminal_set, "shrink_level")
+    counted(cli, "vertices_feasible")
+    assert cli.main(["terminal-set", "--config", str(SHIPPED), "--out", str(tmp_path),
+                     "--quiet"]) == 0
+    rows = (tmp_path / "terminal_levels_terminal_set.csv").read_text().splitlines()[1:]
+    assert calls == {"shrink_level": len(rows), "vertices_feasible": len(rows)}
+    assert len(rows) == 611
