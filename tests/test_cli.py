@@ -202,13 +202,11 @@ def test_bad_scenario_values_exit_two(tmp_path, capsys, bad):
     assert not (tmp_path / "o").exists()
 
 
-def test_terminal_set_c0_below_the_search_floor_exits_two(tmp_path, capsys):
-    # below C_MIN no level can be accepted; the search itself would raise
-    assert parse_config(MINIMAL + "terminal_set: {c0: 1.0e-12}\n").terminal_set.c0 == C_MIN
-    cfg = write_config(tmp_path, SHORT_RUN + "terminal_set: {c0: 1.0e-13}\n")
-    assert main(["terminal-set", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "c0 must be at least 1e-12" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+def test_terminal_set_c0_may_sit_on_the_search_floor(tmp_path):
+    # the parse-time floor is the level search's own: c0 = C_MIN passes both
+    cfg = write_config(tmp_path, SHORT_RUN + "terminal_set: {c0: 1.0e-12}\n")
+    assert load_config(cfg).terminal_set.c0 == C_MIN
+    assert main(["terminal-set", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
 
 
 def test_terminal_set_e_max_may_be_unbounded():
