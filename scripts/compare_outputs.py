@@ -8,11 +8,15 @@ velocity-space scenes, `compare-lqr`, `terminal-set` and the three sweeps)
 once in each checkout, from that checkout's own `src/` and `configs/`, and
 byte-compares every file written, manifests excepted (they hold a timestamp
 and the output path). Prints each difference and exits 1 if there is any,
-else 0. BLAS runs on one thread unless OPENBLAS_NUM_THREADS is set. Standard
-library only.
+else 0. A CSV that differs is sized column by column: the largest absolute
+difference of each numeric column (every cell a float or empty, rows paired
+by position), and the first differing cell of any other column. BLAS runs on
+one thread unless OPENBLAS_NUM_THREADS is set. Standard library only.
 """
 
+import csv
 import filecmp
+import math
 import os
 import subprocess
 import sys
@@ -39,6 +43,50 @@ def start(checkout: Path, command: str, config: str, out: Path):
         env=env, cwd=checkout, stderr=subprocess.DEVNULL)
 
 
+def _float(cell: str):
+    """The cell as a float, None if it is empty; ValueError if neither."""
+    return float(cell) if cell else None
+
+
+def _gap(a, b) -> float:
+    """|a - b| of two cells read by `_float`: 0 if equal, both empty or both
+    NaN, inf against an empty cell or where the difference is NaN."""
+    if a == b or (a != a and b != b):
+        return 0.0
+    gap = math.inf if a is None or b is None else abs(a - b)
+    return gap if gap == gap else math.inf
+
+
+def csv_differences(a: Path, b: Path) -> list:
+    """How two CSV files with a header row differ, one line per finding: the
+    row counts if they differ, the first differing cell of each non-numeric
+    column (data rows count from 0), and the largest absolute difference of
+    each numeric column, the columns without a difference counted."""
+    tables = []
+    for path in (a, b):
+        with path.open(newline="") as f:
+            rows = list(csv.reader(f))
+        tables.append([r + [""] * (len(rows[0]) - len(r)) for r in rows] if rows else [[]])
+    (head, *old), (head_b, *new) = tables
+    if head != head_b:
+        return [f"header {head} != {head_b}"]
+    found = [] if len(old) == len(new) else [f"{len(old)} != {len(new)} rows"]
+    gaps, equal = [], 0
+    for j, name in enumerate(head):
+        pairs = [(r[j], s[j]) for r, s in zip(old, new)]
+        try:
+            gap = max((_gap(_float(x), _float(y)) for x, y in pairs), default=0.0)
+            gaps += [f"{name} {gap:.3g}"] if gap else []
+            equal += not gap
+        except ValueError:
+            i = next((i for i, (x, y) in enumerate(pairs) if x != y), None)
+            if i is not None:
+                found.append(f"{name}: first differs in data row {i}: "
+                             f"{pairs[i][0]!r} != {pairs[i][1]!r}")
+    numeric = gaps + ([f"0 in the {equal} other numeric columns"] if equal else [])
+    return found + ([f"max abs difference: {', '.join(numeric)}"] if numeric else [])
+
+
 def main(old: str, new: str) -> int:
     diffs = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -56,6 +104,8 @@ def main(old: str, new: str) -> int:
                     a, b = (o / name for o in outs)
                     if not (a.exists() and b.exists() and filecmp.cmp(a, b, shallow=False)):
                         diffs.append(f"{command} {config}: {name} differs")
+                        if name.suffix == ".csv" and a.exists() and b.exists():
+                            diffs += [f"    {line}" for line in csv_differences(a, b)]
                 print(f"{command} {config}: {len(names)} files compared", flush=True)
     print("\n".join(diffs) if diffs else "all outputs byte-identical")
     return 1 if diffs else 0

@@ -67,11 +67,17 @@ def _from_dict(cls, d, where: str, sections=()):
 def _value(hint, value, path: str):
     """One config value by its type hint: a nested dataclass from a mapping, a
     tuple from a list (items converted to floats or dataclasses by the hint's
-    item type, else kept as written); anything else as written. No float may
+    item type, else kept as written), a float from a string in a float field
+    (YAML 1.1 reads 1e4 as a string); anything else as written. No float may
     be NaN or infinite, except the entries of `terminal_set.e_max`, where
     .inf leaves an error unbounded."""
     if dataclasses.is_dataclass(hint):
         return _from_dict(hint, value, path)
+    if hint is float and isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            raise ConfigError(f"'{path}' must be a number, not {value!r}") from None
     if hint is not tuple and typing.get_origin(hint) is not tuple:
         return _finite(value, path)
     if not isinstance(value, list):

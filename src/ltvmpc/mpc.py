@@ -12,15 +12,15 @@ membership constraint is imposed).
 A controller without avoidance first takes the unconstrained minimizer from
 the horizon maps (`horizon_maps`: a backward Riccati recursion gives
 u_b = G e(0) and e = F e(0), batched over a block of start steps); if that
-plan keeps every input bound it is the optimum. Otherwise it solves the
-condensed QP over the 2N inputs (`condense_qp`: the dynamics are eliminated,
-e = Phi e(0) + Gamma u_b). An avoidance controller solves the stacked QP over
-[e(1) ... e(N), u_b(0) ... u_b(N-1)] (`build_qp`, 5N entries, the dynamics
-as equality rows). Both go to the same active-set solver. Obstacle rows
-arrive as (N, 3) blocks, one per obstacle (see `avoidance`). If they make
-the QP infeasible, the solve is repeated once with a shared nonnegative
-slack on the avoidance rows only (quadratic penalty); input bounds and
-dynamics stay hard.
+plan keeps every input bound, read from bound arrays the controller builds
+once, it is the optimum. Otherwise it solves the condensed QP over the 2N
+inputs (`condense_qp`: the dynamics are eliminated, e = Phi e(0) + Gamma u_b).
+An avoidance controller solves the stacked QP over [e(1) ... e(N),
+u_b(0) ... u_b(N-1)] (`build_qp`, 5N entries, the dynamics as equality
+rows). Both go to the same active-set solver. Obstacle rows arrive as (N, 3)
+blocks, one per obstacle (see `avoidance`). If they make the QP infeasible,
+the solve is repeated once with a shared nonnegative slack on the avoidance
+rows only (quadratic penalty); input bounds and dynamics stay hard.
 """
 
 from __future__ import annotations
@@ -285,20 +285,25 @@ class MpcController:
     With avoidance off a step applies the plan G e0 of the horizon maps, and
     predicts F e0, when that plan keeps every input-bound (and no-reverse)
     row: the QP is strictly convex, so its unconstrained minimizer is then
-    its unique optimum. The maps are built lazily, MAP_BLOCK start steps at a
-    time, and only the latest block is kept. Otherwise the step solves the
-    condensed QP (`condense_qp`) from u_b = 0 and expands the predicted
+    its unique optimum. The bounds of those rows, u_max - u_ref and
+    u_max + u_ref, are built once over the reference inputs and N - 1 copies
+    of the last row, so the N rows from clamp(k) hold, bit for bit, the
+    bounds `_input_rows` gives the horizon at k. With reversing forbidden
+    the lower v bound is v_ref: never above u_max + v_ref, so the no-reverse
+    row implies the v row. The maps are built lazily, MAP_BLOCK start steps
+    at a time, and only the latest block is kept. Otherwise the step solves
+    the condensed QP (`condense_qp`) from u_b = 0 and expands the predicted
     errors from Gamma u_b. With avoidance on every step solves the stacked QP
     (`build_qp`) started from `_rollout_start`, the prediction under u_b = 0,
     and falls back to the shared slack when the avoidance rows make it
     infeasible.
 
-    Holds the QP solver, the latest block of horizon maps, the previous
-    plan's heading errors (used to linearize the velocity-space rows) and the
-    per-obstacle side memory used by the state-space avoidance hysteresis
-    (obstacles are identified by their position in the list passed to
-    control_step, which the simulator keeps stable). No previous solution is
-    reused.
+    Holds the QP solver, the bound arrays, the latest block of horizon maps,
+    the previous plan's heading errors (velocity-space only, used to
+    linearize its rows) and the per-obstacle side memory used by the
+    state-space avoidance hysteresis (obstacles are identified by their
+    position in the list passed to control_step, which the simulator keeps
+    stable). No previous solution is reused.
     """
 
     def __init__(self, ref: Reference, A, B, schedule, costs: CostMatrices, cfg: MpcConfig):
@@ -311,9 +316,12 @@ class MpcController:
         self.tau = cfg.tau if cfg.tau is not None else cfg.N * ref.T
         self.solver = QpSolver(max_iter=800)
         self._sides = {}
-        self._plan_e3 = None  # previous solve's predicted heading errors
-        self._plan_k = None
+        self._plan_e3 = self._plan_k = None  # previous velocity-space plan's heading errors, step
         self._maps = (None, None, None)  # (block index, G, F) of the latest map batch
+        U = ref.inputs[ref.clamp(np.arange(len(ref) + cfg.N - 1))]
+        self._upper, self._lower = cfg.u_max - U, cfg.u_max + U
+        if cfg.forbid_reverse:
+            self._lower[:, 0] = U[:, 0]
         self.last_debug = None  # (cone, halfplane, rows) of the nearest obstacle's velocity rows
 
     # -- avoidance row assembly -------------------------------------------
@@ -322,7 +330,7 @@ class MpcController:
         cfg = self.cfg
         blocks = []
         self.last_debug = None
-        if cfg.avoidance == "off" or not obstacles:
+        if not obstacles:
             return np.empty((0, 3))
         p_robot = np.array([z.x, z.y])
         i = self.ref.clamp(k)
@@ -379,9 +387,8 @@ class MpcController:
         i = self.ref.clamp(k)
         e0 = to_error_frame(z, self.ref.poses[i])
         e0_arr = e0.as_array()
-        avoid = self._avoidance_rows(z, e0, k, obstacles)
 
-        slack_used = 0.0
+        slack_used, n_active = 0.0, 0
         if cfg.avoidance == "off":
             block, G, F = self._maps
             if block != k // MAP_BLOCK:
@@ -390,21 +397,16 @@ class MpcController:
                                     self.A, self.B, self.schedule, self.costs, cfg)
                 self._maps = block, G, F
             u_plan = G[k % MAP_BLOCK] @ e0_arr
-            U = self.ref.inputs[self.ref.clamp(np.arange(k, k + N))]
             u_b = u_plan.reshape(N, 2)
-            # the rows of `_input_rows`, checked without building them
-            inside = np.all(u_b <= cfg.u_max - U) and np.all(-u_b <= cfg.u_max + U)
-            if cfg.forbid_reverse:
-                inside = inside and np.all(-u_b[:, 0] <= U[:, 0])
-            if inside:  # the unconstrained minimizer is the QP's unique optimum
-                sol = QpSolution(u_plan, np.zeros(0), np.zeros(0), "optimal")
-                e_plan = F[k % MAP_BLOCK] @ e0_arr
+            if (u_b <= self._upper[i:i + N]).all() and (-u_b <= self._lower[i:i + N]).all():
+                status, e_plan = "optimal", F[k % MAP_BLOCK] @ e0_arr  # the QP's unique optimum
             else:
                 problem, free, Gamma = condense_qp(e0_arr, k, self.ref, self.A, self.B,
                                                    self.schedule, self.costs, cfg)
                 sol = self.solver.solve(problem)
-                u_plan, e_plan = sol.x, free + Gamma @ sol.x
+                status, u_plan, e_plan = sol.status, sol.x, free + Gamma @ sol.x
         else:
+            avoid = self._avoidance_rows(z, e0, k, obstacles)
             problem = build_qp(e0_arr, k, self.ref, self.A, self.B, self.schedule,
                                self.costs, cfg, avoid)
             sol = self.solver.solve(problem, x0=self._rollout_start(e0_arr, k))
@@ -416,19 +418,17 @@ class MpcController:
                     sol = QpSolution(ssol.x[:-1], ssol.lambda_eq,
                                      ssol.mu_in[: problem.A_in.shape[0]],
                                      ssol.status, ssol.kkt_residual)
-            u_plan, e_plan = sol.x[3 * N:], sol.x[: 3 * N]
+            status, u_plan, e_plan = sol.status, sol.x[3 * N:], sol.x[: 3 * N]
+            if len(avoid) and sol.mu_in.size >= len(avoid):
+                n_active = int(np.sum(sol.mu_in[-len(avoid):] > 1e-8))
 
         u_b0 = u_plan[:2].copy()
-        if sol.status == "infeasible":
+        if status == "infeasible":
             u_b0 = np.zeros(2)  # hold the feed-forward; the simulator will halt
         predicted = np.empty((N + 1, 3))
         predicted[0] = e0_arr
         predicted[1:] = e_plan.reshape(N, 3)
-        n_active = 0
-        if len(avoid) and sol.mu_in.size >= len(avoid):
-            n_active = int(np.sum(sol.mu_in[-len(avoid):] > 1e-8))
-        P_k = self.schedule.P_at(k)
-        if sol.status != "infeasible":
+        if cfg.avoidance == "velocity_space" and status != "infeasible":
             self._plan_e3 = predicted[1:, 2].copy()
             self._plan_k = k
         return MpcStep(
@@ -436,8 +436,8 @@ class MpcController:
             u_feedback=u_b0,
             predicted_errors=predicted,
             stage_cost=stage_cost_value(e0_arr, u_b0, self.costs),
-            terminal_cost=terminal_cost_value(e0_arr, P_k, cfg.beta),
-            qp_status=sol.status,
+            terminal_cost=terminal_cost_value(e0_arr, self.schedule.P_at(k), cfg.beta),
+            qp_status=status,
             active_avoidance_rows=n_active,
             slack_used=slack_used,
         )

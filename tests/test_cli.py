@@ -209,6 +209,29 @@ def test_terminal_set_c0_may_sit_on_the_search_floor(tmp_path):
     assert main(["terminal-set", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
 
 
+def test_exponent_float_without_a_dot_is_a_float(tmp_path):
+    # YAML 1.1 reads 1e4 as the string '1e4'; a float field takes its value
+    cfg = write_config(tmp_path, SHORT_RUN.replace("{N: 8}", "{N: 8, slack_weight: 1e4}"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    block = json.loads((out / "manifest.json").read_text())["config"]
+    assert type(block["mpc"]["slack_weight"]) is float
+    assert block["mpc"]["slack_weight"] == 10000.0
+    assert load_config(out / "manifest.json") == load_config(cfg)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("terminal_set: {c0: 1e-13}\n", f"c0 must be at least {C_MIN:g}"),
+    ("mpc: {slack_weight: nan}\n", "'mpc.slack_weight' must be finite"),
+    ("mpc: {slack_weight: abc}\n", "'mpc.slack_weight' must be a number"),
+])
+def test_string_in_a_float_field_is_read_as_a_number(tmp_path, capsys, bad, message):
+    cfg = write_config(tmp_path, "name: x\nduration: 30\ntrajectory: {kind: sinusoid}\n" + bad)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_terminal_set_e_max_may_be_unbounded():
     assert parse_config(MINIMAL + "terminal_set: {e_max: [1, 1, .inf]}\n") \
         .terminal_set.e_max == (1.0, 1.0, float("inf"))

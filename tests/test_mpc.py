@@ -14,7 +14,8 @@ import pytest
 from ltvmpc import mpc, qp
 from ltvmpc.avoidance import Obstacle, velocity_debug_csv
 from ltvmpc.cli import load_config
-from ltvmpc.dynamics import RobotState, input_matrix, linearize, step_discrete
+from ltvmpc.dynamics import (RobotState, input_matrix, linearize, step_discrete,
+                             to_error_frame)
 from ltvmpc.mpc import (MAP_BLOCK, MpcConfig, MpcController, _with_shared_slack, build_qp,
                         condense_qp, horizon_maps, stage_cost_value, terminal_cost_value)
 from ltvmpc.qp import QpSolution, QpSolver, kkt_residuals
@@ -360,6 +361,49 @@ def test_plan_outside_a_bound_falls_back_to_the_qp():
     step = free.control_step(z, 5)
     assert unused.calls == 1 and step.qp_status == "optimal"
     assert step.u_applied[0] == pytest.approx(-free.cfg.u_max[0], abs=1e-9)
+
+
+class _RecordingSolver:
+    """Stands in for the condensed solve: records that the step fell back."""
+
+    calls = 0
+
+    def solve(self, p, x0=None):
+        self.calls += 1
+        return QpSolution(np.zeros(p.n), np.zeros(0), np.zeros(0), "optimal")
+
+
+@pytest.mark.parametrize("forbid_reverse", [False, True])
+def test_bound_check_decides_as_the_condensed_rows(forbid_reverse):
+    # Plans just inside and just outside each row of the first and last
+    # horizon step, put into the controller's map block, at start steps
+    # whose horizons end before, at and past the end of the reference: the
+    # step takes the plan exactly when it keeps every row of `condense_qp`.
+    L, N = 20, 6
+    ref, models, B, schedule = make_setup(n_ref=L)
+    cfg = MpcConfig(N=N, forbid_reverse=forbid_reverse)
+    ctl = MpcController(ref, models, B, schedule, COSTS, cfg)
+    ctl.solver = solver = _RecordingSolver()
+    decisions = set()
+    for k in (0, L - N - 1, L - 2, L + 3):
+        z = RobotState(*(ref.poses[ref.clamp(k)] + [-0.1, 0.05, 0.02]))
+        e0 = to_error_frame(z, ref.poses[ref.clamp(k)]).as_array()
+        problem, _, _ = condense_qp(e0, k, ref, models, B, schedule, COSTS, cfg)
+        for r in np.flatnonzero(np.any(problem.A_in[:, [0, 1, 2 * N - 2, 2 * N - 1]], axis=1)):
+            col = np.flatnonzero(problem.A_in[r])[0]
+            for eps in (-1e-9, 1e-9):
+                target = np.zeros(2 * N)
+                target[col] = problem.A_in[r, col] * (problem.b_in[r] + eps)
+                G = np.zeros((MAP_BLOCK, 2 * N, 3))
+                G[k % MAP_BLOCK] = np.outer(target, e0) / (e0 @ e0)
+                ctl._maps = (k // MAP_BLOCK, G, np.zeros((MAP_BLOCK, 3 * N, 3)))
+                u = G[k % MAP_BLOCK] @ e0  # the plan the step checks, bit for bit
+                inside = bool(np.all(problem.A_in @ u <= problem.b_in))
+                before = solver.calls
+                ctl.control_step(z, k)
+                assert (solver.calls == before) == inside, (k, r, eps)
+                decisions.add(inside)
+    assert decisions == {True, False}
 
 
 def _rollout(gains, models, B, e0, k):
