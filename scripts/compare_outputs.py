@@ -10,12 +10,15 @@ byte-compares every file written, manifests excepted (they hold a timestamp
 and the output path). Prints each difference and exits 1 if there is any,
 else 0. A CSV that differs is sized column by column: the largest absolute
 difference of each numeric column (every cell a float or empty, rows paired
-by position), and the first differing cell of any other column. BLAS runs on
-one thread unless OPENBLAS_NUM_THREADS is set. Standard library only.
+by position), and the first differing cell of any other column. A JSON file
+that differs is sized the same way, each top-level key a column of the
+scalars under it (numbers and nulls numeric). BLAS runs on one thread unless
+OPENBLAS_NUM_THREADS is set. Standard library only.
 """
 
 import csv
 import filecmp
+import json
 import math
 import os
 import subprocess
@@ -57,11 +60,31 @@ def _gap(a, b) -> float:
     return gap if gap == gap else math.inf
 
 
+def _sized(columns, unit: str) -> list:
+    """Findings for columns (name, [(old, new), ...], to_number): the first
+    differing pair of each column that `to_number` rejects (ValueError), then
+    the largest absolute difference of each numeric column (its values read
+    by `to_number`: a float, or None for no value), the columns without a
+    difference counted."""
+    found, gaps, equal = [], [], 0
+    for name, pairs, to_number in columns:
+        try:
+            gap = max((_gap(to_number(x), to_number(y)) for x, y in pairs), default=0.0)
+            gaps += [f"{name} {gap:.3g}"] if gap else []
+            equal += not gap
+        except ValueError:
+            i = next((i for i, (x, y) in enumerate(pairs) if x != y), None)
+            if i is not None:
+                found.append(f"{name}: first differs in {unit} {i}: "
+                             f"{pairs[i][0]!r} != {pairs[i][1]!r}")
+    numeric = gaps + ([f"0 in the {equal} other numeric columns"] if equal else [])
+    return found + ([f"max abs difference: {', '.join(numeric)}"] if numeric else [])
+
+
 def csv_differences(a: Path, b: Path) -> list:
     """How two CSV files with a header row differ, one line per finding: the
-    row counts if they differ, the first differing cell of each non-numeric
-    column (data rows count from 0), and the largest absolute difference of
-    each numeric column, the columns without a difference counted."""
+    row counts if they differ, then `_sized` over the columns (cells that
+    are floats or empty are numeric; data rows count from 0)."""
     tables = []
     for path in (a, b):
         with path.open(newline="") as f:
@@ -71,20 +94,45 @@ def csv_differences(a: Path, b: Path) -> list:
     if head != head_b:
         return [f"header {head} != {head_b}"]
     found = [] if len(old) == len(new) else [f"{len(old)} != {len(new)} rows"]
-    gaps, equal = [], 0
-    for j, name in enumerate(head):
-        pairs = [(r[j], s[j]) for r, s in zip(old, new)]
-        try:
-            gap = max((_gap(_float(x), _float(y)) for x, y in pairs), default=0.0)
-            gaps += [f"{name} {gap:.3g}"] if gap else []
-            equal += not gap
-        except ValueError:
-            i = next((i for i, (x, y) in enumerate(pairs) if x != y), None)
-            if i is not None:
-                found.append(f"{name}: first differs in data row {i}: "
-                             f"{pairs[i][0]!r} != {pairs[i][1]!r}")
-    numeric = gaps + ([f"0 in the {equal} other numeric columns"] if equal else [])
-    return found + ([f"max abs difference: {', '.join(numeric)}"] if numeric else [])
+    return found + _sized([(name, [(r[j], s[j]) for r, s in zip(old, new)], _float)
+                           for j, name in enumerate(head)], "data row")
+
+
+def _scalars(value) -> list:
+    """The scalars of a JSON value in document order (object members by key)."""
+    if isinstance(value, dict):
+        return [x for key in sorted(value) for x in _scalars(value[key])]
+    if isinstance(value, list):
+        return [x for item in value for x in _scalars(item)]
+    return [value]
+
+
+def _number(value):
+    """A JSON number as a float, None for null; ValueError for anything else
+    (true and false are not numbers)."""
+    if value is None or (isinstance(value, (int, float)) and not isinstance(value, bool)):
+        return None if value is None else float(value)
+    raise ValueError(value)
+
+
+def json_differences(a: Path, b: Path) -> list:
+    """How two JSON documents differ, one line per finding, sized like CSV
+    columns: each top-level key is a column of the scalars under it (a
+    document that is not an object is one column), numeric where each is a
+    number or null; keys in one file only and differing scalar counts are
+    named."""
+    old, new = (json.loads(p.read_text()) for p in (a, b))
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        old, new = {"(document)": old}, {"(document)": new}
+    found = [f"{key}: only in {side}" for side, doc, other in (("old", old, new), ("new", new, old))
+             for key in sorted(doc) if key not in other]
+    columns = []
+    for key in sorted(old.keys() & new.keys()):
+        xs, ys = _scalars(old[key]), _scalars(new[key])
+        if len(xs) != len(ys):
+            found.append(f"{key}: {len(xs)} != {len(ys)} values")
+        columns.append((key, list(zip(xs, ys)), _number))
+    return found + _sized(columns, "value")
 
 
 def main(old: str, new: str) -> int:
@@ -104,8 +152,9 @@ def main(old: str, new: str) -> int:
                     a, b = (o / name for o in outs)
                     if not (a.exists() and b.exists() and filecmp.cmp(a, b, shallow=False)):
                         diffs.append(f"{command} {config}: {name} differs")
-                        if name.suffix == ".csv" and a.exists() and b.exists():
-                            diffs += [f"    {line}" for line in csv_differences(a, b)]
+                        sizer = {".csv": csv_differences, ".json": json_differences}.get(name.suffix)
+                        if sizer and a.exists() and b.exists():
+                            diffs += [f"    {line}" for line in sizer(a, b)]
                 print(f"{command} {config}: {len(names)} files compared", flush=True)
     print("\n".join(diffs) if diffs else "all outputs byte-identical")
     return 1 if diffs else 0

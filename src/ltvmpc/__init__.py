@@ -10,7 +10,7 @@ cli (batch front end).
 
 from .avoidance import (HalfPlane, Obstacle, VoCone, state_space_halfplane, tangent_halfplane,
                         velocity_constraint_row, velocity_obstacle)
-from .dynamics import (ErrorState, Reference, RobotState, derive_reference, input_matrix,
+from .dynamics import (Reference, RobotState, derive_reference, input_matrix,
                        linearize, roll_reference, step_discrete, to_error_frame, wrap_angle)
 from .mpc import MpcConfig, MpcController, MpcStep, build_qp, condense_qp
 from .qp import QpProblem, QpSolution, QpSolver, kkt_residuals
@@ -25,7 +25,7 @@ from .terminal_set import (OuterPolyhedron, TerminalConstraints, TerminalEllipso
 __version__ = "0.1.0"
 
 __all__ = [
-    "CostMatrices", "ErrorState", "HalfPlane",
+    "CostMatrices", "HalfPlane",
     "Metrics", "MpcConfig", "MpcController", "MpcStep", "Obstacle",
     "ObstacleSpec", "OuterPolyhedron", "QpProblem", "QpSolution", "QpSolver",
     "Reference", "RobotState", "Scenario", "SimLog",

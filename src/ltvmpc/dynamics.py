@@ -46,21 +46,6 @@ class RobotState:
 
 
 @dataclass(frozen=True)
-class ErrorState:
-    """Tracking error in the robot frame; e3 is normalized to (-pi, pi]."""
-
-    e1: float
-    e2: float
-    e3: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "e3", float(wrap_angle(self.e3)))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.e1, self.e2, self.e3])
-
-
-@dataclass(frozen=True)
 class Reference:
     """Sampled reference: poses (L, 3) as rows (x, y, theta), the feed-forward
     inputs (L, 2) as rows (v, omega) that generate them, and the period T."""
@@ -75,7 +60,8 @@ class Reference:
     def clamp(self, k):
         """Step index k >= 0 (int or integer array), held at the last step
         past the end."""
-        return np.minimum(k, len(self.poses) - 1)
+        last = len(self.poses) - 1
+        return min(k, last) if isinstance(k, int) else np.minimum(k, last)
 
 
 def _arc(x: float, y: float, th: float, v: float, w: float, T: float):
@@ -148,13 +134,14 @@ def roll_reference(samples: np.ndarray, T: float, v_min: float = 1e-9) -> Refere
     return Reference(np.array(poses), inputs, T)
 
 
-def to_error_frame(z: RobotState, pose) -> ErrorState:
-    """Tracking error e = R(theta) (z_ref - z) in the robot's local frame;
-    pose is the reference row (x, y, theta)."""
-    x_r, y_r, th_r = pose
+def to_error_frame(z: RobotState, pose) -> np.ndarray:
+    """Tracking error e = R(theta) (z_ref - z) in the robot's local frame, as
+    the array (e1, e2, e3) with e3 wrapped to (-pi, pi]; pose is the
+    reference row (x, y, theta). The arithmetic is on Python floats."""
+    x_r, y_r, th_r = np.asarray(pose, dtype=float).tolist()
     dx, dy = x_r - z.x, y_r - z.y
     c, s = math.cos(z.theta), math.sin(z.theta)
-    return ErrorState(c * dx + s * dy, -s * dx + c * dy, th_r - z.theta)
+    return np.array([c * dx + s * dy, -s * dx + c * dy, wrap_angle(th_r - z.theta)])
 
 
 def linearize(inputs, T: float) -> np.ndarray:

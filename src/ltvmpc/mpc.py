@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import avoidance as av
-from .dynamics import ErrorState, Reference, to_error_frame
+from .dynamics import Reference, to_error_frame
 from .qp import QpProblem, QpSolution, QpSolver
 from .riccati import CostMatrices
 
@@ -97,13 +97,13 @@ class MpcStep:
 
 
 def stage_cost_value(e: np.ndarray, u_b: np.ndarray, costs: CostMatrices) -> float:
-    """Running cost 0.5 (e'Qe + u_b'R u_b)."""
-    return float(0.5 * (e @ costs.Q @ e + u_b @ costs.R @ u_b))
+    """Running cost 0.5 (e'Qe + u_b'R u_b); ndarray.dot gives the floats of `@`, faster."""
+    return float(0.5 * (e.dot(costs.Q).dot(e) + u_b.dot(costs.R).dot(u_b)))
 
 
 def terminal_cost_value(e: np.ndarray, P: np.ndarray, beta: float) -> float:
-    """Terminal cost 0.5 * beta * e'Pe."""
-    return float(0.5 * beta * e @ P @ e)
+    """Terminal cost 0.5 * beta * e'Pe, by ndarray.dot as in `stage_cost_value`."""
+    return float((0.5 * beta * e).dot(P).dot(e))
 
 
 @functools.cache
@@ -188,28 +188,34 @@ def horizon_maps(ks, ref: Reference, A, B, schedule, costs: CostMatrices, cfg: M
 
     A backward Riccati recursion over the horizon, batched over ks, from the
     terminal weight beta * P(k+N) with the same index clamping:
-    K_j = -(R + B'S B)^-1 B'S A_j, S <- Q + A_j'S (A_j + B K_j); then a
-    forward closed-loop pass. Returns (G, F), G (len(ks), 2N, 3) and
-    F (len(ks), 3N, 3): without binding bounds the solution is u_b = G e0,
-    with predicted errors e = F e0. Every map is computed independently of
-    the others in ks, so its floats do not depend on the batching.
+    K_j = -M^-1 B'S A_j, M = R + B'S B, then S <- Q + A_j'S (A_j + B K_j). M is
+    2 x 2 and positive definite, so M^-1 = adj(M) / det(M) in closed form.
+    The closed-loop models A_j + B K_j overwrite the gathered model copy; the
+    forward pass Phi <- (A_j + B K_j) Phi from the identity then overwrites
+    them with F_j = Phi and the gains with G_j = K_j Phi. Returns (G, F),
+    G (len(ks), 2N, 3) and F (len(ks), 3N, 3): without binding bounds the
+    solution is u_b = G e0, with predicted errors e = F e0. Each map's floats
+    do not depend on the others in ks.
     """
     N = cfg.N
     ks = np.asarray(ks)
-    As = A[ref.clamp(ks[:, None] + np.arange(N))]  # (len(ks), N, 3, 3)
+    As = A[ref.clamp(ks[:, None] + np.arange(N))]  # (len(ks), N, 3, 3), overwritten below
     S = cfg.beta * schedule.P_at(ks + N)
     K = np.empty(As.shape[:2] + B.T.shape)
     for j in range(N - 1, -1, -1):
         BtS = B.T @ S
-        K[:, j] = -np.linalg.solve(costs.R + BtS @ B, BtS @ As[:, j])
-        S = costs.Q + As[:, j].swapaxes(1, 2) @ S @ (As[:, j] + B @ K[:, j])
-    G = np.empty(K.shape)
-    F = np.empty(As.shape)
+        M = costs.R + BtS @ B
+        det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+        neg_adj = M[:, ::-1, ::-1].swapaxes(1, 2) * [[-1.0, 1.0], [1.0, -1.0]]
+        K[:, j] = neg_adj @ (BtS @ As[:, j]) / det[:, None, None]
+        AtS = As[:, j].swapaxes(1, 2) @ S
+        As[:, j] += B @ K[:, j]
+        S = costs.Q + AtS @ As[:, j]
     Phi = np.broadcast_to(np.eye(3), (len(ks), 3, 3))
     for j in range(N):
-        G[:, j] = K[:, j] @ Phi
-        Phi = F[:, j] = As[:, j] @ Phi + B @ G[:, j]
-    return G.reshape(len(ks), 2 * N, 3), F.reshape(len(ks), 3 * N, 3)
+        K[:, j] = K[:, j] @ Phi
+        Phi = As[:, j] = As[:, j] @ Phi
+    return K.reshape(len(ks), 2 * N, 3), As.reshape(len(ks), 3 * N, 3)
 
 
 def build_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
@@ -285,11 +291,12 @@ class MpcController:
     With avoidance off a step applies the plan G e0 of the horizon maps, and
     predicts F e0, when that plan keeps every input-bound (and no-reverse)
     row: the QP is strictly convex, so its unconstrained minimizer is then
-    its unique optimum. The bounds of those rows, u_max - u_ref and
-    u_max + u_ref, are built once over the reference inputs and N - 1 copies
-    of the last row, so the N rows from clamp(k) hold, bit for bit, the
-    bounds `_input_rows` gives the horizon at k. With reversing forbidden
-    the lower v bound is v_ref: never above u_max + v_ref, so the no-reverse
+    its unique optimum. The bounds of those rows on u_b, u_max - u_ref above
+    and -(u_max + u_ref) below, are built once over the reference inputs and
+    N - 1 copies of the last row, flattened to (v, omega) pairs, so the 2N
+    entries from step clamp(k) hold, bit for bit, the bounds `_input_rows`
+    gives the horizon at k (negation is exact). With reversing forbidden the
+    lower v bound is -v_ref: never below -(u_max + v_ref), so the no-reverse
     row implies the v row. The maps are built lazily, MAP_BLOCK start steps
     at a time, and only the latest block is kept. Otherwise the step solves
     the condensed QP (`condense_qp`) from u_b = 0 and expands the predicted
@@ -319,14 +326,15 @@ class MpcController:
         self._plan_e3 = self._plan_k = None  # previous velocity-space plan's heading errors, step
         self._maps = (None, None, None)  # (block index, G, F) of the latest map batch
         U = ref.inputs[ref.clamp(np.arange(len(ref) + cfg.N - 1))]
-        self._upper, self._lower = cfg.u_max - U, cfg.u_max + U
+        upper, lower = cfg.u_max - U, cfg.u_max + U
         if cfg.forbid_reverse:
-            self._lower[:, 0] = U[:, 0]
+            lower[:, 0] = U[:, 0]
+        self._upper, self._lower = upper.ravel(), -lower.ravel()
         self.last_debug = None  # (cone, halfplane, rows) of the nearest obstacle's velocity rows
 
     # -- avoidance row assembly -------------------------------------------
 
-    def _avoidance_rows(self, z, e0: ErrorState, k: int, obstacles):
+    def _avoidance_rows(self, z, e0: np.ndarray, k: int, obstacles):
         cfg = self.cfg
         blocks = []
         self.last_debug = None
@@ -361,11 +369,11 @@ class MpcController:
                     nearest, self.last_debug = dist, (cone, hp, vrows)
         return np.concatenate(blocks) if blocks else np.empty((0, 3))
 
-    def _heading_error_path(self, e0: ErrorState, k: int) -> np.ndarray:
+    def _heading_error_path(self, e0: np.ndarray, k: int) -> np.ndarray:
         """Per-step heading-error estimates: measured now, previous plan later."""
         if self._plan_e3 is not None and self._plan_k == k - 1:
-            return np.concatenate([[e0.e3], self._plan_e3[1:]])
-        return np.full(self.cfg.N, e0.e3)
+            return np.concatenate([e0[2:], self._plan_e3[1:]])
+        return np.full(self.cfg.N, e0[2])
 
     # -- start point --------------------------------------------------------
 
@@ -386,7 +394,6 @@ class MpcController:
         N = cfg.N
         i = self.ref.clamp(k)
         e0 = to_error_frame(z, self.ref.poses[i])
-        e0_arr = e0.as_array()
 
         slack_used, n_active = 0.0, 0
         if cfg.avoidance == "off":
@@ -396,20 +403,21 @@ class MpcController:
                 G, F = horizon_maps(block * MAP_BLOCK + np.arange(MAP_BLOCK), self.ref,
                                     self.A, self.B, self.schedule, self.costs, cfg)
                 self._maps = block, G, F
-            u_plan = G[k % MAP_BLOCK] @ e0_arr
-            u_b = u_plan.reshape(N, 2)
-            if (u_b <= self._upper[i:i + N]).all() and (-u_b <= self._lower[i:i + N]).all():
-                status, e_plan = "optimal", F[k % MAP_BLOCK] @ e0_arr  # the QP's unique optimum
+            u_plan = G[k % MAP_BLOCK].dot(e0)
+            j = 2 * i
+            if ((u_plan <= self._upper[j:j + 2 * N]).all()
+                    and (u_plan >= self._lower[j:j + 2 * N]).all()):
+                status, e_plan = "optimal", F[k % MAP_BLOCK].dot(e0)  # the QP's unique optimum
             else:
-                problem, free, Gamma = condense_qp(e0_arr, k, self.ref, self.A, self.B,
+                problem, free, Gamma = condense_qp(e0, k, self.ref, self.A, self.B,
                                                    self.schedule, self.costs, cfg)
                 sol = self.solver.solve(problem)
                 status, u_plan, e_plan = sol.status, sol.x, free + Gamma @ sol.x
         else:
             avoid = self._avoidance_rows(z, e0, k, obstacles)
-            problem = build_qp(e0_arr, k, self.ref, self.A, self.B, self.schedule,
+            problem = build_qp(e0, k, self.ref, self.A, self.B, self.schedule,
                                self.costs, cfg, avoid)
-            sol = self.solver.solve(problem, x0=self._rollout_start(e0_arr, k))
+            sol = self.solver.solve(problem, x0=self._rollout_start(e0, k))
             if sol.status == "infeasible" and len(avoid):
                 slacked = _with_shared_slack(problem, len(avoid), cfg.slack_weight)
                 ssol = self.solver.solve(slacked)
@@ -422,12 +430,9 @@ class MpcController:
             if len(avoid) and sol.mu_in.size >= len(avoid):
                 n_active = int(np.sum(sol.mu_in[-len(avoid):] > 1e-8))
 
-        u_b0 = u_plan[:2].copy()
-        if status == "infeasible":
-            u_b0 = np.zeros(2)  # hold the feed-forward; the simulator will halt
-        predicted = np.empty((N + 1, 3))
-        predicted[0] = e0_arr
-        predicted[1:] = e_plan.reshape(N, 3)
+        # an infeasible step holds the feed-forward; the simulator will halt
+        u_b0 = np.zeros(2) if status == "infeasible" else u_plan[:2].copy()
+        predicted = np.concatenate([e0, e_plan]).reshape(N + 1, 3)
         if cfg.avoidance == "velocity_space" and status != "infeasible":
             self._plan_e3 = predicted[1:, 2].copy()
             self._plan_k = k
@@ -435,8 +440,8 @@ class MpcController:
             u_applied=self.ref.inputs[i] + u_b0,
             u_feedback=u_b0,
             predicted_errors=predicted,
-            stage_cost=stage_cost_value(e0_arr, u_b0, self.costs),
-            terminal_cost=terminal_cost_value(e0_arr, self.schedule.P_at(k), cfg.beta),
+            stage_cost=stage_cost_value(e0, u_b0, self.costs),
+            terminal_cost=terminal_cost_value(e0, self.schedule.P_at(k), cfg.beta),
             qp_status=status,
             active_avoidance_rows=n_active,
             slack_used=slack_used,
@@ -446,16 +451,14 @@ class MpcController:
         """Unconstrained per-step LQR: u = u_ref + K(k) e, never clipped."""
         cfg = self.cfg
         i = self.ref.clamp(k)
-        e0 = to_error_frame(z, self.ref.poses[i]).as_array()
+        e0 = to_error_frame(z, self.ref.poses[i])
         u_b = self.schedule.K_at(k) @ e0
-        predicted = np.zeros((cfg.N + 1, 3))
-        predicted[0] = e0
-        e = e0
         steps = np.arange(k, k + cfg.N)
-        for j, (A_j, K_j) in enumerate(zip(self.A[self.ref.clamp(steps)],
-                                           self.schedule.K_at(steps))):
-            e = (A_j + self.B @ K_j) @ e
-            predicted[j + 1] = e
+        A_K = self.A[self.ref.clamp(steps)] + self.B @ self.schedule.K_at(steps)
+        predicted = np.empty((cfg.N + 1, 3))
+        predicted[0] = e0
+        for j in range(cfg.N):
+            predicted[j + 1] = A_K[j] @ predicted[j]
         return MpcStep(
             u_applied=self.ref.inputs[i] + u_b,
             u_feedback=u_b,

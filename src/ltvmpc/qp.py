@@ -28,19 +28,23 @@ INFEAS_TOL = 1e-7  # phase-1 slack above this certifies infeasibility
 PHASE1_PASSES = 64  # cap on phase-1 re-anchoring passes
 
 
+def _floats(v, ndim: int):
+    """v as a float64 array, flattened if ndim is 1; v itself if it is one of ndim dimensions."""
+    if type(v) is np.ndarray and v.dtype == np.float64 and v.ndim == ndim:
+        return v
+    v = np.asarray(v, dtype=float)
+    return v.reshape(-1) if ndim == 1 else v
+
+
 def _as_2d(M, n_cols):
-    if M is None:
-        return np.zeros((0, n_cols))
-    M = np.asarray(M, dtype=float)
+    M = np.zeros((0, n_cols)) if M is None else _floats(M, 2)
     if M.ndim != 2 or M.shape[1] != n_cols:
         raise ValueError(f"constraint matrix must have {n_cols} columns")
     return M
 
 
 def _as_1d(v, n):
-    if v is None:
-        return np.zeros(0)
-    v = np.asarray(v, dtype=float).reshape(-1)
+    v = np.zeros(0) if v is None else _floats(v, 1)
     if v.shape[0] != n:
         raise ValueError("constraint vector length mismatch")
     return v
@@ -58,12 +62,12 @@ class QpProblem:
     b_in: np.ndarray = None
 
     def __post_init__(self):
-        H = np.asarray(self.H, dtype=float)
-        g = np.asarray(self.g, dtype=float).reshape(-1)
+        H = _floats(self.H, 2)
+        g = _floats(self.g, 1)
         n = g.shape[0]
         if H.shape != (n, n):
             raise ValueError("H must be n x n matching g")
-        if not np.array_equal(H, H.T):
+        if not (H == H.T).all():
             if not np.allclose(H, H.T, atol=1e-10):
                 raise ValueError("H must be symmetric (within 1e-10)")
             H = 0.5 * (H + H.T)
@@ -247,9 +251,12 @@ class QpSolver:
         belong to the new point, so the optimality test needs no second solve.
         One KKT buffer serves the loop: H and A_eq are written once, the
         working rows each iteration, and each solve reads its leading square.
+        It has room for the n - m_e working rows that can be independent of
+        the equality rows, and grows to all m_i if dependent rows join.
         """
         n, m_e, m_i = H.shape[0], A_eq.shape[0], A_in.shape[0]
-        KKT = np.zeros((n + m_e + m_i, n + m_e + m_i))
+        size = n + m_e + min(m_i, n - m_e)
+        KKT = np.zeros((size, size))
         KKT[:n, :n] = H
         KKT[n:n + m_e, :n] = A_eq
         KKT[:n, n:n + m_e] = A_eq.T
@@ -261,6 +268,8 @@ class QpSolver:
         for _ in range(max_iter):
             grad = H @ x + g
             na = m_e + len(work)
+            if n + na > len(KKT):
+                KKT = np.pad(KKT, (0, n + m_e + m_i - len(KKT)))
             if work:
                 KKT[n + m_e:n + na, :n] = A_in[work]
                 KKT[:n, n + m_e:n + na] = KKT[n + m_e:n + na, :n].T

@@ -68,7 +68,8 @@ class TerminalSchedule:
 
     def P_at(self, i):
         """P at step i >= 0 (int or integer array); past the end the last holds."""
-        return self.P[np.minimum(i, len(self.P) - 1)]
+        last = len(self.P) - 1
+        return self.P[min(i, last) if isinstance(i, int) else np.minimum(i, last)]
 
     def K_at(self, i):
         """K at step i >= 0 (int or integer array); past the end the last holds."""

@@ -575,12 +575,14 @@ def step_continuous(z: RobotState, u) -> np.ndarray:
 
 
 def from_error_frame(e, pose) -> RobotState:
-    """Invert to_error_frame: recover the robot pose from (error, reference pose)."""
+    """Invert to_error_frame: recover the robot pose from (error (e1, e2, e3),
+    reference pose)."""
     x_r, y_r, th_r = pose
-    theta = th_r - e.e3
+    e1, e2, e3 = e
+    theta = th_r - e3
     c, s = math.cos(theta), math.sin(theta)
-    x = x_r - (c * e.e1 - s * e.e2)
-    y = y_r - (s * e.e1 + c * e.e2)
+    x = x_r - (c * e1 - s * e2)
+    y = y_r - (s * e1 + c * e2)
     return RobotState(x, y, theta)
 
 

@@ -10,7 +10,6 @@ from ltvmpc.avoidance import (HalfPlane, Obstacle, VoCone, position_rows,
                               state_space_halfplane, tangent_halfplane,
                               velocity_constraint_row, velocity_debug_csv,
                               velocity_obstacle, velocity_rows)
-from ltvmpc.dynamics import ErrorState
 from ltvmpc.sim import TrajectorySpec, build_reference
 
 from oracles import (cone_contains, from_error_frame, halfplane_satisfied,
@@ -86,7 +85,7 @@ def test_position_rows_match_world_halfplane(rng):
         assert rhs == hp.a - float(hp.n @ pose[:2])
         for _ in range(10):
             e_pos = rng.uniform(-1, 1, size=2)
-            z = from_error_frame(ErrorState(e_pos[0], e_pos[1], 0.0), pose)
+            z = from_error_frame((e_pos[0], e_pos[1], 0.0), pose)
             lhs_world = hp.n @ np.array([z.x, z.y])
             lhs_row = np.array([c1, c2]) @ e_pos
             # same number on both routes when the heading error is zero

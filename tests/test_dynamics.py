@@ -138,12 +138,16 @@ def test_rolled_reference_equals_the_step_chain_bit_for_bit(kind):
 
 def test_error_frame_known_points():
     e = to_error_frame(RobotState(0, 0, 0), (1, 2, 0.5))
-    assert np.allclose(e.as_array(), [1, 2, 0.5])
+    assert e.dtype == float and e.shape == (3,)
+    assert np.allclose(e, [1, 2, 0.5])
     pose = np.array([1, 0, math.pi / 2])
     e = to_error_frame(RobotState(0, 0, math.pi / 2), pose)
-    assert np.allclose(e.as_array(), [0, -1, 0], atol=1e-15)
+    assert np.allclose(e, [0, -1, 0], atol=1e-15)
     z = from_error_frame(e, pose)
     assert np.allclose(z.as_array(), [0, 0, math.pi / 2], atol=1e-15)
+    # the heading error is wrapped: 3.0 - (-3.0) is 6.0 before wrapping
+    e = to_error_frame(RobotState(0, 0, -3.0), (0, 0, 3.0))
+    assert e[2] == wrap_angle(6.0) and -math.pi < e[2] < 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -152,6 +156,11 @@ def test_error_frame_round_trip(x, y, th, xr, yr, thr):
     pose = (xr, yr, thr)
     z = RobotState(x, y, th)
     e = to_error_frame(z, pose)
+    # bit for bit the rotation on numpy scalars read from a pose row
+    row = np.array(pose)
+    c, s = math.cos(z.theta), math.sin(z.theta)
+    dx, dy = row[0] - z.x, row[1] - z.y
+    assert e.tolist() == [c * dx + s * dy, -s * dx + c * dy, wrap_angle(row[2] - z.theta)]
     z2 = from_error_frame(e, pose)
     assert abs(z2.x - z.x) <= 1e-9 * max(1.0, abs(z.x))
     assert abs(z2.y - z.y) <= 1e-9 * max(1.0, abs(z.y))

@@ -181,6 +181,16 @@ def test_terminal_cost_values():
         pytest.approx(0.5)
 
 
+def test_cost_values_are_the_operator_products(rng):
+    # the same floats as the `@` chains, for non-diagonal weights too
+    M, W = rng.normal(size=(3, 3)), rng.normal(size=(2, 2))
+    costs = CostMatrices(M @ M.T, W @ W.T + np.eye(2))
+    for _ in range(200):
+        e, u, beta = rng.normal(size=3), rng.normal(size=2), rng.uniform(0, 5)
+        assert stage_cost_value(e, u, costs) == float(0.5 * (e @ costs.Q @ e + u @ costs.R @ u))
+        assert terminal_cost_value(e, costs.Q, beta) == float(0.5 * beta * e @ costs.Q @ e)
+
+
 def backward_pass(models, B, P_end, costs, k, N):
     """Dense finite-horizon oracle: gains for cost sum_{i=1}^{N-1} e'Qe
     + e_N' P_end e_N + sum u'Ru (all halved), indices clamped like the QP."""
@@ -387,7 +397,7 @@ def test_bound_check_decides_as_the_condensed_rows(forbid_reverse):
     decisions = set()
     for k in (0, L - N - 1, L - 2, L + 3):
         z = RobotState(*(ref.poses[ref.clamp(k)] + [-0.1, 0.05, 0.02]))
-        e0 = to_error_frame(z, ref.poses[ref.clamp(k)]).as_array()
+        e0 = to_error_frame(z, ref.poses[ref.clamp(k)])
         problem, _, _ = condense_qp(e0, k, ref, models, B, schedule, COSTS, cfg)
         for r in np.flatnonzero(np.any(problem.A_in[:, [0, 1, 2 * N - 2, 2 * N - 1]], axis=1)):
             col = np.flatnonzero(problem.A_in[r])[0]
@@ -416,12 +426,17 @@ def _rollout(gains, models, B, e0, k):
     return np.concatenate(u), np.concatenate(e[1:])
 
 
-def test_horizon_maps_match_backward_pass_oracle(rng):
-    ref, models, B, schedule = make_setup()
+@pytest.mark.parametrize("R", [COSTS.R, np.diag([1e-6, 1e-6])])
+def test_horizon_maps_match_backward_pass_oracle(R, rng):
+    # The closed-form gain against the oracle's LAPACK solve, also with an
+    # input weight so small that R + B'SB is nearly B'SB alone.
+    costs = CostMatrices(COSTS.Q, R)
+    ref, models, B, _ = make_setup()
+    schedule = backward_riccati(models, B, costs)
     for N, k, cfg_kw in ((12, 9, {}), (10, 55, {}), (8, 3, {"beta": 0.0})):
         cfg = MpcConfig(N=N, **cfg_kw)
-        gains = backward_pass(models, B, cfg.beta * schedule.P_at(k + N), COSTS, k, N)
-        G, F = horizon_maps([k], ref, models, B, schedule, COSTS, cfg)
+        gains = backward_pass(models, B, cfg.beta * schedule.P_at(k + N), costs, k, N)
+        G, F = horizon_maps([k], ref, models, B, schedule, costs, cfg)
         assert G.shape == (1, 2 * N, 3) and F.shape == (1, 3 * N, 3)
         assert np.max(np.abs(G[0, :2] - gains[0])) <= 1e-12
         for e0 in rng.uniform(-0.5, 0.5, size=(5, 3)):

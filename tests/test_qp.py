@@ -323,6 +323,40 @@ def test_one_blocking_bound_takes_two_factorizations(monkeypatch):
     assert sol.mu_in[0] > 0.0
 
 
+@pytest.mark.parametrize("m_e", [0, 1])
+def test_box_corner_fills_the_kkt_buffer(m_e, monkeypatch):
+    # min 0.5 |x - 2|^2 over the box |x_i| <= 1 ends at a corner with every
+    # coordinate's bound active, x_4 = 0.5 fixed by the equality row when
+    # there is one: n working rows, equality rows included, the most the
+    # loop's KKT buffer has room for without growing.
+    n = 4
+    A_eq = np.eye(n)[n - 1:] if m_e else None
+    p = QpProblem(H=np.eye(n), g=np.full(n, -2.0), A_eq=A_eq, b_eq=[0.5] if m_e else None,
+                  A_in=np.vstack([np.eye(n), -np.eye(n)]), b_in=np.ones(2 * n))
+    calls = counting_kkt(monkeypatch)
+    sol = solve_qp(p)
+    x_ref, _ = qp_brute_force(p.H, p.g, p.A_eq, p.b_eq, p.A_in, p.b_in)
+    assert sol.status == "optimal" and max(calls) == n
+    assert np.array_equal(x_ref, [1.0, 1.0, 1.0, 0.5 if m_e else 1.0])
+    assert np.max(np.abs(sol.x - x_ref)) <= 1e-12
+    assert np.count_nonzero(sol.mu_in) == n - m_e
+
+
+def test_dependent_working_rows_grow_the_kkt_buffer(monkeypatch):
+    # Rows through one point of the line: at that vertex a second, dependent
+    # row joins the working set, one more than the buffer first holds.
+    p = inequality_problem("degenerate", 259)
+    assert p.n == 1 and p.A_in.shape[0] == 3
+    calls = counting_kkt(monkeypatch)
+    got = QpSolver().solve(p)
+    ref = FreshKktSolver()
+    want = ref.solve(p)
+    assert max(calls) == 2 and calls == ref.kkt_rows
+    assert_same_loop_result((got.x, got.lambda_eq, got.mu_in, got.status),
+                            (want.x, want.lambda_eq, want.mu_in, want.status))
+    check_against_enumeration_oracle(p)
+
+
 def assert_same_loop_result(got, want):
     assert got[3] == want[3]
     for a, b in zip(got[:3], want[:3]):
