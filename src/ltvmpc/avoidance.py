@@ -8,11 +8,12 @@ Two constructions, both yielding rows that drop straight into the QP:
    reference direction (with hysteresis so a dead-ahead obstacle does not
    chatter), which steers approach and departure differently.
 
-2. Velocity obstacles: the set of velocities colliding within tau is a disc
-   union whose convex hull is a cone; one tangent half-plane through the cone
-   apex (the obstacle's velocity) is kept, chosen to restrict the preferred
-   velocity least. The induced constraint on speed/turn-rate deviations is
-   the first-order expansion of the signed margin at the reference input.
+2. Velocity obstacles: the set of velocities that collide at some time
+   t > 0 (the velocity obstacle for an unbounded horizon) is a cone; one
+   tangent half-plane through the cone apex (the obstacle's velocity) is
+   kept, chosen to restrict the preferred velocity least. The induced
+   constraint on speed/turn-rate deviations is the first-order expansion of
+   the signed margin at the reference input.
 
 Both emit one float block of shape (N, 3) per obstacle: row j holds
 (c1, c2, rhs) of the row c . x <= rhs over one variable pair of horizon step
@@ -56,12 +57,11 @@ class HalfPlane(NamedTuple):
 
 class VoCone(NamedTuple):
     """Velocity-obstacle cone: apex at the obstacle velocity, unit axis toward
-    the obstacle, half-angle from the combined radius, horizon tau."""
+    the obstacle, half-angle from the combined radius."""
 
     apex: np.ndarray
     axis: np.ndarray
     half_angle: float
-    tau: float
 
 
 def _rot(phi: float) -> np.ndarray:
@@ -130,15 +130,15 @@ def position_rows(hp: HalfPlane, ref, k: int, N: int):
 # -- method 2: velocity obstacles ----------------------------------------------
 
 
-def velocity_obstacle(p_robot, r_robot: float, obstacle: Obstacle, tau: float) -> VoCone:
-    """Cone of robot velocities that hit the obstacle within tau.
+def velocity_obstacle(p_robot, r_robot: float, obstacle: Obstacle) -> VoCone:
+    """Cone of robot velocities that hit the obstacle at some time t > 0.
 
-    Built from the disc union D((p_j - p_i)/t + v_j, (r_i + r_j)/t) over
-    t in (0, tau]; its convex hull is the cone with apex v_j, axis toward the
-    obstacle, half-angle asin((r_i + r_j)/dist). Raises ValueError when the
-    discs already overlap (dist <= r_i + r_j). The axis d / dist is divided
-    by its own norm once more, which moves its last bits in about a third of
-    directions; the shipped outputs depend on those bits.
+    The union of the discs D((p_j - p_i)/t + v_j, (r_i + r_j)/t) over all
+    t > 0 is the cone with apex v_j, axis toward the obstacle, half-angle
+    asin((r_i + r_j)/dist). Raises ValueError when the discs already
+    overlap (dist <= r_i + r_j). The axis d / dist is divided by its own norm
+    once more, which moves its last bits in about a third of directions; the
+    shipped outputs depend on those bits.
     """
     p_robot = np.asarray(p_robot, dtype=float).reshape(2)
     d = obstacle.position - p_robot
@@ -146,11 +146,9 @@ def velocity_obstacle(p_robot, r_robot: float, obstacle: Obstacle, tau: float) -
     r_sum = r_robot + obstacle.radius
     if dist <= r_sum:
         raise ValueError("already in collision: center distance <= combined radius")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
     axis = d / dist
     return VoCone(obstacle.velocity, axis / float(np.linalg.norm(axis)),
-                  math.asin(r_sum / dist), tau)
+                  math.asin(r_sum / dist))
 
 
 def tangent_halfplane(cone: VoCone, u_pref) -> HalfPlane:
@@ -190,18 +188,16 @@ def velocity_rows(hp: HalfPlane, ref, k: int, N: int, e3_path, dt: float):
     block whose row j holds the row of u_b(j).
 
     The heading estimate at step j is the reference heading at k+j shifted by
-    the matching entry of e3_path (a scalar applies one shift everywhere).
-    Passing the previous solve's predicted heading errors makes a turn planned
-    early in the horizon pay off in the later rows; a frozen scalar shift
-    would instead charge every step the full turn from scratch, which prices
-    steering out of the solution. ref is the dynamics.Reference; its step
-    indices clamp at the end.
+    entry j of e3_path (N entries). Passing the previous solve's predicted
+    heading errors makes a turn planned early in the horizon pay off in the
+    later rows; one frozen shift for every step would instead charge each
+    step the full turn from scratch, which prices steering out of the
+    solution. ref is the dynamics.Reference; its step indices clamp at the
+    end.
     """
-    e3_path = np.atleast_1d(np.asarray(e3_path, dtype=float)).tolist()
-    if len(e3_path) == 1:
-        e3_path = e3_path * N
-    elif len(e3_path) != N:
-        raise ValueError("e3_path must be a scalar or have one entry per step")
+    e3_path = np.asarray(e3_path, dtype=float).ravel().tolist()
+    if len(e3_path) != N:
+        raise ValueError("e3_path must have one entry per step")
     steps = ref.clamp(np.arange(k, k + N))
     n = hp.n.tolist()
     coefs = [velocity_constraint_row(n, hp.a, theta - e3, v_r, w_r, dt)
@@ -220,7 +216,7 @@ def velocity_debug_csv(cone: VoCone, hp: HalfPlane, rows) -> str:
     lines = ["record,field0,field1,field2,field3"]
     lines.append(f"cone_apex,{cone.apex[0]:.17g},{cone.apex[1]:.17g},,")
     lines.append(f"cone_axis,{cone.axis[0]:.17g},{cone.axis[1]:.17g},,")
-    lines.append(f"cone_shape,{cone.half_angle:.17g},{cone.tau:.17g},,")
+    lines.append(f"cone_shape,{cone.half_angle:.17g},,,")
     lines.append(f"halfplane,{hp.n[0]:.17g},{hp.n[1]:.17g},{hp.a:.17g},{hp.sense}")
     lines += [f"row_step_{j},{cu:.17g},{cw:.17g},{rhs:.17g},"
               for j, (cu, cw, rhs) in enumerate(rows.tolist())]

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from .avoidance import velocity_debug_csv
-from .sim import (Scenario, SimLog, _column_table, _make_agent, _table, build_controller,
-                  closed_loop)
+from .sim import (Scenario, SimLog, _column_table, _table, build_controller, closed_loop,
+                  obstacle_tracks)
 
 
 def _columns(rows, names) -> str:
@@ -40,23 +40,15 @@ def cost_curves_csv(rows) -> str:
 
 
 def obstacle_paths_csv(scn: Scenario, n_steps: int = None) -> str:
-    """Obstacle disc positions over time, replayed from the scenario spec.
-
-    Obstacle agents never react to the primary robot, so the replay is exact.
-    """
-    if n_steps is None:
-        n_steps = scn.duration
-    T = scn.trajectory.T
-    n_points = scn.duration + scn.mpc.N + 1
-    agents = [_make_agent(o, T, n_points, scn.reference_mode) for o in scn.obstacles]
-    rows = []
-    for k in range(n_steps):
-        for i, a in enumerate(agents):
-            obs = a.snapshot(k)
-            rows.append((k, k * T, i, obs.position[0], obs.position[1], obs.radius))
-        for a in agents:
-            a.advance(k)
-    return _table(("k", "t", "obstacle", "x", "y", "radius"), rows)
+    """Obstacle disc positions over the first n_steps steps (all by default),
+    one row per step and obstacle, read from `sim.obstacle_tracks`."""
+    positions, _, radii = obstacle_tracks(scn)
+    positions = positions[:n_steps]
+    n, m = positions.shape[:2]
+    k = np.repeat(np.arange(n), m)
+    return _column_table(("k", "t", "obstacle", "x", "y", "radius"),
+                         [k, k * scn.trajectory.T, np.tile(np.arange(m), n),
+                          *positions.reshape(-1, 2).T, np.tile(radii, n)])
 
 
 def sweep_summary_csv(param: str, results) -> str:
@@ -96,8 +88,8 @@ def velocity_space_csv(scn: Scenario, k: int) -> str | None:
     controller's own `last_debug` there. None if no velocity rows were built
     at that step (no obstacle within d_activate).
     """
-    controller, agents = build_controller(scn)
-    for j, *_ in closed_loop(scn, controller, agents):
+    controller, tracks = build_controller(scn)
+    for j, *_ in closed_loop(scn, controller, tracks):
         if j == k:
             break
     return None if controller.last_debug is None else velocity_debug_csv(*controller.last_debug)

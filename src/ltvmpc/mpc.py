@@ -53,7 +53,6 @@ class MpcConfig:
     r_safe: float = 0.5
     d_activate: float = 3.0
     robot_radius: float = 0.2
-    tau: float = None  # None -> N * T at controller construction
     forbid_reverse: bool = False
 
     def __post_init__(self):
@@ -68,8 +67,6 @@ class MpcConfig:
             raise ValueError("u_max entries must be positive")
         if self.slack_weight <= 0:
             raise ValueError("slack_weight must be positive")
-        if self.tau is not None and self.tau <= 0:
-            raise ValueError("tau must be positive")
         if self.robot_radius < 0 or self.r_safe < 0:
             raise ValueError("robot_radius and r_safe must be >= 0")
         if self.d_activate <= 0:
@@ -320,7 +317,6 @@ class MpcController:
         self.schedule = schedule
         self.costs = costs
         self.cfg = cfg
-        self.tau = cfg.tau if cfg.tau is not None else cfg.N * ref.T
         self.solver = QpSolver(max_iter=800)
         self._sides = {}
         self._plan_e3 = self._plan_k = None  # previous velocity-space plan's heading errors, step
@@ -359,7 +355,7 @@ class MpcController:
             else:  # velocity_space
                 if dist <= cfg.robot_radius + obs.radius:
                     continue  # already overlapping; no cone exists, leave it to the log
-                cone = av.velocity_obstacle(p_robot, cfg.robot_radius, obs, self.tau)
+                cone = av.velocity_obstacle(p_robot, cfg.robot_radius, obs)
                 u_pref = v_ref * np.array([math.cos(theta_ref), math.sin(theta_ref)])
                 hp = av.tangent_halfplane(cone, u_pref)
                 vrows = av.velocity_rows(hp, self.ref, k, cfg.N,

@@ -1,11 +1,13 @@
-"""Closed-loop simulation: scenarios, reference curves, agents, logs, metrics.
+"""Closed-loop simulation: scenarios, reference curves, obstacle tracks, logs,
+metrics.
 
 The plant is the exact discrete unicycle step; the controller sees the same
 reference the plant rolls along (references are integrated through the
-discrete dynamics by default, which makes "start on the reference, apply the
+discrete dynamics, which makes "start on the reference, apply the
 feed-forward" an exact fixed point of the loop). Obstacles are static discs,
-constant-velocity discs, or secondary unicycles tracking their own reference
-open-loop or with their own controller; only the primary robot avoids.
+constant-velocity discs, or secondary unicycles driven open-loop along their
+own reference; only the primary robot avoids, so every obstacle's path is
+fixed before the run and held as arrays (`obstacle_tracks`).
 
 The loop itself is one generator, `closed_loop`. `run_scenario` writes each
 of its steps into one preallocated record array with a field per CSV column
@@ -88,21 +90,16 @@ class TrajectorySpec:
         return np.column_stack([x, xd, xdd, y, yd, ydd])
 
 
-def build_reference(spec: TrajectorySpec, n: int, mode: str = "rolled") -> Reference:
-    """Reference of n points; 'rolled' integrates poses through the discrete
-    dynamics (exact fixed point), 'analytic' keeps the curve samples."""
-    samples = spec.samples(n)
-    if mode == "rolled":
-        return roll_reference(samples, spec.T)
-    if mode == "analytic":
-        return derive_reference(samples, spec.T)
-    raise ValueError("reference mode must be 'rolled' or 'analytic'")
+def build_reference(spec: TrajectorySpec, n: int) -> Reference:
+    """Reference of n points, its poses integrated through the discrete
+    dynamics (`roll_reference`: an exact fixed point)."""
+    return roll_reference(spec.samples(n), spec.T)
 
 
 @dataclass(frozen=True)
 class ObstacleSpec:
     """Scene obstacle: static disc, constant-velocity disc, or a unicycle
-    agent tracking its own reference ('open_loop' feed-forward or 'mpc')."""
+    driven by its own reference's feed-forward ('open_loop', the only control)."""
 
     kind: str  # static | linear | unicycle
     radius: float = 0.3
@@ -116,8 +113,8 @@ class ObstacleSpec:
             raise ValueError("obstacle kind must be static, linear or unicycle")
         if self.kind == "unicycle" and self.trajectory is None:
             raise ValueError("unicycle obstacle needs a trajectory")
-        if self.control not in ("open_loop", "mpc"):
-            raise ValueError("obstacle control must be open_loop or mpc")
+        if self.control != "open_loop":
+            raise ValueError("obstacle control must be open_loop")
         if self.radius < 0:
             raise ValueError("radius must be >= 0")
         if len(self.position) != 2 or len(self.velocity) != 2:
@@ -138,7 +135,6 @@ class Scenario:
     R_diag: tuple[float, ...] = (0.1, 0.05)
     obstacles: tuple[ObstacleSpec, ...] = ()
     controller: str = "mpc"  # mpc | lqr
-    reference_mode: str = "rolled"  # rolled | analytic
 
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name or "/" in self.name \
@@ -150,8 +146,6 @@ class Scenario:
             raise ValueError("initial_state needs 3 entries (x, y, heading)")
         if self.controller not in ("mpc", "lqr"):
             raise ValueError("controller must be 'mpc' or 'lqr'")
-        if self.reference_mode not in ("rolled", "analytic"):
-            raise ValueError("reference_mode must be 'rolled' or 'analytic'")
         if len(self.Q_diag) != 3 or len(self.R_diag) != 2:
             raise ValueError("Q_diag needs 3 entries and R_diag needs 2")
         if self.mpc.avoidance == "velocity_space" and any(
@@ -240,98 +234,56 @@ class Metrics:
     halted: bool
 
 
-# -- obstacle agents -------------------------------------------------------------
-
-
-class _StaticAgent:
-    def __init__(self, spec: ObstacleSpec):
-        self.obs = Obstacle(np.array(spec.position), spec.radius)
-
-    def snapshot(self, k: int) -> Obstacle:
-        return self.obs
-
-    def advance(self, k: int):
-        pass
-
-
-class _LinearAgent:
-    def __init__(self, spec: ObstacleSpec, T: float):
-        self.p0 = np.array(spec.position, dtype=float)
-        self.v = np.array(spec.velocity, dtype=float)
-        self.r = spec.radius
-        self.T = T
-
-    def snapshot(self, k: int) -> Obstacle:
-        return Obstacle(self.p0 + self.v * (k * self.T), self.r, self.v)
-
-    def advance(self, k: int):
-        pass
-
-
-class _UnicycleAgent:
-    def __init__(self, spec: ObstacleSpec, n_points: int, reference_mode: str):
-        self.radius = spec.radius
-        self.ref = build_reference(spec.trajectory, n_points, reference_mode)
-        self.z = RobotState(*self.ref.poses[0])
-        self.T = spec.trajectory.T
-        self._pending = None
-        if spec.control == "mpc":
-            A, B = linearize(self.ref.inputs, self.T), input_matrix(self.T)
-            costs = CostMatrices(np.diag([1.0, 1.0, 0.5]), np.diag([0.1, 0.05]))
-            schedule = backward_riccati(A, B, costs)
-            self.controller = MpcController(self.ref, A, B, schedule, costs, MpcConfig())
-        else:
-            self.controller = None
-
-    def _plan(self, k: int) -> np.ndarray:
-        if self.controller is not None:
-            return self.controller.control_step(self.z, k).u_applied
-        return self.ref.inputs[self.ref.clamp(k)]
-
-    def snapshot(self, k: int) -> Obstacle:
-        self._pending = self._plan(k)
-        vel = self._pending[0] * np.array([math.cos(self.z.theta), math.sin(self.z.theta)])
-        return Obstacle(np.array([self.z.x, self.z.y]), self.radius, vel)
-
-    def advance(self, k: int):
-        self.z = step_discrete(self.z, self._pending, self.T)
-
-
-def _make_agent(spec: ObstacleSpec, T: float, n_points: int, reference_mode: str):
-    if spec.kind == "static":
-        return _StaticAgent(spec)
-    if spec.kind == "linear":
-        return _LinearAgent(spec, T)
-    return _UnicycleAgent(spec, n_points, reference_mode)
-
-
 # -- main loop ----------------------------------------------------------------------
 
 
+def obstacle_tracks(scn: Scenario):
+    """Obstacle positions and velocities over the run, each (duration, m, 2),
+    and radii (m,). Obstacles never react to the robot, so their paths are
+    fixed: a static disc stays put, a linear one is at p0 + v (kT), and a
+    unicycle is on its rolled reference, where its open-loop feed-forward
+    steps it bit for bit, moving at the reference speed along its heading."""
+    n = scn.duration
+    positions = np.empty((n, len(scn.obstacles), 2))
+    velocities = np.zeros_like(positions)
+    for i, o in enumerate(scn.obstacles):
+        if o.kind == "static":
+            positions[:, i] = o.position
+        elif o.kind == "linear":
+            velocities[:, i] = o.velocity
+            kT = np.arange(n) * scn.trajectory.T
+            positions[:, i] = np.array(o.position) + kT[:, None] * o.velocity
+        else:  # sampled at the length whose speeds Scenario checks
+            ref = build_reference(o.trajectory, n + scn.mpc.N + 1)
+            positions[:, i] = ref.poses[:n, :2]
+            heading = [(math.cos(th), math.sin(th)) for th in ref.poses[:n, 2].tolist()]
+            velocities[:, i] = ref.inputs[:n, :1] * np.array(heading).reshape(n, 2)
+    return positions, velocities, np.array([o.radius for o in scn.obstacles], dtype=float)
+
+
 def build_controller(scn: Scenario):
-    """The controller and obstacle agents exactly as run_scenario builds them
-    (exposed so figure dumps can replay a run and inspect controller state)."""
+    """The controller and the obstacle tracks (`obstacle_tracks`) exactly as
+    run_scenario builds them (exposed so figure dumps can replay a run and
+    inspect controller state)."""
     T = scn.trajectory.T
-    n_points = scn.duration + scn.mpc.N + 1
-    ref = build_reference(scn.trajectory, n_points, scn.reference_mode)
+    ref = build_reference(scn.trajectory, scn.duration + scn.mpc.N + 1)
     A, B = linearize(ref.inputs, T), input_matrix(T)
     costs = scn.costs()
     schedule = backward_riccati(A, B, costs)
-    controller = MpcController(ref, A, B, schedule, costs, scn.mpc)
-    agents = [_make_agent(o, T, n_points, scn.reference_mode) for o in scn.obstacles]
-    return controller, agents
+    return MpcController(ref, A, B, schedule, costs, scn.mpc), obstacle_tracks(scn)
 
 
-def closed_loop(scn: Scenario, controller, agents):
+def closed_loop(scn: Scenario, controller, tracks):
     """The closed loop of scn, one step at a time: yields (k, z, obstacles, step)
-    after the controller acts at step k and before the plant and the agents
-    advance. Ends after `scn.duration` steps, or after a step whose QP is
-    infeasible."""
+    after the controller acts at step k and before the plant advances; the
+    obstacles are step k's rows of the tracks (`obstacle_tracks`). Ends after
+    `scn.duration` steps, or after a step whose QP is infeasible."""
     T = scn.trajectory.T
     ref = controller.ref
+    positions, velocities, radii = tracks
     z = RobotState(*(ref.poses[0] if scn.initial_state is None else scn.initial_state))
     for k in range(scn.duration):
-        obstacles = [a.snapshot(k) for a in agents]
+        obstacles = [Obstacle(*o) for o in zip(positions[k], radii, velocities[k])]
         if scn.controller == "lqr":
             step = controller.lqr_control_step(z, k)
         else:
@@ -340,16 +292,14 @@ def closed_loop(scn: Scenario, controller, agents):
         if step.qp_status == "infeasible":
             return
         z = step_discrete(z, step.u_applied, T)
-        for a in agents:
-            a.advance(k)
 
 
 def run_scenario(scn: Scenario) -> SimLog:
-    controller, agents = build_controller(scn)
+    controller, tracks = build_controller(scn)
     ref, T = controller.ref, scn.trajectory.T
     rows = np.recarray(scn.duration, dtype=LOG_DTYPE)
     n = 0
-    for k, z, obstacles, step in closed_loop(scn, controller, agents):
+    for k, z, obstacles, step in closed_loop(scn, controller, tracks):
         p = np.array([z.x, z.y])
         min_dist = math.inf
         for o in obstacles:

@@ -196,21 +196,19 @@ def _map_step_residual(ctl, step, k):
 
 def _closed_loop_residuals(scn, duration):
     scn = replace(scn, duration=duration)
-    controller, agents = build_controller(scn)
+    controller, (positions, velocities, radii) = build_controller(scn)
     recorder = _RecordingSolver(controller.solver)
     controller.solver = recorder
     z = RobotState(*(controller.ref.poses[0] if scn.initial_state is None
                      else scn.initial_state))
     for k in range(scn.duration):
-        obstacles = [a.snapshot(k) for a in agents]
+        obstacles = [Obstacle(p, r, v) for p, r, v in zip(positions[k], radii, velocities[k])]
         solved = len(recorder.residuals)
         step = controller.control_step(z, k, obstacles)
         assert step.qp_status == "optimal"
         if scn.mpc.avoidance == "off" and len(recorder.residuals) == solved:
             recorder.residuals.append(_map_step_residual(controller, step, k))
         z = step_discrete(z, step.u_applied, scn.trajectory.T)
-        for a in agents:
-            a.advance(k)
     return recorder.residuals
 
 
@@ -332,7 +330,7 @@ def test_a13_velocity_rows_match_derivatives_and_exclude_cone(rng):
         assert abs(cw + dfw) <= 1e-6
 
     d = np.array([2.0, 0.0])
-    cone = velocity_obstacle((0.0, 0.0), 0.5, Obstacle(d, 0.5, (0.1, -0.2)), 4.0)
+    cone = velocity_obstacle((0.0, 0.0), 0.5, Obstacle(d, 0.5, (0.1, -0.2)))
     hp = tangent_halfplane(cone, (1.0, 0.4))
 
     def rotate(phi):
@@ -345,7 +343,7 @@ def test_a13_velocity_rows_match_derivatives_and_exclude_cone(rng):
         u = cone.apex + speed * (rotate(phi) @ cone.axis)
         assert float(hp.n @ u) <= hp.a + 1e-12  # interior never on feasible side
         if float(hp.n @ u) >= hp.a + 1e-9:
-            assert not velocity_hits_disc(u, d, 1.0, cone.apex, cone.tau)
+            assert not velocity_hits_disc(u, d, 1.0, cone.apex, 4.0)
 
 
 def assert_log_matches_bench_reference(log, config_name):
@@ -372,7 +370,7 @@ def test_a14_avoidance_scenes_keep_distance_and_reconverge():
         return log, compute_metrics(log)
 
     log, m = timed_run("avoid_static_velocity.yaml")
-    assert m.min_clearance >= 0.5  # r_safe for the static scene
+    assert m.min_clearance >= 0.5  # the physical radii, robot 0.2 + disc 0.3
     assert m.slack_total == 0.0
     assert m.converged and not m.halted
 

@@ -95,8 +95,11 @@ def test_position_rows_match_world_halfplane(rng):
 # -- velocity cones --------------------------------------------------------------
 
 
-def head_on_cone(v_obs=(0.0, 0.0), tau=4.0):
-    return velocity_obstacle((0.0, 0.0), 0.5, Obstacle((2.0, 0.0), 0.5, v_obs), tau)
+ORACLE_HORIZON = 4.0  # time horizon of the collision oracle checks on the cones
+
+
+def head_on_cone(v_obs=(0.0, 0.0)):
+    return velocity_obstacle((0.0, 0.0), 0.5, Obstacle((2.0, 0.0), 0.5, v_obs))
 
 
 def test_cone_geometry_head_on():
@@ -119,27 +122,25 @@ def test_obstacle_velocity_translates_apex():
 
 def test_overlapping_discs_rejected():
     with pytest.raises(ValueError):
-        velocity_obstacle((0, 0), 0.5, Obstacle((0.8, 0.0), 0.5), 4.0)
-    with pytest.raises(ValueError):
-        velocity_obstacle((0, 0), 0.5, Obstacle((2.0, 0.0), 0.5), 0.0)
+        velocity_obstacle((0, 0), 0.5, Obstacle((0.8, 0.0), 0.5))
 
 
 def test_cone_membership_against_time_grid_oracle(rng):
     d = np.array([2.0, 0.0])
     r_sum = 1.0
     for v_obs in (np.zeros(2), np.array([0.2, -0.4])):
-        cone = head_on_cone(v_obs=v_obs, tau=4.0)
-        # collision within tau implies cone membership (band-tolerant)
+        cone = head_on_cone(v_obs=v_obs)
+        # collision within the horizon implies cone membership (band-tolerant)
         for _ in range(1000):
             u = rng.uniform(-2.5, 2.5, size=2)
-            if velocity_hits_disc(u, d, r_sum, v_obs, cone.tau):
+            if velocity_hits_disc(u, d, r_sum, v_obs, ORACLE_HORIZON):
                 assert cone_contains(cone, u, tol=1e-3)
         # robustly-interior, fast-enough velocities do collide
         for _ in range(200):
             phi = rng.uniform(-cone.half_angle + 0.05, cone.half_angle - 0.05)
-            speed = rng.uniform(1.1 * np.linalg.norm(d) / cone.tau, 3.0)
+            speed = rng.uniform(1.1 * np.linalg.norm(d) / ORACLE_HORIZON, 3.0)
             u = cone.apex + speed * (_rot(phi) @ cone.axis)
-            assert velocity_hits_disc(u, d, r_sum, v_obs, cone.tau)
+            assert velocity_hits_disc(u, d, r_sum, v_obs, ORACLE_HORIZON)
 
 
 def test_tangent_plane_touches_cone_boundary():
@@ -177,13 +178,13 @@ def test_cone_lies_outside_feasible_side(rng):
 
 def test_margin_on_feasible_side_implies_no_collision(rng):
     d = np.array([2.0, 0.0])
-    cone = head_on_cone(tau=4.0)
+    cone = head_on_cone()
     hp = tangent_halfplane(cone, (1.0, 0.6))
     checked = 0
     for _ in range(2000):
         u = rng.uniform(-2.5, 2.5, size=2)
         if float(hp.n @ u) >= hp.a + 1e-9:
-            assert not velocity_hits_disc(u, d, 1.0, np.zeros(2), cone.tau)
+            assert not velocity_hits_disc(u, d, 1.0, np.zeros(2), ORACLE_HORIZON)
             checked += 1
     assert checked > 200
 
@@ -260,13 +261,11 @@ def test_velocity_rows_phase_and_path_validation():
     ref = build_reference(TrajectorySpec("circle", T=0.05, radius=2.0,
                                          angular_rate=0.25), 20)
     hp = HalfPlane(np.array([0.0, 1.0]), -0.3, "ge")
-    scalar_rows = velocity_rows(hp, ref, k=2, N=6, e3_path=0.05, dt=0.05)
-    vector_rows = velocity_rows(hp, ref, k=2, N=6, e3_path=np.full(6, 0.05), dt=0.05)
-    assert scalar_rows.shape == (6, 3)
-    assert np.array_equal(scalar_rows, vector_rows)
+    rows = velocity_rows(hp, ref, k=2, N=6, e3_path=np.full(6, 0.05), dt=0.05)
+    assert rows.shape == (6, 3)
     # row j (the row of u_b(j)) is bit for bit the pointwise construction at
     # the shifted heading
-    for j, row in enumerate(scalar_rows):
+    for j, row in enumerate(rows):
         (v_r, w_r), theta = ref.inputs[2 + j], ref.poses[2 + j, 2]
         cu, cw, const = velocity_constraint_row(hp.n, hp.a, theta - 0.05, v_r, w_r, 0.05)
         assert row.tolist() == [cu, cw, -const]
@@ -278,9 +277,10 @@ def test_debug_csv_shape():
     cone = head_on_cone()
     hp = tangent_halfplane(cone, (1.0, 0.2))
     rows = velocity_rows(hp, build_reference(TrajectorySpec("line"), 10),
-                         k=0, N=3, e3_path=0.0, dt=0.05)
+                         k=0, N=3, e3_path=np.zeros(3), dt=0.05)
     text = velocity_debug_csv(cone, hp, rows)
     lines = text.strip().splitlines()
     assert lines[0] == "record,field0,field1,field2,field3"
     assert len(lines) == 1 + 4 + 3
+    assert lines[3] == f"cone_shape,{cone.half_angle:.17g},,,"
     assert lines[4].startswith("halfplane,")

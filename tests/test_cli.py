@@ -175,6 +175,10 @@ def test_exit_codes_for_bad_invocations(tmp_path, capsys):
     "name: sub/x\ntrajectory: {kind: sinusoid}\n",
     "name: null\ntrajectory: {kind: sinusoid}\n",
     "trajectory: {kind: sinusoid}\nmpc: {tau: 0}\n",
+    "trajectory: {kind: sinusoid}\nmpc: {tau: 0.5}\n",
+    "trajectory: {kind: sinusoid}\nreference_mode: rolled\n",
+    "trajectory: {kind: sinusoid}\nobstacles: [{kind: unicycle, control: mpc,"
+    " trajectory: {kind: line, start: [3, 1]}}]\n",
     "trajectory: {kind: sinusoid}\nmpc: {robot_radius: -0.2}\n",
     "trajectory: {kind: sinusoid}\nmpc: {r_safe: -0.5}\n",
     "trajectory: {kind: sinusoid}\nmpc: {d_activate: -1}\n",

@@ -104,11 +104,11 @@ def test_stacked_steps_solve_bit_identically_to_fresh_kkt_loop(config, monkeypat
     # slack fallback included, re-solved by the solver and by the loop that
     # assembles a fresh KKT matrix per iteration: same floats, same KKT calls.
     scn = load_config(CONFIGS / config).scenario
-    ctl, agents = build_controller(scn)
+    ctl, tracks = build_controller(scn)
     captured = []
     solve = ctl.solver.solve
     ctl.solver.solve = lambda p, x0=None: captured.append((p, x0)) or solve(p, x0)
-    for k, *_ in closed_loop(scn, ctl, agents):
+    for k, *_ in closed_loop(scn, ctl, tracks):
         if k == 2:
             break
     calls = []
@@ -545,7 +545,6 @@ def test_config_validation():
         MpcConfig(u_max=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         MpcConfig(slack_weight=0.0)
-    for bad in ({"tau": 0.0}, {"tau": -1.0}, {"robot_radius": -0.2}, {"r_safe": -0.5},
-                {"d_activate": 0.0}):
+    for bad in ({"robot_radius": -0.2}, {"r_safe": -0.5}, {"d_activate": 0.0}):
         with pytest.raises(ValueError):
             MpcConfig(**bad)

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from ltvmpc.dynamics import RobotState, derive_reference, step_discrete
 from ltvmpc.figures import error_curves_csv
 from ltvmpc.mpc import MpcConfig
 from ltvmpc.sim import (CSV_COLUMNS, LOG_DTYPE, LYAP_ENTRY, LYAP_TOL, Metrics, ObstacleSpec,
                         Scenario, SimLog, TrajectorySpec, _table, compute_metrics, log_to_csv,
-                        lqr_comparison, read_log_csv, run_scenario, sweep, write_log_csv)
+                        lqr_comparison, obstacle_tracks, read_log_csv, run_scenario, sweep,
+                        write_log_csv)
 
 SHORT = Scenario(name="short", trajectory=TrajectorySpec("sinusoid"),
                  duration=40, mpc=MpcConfig(N=8))
@@ -165,6 +167,43 @@ def test_obstacle_run_logs_clearance():
     m = compute_metrics(run_scenario(scn))
     assert np.isfinite(m.min_clearance)
     assert m.min_clearance > 1.0  # obstacle sits well off the path
+
+
+def test_obstacle_tracks_match_a_step_by_step_replay():
+    # The oracle replays each obstacle one step at a time: a unicycle starts
+    # on its curve's first pose and is stepped by step_discrete under the
+    # curve's feed-forward, moving at v_ref along its heading. The line runs
+    # _arc's small-turn branch, the circle (omega != 0) its exact branch.
+    obstacles = (
+        ObstacleSpec("static", radius=0.3, position=(1.0, 2.5)),
+        ObstacleSpec("linear", radius=0.25, position=(4.0, -1.0), velocity=(-0.3, 0.1)),
+        ObstacleSpec("unicycle", radius=0.2, trajectory=TrajectorySpec(
+            "line", start=(6.0, 1.0), heading=0.9 * math.pi, speed=0.4)),
+        ObstacleSpec("unicycle", radius=0.35, trajectory=TrajectorySpec(
+            "circle", center=(2.0, 0.0), radius=1.5, angular_rate=-0.6, phase=1.0)),
+    )
+    scn = Scenario(name="tracks", duration=300, mpc=MpcConfig(N=8), obstacles=obstacles)
+    positions, velocities, radii = obstacle_tracks(scn)
+    assert positions.shape == velocities.shape == (300, 4, 2)
+    assert radii.tolist() == [0.3, 0.25, 0.2, 0.35]
+    T = scn.trajectory.T
+    for i, o in enumerate(obstacles):
+        if o.kind == "unicycle":
+            curve = derive_reference(o.trajectory.samples(scn.duration + scn.mpc.N + 1), T)
+            z = RobotState(*curve.poses[0])
+        for k in range(scn.duration):
+            if o.kind == "static":
+                p, v = np.array(o.position, dtype=float), np.zeros(2)
+            elif o.kind == "linear":
+                v = np.array(o.velocity)
+                p = np.array(o.position) + v * (k * T)
+            else:
+                u = curve.inputs[k]
+                p = np.array([z.x, z.y])
+                v = u[0] * np.array([math.cos(z.theta), math.sin(z.theta)])
+                z = step_discrete(z, u, o.trajectory.T)
+            assert positions[k, i].tolist() == p.tolist(), (i, k)
+            assert velocities[k, i].tolist() == v.tolist(), (i, k)
 
 
 def test_spec_validation():

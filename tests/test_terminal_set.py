@@ -126,7 +126,7 @@ def test_level_search_raises_when_c0_below_c_min():
         shrink_level(np.eye(3), LOOSE, np.zeros((2, 3)), np.zeros(2), c0=1e-13)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3),
        zero_rows=st.integers(0, 2), inf_state=st.booleans(), inf_input=st.booleans(),
        scale=st.sampled_from([1e-3, 1.0, 1e3]), shrink=st.sampled_from([1.01, 1.1, 2.0]))
