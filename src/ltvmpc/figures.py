@@ -39,10 +39,11 @@ def cost_curves_csv(rows) -> str:
     return _columns(rows, ("t", "stage_cost", "terminal_cost", "slack", "min_dist"))
 
 
-def obstacle_paths_csv(scn: Scenario, n_steps: int = None) -> str:
+def obstacle_paths_csv(scn: Scenario, n_steps: int = None, tracks=None) -> str:
     """Obstacle disc positions over the first n_steps steps (all by default),
-    one row per step and obstacle, read from `sim.obstacle_tracks`."""
-    positions, _, radii = obstacle_tracks(scn)
+    one row per step and obstacle, read from `tracks` (built by
+    `sim.obstacle_tracks` when not given)."""
+    positions, _, radii = obstacle_tracks(scn) if tracks is None else tracks
     positions = positions[:n_steps]
     n, m = positions.shape[:2]
     k = np.repeat(np.arange(n), m)
@@ -107,7 +108,7 @@ def write_run_bundle(log: SimLog, out_dir, stem: str = None):
         "costs": cost_curves_csv(log.rows),
     }
     if log.scenario.obstacles:
-        parts["obstacles"] = obstacle_paths_csv(log.scenario, len(log.rows))
+        parts["obstacles"] = obstacle_paths_csv(log.scenario, len(log.rows), log.tracks)
     paths = []
     for label, text in parts.items():
         p = out / f"{stem}_{label}.csv"

@@ -15,14 +15,18 @@ x' P(i) x - x' A_K' P(i+1) A_K x = x' Q_K(i) x holds exactly by construction.
 The models arrive as one stack A (L, n, n) with a single constant input
 matrix B, and the schedule is returned as the arrays P (L, n, n) and
 K (L-1, m, n). Every frozen DARE is solved by the fixed-point iteration
-`solve_dare`, which converges only linearly (about 190 Riccati maps from a
-neighbour's solution). Where the model changes along the sequence, its
-iteration starts from the structure-preserving doubling algorithm (SDA; Chu,
-Fan, Lin et al., 2004-05), and then needs about one map. Both run once over
-all those models as one stack, as do the gains and the closed-loop terms;
-only a run of unchanged models (a backward chain, cut short at its fixed
-point) and the P recursion itself go one step at a time. Every stacked
-operation gives each model the floats it gets alone.
+`solve_dare`, which converges only linearly (254 Riccati maps from Q on the
+tracking reference at N=50, 344 on the avoidance scenes' line). Where the
+model changes along the sequence, its iteration starts from the
+structure-preserving doubling algorithm (SDA; Chu, Fan, Lin et al.,
+2004-05), and then needs about one map. Those changed models run as one
+stack, as do the doubling starts, the gains and the closed-loop terms. The
+sequential work runs on one model at a time in 2-D products (`ndarray.dot`):
+the last step's DARE from Q, each run of unchanged models (a backward chain,
+cut short once a step repeats its neighbour's solution bit for bit), and the
+P recursion (cut short once P repeats over equal closed-loop terms). Every
+stacked operation gives each model the floats it gets alone, and every 2-D
+product the floats of the stacked one.
 """
 
 from __future__ import annotations
@@ -78,11 +82,13 @@ class TerminalSchedule:
 
 def riccati_map(P, A, B, Q, R):
     """One Riccati difference step: A'PA - A'PB (R + B'PB)^-1 B'PA + Q, for one
-    model or a stack P, A (L, n, n)."""
-    BtP = B.T @ P
-    M = BtP @ A
-    G = np.linalg.solve(R + BtP @ B, M)
-    return A.swapaxes(-1, -2) @ P @ A - M.swapaxes(-1, -2) @ G + Q
+    model P, A (n, n) or a stack P, A (L, n, n). One model multiplies with
+    `ndarray.dot`, the same floats as `@` at about half the call cost."""
+    mul = np.ndarray.dot if A.ndim == 2 else np.matmul
+    BtP = mul(B.T, P)
+    M = mul(BtP, A)
+    G = np.linalg.solve(R + mul(BtP, B), M)
+    return mul(mul(A.swapaxes(-1, -2), P), A) - mul(M.swapaxes(-1, -2), G) + Q
 
 
 def solve_dare(A, B, Q, R, tol: float = 1e-10, max_iter: int = 100_000, P0=None):
@@ -90,15 +96,27 @@ def solve_dare(A, B, Q, R, tol: float = 1e-10, max_iter: int = 100_000, P0=None)
     for one model A (n, n) or a stack A (L, n, n) sharing B, Q and R.
 
     Converges linearly for stabilizable (A, B); P0 (shaped like A) warm-starts
-    the iteration (defaults to Q). Each step maps only the models not yet
-    converged; a model is done once the Frobenius norm of its own step is at
-    most tol, so its result does not depend on the rest of the stack. Raises
-    ValueError if a model's residual does not reach tol within max_iter.
+    the iteration (defaults to Q). A model is done once the Frobenius norm of
+    its own step is at most tol, so its result does not depend on the rest of
+    the stack. One model iterates on 2-D arrays; a stack maps only the models
+    not yet converged at each step. Raises ValueError naming the model(s)
+    whose residual does not reach tol within max_iter.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
+    if A.ndim == 2:
+        P = Q if P0 is None else np.asarray(P0, dtype=float)
+        for _ in range(max_iter):
+            P_next = riccati_map(P, A, B, Q, R)
+            P_next = 0.5 * (P_next + P_next.T)
+            step = (P_next - P).ravel()
+            if np.sqrt(np.vecdot(step, step)) <= tol:
+                return P_next
+            P = P_next
+        raise ValueError(f"Riccati iteration did not converge within {max_iter} steps "
+                         "for model(s) [0]")
     P = np.empty(A.shape)
     P[...] = Q if P0 is None else P0
     P = P.reshape((-1,) + Q.shape)
@@ -180,19 +198,22 @@ def backward_riccati(A, B, costs: CostMatrices) -> TerminalSchedule:
     K(i) is the frozen DARE gain of model i; P is the backward closed-loop
     recursion anchored at the final frozen DARE solution. The frozen DAREs are
     solved by `solve_dare`. The last step and every step whose A differs from
-    the next step's start a run: they are solved in one stacked call, the
-    last step from Q and the others from their `doubling_dare` solutions,
-    computed in one batched call over exactly those steps. Each earlier step
-    of a run (its A equal to the next step's bit for bit) is warm-started from
-    the next step's solution, backward; once a step returns its start bit for
-    bit, every earlier step of the run takes that same P. A constant-model
-    sequence thus makes no doubling call and gives the same P and K as the
-    plain warm-started chain. The gains, A_K and Q_K are computed for the
-    whole stack at once; only the P recursion runs step by step. Raises
-    ValueError naming the step, before any Riccati map, when the last model is
-    not stabilizable (a standstill, say) or a changed model has no
-    stabilizing DARE solution; every other step shares its model with a
-    later one of those.
+    the next step's start a run. The last step is solved alone from Q; the
+    changed steps are solved in one stacked call from their `doubling_dare`
+    solutions, computed in one batched call over exactly those steps. Each
+    earlier step of a run (its A equal to the next step's bit for bit) is
+    warm-started from the next step's solution, backward; once a step
+    returns its start bit for bit, every earlier step of the run takes that
+    same P. A constant-model sequence thus makes no doubling call and gives
+    the same P and K as the plain warm-started chain. The gains, A_K and Q_K
+    are computed for the whole stack at once. The P recursion then runs step
+    by step (`closed_loop_step`); once a step's P equals the next step's bit
+    for bit and the step before it has the same A_K and Q_K bit for bit,
+    every step of that stretch of equal closed-loop terms takes that P, and
+    the recursion resumes before the stretch. Raises ValueError naming the
+    step, before any Riccati map, when the last model is not stabilizable (a
+    standstill, say) or a changed model has no stabilizing DARE solution;
+    every other step shares its model with a later one of those.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -205,19 +226,21 @@ def backward_riccati(A, B, costs: CostMatrices) -> TerminalSchedule:
                          "no stabilizing frozen DARE solution")
 
     changed = np.flatnonzero(np.any(A[:-1] != A[1:], axis=(1, 2)))
-    P0 = Q[None]
     if changed.size:
         try:
-            P0 = np.concatenate((doubling_dare(A[changed], B, Q, R), P0))
+            P0 = doubling_dare(A[changed], B, Q, R)
         except DareError as exc:
             raise ValueError(f"no stabilizing frozen DARE solution at step(s) "
                              f"{changed[exc.models].tolist()}") from exc
 
-    # Frozen DARE solution per step: the runs' last steps at once, then each
-    # run backward from its last step until the chain reaches a fixed point.
-    heads = np.append(changed, L - 1)
+    # Frozen DARE solution per step: the last step alone from Q, the changed
+    # steps at once, then each run backward from its last step until the
+    # chain reaches a fixed point.
     dare = np.empty_like(A)
-    dare[heads] = solve_dare(A[heads], B, Q, R, P0=P0)
+    dare[L - 1] = solve_dare(A[L - 1], B, Q, R)
+    if changed.size:
+        dare[changed] = solve_dare(A[changed], B, Q, R, P0=P0)
+    heads = np.append(changed, L - 1)
     for first, head in zip(np.append(0, heads[:-1] + 1).tolist(), heads.tolist()):
         for i in range(head - 1, first - 1, -1):
             dare[i] = solve_dare(A[i], B, Q, R, P0=dare[i + 1])
@@ -228,12 +251,28 @@ def backward_riccati(A, B, costs: CostMatrices) -> TerminalSchedule:
     K = lqr_gain(A[:-1], B, dare[:-1], R)
     A_K = A[:-1] + B @ K
     Q_K = Q + K.swapaxes(-1, -2) @ R @ K
+    # first step of each stretch of equal closed-loop terms (A_K, Q_K)
+    new = np.any((A_K[1:] != A_K[:-1]) | (Q_K[1:] != Q_K[:-1]), axis=(1, 2))
+    start = np.maximum.accumulate(np.arange(L - 1) * np.append(True, new)).tolist()
     P = np.empty_like(A)
     P[L - 1] = dare[L - 1]
-    for i in range(L - 2, -1, -1):
-        P_i = A_K[i].T @ P[i + 1] @ A_K[i] + Q_K[i]
-        P[i] = 0.5 * (P_i + P_i.T)
+    i = L - 2
+    while i >= 0:
+        P[i] = closed_loop_step(P[i + 1], A_K[i], Q_K[i])
+        # a P that repeats over equal terms repeats through the rest of the stretch
+        s = start[i]
+        if s < i and np.array_equal(P[i], P[i + 1]):
+            P[s:i] = P[i]
+            i = s
+        i -= 1
     return TerminalSchedule(P, K)
+
+
+def closed_loop_step(P, A_K, Q_K):
+    """One step of the backward recursion for one model, in 2-D products:
+    A_K' P A_K + Q_K, symmetrized."""
+    P_i = A_K.T.dot(P).dot(A_K) + Q_K
+    return 0.5 * (P_i + P_i.T)
 
 
 def recursion_residuals(schedule: TerminalSchedule, A, B, costs: CostMatrices):

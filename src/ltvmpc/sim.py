@@ -213,12 +213,15 @@ class Config:
 @dataclass
 class SimLog:
     """One run: `rows` is a record array of LOG_DTYPE, one record per step
-    up to and including the halting step, so `rows.v` is the v column."""
+    up to and including the halting step, so `rows.v` is the v column.
+    `tracks` holds the obstacle tracks the run used (`obstacle_tracks`), or
+    None for a log read back from CSV."""
 
     scenario: Scenario
     rows: np.recarray
     halted: bool = False
     halt_reason: str = ""
+    tracks: tuple = None
 
 
 @dataclass(frozen=True)
@@ -309,8 +312,9 @@ def run_scenario(scn: Scenario) -> SimLog:
                    step.qp_status, step.slack_used, min_dist)
         n = k + 1
     if n and rows.qp_status[n - 1] == "infeasible":
-        return SimLog(scn, rows[:n], True, f"unrecoverable QP infeasibility at step {n - 1}")
-    return SimLog(scn, rows[:n])
+        return SimLog(scn, rows[:n], True, f"unrecoverable QP infeasibility at step {n - 1}",
+                      tracks)
+    return SimLog(scn, rows[:n], tracks=tracks)
 
 
 def compute_metrics(log: SimLog) -> Metrics:

@@ -9,7 +9,9 @@ import pytest
 import yaml
 
 import ltvmpc.cli as cli
+import ltvmpc.sim as sim
 from ltvmpc.cli import ConfigError, config_from_dict, load_config, main, parse_config
+from ltvmpc.figures import obstacle_paths_csv
 from ltvmpc.sim import LOG_DTYPE, SimLog, SweepSpec
 from ltvmpc.terminal_set import C_MIN
 
@@ -80,6 +82,34 @@ def test_run_writes_expected_files(tmp_path, capsys):
     metrics = json.loads((out / "tiny_metrics.json").read_text())
     assert metrics["converged"] is True
     assert "tiny: 30 steps" in capsys.readouterr().out
+
+
+def test_run_rolls_each_reference_once(tmp_path, monkeypatch):
+    # the robot's reference and the unicycle obstacle's, each rolled once: the
+    # obstacle CSV reads the tracks the run already built
+    cfg = write_config(tmp_path, """
+name: pair
+duration: 20
+trajectory: {kind: line, speed: 0.5}
+mpc: {N: 8, avoidance: velocity_space}
+obstacles:
+  - kind: unicycle
+    radius: 0.2
+    trajectory: {kind: line, start: [4.0, 0.0], heading: 3.141592653589793, speed: 0.5}
+""")
+    out = tmp_path / "out"
+    rolled = []
+    real = sim.build_reference
+
+    def counted(spec, n):
+        rolled.append(spec)
+        return real(spec, n)
+
+    monkeypatch.setattr(sim, "build_reference", counted)
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert len(rolled) == 2
+    scn = load_config(cfg).scenario
+    assert (out / "pair_obstacles.csv").read_text() == obstacle_paths_csv(scn, 20)
 
 
 def test_manifest_rerun_is_byte_identical(tmp_path):

@@ -90,7 +90,7 @@ def test_dare_insensitive_to_initialization():
 
 def test_dare_fails_loudly_when_uncontrollable():
     A = tracking_model(0.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"within 20000 steps for model\(s\) \[0\]"):
         solve_dare(A, B, np.eye(3), np.eye(2), max_iter=20_000)
 
 
@@ -281,6 +281,31 @@ def mixed_models():
     return models
 
 
+def short_run_models():
+    """Changed models with a 40-model constant run in the middle, too short
+    for the closed-loop P to reach its fixed point there, and a constant tail
+    on which it does: the recursion resumes before the tail's stretch and
+    walks the short run's equal terms step by step."""
+    models = np.concatenate((sinusoid_models(120), constant_models(1.0, 0.5, 150)))
+    models[40:80] = models[79]
+    return models
+
+
+def fixed_tail_models():
+    """Changed models, then a constant tail whose first model is one step
+    before the step where the tail's closed-loop P first repeats (walking
+    backward) over equal terms: the stretch of equal terms ends one step
+    after P becomes fixed. The tail alone locates that step, since nothing
+    before the tail changes the recursion over it."""
+    tail = constant_models(1.0, 0.5, 200)
+    costs = CostMatrices(np.eye(3), np.eye(2))
+    ref = backward_riccati_steps(tail, B, costs)
+    terms = [np.hstack((A + B @ K, costs.Q + K.T @ costs.R @ K)) for A, K in zip(tail, ref.K)]
+    fixed = max(i for i in range(1, len(terms)) if np.array_equal(ref.P[i], ref.P[i + 1])
+                and np.array_equal(terms[i - 1], terms[i]))
+    return np.concatenate((sinusoid_models(30), tail[fixed - 1:]))
+
+
 STACKS = {
     "track_n50": lambda: config_stack("tracking.yaml", N=50),
     "terminal_set": lambda: config_stack("terminal_set.yaml"),
@@ -290,6 +315,8 @@ STACKS = {
     "L2": lambda: (sinusoid_models(2), B, CostMatrices(np.eye(3), np.eye(2))),
     "mixed": lambda: (mixed_models(), B,
                       CostMatrices(np.diag([1.0, 1.0, 0.5]), np.diag([0.1, 0.05]))),
+    "short_run": lambda: (short_run_models(), B, CostMatrices(np.eye(3), np.eye(2))),
+    "fixed_tail": lambda: (fixed_tail_models(), B, CostMatrices(np.eye(3), np.eye(2))),
 }
 
 
@@ -307,9 +334,14 @@ def test_constant_run_stops_mapping_at_its_fixed_point(monkeypatch):
     ref_maps = count_calls(monkeypatch, "riccati_map_step", oracles)
     ref = backward_riccati_steps(A, B_s, costs)
     maps = count_calls(monkeypatch, "riccati_map")
+    steps = count_calls(monkeypatch, "closed_loop_step")
     sched = backward_riccati(A, B_s, costs)
-    # the per-step chain maps every step of the scene's one constant run
-    assert sum(ref_maps) == 654 and sum(maps) < sum(ref_maps)
+    # the per-step chain maps every step of the scene's one constant run: 344
+    # maps for the last step from Q and one per earlier step; the chain stops
+    # after 142 of those 310
+    assert sum(ref_maps) == 654 and sum(maps) == 344 + 142
+    # the P recursion stops at its own fixed point: 166 of 310 steps skipped
+    assert len(sched.P) == 311 and sum(steps) == 310 - 166
     assert np.array_equal(sched.P, ref.P) and np.array_equal(sched.K, ref.K)
 
 
@@ -330,19 +362,30 @@ def test_each_constant_run_of_a_mixed_stack_stops_at_its_fixed_point(monkeypatch
         assert 0 < sum(np.array_equal(A, run_model) for A in chained) < 179
 
 
-def test_stacked_dare_and_gain_equal_per_model_calls(rng):
+def test_stacked_dare_and_gain_equal_per_model_calls(rng, monkeypatch):
     A = sinusoid_models(12)
     Q, R = np.diag([1.0, 1.0, 0.5]), np.diag([0.1, 0.05])
-    # starts at different distances converge after different numbers of maps
+    # starts at different distances converge after different numbers of maps;
+    # the last start is not symmetric
     P0 = np.array([Q * (1.0 + rng.uniform(0.0, 50.0)) for _ in A])
+    P0[-1] += np.triu(rng.uniform(0.0, 1.0, size=(3, 3)), 1)
     P = solve_dare(A, B, Q, R, P0=P0)
     assert P.shape == A.shape
+    mapped = riccati_map(P0, A, B, Q, R)
     for l in range(len(A)):
+        assert np.array_equal(mapped[l], riccati_map(P0[l], A[l], B, Q, R))
         P_l = solve_dare(A[l], B, Q, R, P0=P0[l])
         assert P_l.shape == (3, 3)
         assert np.array_equal(P[l], P_l)
         assert np.array_equal(P_l, solve_dare_step(A[l], B, Q, R, P0=P0[l]))
     assert np.array_equal(solve_dare(A, B, Q, R)[3], solve_dare_step(A[3], B, Q, R, None))
+    # the shipped line model from Q: 344 maps on 2-D arrays, as a 1-stack does
+    line, B_line, costs = config_stack("avoid_face_to_face.yaml")
+    maps = count_calls(monkeypatch, "riccati_map")
+    P_line = solve_dare(line[-1], B_line, costs.Q, costs.R)
+    assert sum(maps) == len(maps) == 344
+    assert np.array_equal(P_line, solve_dare(line[-1:], B_line, costs.Q, costs.R)[0])
+    assert np.array_equal(P_line, solve_dare_step(line[-1], B_line, costs.Q, costs.R, None))
     K = lqr_gain(A, B, P, R)
     assert K.shape == (12, 2, 3)
     assert all(np.array_equal(K[l], lqr_gain(A[l], B, P[l], R)) for l in range(len(A)))
