@@ -6,13 +6,15 @@ Runs the shipped command set (`run` on tracking and the five avoidance
 scenes, then `dump-figures` in the same directory for the three
 velocity-space scenes, `compare-lqr`, `terminal-set` and the three sweeps)
 once in each checkout, from that checkout's own `src/` and `configs/`, and
-byte-compares every file written, manifests excepted (they hold a timestamp
-and the output path). Prints each difference and exits 1 if there is any,
-else 0. A CSV that differs is sized column by column: the largest absolute
-difference of each numeric column (every cell a float or empty, rows paired
-by position), and the first differing cell of any other column. A JSON file
-that differs is sized the same way, each top-level key a column of the
-scalars under it (numbers and nulls numeric). BLAS runs on one thread unless
+byte-compares every file written. A manifest is compared as JSON without
+its `created`, `out_dir` and `config_path` fields, which differ between two
+checkouts by construction, so a change to its echoed `config` block shows.
+Prints each difference and exits 1 if there is any, else 0. A CSV that
+differs is sized column by column: the largest absolute difference of each
+numeric column (every cell a float or empty, rows paired by position), and
+the first differing cell of any other column. A JSON file that differs is
+sized the same way, each top-level key a column of the scalars under it
+(numbers and nulls numeric). BLAS runs on one thread unless
 OPENBLAS_NUM_THREADS is set. Standard library only.
 """
 
@@ -24,6 +26,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 VELOCITY_SCENES = ("avoid_face_to_face", "avoid_intersection", "avoid_static_velocity")
@@ -35,6 +38,8 @@ COMMANDS = [(("run", "dump-figures") if c in VELOCITY_SCENES else ("run",), c)
     (("compare-lqr",), "lqr_comparison"), (("terminal-set",), "terminal_set"),
     (("sweep",), "beta_sweep"), (("sweep",), "horizon_sweep"),
     (("sweep",), "horizon_sweep_no_terminal")]
+# manifest fields that differ between two checkouts by construction
+MASKED = ("config_path", "created", "out_dir")
 
 
 def start(checkout: Path, command: str, config: str, out: Path):
@@ -115,13 +120,27 @@ def _number(value):
     raise ValueError(value)
 
 
-def json_differences(a: Path, b: Path) -> list:
+def _document(path: Path, masked=()):
+    """A JSON file's document, without the top-level keys in `masked`."""
+    doc = json.loads(path.read_text())
+    return {k: v for k, v in doc.items() if k not in masked} if isinstance(doc, dict) else doc
+
+
+def _same(a: Path, b: Path, masked) -> bool:
+    """Whether two output files agree: byte for byte, or, given top-level keys
+    to leave out (`masked`, a manifest's), as JSON text without them."""
+    if not masked:
+        return filecmp.cmp(a, b, shallow=False)
+    return json.dumps(_document(a, masked)) == json.dumps(_document(b, masked))
+
+
+def json_differences(a: Path, b: Path, masked=()) -> list:
     """How two JSON documents differ, one line per finding, sized like CSV
     columns: each top-level key is a column of the scalars under it (a
     document that is not an object is one column), numeric where each is a
     number or null; keys in one file only and differing scalar counts are
-    named."""
-    old, new = (json.loads(p.read_text()) for p in (a, b))
+    named. Top-level keys in `masked` are left out."""
+    old, new = (_document(p, masked) for p in (a, b))
     if not (isinstance(old, dict) and isinstance(new, dict)):
         old, new = {"(document)": old}, {"(document)": new}
     found = [f"{key}: only in {side}" for side, doc, other in (("old", old, new), ("new", new, old))
@@ -147,12 +166,14 @@ def main(old: str, new: str) -> int:
                 if codes[0] != codes[1]:
                     diffs.append(f"{command} {config}: exit codes {codes[0]} != {codes[1]}")
                 names = sorted({f.relative_to(o) for o in outs for f in o.rglob("*")
-                                if f.is_file()} - {Path("manifest.json")})
+                                if f.is_file()})
                 for name in names:
                     a, b = (o / name for o in outs)
-                    if not (a.exists() and b.exists() and filecmp.cmp(a, b, shallow=False)):
+                    masked = MASKED if name == Path("manifest.json") else ()
+                    if not (a.exists() and b.exists() and _same(a, b, masked)):
                         diffs.append(f"{command} {config}: {name} differs")
-                        sizer = {".csv": csv_differences, ".json": json_differences}.get(name.suffix)
+                        sizer = {".csv": csv_differences,
+                                 ".json": partial(json_differences, masked=masked)}.get(name.suffix)
                         if sizer and a.exists() and b.exists():
                             diffs += [f"    {line}" for line in sizer(a, b)]
                 print(f"{command} {config}: {len(names)} files compared", flush=True)

@@ -35,7 +35,7 @@ def main():
         figures.write_run_bundle(log, out, scn.name)
         if scn.mpc.avoidance == "velocity_space":
             k = min(log.rows, key=lambda r: r.min_dist).k  # closest approach
-            dump = figures.velocity_space_csv(scn, k)
+            dump = figures.velocity_space_csv(scn, k, log.tracks)
             if dump is not None:
                 (out / f"{scn.name}_velocity_space.csv").write_text(dump)
         print(f"{scn.name:<22} {m.min_clearance:>9.4f} {m.slack_total:>9.3f} "

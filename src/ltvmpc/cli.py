@@ -30,8 +30,8 @@ import yaml
 
 from . import __version__, figures
 from .sim import (Config, Scenario, SimLog, SweepSpec, TerminalSetSpec, build_controller,
-                  compute_metrics, lqr_comparison, read_log_csv, run_scenario, sweep,
-                  write_log_csv)
+                  compute_metrics, lqr_comparison, obstacle_tracks, read_log_csv, run_scenario,
+                  sweep, write_log_csv)
 from .terminal_set import TerminalConstraints, compute_c_schedule, vertices_feasible
 
 
@@ -274,12 +274,13 @@ def _cmd_dump_figures(args) -> int:
     log_path = out / f"{scn.name}_log.csv"
     if not log_path.exists():
         raise ConfigError(f"no log at {log_path}; run the scenario first")
-    log = SimLog(scn, read_log_csv(log_path))
+    # the tracks are built once, for the obstacle CSV and the velocity dump
+    log = SimLog(scn, read_log_csv(log_path), tracks=obstacle_tracks(scn))
     paths = figures.write_run_bundle(log, out, scn.name)
     if (scn.mpc.avoidance == "velocity_space" and scn.controller == "mpc"
             and len(log.rows) and scn.obstacles):
         k = int(log.rows.k[np.argmin(log.rows.min_dist)])  # closest approach
-        text = figures.velocity_space_csv(scn, k)
+        text = figures.velocity_space_csv(scn, k, log.tracks)
         if text is None:
             print(f"{scn.name}: no velocity-space constraint active at the closest approach"
                   f" (step {k}); no velocity-space dump written", file=sys.stderr)

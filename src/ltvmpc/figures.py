@@ -81,15 +81,16 @@ def terminal_set_csv(levels) -> str:
                                   *vertices.T])
 
 
-def velocity_space_csv(scn: Scenario, k: int) -> str | None:
+def velocity_space_csv(scn: Scenario, k: int, tracks) -> str | None:
     """Velocity-space dump (cone, tangent plane, per-step rows) at step k.
 
     The scenario's closed loop (`sim.closed_loop`, the one run_scenario
-    consumes) runs from scratch and stops at step k, so the dump is the
-    controller's own `last_debug` there. None if no velocity rows were built
-    at that step (no obstacle within d_activate).
+    consumes) runs from scratch on the run's obstacle `tracks`
+    (`sim.obstacle_tracks`) and stops at step k, so the dump is the
+    controller's own `last_debug` there. None if no velocity rows were
+    built at that step (no obstacle within d_activate).
     """
-    controller, tracks = build_controller(scn)
+    controller, _ = build_controller(scn, tracks)
     for j, *_ in closed_loop(scn, controller, tracks):
         if j == k:
             break

@@ -26,14 +26,24 @@ the last step's DARE from Q, each run of unchanged models (a backward chain,
 cut short once a step repeats its neighbour's solution bit for bit), and the
 P recursion (cut short once P repeats over equal closed-loop terms). Every
 stacked operation gives each model the floats it gets alone, and every 2-D
-product the floats of the stacked one.
+product the floats of the stacked one. Each map's m x m solve calls the
+LAPACK gufunc behind `np.linalg.solve` directly, the same floats without the
+wrapper's per-call cost, so a singular or overflowing map gives NaN or inf
+instead of `LinAlgError`; `solve_dare` raises ValueError on it at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+# The gesv gufunc np.linalg.solve calls: the same bits on float64 arrays,
+# without the wrapper's conversions and errstate, about 4 of the 5.7 us of a
+# 2x2 solve, paid hundreds of times per set-up by the sequential DARE maps.
+# A private numpy name, imported here only; tests/test_riccati.py pins its
+# floats to np.linalg.solve's.
+from numpy.linalg._umath_linalg import solve as _gesv
 
 
 @dataclass(frozen=True)
@@ -83,12 +93,15 @@ class TerminalSchedule:
 def riccati_map(P, A, B, Q, R):
     """One Riccati difference step: A'PA - A'PB (R + B'PB)^-1 B'PA + Q, for one
     model P, A (n, n) or a stack P, A (L, n, n). One model multiplies with
-    `ndarray.dot`, the same floats as `@` at about half the call cost."""
+    `ndarray.dot`, the same floats as `@` at about half the call cost. The
+    solve is `np.linalg.solve`'s own gufunc (`_gesv`), the same floats, but a
+    singular R + B'PB gives NaN (and a RuntimeWarning), not LinAlgError;
+    `solve_dare` checks for it."""
     mul = np.ndarray.dot if A.ndim == 2 else np.matmul
     BtP = mul(B.T, P)
     M = mul(BtP, A)
-    G = np.linalg.solve(R + mul(BtP, B), M)
-    return mul(mul(A.swapaxes(-1, -2), P), A) - mul(M.swapaxes(-1, -2), G) + Q
+    G = _gesv(R + mul(BtP, B), M, signature="dd->d")
+    return mul(mul(A.mT, P), A) - mul(M.mT, G) + Q
 
 
 def solve_dare(A, B, Q, R, tol: float = 1e-10, max_iter: int = 100_000, P0=None):
@@ -100,7 +113,8 @@ def solve_dare(A, B, Q, R, tol: float = 1e-10, max_iter: int = 100_000, P0=None)
     its own step is at most tol, so its result does not depend on the rest of
     the stack. One model iterates on 2-D arrays; a stack maps only the models
     not yet converged at each step. Raises ValueError naming the model(s)
-    whose residual does not reach tol within max_iter.
+    whose map turns non-finite (a singular R + B'PB, say), at the first such
+    step, or whose residual does not reach tol within max_iter.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -112,8 +126,11 @@ def solve_dare(A, B, Q, R, tol: float = 1e-10, max_iter: int = 100_000, P0=None)
             P_next = riccati_map(P, A, B, Q, R)
             P_next = 0.5 * (P_next + P_next.T)
             step = (P_next - P).ravel()
-            if np.sqrt(np.vecdot(step, step)) <= tol:
+            norm = math.sqrt(np.vecdot(step, step))
+            if norm <= tol:
                 return P_next
+            if not math.isfinite(norm) and not np.isfinite(P_next).all():
+                raise ValueError("Riccati map turned non-finite for model(s) [0]")
             P = P_next
         raise ValueError(f"Riccati iteration did not converge within {max_iter} steps "
                          "for model(s) [0]")
@@ -125,8 +142,11 @@ def solve_dare(A, B, Q, R, tol: float = 1e-10, max_iter: int = 100_000, P0=None)
     out = np.empty_like(P)
     for _ in range(max_iter):
         P_next = riccati_map(P, A_left, B, Q, R)
-        P_next = 0.5 * (P_next + P_next.swapaxes(-1, -2))
+        P_next = 0.5 * (P_next + P_next.mT)
         step = (P_next - P).reshape(len(P), -1)
+        bad = ~np.isfinite(P_next).all(axis=(1, 2))
+        if bad.any():
+            raise ValueError(f"Riccati map turned non-finite for model(s) {left[bad].tolist()}")
         done = np.sqrt(np.vecdot(step, step)) <= tol
         n_done = np.count_nonzero(done)
         if n_done:
@@ -244,7 +264,7 @@ def backward_riccati(A, B, costs: CostMatrices) -> TerminalSchedule:
     for first, head in zip(np.append(0, heads[:-1] + 1).tolist(), heads.tolist()):
         for i in range(head - 1, first - 1, -1):
             dare[i] = solve_dare(A[i], B, Q, R, P0=dare[i + 1])
-            if np.array_equal(dare[i], dare[i + 1]):
+            if (dare[i] == dare[i + 1]).all():
                 dare[first:i] = dare[i]
                 break
 
@@ -261,7 +281,7 @@ def backward_riccati(A, B, costs: CostMatrices) -> TerminalSchedule:
         P[i] = closed_loop_step(P[i + 1], A_K[i], Q_K[i])
         # a P that repeats over equal terms repeats through the rest of the stretch
         s = start[i]
-        if s < i and np.array_equal(P[i], P[i + 1]):
+        if s < i and (P[i] == P[i + 1]).all():
             P[s:i] = P[i]
             i = s
         i -= 1

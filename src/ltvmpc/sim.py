@@ -215,7 +215,7 @@ class SimLog:
     """One run: `rows` is a record array of LOG_DTYPE, one record per step
     up to and including the halting step, so `rows.v` is the v column.
     `tracks` holds the obstacle tracks the run used (`obstacle_tracks`), or
-    None for a log read back from CSV."""
+    None where not given (`read_log_csv` reads the rows only)."""
 
     scenario: Scenario
     rows: np.recarray
@@ -264,16 +264,17 @@ def obstacle_tracks(scn: Scenario):
     return positions, velocities, np.array([o.radius for o in scn.obstacles], dtype=float)
 
 
-def build_controller(scn: Scenario):
-    """The controller and the obstacle tracks (`obstacle_tracks`) exactly as
-    run_scenario builds them (exposed so figure dumps can replay a run and
-    inspect controller state)."""
+def build_controller(scn: Scenario, tracks=None):
+    """The controller and the obstacle tracks (`obstacle_tracks`, built
+    unless given) exactly as run_scenario builds them (exposed so figure
+    dumps can replay a run and inspect controller state)."""
     T = scn.trajectory.T
     ref = build_reference(scn.trajectory, scn.duration + scn.mpc.N + 1)
     A, B = linearize(ref.inputs, T), input_matrix(T)
     costs = scn.costs()
     schedule = backward_riccati(A, B, costs)
-    return MpcController(ref, A, B, schedule, costs, scn.mpc), obstacle_tracks(scn)
+    controller = MpcController(ref, A, B, schedule, costs, scn.mpc)
+    return controller, obstacle_tracks(scn) if tracks is None else tracks
 
 
 def closed_loop(scn: Scenario, controller, tracks):

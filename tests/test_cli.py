@@ -84,10 +84,7 @@ def test_run_writes_expected_files(tmp_path, capsys):
     assert "tiny: 30 steps" in capsys.readouterr().out
 
 
-def test_run_rolls_each_reference_once(tmp_path, monkeypatch):
-    # the robot's reference and the unicycle obstacle's, each rolled once: the
-    # obstacle CSV reads the tracks the run already built
-    cfg = write_config(tmp_path, """
+PAIR = """
 name: pair
 duration: 20
 trajectory: {kind: line, speed: 0.5}
@@ -96,7 +93,13 @@ obstacles:
   - kind: unicycle
     radius: 0.2
     trajectory: {kind: line, start: [4.0, 0.0], heading: 3.141592653589793, speed: 0.5}
-""")
+"""
+
+
+def test_run_rolls_each_reference_once(tmp_path, monkeypatch):
+    # the robot's reference and the unicycle obstacle's, each rolled once: the
+    # obstacle CSV reads the tracks the run already built
+    cfg = write_config(tmp_path, PAIR)
     out = tmp_path / "out"
     rolled = []
     real = sim.build_reference
@@ -110,6 +113,26 @@ obstacles:
     assert len(rolled) == 2
     scn = load_config(cfg).scenario
     assert (out / "pair_obstacles.csv").read_text() == obstacle_paths_csv(scn, 20)
+
+
+def test_dump_figures_rolls_each_reference_once(tmp_path, monkeypatch):
+    # a log read back from CSV has no tracks: dump-figures builds them once for
+    # the obstacle CSV and the velocity-space replay
+    cfg = write_config(tmp_path, PAIR)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    written = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+    rolled = []
+    real = sim.build_reference
+
+    def counted(spec, n):
+        rolled.append(spec)
+        return real(spec, n)
+
+    monkeypatch.setattr(sim, "build_reference", counted)
+    assert main(["dump-figures", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert len(rolled) == 2
+    assert all((out / name).read_bytes() == text for name, text in written.items())
 
 
 def test_manifest_rerun_is_byte_identical(tmp_path):

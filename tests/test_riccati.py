@@ -94,6 +94,22 @@ def test_dare_fails_loudly_when_uncontrollable():
         solve_dare(A, B, np.eye(3), np.eye(2), max_iter=20_000)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in solve:RuntimeWarning")
+def test_singular_map_fails_on_the_first_map(monkeypatch):
+    # R + B'PB = 0 at P = Q: R is singular and B'QB vanishes (B has no second
+    # row), so the first map's solve gives NaN; R bypasses CostMatrices
+    A = tracking_model(1.0, 0.5)
+    Q, R = np.diag([0.0, 1.0, 0.0]), np.zeros((2, 2))
+    maps = count_calls(monkeypatch, "riccati_map")
+    with pytest.raises(ValueError, match=r"non-finite for model\(s\) \[0\]"):
+        solve_dare(A, B, Q, R)
+    assert maps == [1]
+    # in a stack, only the model started where R + B'PB is singular is named
+    with pytest.raises(ValueError, match=r"non-finite for model\(s\) \[1\]"):
+        solve_dare(np.stack([A] * 3), B, Q, R, P0=np.stack([np.eye(3), Q, np.eye(3)]))
+    assert maps == [1, 3]
+
+
 def test_gain_stabilizes_closed_loop():
     assert np.allclose(lqr_gain(np.zeros((1, 1)), np.eye(1), np.eye(1), np.eye(1)), 0.0)
     A = tracking_model(1.0, 0.5)
@@ -362,6 +378,15 @@ def test_each_constant_run_of_a_mixed_stack_stops_at_its_fixed_point(monkeypatch
         assert 0 < sum(np.array_equal(A, run_model) for A in chained) < 179
 
 
+def linalg_solve_map(P, A, B, Q, R):
+    """The Riccati map of one model as a 1-stack through `np.linalg.solve`."""
+    P, A = P[None], A[None]
+    BtP = B.T @ P
+    M = BtP @ A
+    G = np.linalg.solve(R + BtP @ B, M)
+    return (A.swapaxes(-1, -2) @ P @ A - M.swapaxes(-1, -2) @ G + Q)[0]
+
+
 def test_stacked_dare_and_gain_equal_per_model_calls(rng, monkeypatch):
     A = sinusoid_models(12)
     Q, R = np.diag([1.0, 1.0, 0.5]), np.diag([0.1, 0.05])
@@ -371,6 +396,16 @@ def test_stacked_dare_and_gain_equal_per_model_calls(rng, monkeypatch):
     P0[-1] += np.triu(rng.uniform(0.0, 1.0, size=(3, 3)), 1)
     P = solve_dare(A, B, Q, R, P0=P0)
     assert P.shape == A.shape
+    # the map's solve is np.linalg.solve's own gufunc: the same bits on 2x2
+    # positive-definite systems with three right-hand sides
+    for _ in range(200):
+        F = rng.normal(size=(3, 3))
+        P_r, A_r, B_r = F @ F.T + 0.1 * np.eye(3), rng.normal(size=(3, 3)), rng.normal(size=(3, 2))
+        R_r = np.diag(rng.uniform(0.01, 2.0, size=2))
+        assert np.array_equal(riccati_map(P_r, A_r, B_r, Q, R_r),
+                              linalg_solve_map(P_r, A_r, B_r, Q, R_r))
+    assert np.array_equal(riccati_map(P0[-1], A[-1], B, Q, R),
+                          linalg_solve_map(P0[-1], A[-1], B, Q, R))
     mapped = riccati_map(P0, A, B, Q, R)
     for l in range(len(A)):
         assert np.array_equal(mapped[l], riccati_map(P0[l], A[l], B, Q, R))
@@ -384,6 +419,8 @@ def test_stacked_dare_and_gain_equal_per_model_calls(rng, monkeypatch):
     maps = count_calls(monkeypatch, "riccati_map")
     P_line = solve_dare(line[-1], B_line, costs.Q, costs.R)
     assert sum(maps) == len(maps) == 344
+    assert np.array_equal(riccati_map(costs.Q, line[-1], B_line, costs.Q, costs.R),
+                          linalg_solve_map(costs.Q, line[-1], B_line, costs.Q, costs.R))
     assert np.array_equal(P_line, solve_dare(line[-1:], B_line, costs.Q, costs.R)[0])
     assert np.array_equal(P_line, solve_dare_step(line[-1], B_line, costs.Q, costs.R, None))
     K = lqr_gain(A, B, P, R)
