@@ -9,13 +9,16 @@ once in each checkout, from that checkout's own `src/` and `configs/`, and
 byte-compares every file written. A manifest is compared as JSON without
 its `created`, `out_dir` and `config_path` fields, which differ between two
 checkouts by construction, so a change to its echoed `config` block shows.
-Prints each difference and exits 1 if there is any, else 0. A CSV that
-differs is sized column by column: the largest absolute difference of each
-numeric column (every cell a float or empty, rows paired by position), and
-the first differing cell of any other column. A JSON file that differs is
-sized the same way, each top-level key a column of the scalars under it
-(numbers and nulls numeric). BLAS runs on one thread unless
-OPENBLAS_NUM_THREADS is set. Standard library only.
+Prints each difference and exits 1 if there is any, else 0. A file written
+in one checkout only is reported as `only in old` or `only in new`. A CSV
+that differs is sized column by column: the largest absolute difference of
+each numeric column (every cell a float or empty, rows paired by position),
+and the first differing cell of any other column. A JSON file that differs
+is compared value by value, each scalar named by its dotted key path
+(`config.mpc.theta_s_deg: 20.0 != 21.0`, list items by index), with the
+absolute difference of two numbers and the paths found in one file only.
+BLAS runs on one thread unless OPENBLAS_NUM_THREADS is set. Standard
+library only.
 """
 
 import csv
@@ -65,22 +68,21 @@ def _gap(a, b) -> float:
     return gap if gap == gap else math.inf
 
 
-def _sized(columns, unit: str) -> list:
-    """Findings for columns (name, [(old, new), ...], to_number): the first
-    differing pair of each column that `to_number` rejects (ValueError), then
-    the largest absolute difference of each numeric column (its values read
-    by `to_number`: a float, or None for no value), the columns without a
+def _sized(columns) -> list:
+    """Findings for CSV columns (name, [(old, new), ...]): the first differing
+    pair of each column that `_float` rejects (ValueError), then the largest
+    absolute difference of each numeric column, the columns without a
     difference counted."""
     found, gaps, equal = [], [], 0
-    for name, pairs, to_number in columns:
+    for name, pairs in columns:
         try:
-            gap = max((_gap(to_number(x), to_number(y)) for x, y in pairs), default=0.0)
+            gap = max((_gap(_float(x), _float(y)) for x, y in pairs), default=0.0)
             gaps += [f"{name} {gap:.3g}"] if gap else []
             equal += not gap
         except ValueError:
             i = next((i for i, (x, y) in enumerate(pairs) if x != y), None)
             if i is not None:
-                found.append(f"{name}: first differs in {unit} {i}: "
+                found.append(f"{name}: first differs in data row {i}: "
                              f"{pairs[i][0]!r} != {pairs[i][1]!r}")
     numeric = gaps + ([f"0 in the {equal} other numeric columns"] if equal else [])
     return found + ([f"max abs difference: {', '.join(numeric)}"] if numeric else [])
@@ -99,17 +101,20 @@ def csv_differences(a: Path, b: Path) -> list:
     if head != head_b:
         return [f"header {head} != {head_b}"]
     found = [] if len(old) == len(new) else [f"{len(old)} != {len(new)} rows"]
-    return found + _sized([(name, [(r[j], s[j]) for r, s in zip(old, new)], _float)
-                           for j, name in enumerate(head)], "data row")
+    return found + _sized([(name, [(r[j], s[j]) for r, s in zip(old, new)])
+                           for j, name in enumerate(head)])
 
 
-def _scalars(value) -> list:
-    """The scalars of a JSON value in document order (object members by key)."""
-    if isinstance(value, dict):
-        return [x for key in sorted(value) for x in _scalars(value[key])]
-    if isinstance(value, list):
-        return [x for item in value for x in _scalars(item)]
-    return [value]
+def _leaves(value, path: str = "") -> dict:
+    """The scalars of a JSON value by dotted key path (`a.b[2].c`); an empty
+    object or list is a leaf of its own."""
+    if isinstance(value, dict) and value:
+        return {leaf: x for key in sorted(value)
+                for leaf, x in _leaves(value[key], f"{path}.{key}" if path else key).items()}
+    if isinstance(value, list) and value:
+        return {leaf: x for i, item in enumerate(value)
+                for leaf, x in _leaves(item, f"{path}[{i}]").items()}
+    return {path or "(document)": value}
 
 
 def _number(value):
@@ -135,23 +140,23 @@ def _same(a: Path, b: Path, masked) -> bool:
 
 
 def json_differences(a: Path, b: Path, masked=()) -> list:
-    """How two JSON documents differ, one line per finding, sized like CSV
-    columns: each top-level key is a column of the scalars under it (a
-    document that is not an object is one column), numeric where each is a
-    number or null; keys in one file only and differing scalar counts are
-    named. Top-level keys in `masked` are left out."""
-    old, new = (_document(p, masked) for p in (a, b))
-    if not (isinstance(old, dict) and isinstance(new, dict)):
-        old, new = {"(document)": old}, {"(document)": new}
-    found = [f"{key}: only in {side}" for side, doc, other in (("old", old, new), ("new", new, old))
-             for key in sorted(doc) if key not in other]
-    columns = []
-    for key in sorted(old.keys() & new.keys()):
-        xs, ys = _scalars(old[key]), _scalars(new[key])
-        if len(xs) != len(ys):
-            found.append(f"{key}: {len(xs)} != {len(ys)} values")
-        columns.append((key, list(zip(xs, ys)), _number))
-    return found + _sized(columns, "value")
+    """How two JSON documents differ, one line per scalar (`_leaves`): each
+    differing pair by its dotted key path as JSON text, with the absolute
+    difference where both are numbers, then the paths in one file only,
+    each in document order. Top-level keys in `masked` are left out."""
+    old, new = (_leaves(_document(p, masked)) for p in (a, b))
+    found = []
+    for path, x in old.items():
+        y = new.get(path, x)
+        if json.dumps(x) != json.dumps(y):
+            try:
+                gap = f" (abs difference {_gap(_number(x), _number(y)):.3g})"
+            except ValueError:
+                gap = ""
+            found.append(f"{path}: {json.dumps(x)} != {json.dumps(y)}{gap}")
+    return found + [f"{path}: only in {side}"
+                    for side, doc, other in (("old", old, new), ("new", new, old))
+                    for path in doc if path not in other]
 
 
 def main(old: str, new: str) -> int:
@@ -170,11 +175,14 @@ def main(old: str, new: str) -> int:
                 for name in names:
                     a, b = (o / name for o in outs)
                     masked = MASKED if name == Path("manifest.json") else ()
-                    if not (a.exists() and b.exists() and _same(a, b, masked)):
+                    if not (a.exists() and b.exists()):
+                        diffs.append(f"{command} {config}: {name} only in "
+                                     f"{'old' if a.exists() else 'new'}")
+                    elif not _same(a, b, masked):
                         diffs.append(f"{command} {config}: {name} differs")
                         sizer = {".csv": csv_differences,
                                  ".json": partial(json_differences, masked=masked)}.get(name.suffix)
-                        if sizer and a.exists() and b.exists():
+                        if sizer:
                             diffs += [f"    {line}" for line in sizer(a, b)]
                 print(f"{command} {config}: {len(names)} files compared", flush=True)
     print("\n".join(diffs) if diffs else "all outputs byte-identical")

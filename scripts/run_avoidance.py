@@ -7,6 +7,7 @@ import argparse
 from pathlib import Path
 
 from ltvmpc import compute_metrics, figures, run_scenario, write_log_csv
+from ltvmpc.avoidance import velocity_debug_csv
 from ltvmpc.cli import load_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -33,11 +34,9 @@ def main():
         m = compute_metrics(log)
         write_log_csv(log, out / f"{scn.name}_log.csv")
         figures.write_run_bundle(log, out, scn.name)
-        if scn.mpc.avoidance == "velocity_space":
-            k = min(log.rows, key=lambda r: r.min_dist).k  # closest approach
-            dump = figures.velocity_space_csv(scn, k, log.tracks)
-            if dump is not None:
-                (out / f"{scn.name}_velocity_space.csv").write_text(dump)
+        if log.closest_debug is not None:  # velocity-space rows at the closest approach
+            (out / f"{scn.name}_velocity_space.csv").write_text(
+                velocity_debug_csv(*log.closest_debug))
         print(f"{scn.name:<22} {m.min_clearance:>9.4f} {m.slack_total:>9.3f} "
               f"{str(m.converged):>10} {str(m.halted):>7}")
 

@@ -15,10 +15,11 @@ Two constructions, both yielding rows that drop straight into the QP:
    constraint on speed/turn-rate deviations is the first-order expansion of
    the signed margin at the reference input.
 
-Both emit one float block of shape (N, 3) per obstacle: row j holds
-(c1, c2, rhs) of the row c . x <= rhs over one variable pair of horizon step
-j, the position part of e(j+1) for the half-planes and u_b(j) for the
-velocity rows. The MPC places the pairs in its stacked decision vector.
+Both emit one float block of shape (N, 5N + 1) per obstacle: N rows over
+the MPC's stacked decision vector [e(1) ... e(N), u_b(0) ... u_b(N-1)], each
+row's right-hand side in the last column. Row j acts on one variable pair of
+horizon step j, the position part of e(j+1) for the half-planes and u_b(j)
+for the velocity rows; this module alone decides which.
 """
 
 from __future__ import annotations
@@ -69,6 +70,18 @@ def _rot(phi: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def _stacked_rows(first: int, stride: int, pairs, rhs) -> np.ndarray:
+    """Rows over the stacked vector [e(1)..e(N), u_b(0)..u_b(N-1)], the
+    right-hand side last: row j holds pairs[j] on columns first + stride * j
+    and the one after, and rhs[j]; every other entry is zero."""
+    N = len(rhs)
+    rows = np.zeros((N, 5 * N + 1))
+    j = np.arange(N)[:, None]
+    rows[j, first + stride * j + [0, 1]] = pairs
+    rows[:, -1] = rhs
+    return rows
+
+
 # -- method 1: state-space half-planes ----------------------------------------
 
 
@@ -113,7 +126,7 @@ def position_rows(hp: HalfPlane, ref, k: int, N: int):
     -(R(theta_ref) n) . e_pos <= a - n . p_ref, with R(theta) the
     world-to-robot rotation [[c, s], [-s, c]] of the error definition. ref is
     the dynamics.Reference; its step indices clamp at the end. Returns the
-    (N, 3) block: row j - 1 holds the row of e(j)'s position pair.
+    (N, 5N + 1) block: row j - 1 acts on e(j)'s position pair.
 
     Both products run per pose, as stacks of 2 x 2 and 1 x 2 matrices: a
     single (N, 2) product would sum each row's two terms differently.
@@ -121,10 +134,7 @@ def position_rows(hp: HalfPlane, ref, k: int, N: int):
     poses = ref.poses[ref.clamp(np.arange(k + 1, k + N + 1))]
     R = np.array([[[c, s], [-s, c]] for c, s in
                   ((math.cos(th), math.sin(th)) for th in poses[:, 2].tolist())])
-    rows = np.empty((N, 3))
-    rows[:, :2] = -(R @ hp.n)
-    rows[:, 2] = hp.a - (poses[:, None, :2] @ hp.n)[:, 0]
-    return rows
+    return _stacked_rows(0, 3, -(R @ hp.n), hp.a - (poses[:, None, :2] @ hp.n)[:, 0])
 
 
 # -- method 2: velocity obstacles ----------------------------------------------
@@ -184,8 +194,8 @@ def velocity_constraint_row(n, a: float, theta: float, u_r: float, w_r: float, d
 
 
 def velocity_rows(hp: HalfPlane, ref, k: int, N: int, e3_path, dt: float):
-    """Linearized velocity rows for horizon steps 0..N-1, as the (N, 3)
-    block whose row j holds the row of u_b(j).
+    """Linearized velocity rows for horizon steps 0..N-1, as the (N, 5N + 1)
+    block whose row j acts on u_b(j).
 
     The heading estimate at step j is the reference heading at k+j shifted by
     entry j of e3_path (N entries). Passing the previous solve's predicted
@@ -203,21 +213,25 @@ def velocity_rows(hp: HalfPlane, ref, k: int, N: int, e3_path, dt: float):
     coefs = [velocity_constraint_row(n, hp.a, theta - e3, v_r, w_r, dt)
              for theta, (v_r, w_r), e3 in zip(ref.poses[steps, 2].tolist(),
                                               ref.inputs[steps].tolist(), e3_path)]
-    rows = np.array(coefs)
-    rows[:, 2] = -rows[:, 2]
-    return rows
+    coefs = np.array(coefs)
+    return _stacked_rows(3 * N, 2, coefs[:, :2], -coefs[:, 2])
 
 
 # -- debug dump -----------------------------------------------------------------
 
 
 def velocity_debug_csv(cone: VoCone, hp: HalfPlane, rows) -> str:
-    """Velocity-space snapshot (cone, half-plane, the (N, 3) row block) as CSV."""
+    """Velocity-space snapshot (cone, half-plane, the `velocity_rows` block)
+    as CSV: per step, the (v, omega) coefficients of u_b(j) and the
+    right-hand side."""
+    N = len(rows)
+    j = np.arange(N)
+    coefs = np.column_stack([rows[j, 3 * N + 2 * j], rows[j, 3 * N + 2 * j + 1], rows[:, -1]])
     lines = ["record,field0,field1,field2,field3"]
     lines.append(f"cone_apex,{cone.apex[0]:.17g},{cone.apex[1]:.17g},,")
     lines.append(f"cone_axis,{cone.axis[0]:.17g},{cone.axis[1]:.17g},,")
     lines.append(f"cone_shape,{cone.half_angle:.17g},,,")
     lines.append(f"halfplane,{hp.n[0]:.17g},{hp.n[1]:.17g},{hp.a:.17g},{hp.sense}")
     lines += [f"row_step_{j},{cu:.17g},{cw:.17g},{rhs:.17g},"
-              for j, (cu, cw, rhs) in enumerate(rows.tolist())]
+              for j, (cu, cw, rhs) in enumerate(coefs.tolist())]
     return "\n".join(lines) + "\n"

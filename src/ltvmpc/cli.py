@@ -29,9 +29,10 @@ import numpy as np
 import yaml
 
 from . import __version__, figures
+from .avoidance import velocity_debug_csv
 from .sim import (Config, Scenario, SimLog, SweepSpec, TerminalSetSpec, build_controller,
-                  compute_metrics, lqr_comparison, obstacle_tracks, read_log_csv, run_scenario,
-                  sweep, write_log_csv)
+                  compute_metrics, lqr_comparison, read_log_csv, run_scenario, sweep,
+                  write_log_csv)
 from .terminal_set import TerminalConstraints, compute_c_schedule, vertices_feasible
 
 
@@ -67,28 +68,38 @@ def _from_dict(cls, d, where: str, sections=()):
 def _value(hint, value, path: str):
     """One config value by its type hint: a nested dataclass from a mapping, a
     tuple from a list (items converted to floats or dataclasses by the hint's
-    item type, else kept as written), a float from a string in a float field
-    (YAML 1.1 reads 1e4 as a string); anything else as written. No float may
-    be NaN or infinite, except the entries of `terminal_set.e_max`, where
-    .inf leaves an error unbounded."""
+    item type, else kept as written; an array field's items are floats), a
+    scalar checked by `_scalar`. No float may be NaN or infinite, except the
+    entries of `terminal_set.e_max`, where .inf leaves an error unbounded."""
     if dataclasses.is_dataclass(hint):
         return _from_dict(hint, value, path)
+    if hint not in (tuple, np.ndarray) and typing.get_origin(hint) is not tuple:
+        return _finite(_scalar(hint, value, path), path)
+    if not isinstance(value, list):
+        raise ConfigError(f"'{path}' must be a list")
+    item = float if hint is np.ndarray else (typing.get_args(hint) or (None,))[0]
+    items = tuple(float(_scalar(item, v, f"{path}[{i}]")) if item is float
+                  else _value(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    return items if path == "terminal_set.e_max" else _finite(items, path)
+
+
+_KINDS = {int: "an integer", bool: "true or false", float: "a number"}
+
+
+def _scalar(hint, value, path: str):
+    """A scalar by its type hint: an int field takes an integer, a bool field
+    a bool, a float field an integer or a float (never a bool, which Python
+    counts as an integer), or a string that spells a float (YAML 1.1 reads
+    1e4 as a string); anything else as written."""
     if hint is float and isinstance(value, str):
         try:
             value = float(value)
         except ValueError:
             raise ConfigError(f"'{path}' must be a number, not {value!r}") from None
-    if hint is not tuple and typing.get_origin(hint) is not tuple:
-        return _finite(value, path)
-    if not isinstance(value, list):
-        raise ConfigError(f"'{path}' must be a list")
-    item = (typing.get_args(hint) or (None,))[0]
-    try:
-        items = tuple(float(v) if item is float else _value(item, v, f"{path}[{i}]")
-                      for i, v in enumerate(value))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{path}: {e}") from e
-    return items if path == "terminal_set.e_max" else _finite(items, path)
+    if hint in _KINDS and (isinstance(value, bool) != (hint is bool) or not isinstance(
+            value, (int, float) if hint is float else hint)):
+        raise ConfigError(f"'{path}' must be {_KINDS[hint]}, not {value!r}")
+    return value
 
 
 def _finite(value, path: str):
@@ -200,6 +211,15 @@ def _cmd_run(args) -> int:
     log = run_scenario(scn)
     write_log_csv(log, out / f"{scn.name}_log.csv")
     figures.write_run_bundle(log, out, scn.name)
+    if (scn.mpc.avoidance == "velocity_space" and scn.controller == "mpc"
+            and len(log.rows) and scn.obstacles):
+        if log.closest_debug is None:
+            k = int(log.rows.k[np.argmin(log.rows.min_dist)])  # closest approach
+            print(f"{scn.name}: no velocity-space constraint active at the closest approach"
+                  f" (step {k}); no velocity-space dump written", file=sys.stderr)
+        else:
+            (out / f"{scn.name}_velocity_space.csv").write_text(
+                velocity_debug_csv(*log.closest_debug))
     m = compute_metrics(log) if len(log.rows) else None
     if m is not None:
         _write_json(out / f"{scn.name}_metrics.json", _metrics_dict(m))
@@ -274,20 +294,7 @@ def _cmd_dump_figures(args) -> int:
     log_path = out / f"{scn.name}_log.csv"
     if not log_path.exists():
         raise ConfigError(f"no log at {log_path}; run the scenario first")
-    # the tracks are built once, for the obstacle CSV and the velocity dump
-    log = SimLog(scn, read_log_csv(log_path), tracks=obstacle_tracks(scn))
-    paths = figures.write_run_bundle(log, out, scn.name)
-    if (scn.mpc.avoidance == "velocity_space" and scn.controller == "mpc"
-            and len(log.rows) and scn.obstacles):
-        k = int(log.rows.k[np.argmin(log.rows.min_dist)])  # closest approach
-        text = figures.velocity_space_csv(scn, k, log.tracks)
-        if text is None:
-            print(f"{scn.name}: no velocity-space constraint active at the closest approach"
-                  f" (step {k}); no velocity-space dump written", file=sys.stderr)
-        else:
-            p = out / f"{scn.name}_velocity_space.csv"
-            p.write_text(text)
-            paths.append(p)
+    paths = figures.write_run_bundle(SimLog(scn, read_log_csv(log_path)), out, scn.name)
     if not args.quiet:
         print("\n".join(str(p) for p in paths))
     return 0

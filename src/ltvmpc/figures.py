@@ -11,9 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .avoidance import velocity_debug_csv
-from .sim import (Scenario, SimLog, _column_table, _table, build_controller, closed_loop,
-                  obstacle_tracks)
+from .sim import Scenario, SimLog, _column_table, _table, obstacle_tracks
 
 
 def _columns(rows, names) -> str:
@@ -79,22 +77,6 @@ def terminal_set_csv(levels) -> str:
     vertices = np.array([poly.vertices.reshape(-1) for _, poly in levels]).reshape(-1, 24)
     return _column_table(header, [np.arange(len(levels)), np.array([c for c, _ in levels]),
                                   *vertices.T])
-
-
-def velocity_space_csv(scn: Scenario, k: int, tracks) -> str | None:
-    """Velocity-space dump (cone, tangent plane, per-step rows) at step k.
-
-    The scenario's closed loop (`sim.closed_loop`, the one run_scenario
-    consumes) runs from scratch on the run's obstacle `tracks`
-    (`sim.obstacle_tracks`) and stops at step k, so the dump is the
-    controller's own `last_debug` there. None if no velocity rows were
-    built at that step (no obstacle within d_activate).
-    """
-    controller, _ = build_controller(scn, tracks)
-    for j, *_ in closed_loop(scn, controller, tracks):
-        if j == k:
-            break
-    return None if controller.last_debug is None else velocity_debug_csv(*controller.last_debug)
 
 
 def write_run_bundle(log: SimLog, out_dir, stem: str = None):

@@ -17,8 +17,10 @@ once, it is the optimum. Otherwise it solves the condensed QP over the 2N
 inputs (`condense_qp`: the dynamics are eliminated, e = Phi e(0) + Gamma u_b).
 An avoidance controller solves the stacked QP over [e(1) ... e(N),
 u_b(0) ... u_b(N-1)] (`build_qp`, 5N entries, the dynamics as equality
-rows). Both go to the same active-set solver. Obstacle rows arrive as (N, 3)
-blocks, one per obstacle (see `avoidance`). If they make the QP infeasible,
+rows). Both go to the same active-set solver. Obstacle rows arrive as
+(N, 5N + 1) blocks over that stacked vector, the right-hand side last, one
+block per obstacle; `avoidance` decides which columns a row acts on, and
+`build_qp` appends the rows as they are. If they make the QP infeasible,
 the solve is repeated once with a shared nonnegative slack on the avoidance
 rows only (quadratic penalty); input bounds and dynamics stay hard.
 """
@@ -223,12 +225,11 @@ def build_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
     Layout: variables [e(1)..e(N), u_b(0)..u_b(N-1)]; equalities are the N
     dynamics steps; inequalities are 4N two-sided input bounds
     (-u_max - u_ref <= u_b <= u_max - u_ref), optional no-reverse rows, then
-    the avoidance rows: `avoid` stacks (N, 3) blocks whose row j holds
-    (c1, c2, rhs) over e(j+1)'s position pair under state-space avoidance,
-    over u_b(j) under velocity-space avoidance. Model/reference/schedule
-    indices clamp at the trajectory end (setpoint hold). The layout and bound
-    rows are cached per (N, forbid_reverse); the avoidance rows take one
-    scatter.
+    the avoidance rows `avoid` as given: each holds its 5N coefficients over
+    the stacked vector and then its right-hand side (ValueError for another
+    width). Model/reference/schedule indices clamp at the trajectory end
+    (setpoint hold). The layout and bound rows are cached per
+    (N, forbid_reverse).
     """
     N = cfg.N
     n = 5 * N
@@ -251,15 +252,9 @@ def build_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
     b_eq[:3] = A[0] @ e0
 
     bound_rows, bounds = _input_rows(ref.inputs[steps], cfg, n, 3 * N)
-    avoid = np.asarray(avoid, dtype=float).reshape(-1, 3)
-    m0 = len(bounds)
-    A_in = np.zeros((m0 + len(avoid), n))
-    A_in[:m0] = bound_rows
-    b_in = np.concatenate([bounds, avoid[:, 2]])
-    if len(avoid):
-        cols = e_col[:, 0, :2] if cfg.avoidance == "state_space" else u_col[:, 0]
-        j = np.arange(N)[:, None]
-        A_in[m0:].reshape(-1, N, n)[:, j, cols] = avoid[:, :2].reshape(-1, N, 2)
+    avoid = np.asarray(avoid, dtype=float).reshape(len(avoid), n + 1)
+    A_in = np.concatenate([bound_rows, avoid[:, :-1]])
+    b_in = np.concatenate([bounds, avoid[:, -1]])
     return QpProblem(H=H, g=g, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in)
 
 
@@ -300,7 +295,9 @@ class MpcController:
     errors from Gamma u_b. With avoidance on every step solves the stacked QP
     (`build_qp`) started from `_rollout_start`, the prediction under u_b = 0,
     and falls back to the shared slack when the avoidance rows make it
-    infeasible.
+    infeasible. Those rows are the `avoidance` blocks, (N, 5N + 1) each, of
+    the obstacles within d_activate, concatenated in list order; the mode
+    picks the row builder, and `build_qp` appends the rows without reading it.
 
     Holds the QP solver, the bound arrays, the latest block of horizon maps,
     the previous plan's heading errors (velocity-space only, used to
@@ -334,8 +331,6 @@ class MpcController:
         cfg = self.cfg
         blocks = []
         self.last_debug = None
-        if not obstacles:
-            return np.empty((0, 3))
         p_robot = np.array([z.x, z.y])
         i = self.ref.clamp(k)
         theta_ref, v_ref = self.ref.poses[i, 2], self.ref.inputs[i, 0]
@@ -363,7 +358,7 @@ class MpcController:
                 blocks.append(vrows)
                 if dist < nearest:
                     nearest, self.last_debug = dist, (cone, hp, vrows)
-        return np.concatenate(blocks) if blocks else np.empty((0, 3))
+        return np.concatenate(blocks) if blocks else np.empty((0, 5 * cfg.N + 1))
 
     def _heading_error_path(self, e0: np.ndarray, k: int) -> np.ndarray:
         """Per-step heading-error estimates: measured now, previous plan later."""

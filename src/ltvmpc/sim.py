@@ -9,9 +9,11 @@ constant-velocity discs, or secondary unicycles driven open-loop along their
 own reference; only the primary robot avoids, so every obstacle's path is
 fixed before the run and held as arrays (`obstacle_tracks`).
 
-The loop itself is one generator, `closed_loop`. `run_scenario` writes each
-of its steps into one preallocated record array with a field per CSV column
-(LOG_DTYPE), so metrics, the log CSV and the figure slices all read columns.
+The closed loop is `run_scenario`. It writes each step into one
+preallocated record array with a field per CSV column (LOG_DTYPE), so
+metrics, the log CSV and the figure slices all read columns, and it keeps
+the controller's velocity-space geometry at the closest approach for the
+debug dump, so no dump re-runs the loop.
 """
 
 from __future__ import annotations
@@ -214,14 +216,18 @@ class Config:
 class SimLog:
     """One run: `rows` is a record array of LOG_DTYPE, one record per step
     up to and including the halting step, so `rows.v` is the v column.
-    `tracks` holds the obstacle tracks the run used (`obstacle_tracks`), or
-    None where not given (`read_log_csv` reads the rows only)."""
+    `tracks` holds the obstacle tracks the run used (`obstacle_tracks`), and
+    `closest_debug` the controller's `last_debug` (cone, half-plane, velocity
+    rows) at the first step of smallest `min_dist`, None if it built no
+    velocity rows there; both are None where not given (`read_log_csv` reads
+    the rows only)."""
 
     scenario: Scenario
     rows: np.recarray
     halted: bool = False
     halt_reason: str = ""
     tracks: tuple = None
+    closest_debug: tuple = None
 
 
 @dataclass(frozen=True)
@@ -264,58 +270,50 @@ def obstacle_tracks(scn: Scenario):
     return positions, velocities, np.array([o.radius for o in scn.obstacles], dtype=float)
 
 
-def build_controller(scn: Scenario, tracks=None):
-    """The controller and the obstacle tracks (`obstacle_tracks`, built
-    unless given) exactly as run_scenario builds them (exposed so figure
-    dumps can replay a run and inspect controller state)."""
+def build_controller(scn: Scenario):
+    """The controller and the obstacle tracks (`obstacle_tracks`) exactly as
+    run_scenario builds them (exposed so tests and the terminal-set command
+    can inspect controller state)."""
     T = scn.trajectory.T
     ref = build_reference(scn.trajectory, scn.duration + scn.mpc.N + 1)
     A, B = linearize(ref.inputs, T), input_matrix(T)
     costs = scn.costs()
     schedule = backward_riccati(A, B, costs)
     controller = MpcController(ref, A, B, schedule, costs, scn.mpc)
-    return controller, obstacle_tracks(scn) if tracks is None else tracks
+    return controller, obstacle_tracks(scn)
 
 
-def closed_loop(scn: Scenario, controller, tracks):
-    """The closed loop of scn, one step at a time: yields (k, z, obstacles, step)
-    after the controller acts at step k and before the plant advances; the
-    obstacles are step k's rows of the tracks (`obstacle_tracks`). Ends after
-    `scn.duration` steps, or after a step whose QP is infeasible."""
-    T = scn.trajectory.T
-    ref = controller.ref
+def run_scenario(scn: Scenario) -> SimLog:
+    """The closed loop of scn: at each step k the controller acts on the
+    robot state and step k's rows of the obstacle tracks, the step is
+    logged, and the plant advances. Ends after `scn.duration` steps, or
+    halts after a step whose QP is infeasible."""
+    controller, tracks = build_controller(scn)
+    ref, T = controller.ref, scn.trajectory.T
     positions, velocities, radii = tracks
+    rows = np.recarray(scn.duration, dtype=LOG_DTYPE)
     z = RobotState(*(ref.poses[0] if scn.initial_state is None else scn.initial_state))
+    closest, debug = math.inf, None
     for k in range(scn.duration):
         obstacles = [Obstacle(*o) for o in zip(positions[k], radii, velocities[k])]
         if scn.controller == "lqr":
             step = controller.lqr_control_step(z, k)
         else:
             step = controller.control_step(z, k, obstacles)
-        yield k, z, obstacles, step
-        if step.qp_status == "infeasible":
-            return
-        z = step_discrete(z, step.u_applied, T)
-
-
-def run_scenario(scn: Scenario) -> SimLog:
-    controller, tracks = build_controller(scn)
-    ref, T = controller.ref, scn.trajectory.T
-    rows = np.recarray(scn.duration, dtype=LOG_DTYPE)
-    n = 0
-    for k, z, obstacles, step in closed_loop(scn, controller, tracks):
         p = np.array([z.x, z.y])
         min_dist = math.inf
         for o in obstacles:
             min_dist = min(min_dist, float(np.linalg.norm(o.position - p)))
+        if min_dist < closest:  # the first step on a tie, as the log's argmin
+            closest, debug = min_dist, controller.last_debug
         rows[k] = (k, k * T, z.x, z.y, z.theta, *ref.poses[k], *step.predicted_errors[0],
                    *step.u_applied, *ref.inputs[k], step.stage_cost, step.terminal_cost,
                    step.qp_status, step.slack_used, min_dist)
-        n = k + 1
-    if n and rows.qp_status[n - 1] == "infeasible":
-        return SimLog(scn, rows[:n], True, f"unrecoverable QP infeasibility at step {n - 1}",
-                      tracks)
-    return SimLog(scn, rows[:n], tracks=tracks)
+        if step.qp_status == "infeasible":
+            return SimLog(scn, rows[:k + 1], True, f"unrecoverable QP infeasibility at step {k}",
+                          tracks, debug)
+        z = step_discrete(z, step.u_applied, T)
+    return SimLog(scn, rows, tracks=tracks, closest_debug=debug)
 
 
 def compute_metrics(log: SimLog) -> Metrics:

@@ -211,10 +211,10 @@ def build_qp_loops(e0, k: int, ref, A, B, schedule, costs, cfg, avoid=()):
     Layout: variables [e(1)..e(N), u_b(0)..u_b(N-1)]; equalities are the N
     dynamics steps; inequalities are 4N two-sided input bounds
     (-u_max - u_ref <= u_b <= u_max - u_ref), optional no-reverse rows, then
-    the avoidance rows in the order given: `avoid` stacks (N, 3) blocks, row
-    j of a block holding (c1, c2, rhs) over e(j+1)'s position pair under
-    state-space avoidance and over u_b(j) otherwise. Model/reference/schedule
-    indices clamp at the trajectory end (setpoint hold).
+    the avoidance rows in the order given, each row of `avoid` its 5N
+    coefficients over the stacked vector and then its right-hand side.
+    Model/reference/schedule indices clamp at the trajectory end (setpoint
+    hold).
     """
     N = cfg.N
     n = 5 * N
@@ -272,12 +272,10 @@ def build_qp_loops(e0, k: int, ref, A, B, schedule, costs, cfg, avoid=()):
             rows.append(row)
             rhs.append(u_ref[0])
 
-    for i, (c1, c2, b) in enumerate(avoid):
-        j = i % N
-        col = 3 * j if cfg.avoidance == "state_space" else 3 * N + 2 * j
+    for *coefs, b in avoid:
         row = np.zeros(n)
-        row[col] = c1
-        row[col + 1] = c2
+        for col, c in enumerate(coefs):
+            row[col] = c
         rows.append(row)
         rhs.append(b)
 

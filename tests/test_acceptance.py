@@ -414,7 +414,8 @@ def test_a15_manifest_rerun_is_byte_identical(tmp_path):
 
 def test_velocity_space_dump_is_the_logged_run_at_closest_approach(tmp_path, monkeypatch):
     # record what the controller itself built at every step of `run`; the
-    # dump `dump-figures` writes from the log must be that step's geometry
+    # dump `run` writes must be that step's geometry at the logged closest
+    # approach
     recorded = []
     control_step = MpcController.control_step
 
@@ -428,7 +429,6 @@ def test_velocity_space_dump_is_the_logged_run_at_closest_approach(tmp_path, mon
     monkeypatch.setattr(MpcController, "control_step", recording)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
     monkeypatch.undo()
-    assert main(["dump-figures", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
     with open(tmp_path / "replay_log.csv", newline="") as f:
         dist = [float(row["min_dist"]) for row in csv.DictReader(f)]
     assert len(recorded) == len(dist) == 60

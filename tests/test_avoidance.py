@@ -76,8 +76,11 @@ def test_position_rows_match_world_halfplane(rng):
     ref = build_reference(TrajectorySpec("sinusoid"), 30)
     hp = HalfPlane(np.array([0.6, 0.8]), 1.2, "le")
     rows = position_rows(hp, ref, k=5, N=8)
-    assert rows.shape == (8, 3)
-    for j, (c1, c2, rhs) in enumerate(rows, start=1):  # the row of e(j)
+    assert rows.shape == (8, 5 * 8 + 1)
+    for j, row in enumerate(rows, start=1):  # the row of e(j): its position pair, rhs last
+        col = 3 * (j - 1)
+        (c1, c2), rhs = row[col: col + 2], row[-1]
+        assert not np.any(np.delete(row, [col, col + 1, len(row) - 1]))
         pose = ref.poses[5 + j]
         # bit for bit the per-pose products: the error rotation times n, and n . p
         c, s = math.cos(pose[2]), math.sin(pose[2])
@@ -262,13 +265,15 @@ def test_velocity_rows_phase_and_path_validation():
                                          angular_rate=0.25), 20)
     hp = HalfPlane(np.array([0.0, 1.0]), -0.3, "ge")
     rows = velocity_rows(hp, ref, k=2, N=6, e3_path=np.full(6, 0.05), dt=0.05)
-    assert rows.shape == (6, 3)
-    # row j (the row of u_b(j)) is bit for bit the pointwise construction at
-    # the shifted heading
+    assert rows.shape == (6, 5 * 6 + 1)
+    # row j acts on u_b(j) alone, the rhs last, bit for bit the pointwise
+    # construction at the shifted heading
     for j, row in enumerate(rows):
+        col = 3 * 6 + 2 * j
         (v_r, w_r), theta = ref.inputs[2 + j], ref.poses[2 + j, 2]
         cu, cw, const = velocity_constraint_row(hp.n, hp.a, theta - 0.05, v_r, w_r, 0.05)
-        assert row.tolist() == [cu, cw, -const]
+        assert [row[col], row[col + 1], row[-1]] == [cu, cw, -const]
+        assert not np.any(np.delete(row, [col, col + 1, len(row) - 1]))
     with pytest.raises(ValueError):
         velocity_rows(hp, ref, 2, 6, e3_path=np.zeros(4), dt=0.05)
 
@@ -284,3 +289,6 @@ def test_debug_csv_shape():
     assert len(lines) == 1 + 4 + 3
     assert lines[3] == f"cone_shape,{cone.half_angle:.17g},,,"
     assert lines[4].startswith("halfplane,")
+    for j in range(3):  # each step's u_b(j) coefficients, then the rhs
+        cu, cw, rhs = rows[j, 9 + 2 * j], rows[j, 10 + 2 * j], rows[j, -1]
+        assert lines[5 + j] == f"row_step_{j},{cu:.17g},{cw:.17g},{rhs:.17g},"

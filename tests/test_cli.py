@@ -117,7 +117,8 @@ def test_run_rolls_each_reference_once(tmp_path, monkeypatch):
 
 def test_dump_figures_rolls_each_reference_once(tmp_path, monkeypatch):
     # a log read back from CSV has no tracks: dump-figures builds them once for
-    # the obstacle CSV and the velocity-space replay
+    # the obstacle CSV, and rolls nothing else (the velocity-space dump is
+    # written by `run`)
     cfg = write_config(tmp_path, PAIR)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
@@ -131,7 +132,7 @@ def test_dump_figures_rolls_each_reference_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sim, "build_reference", counted)
     assert main(["dump-figures", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-    assert len(rolled) == 2
+    assert len(rolled) == 1
     assert all((out / name).read_bytes() == text for name, text in written.items())
 
 
@@ -289,6 +290,27 @@ def test_string_in_a_float_field_is_read_as_a_number(tmp_path, capsys, bad, mess
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("duration: true\n", "'duration' must be an integer, not True"),
+    ("duration: 30\nmpc: {N: true}\n", "'mpc.N' must be an integer, not True"),
+    ("duration: 30\nmpc: {N: 2.5}\n", "'mpc.N' must be an integer, not 2.5"),
+    ("duration: 30\nmpc: {forbid_reverse: 3}\n", "'mpc.forbid_reverse' must be true or false"),
+    ("duration: 30\nmpc: {beta: true}\n", "'mpc.beta' must be a number, not True"),
+    ("duration: 30\nQ_diag: [1, true, 0.5]\n", "'Q_diag[1]' must be a number, not True"),
+    ("duration: 30\nmpc: {u_max: [true, 10]}\n", "'mpc.u_max[0]' must be a number, not True"),
+])
+def test_bad_config_types_exit_two_naming_the_key(tmp_path, capsys, bad, message):
+    cfg = write_config(tmp_path, "name: x\ntrajectory: {kind: sinusoid}\n" + bad)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_integers_stay_numbers_in_float_fields():
+    mpc = parse_config(MINIMAL + "mpc: {beta: 2, forbid_reverse: true}\n").scenario.mpc
+    assert (mpc.beta, mpc.forbid_reverse) == (2, True)
+
+
 def test_terminal_set_e_max_may_be_unbounded():
     assert parse_config(MINIMAL + "terminal_set: {e_max: [1, 1, .inf]}\n") \
         .terminal_set.e_max == (1.0, 1.0, float("inf"))
@@ -305,7 +327,8 @@ def test_dump_figures_requires_existing_log(tmp_path, capsys):
 
 
 def test_dump_figures_skips_velocity_dump_without_active_rows(tmp_path, capsys):
-    # the obstacle never comes within d_activate, so no velocity rows exist
+    # the obstacle never comes within d_activate, so no velocity rows exist:
+    # `run` notes it, and dump-figures re-emits the bundle without the dump
     cfg = write_config(tmp_path, """
 name: far
 duration: 5
@@ -315,8 +338,9 @@ obstacles: [{kind: static, position: [3.0, 10.0], radius: 0.3}]
 """)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-    assert main(["dump-figures", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert "no velocity-space dump written" in capsys.readouterr().err
+    assert main(["dump-figures", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert not capsys.readouterr().err
     assert not (out / "far_velocity_space.csv").exists()
     assert (out / "far_trajectory.csv").exists()
 

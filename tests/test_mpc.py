@@ -20,8 +20,7 @@ from ltvmpc.mpc import (MAP_BLOCK, MpcConfig, MpcController, _with_shared_slack,
                         condense_qp, horizon_maps, stage_cost_value, terminal_cost_value)
 from ltvmpc.qp import QpSolution, QpSolver, kkt_residuals
 from ltvmpc.riccati import CostMatrices, backward_riccati
-from ltvmpc.sim import (Scenario, TrajectorySpec, build_controller, build_reference,
-                        closed_loop, run_scenario)
+from ltvmpc.sim import Scenario, TrajectorySpec, build_controller, build_reference, run_scenario
 
 from oracles import FreshKktSolver, adjoint_multipliers, build_qp_loops, solve_qp
 
@@ -53,26 +52,40 @@ def test_forbid_reverse_adds_one_row_per_step():
 
 
 def test_extra_row_column_placement():
-    # row j of a block acts on e(j+1)'s position pair under state-space
-    # avoidance and on u_b(j) under velocity-space avoidance
+    # an avoidance row lands below the bound rows on the columns it names,
+    # its last entry the right-hand side, whatever the avoidance mode
     ref, models, B, schedule = make_setup()
     N = 5
-    block = np.zeros((N, 3))
-    block[2] = (0.6, -0.8, 0.7)
-    block[4] = (1.5, 2.5, -0.1)
-    for mode, col in (("state_space", 3 * 2), ("velocity_space", 3 * N + 2 * 2)):
+    block = np.zeros((N, 5 * N + 1))
+    block[2, [3 * 2, 3 * 2 + 1, -1]] = (0.6, -0.8, 0.7)
+    block[4, [3 * N + 2 * 4, 3 * N + 2 * 4 + 1, -1]] = (1.5, 2.5, -0.1)
+    for mode in ("off", "state_space", "velocity_space"):
         cfg = MpcConfig(N=N, avoidance=mode)
         p = build_qp(np.zeros(3), 0, ref, models, B, schedule, COSTS, cfg, block)
         assert p.A_in.shape[0] == 4 * N + N
         rows, b = p.A_in[-N:], p.b_in[-N:]
-        assert np.array_equal(rows[2, col: col + 2], [0.6, -0.8])
+        assert np.array_equal(rows[2, 6: 8], [0.6, -0.8])
         assert np.count_nonzero(rows[2]) == 2
-        step4 = 3 * 4 if mode == "state_space" else 3 * N + 2 * 4
-        assert np.array_equal(rows[4, step4: step4 + 2], [1.5, 2.5])
+        assert np.array_equal(rows[4, 3 * N + 8: 3 * N + 10], [1.5, 2.5])
         assert np.count_nonzero(rows) == 4
-        assert np.array_equal(b, block[:, 2])
-    with pytest.raises(ValueError):  # rows come in whole blocks of N
-        build_qp(np.zeros(3), 0, ref, models, B, schedule, COSTS, cfg, block[:-1])
+        assert np.array_equal(b, block[:, -1])
+    for width in (5 * N, 5 * N + 2, 3):  # a row is 5N coefficients and its rhs
+        with pytest.raises(ValueError):
+            build_qp(np.zeros(3), 0, ref, models, B, schedule, COSTS, cfg,
+                     np.ones((N, width)))
+
+
+def test_assembly_does_not_depend_on_the_avoidance_mode():
+    # the rows say where they act, so every mode assembles the same problem
+    ref, models, B, schedule = make_setup()
+    N = 6
+    avoid = np.random.default_rng(3).normal(size=(2 * N, 5 * N + 1))
+    problems = [build_qp(np.ones(3), 4, ref, models, B, schedule, COSTS,
+                         MpcConfig(N=N, forbid_reverse=True, avoidance=mode), avoid)
+                for mode in ("off", "state_space", "velocity_space")]
+    for p in problems[1:]:
+        for name in ("H", "g", "A_eq", "b_eq", "A_in", "b_in"):
+            assert np.array_equal(getattr(p, name), getattr(problems[0], name)), name
 
 
 @pytest.mark.parametrize("N", [1, 2, 10, 50])
@@ -80,11 +93,11 @@ def test_assembly_is_bit_identical_to_loop_oracle(N):
     ref, models, B, schedule = make_setup()
     rng = np.random.default_rng(N)
     e0 = rng.normal(size=3)
-    blocks = rng.normal(size=(2 * N, 3))  # two obstacles' blocks
+    blocks = rng.normal(size=(2 * N, 5 * N + 1))  # two obstacles' blocks
     # k = len(ref) - 3 clamps models, references and the terminal weight
     for k in (0, 7, len(ref) - 3):
         for forbid in (False, True):
-            for mode in ("state_space", "velocity_space"):
+            for mode in ("off", "state_space", "velocity_space"):
                 cfg = MpcConfig(N=N, forbid_reverse=forbid, u_max=np.array([0.9, 1.7]),
                                 avoidance=mode)
                 for avoid in ((), blocks[:N], blocks):
@@ -103,14 +116,16 @@ def test_stacked_steps_solve_bit_identically_to_fresh_kkt_loop(config, monkeypat
     # The stacked QPs of a scene's first steps, phase-1 starts and the
     # slack fallback included, re-solved by the solver and by the loop that
     # assembles a fresh KKT matrix per iteration: same floats, same KKT calls.
-    scn = load_config(CONFIGS / config).scenario
-    ctl, tracks = build_controller(scn)
+    scn = replace(load_config(CONFIGS / config).scenario, duration=3)
     captured = []
-    solve = ctl.solver.solve
-    ctl.solver.solve = lambda p, x0=None: captured.append((p, x0)) or solve(p, x0)
-    for k, *_ in closed_loop(scn, ctl, tracks):
-        if k == 2:
-            break
+
+    class Recording(QpSolver):
+        def solve(self, p, x0=None):
+            captured.append((p, x0))
+            return super().solve(p, x0)
+
+    monkeypatch.setattr(mpc, "QpSolver", Recording)
+    run_scenario(scn)
     calls = []
     solve_kkt = qp._solve_kkt
     monkeypatch.setattr(qp, "_solve_kkt",
@@ -135,7 +150,8 @@ def test_shared_slack_wrapping():
     ref, models, B, schedule = make_setup()
     N = 4
     cfg = MpcConfig(N=N, avoidance="state_space")
-    rows = np.tile([1.0, 0.0, 0.2], (2 * N, 1))  # two obstacles' blocks
+    rows = np.zeros((2 * N, 5 * N + 1))  # two obstacles' blocks
+    rows[:, [0, -1]] = (1.0, 0.2)
     p = build_qp(np.zeros(3), 0, ref, models, B, schedule, COSTS, cfg, rows)
     q = _with_shared_slack(p, len(rows), weight=1e4)
     assert q.n == p.n + 1
