@@ -2,13 +2,12 @@
 
     python scripts/compare_outputs.py OLD NEW
 
-Runs the shipped command set (`run` on tracking and the five avoidance
-scenes, then `dump-figures` in the same directory for the three
-velocity-space scenes, `compare-lqr`, `terminal-set` and the three sweeps)
-once in each checkout, from that checkout's own `src/` and `configs/`, and
-byte-compares every file written. A manifest is compared as JSON without
-its `created`, `out_dir` and `config_path` fields, which differ between two
-checkouts by construction, so a change to its echoed `config` block shows.
+Runs the shipped command set (`COMMANDS` in study.py) once in each checkout,
+from that checkout's own `src/` and `configs/`, and byte-compares every file
+written. A command that exits non-zero in either checkout is a difference.
+A manifest is compared as JSON without its `created`, `out_dir` and
+`config_path` fields, which differ between two checkouts by construction, so
+a change to its echoed `config` block shows.
 Prints each difference and exits 1 if there is any, else 0. A file written
 in one checkout only is reported as `only in old` or `only in new`. A CSV
 that differs is sized column by column: the largest absolute difference of
@@ -32,15 +31,8 @@ import tempfile
 from functools import partial
 from pathlib import Path
 
-VELOCITY_SCENES = ("avoid_face_to_face", "avoid_intersection", "avoid_static_velocity")
-# (commands run in order into one output directory, config)
-COMMANDS = [(("run", "dump-figures") if c in VELOCITY_SCENES else ("run",), c)
-            for c in ("tracking", "avoid_face_to_face", "avoid_intersection",
-                      "avoid_static_hyperplane", "avoid_static_hyperplane_90",
-                      "avoid_static_velocity")] + [
-    (("compare-lqr",), "lqr_comparison"), (("terminal-set",), "terminal_set"),
-    (("sweep",), "beta_sweep"), (("sweep",), "horizon_sweep"),
-    (("sweep",), "horizon_sweep_no_terminal")]
+from study import COMMANDS
+
 # manifest fields that differ between two checkouts by construction
 MASKED = ("config_path", "created", "out_dir")
 
@@ -168,8 +160,8 @@ def main(old: str, new: str) -> int:
                 procs = [start(Path(c).resolve(), command, config, o)
                          for c, o in zip((old, new), outs)]
                 codes = [p.wait() for p in procs]
-                if codes[0] != codes[1]:
-                    diffs.append(f"{command} {config}: exit codes {codes[0]} != {codes[1]}")
+                if any(codes):  # a failed command may write nothing to compare
+                    diffs.append(f"{command} {config}: exit codes old {codes[0]}, new {codes[1]}")
                 names = sorted({f.relative_to(o) for o in outs for f in o.rglob("*")
                                 if f.is_file()})
                 for name in names:

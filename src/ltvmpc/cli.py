@@ -30,6 +30,7 @@ import yaml
 
 from . import __version__, figures
 from .avoidance import velocity_debug_csv
+from .mpc import MpcConfig
 from .sim import (Config, Scenario, SimLog, SweepSpec, TerminalSetSpec, build_controller,
                   compute_metrics, lqr_comparison, read_log_csv, run_scenario, sweep,
                   write_log_csv)
@@ -128,6 +129,10 @@ def config_from_dict(d) -> Config:
         raise ConfigError("a config must be a mapping with a 'trajectory' section")
     kinds = {"sweep": SweepSpec, "terminal_set": TerminalSetSpec}
     sections = {key: _from_dict(cls, d[key], key) for key, cls in kinds.items() if key in d}
+    spec = sections.get("sweep")  # each value by the swept field's rule, kept as written
+    hint = spec and typing.get_type_hints(MpcConfig).get(spec.param)
+    for i, value in enumerate(spec.values if hint in _KINDS else ()):
+        _value(hint, value, f"sweep.values[{i}]")
     rest = {k: v for k, v in d.items() if k not in kinds}
     try:
         return Config(_from_dict(Scenario, rest, "", kinds), **sections)

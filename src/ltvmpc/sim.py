@@ -153,6 +153,10 @@ class Scenario:
         if self.mpc.avoidance == "velocity_space" and any(
                 self.mpc.robot_radius + o.radius <= 0 for o in self.obstacles):
             raise ValueError("velocity_space avoidance needs robot_radius + obstacle radius > 0")
+        for i, o in enumerate(self.obstacles):  # an obstacle steps on the scene's clock
+            if o.kind == "unicycle" and o.trajectory.T != self.trajectory.T:
+                raise ValueError(f"'obstacles[{i}].trajectory.T' must equal the scene's "
+                                 f"trajectory.T ({self.trajectory.T}), not {o.trajectory.T}")
         self.costs()  # Q PSD and R PD, checked here rather than at the first run
         n_points = self.duration + self.mpc.N + 1
         for spec in (self.trajectory,

@@ -298,6 +298,15 @@ def test_string_in_a_float_field_is_read_as_a_number(tmp_path, capsys, bad, mess
     ("duration: 30\nmpc: {beta: true}\n", "'mpc.beta' must be a number, not True"),
     ("duration: 30\nQ_diag: [1, true, 0.5]\n", "'Q_diag[1]' must be a number, not True"),
     ("duration: 30\nmpc: {u_max: [true, 10]}\n", "'mpc.u_max[0]' must be a number, not True"),
+    ("duration: 30\nsweep: {param: N, values: [true]}\n",
+     "'sweep.values[0]' must be an integer, not True"),
+    ("duration: 30\nsweep: {param: N, values: [5, 2.5]}\n",
+     "'sweep.values[1]' must be an integer, not 2.5"),
+    ("duration: 30\nsweep: {param: beta, values: [true]}\n",
+     "'sweep.values[0]' must be a number, not True"),
+    ("duration: 30\nobstacles: [{kind: static, position: [3, 0]}, {kind: unicycle,"
+     " trajectory: {kind: line, start: [3, 1], T: 0.1}}]\n",
+     "'obstacles[1].trajectory.T' must equal the scene's trajectory.T (0.05), not 0.1"),
 ])
 def test_bad_config_types_exit_two_naming_the_key(tmp_path, capsys, bad, message):
     cfg = write_config(tmp_path, "name: x\ntrajectory: {kind: sinusoid}\n" + bad)
