@@ -154,29 +154,27 @@ def json_differences(a: Path, b: Path, masked=()) -> list:
 def main(old: str, new: str) -> int:
     diffs = []
     with tempfile.TemporaryDirectory() as tmp:
-        for commands, config in COMMANDS:
+        for command, config in COMMANDS:
             outs = [Path(tmp) / side / config for side in ("old", "new")]
-            for command in commands:  # compared after each, as a later one may rewrite files
-                procs = [start(Path(c).resolve(), command, config, o)
-                         for c, o in zip((old, new), outs)]
-                codes = [p.wait() for p in procs]
-                if any(codes):  # a failed command may write nothing to compare
-                    diffs.append(f"{command} {config}: exit codes old {codes[0]}, new {codes[1]}")
-                names = sorted({f.relative_to(o) for o in outs for f in o.rglob("*")
-                                if f.is_file()})
-                for name in names:
-                    a, b = (o / name for o in outs)
-                    masked = MASKED if name == Path("manifest.json") else ()
-                    if not (a.exists() and b.exists()):
-                        diffs.append(f"{command} {config}: {name} only in "
-                                     f"{'old' if a.exists() else 'new'}")
-                    elif not _same(a, b, masked):
-                        diffs.append(f"{command} {config}: {name} differs")
-                        sizer = {".csv": csv_differences,
-                                 ".json": partial(json_differences, masked=masked)}.get(name.suffix)
-                        if sizer:
-                            diffs += [f"    {line}" for line in sizer(a, b)]
-                print(f"{command} {config}: {len(names)} files compared", flush=True)
+            procs = [start(Path(c).resolve(), command, config, o)
+                     for c, o in zip((old, new), outs)]
+            codes = [p.wait() for p in procs]
+            if any(codes):  # a failed command may write nothing to compare
+                diffs.append(f"{command} {config}: exit codes old {codes[0]}, new {codes[1]}")
+            names = sorted({f.relative_to(o) for o in outs for f in o.rglob("*") if f.is_file()})
+            for name in names:
+                a, b = (o / name for o in outs)
+                masked = MASKED if name == Path("manifest.json") else ()
+                if not (a.exists() and b.exists()):
+                    diffs.append(f"{command} {config}: {name} only in "
+                                 f"{'old' if a.exists() else 'new'}")
+                elif not _same(a, b, masked):
+                    diffs.append(f"{command} {config}: {name} differs")
+                    sizer = {".csv": csv_differences,
+                             ".json": partial(json_differences, masked=masked)}.get(name.suffix)
+                    if sizer:
+                        diffs += [f"    {line}" for line in sizer(a, b)]
+            print(f"{command} {config}: {len(names)} files compared", flush=True)
     print("\n".join(diffs) if diffs else "all outputs byte-identical")
     return 1 if diffs else 0
 

@@ -18,13 +18,10 @@ from pathlib import Path
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 AVOIDANCE = ("avoid_static_velocity", "avoid_static_hyperplane", "avoid_static_hyperplane_90",
              "avoid_face_to_face", "avoid_intersection")
-VELOCITY_SCENES = ("avoid_static_velocity", "avoid_face_to_face", "avoid_intersection")
-# the shipped command set: (subcommands run in order into one output directory, config)
-COMMANDS = [(("run", "dump-figures") if c in VELOCITY_SCENES else ("run",), c)
-            for c in ("tracking", *AVOIDANCE)] + [
-    (("compare-lqr",), "lqr_comparison"), (("terminal-set",), "terminal_set"),
-    (("sweep",), "beta_sweep"), (("sweep",), "horizon_sweep"),
-    (("sweep",), "horizon_sweep_no_terminal")]
+# the shipped command set: (subcommand, config), each into its own output directory
+COMMANDS = [("run", c) for c in ("tracking", *AVOIDANCE)] + [
+    ("compare-lqr", "lqr_comparison"), ("terminal-set", "terminal_set"),
+    ("sweep", "beta_sweep"), ("sweep", "horizon_sweep"), ("sweep", "horizon_sweep_no_terminal")]
 
 
 def _json(path: Path):
@@ -95,8 +92,7 @@ def main() -> int:
             raise SystemExit(code)
         return code
 
-    codes = [run(command, CONFIGS / f"{c}.yaml", out / c)
-             for commands, c in COMMANDS for command in commands]
+    codes = [run(command, CONFIGS / f"{c}.yaml", out / c) for command, c in COMMANDS]
     on_ref = out / "tracking_on_ref"
     doc = _json(out / "tracking" / "manifest.json")  # a manifest is a config
     del doc["config"]["initial_state"]

@@ -4,8 +4,8 @@ Library layout: dynamics (exact step, error frame, array reference and
 linearization), riccati (DARE + backward schedule), terminal_set (level-set
 sizing), qp (active-set solver with phase-1 start), avoidance (hyperplane and
 velocity-cone rows), mpc (condensed and stacked QPs, the receding-horizon
-controller), sim (scenario engine + metrics), figures (plot-data CSV bundles),
-cli (batch front end).
+controller), sim (scenario engine + metrics), figures (CSV tables beside the
+log), cli (batch front end).
 """
 
 from .avoidance import (HalfPlane, Obstacle, VoCone, state_space_halfplane, tangent_halfplane,

@@ -1,9 +1,9 @@
 """Batch front end: config files in, CSV logs + metrics + manifests out.
 
-Subcommands: run, sweep, compare-lqr, terminal-set, dump-figures. A config is
-YAML whose keys are the field names of the frozen dataclasses it builds: the
-Scenario's fields at the top level (`mpc` holds MpcConfig's), beside the
-optional `sweep` (SweepSpec) and `terminal_set` (TerminalSetSpec) sections.
+Subcommands: run, sweep, compare-lqr, terminal-set. A config is YAML whose
+keys are the field names of the frozen dataclasses it builds: the Scenario's
+fields at the top level (`mpc` holds MpcConfig's), beside the optional
+`sweep` (SweepSpec) and `terminal_set` (TerminalSetSpec) sections.
 Unknown keys are rejected (a typo in a sweep study should fail loudly, not
 silently fall back to a default). Every command writes a manifest.json whose
 `config` block holds every field of the resolved Config; that block is itself
@@ -31,9 +31,8 @@ import yaml
 from . import __version__, figures
 from .avoidance import velocity_debug_csv
 from .mpc import MpcConfig
-from .sim import (Config, Scenario, SimLog, SweepSpec, TerminalSetSpec, build_controller,
-                  compute_metrics, lqr_comparison, read_log_csv, run_scenario, sweep,
-                  write_log_csv)
+from .sim import (Config, Scenario, SweepSpec, TerminalSetSpec, build_controller,
+                  compute_metrics, lqr_comparison, run_scenario, sweep, write_log_csv)
 from .terminal_set import TerminalConstraints, compute_c_schedule, vertices_feasible
 
 
@@ -293,18 +292,6 @@ def _cmd_terminal_set(args) -> int:
     return 0 if not bad else 1
 
 
-def _cmd_dump_figures(args) -> int:
-    config, out = _prepare(args)
-    scn = config.scenario
-    log_path = out / f"{scn.name}_log.csv"
-    if not log_path.exists():
-        raise ConfigError(f"no log at {log_path}; run the scenario first")
-    paths = figures.write_run_bundle(SimLog(scn, read_log_csv(log_path)), out, scn.name)
-    if not args.quiet:
-        print("\n".join(str(p) for p in paths))
-    return 0
-
-
 # -- entry point ---------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -319,11 +306,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
     for name, fn, desc in (
-        ("run", _cmd_run, "run one scenario; write log, metrics, figure bundle"),
+        ("run", _cmd_run, "run one scenario; write log, metrics, obstacle paths"),
         ("sweep", _cmd_sweep, "run the config's parameter sweep"),
         ("compare-lqr", _cmd_compare_lqr, "paired MPC vs unconstrained-LQR runs"),
         ("terminal-set", _cmd_terminal_set, "terminal level schedule + vertex table"),
-        ("dump-figures", _cmd_dump_figures, "re-emit figure bundles from existing logs"),
     ):
         p = sub.add_parser(name, parents=[common], help=desc)
         p.set_defaults(func=fn)

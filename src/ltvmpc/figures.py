@@ -1,8 +1,11 @@
-"""Plot-data CSV bundles derived from simulation logs.
+"""CSV tables that the log does not hold: obstacle paths, sweep summaries,
+the paired MPC/LQR controls and the terminal level schedule.
 
-Every public function returns CSV text; write_run_bundle emits the standard
-set next to a log file. The files are deliberately tiny and tool-agnostic
-(gnuplot, pandas, a spreadsheet) — this package ships no plotting code.
+Each public function but write_run_bundle returns CSV text; write_run_bundle
+writes the obstacle paths beside a run's log, which is the one per-step
+record (plot a run from `{name}_log.csv`). The files are deliberately tiny
+and tool-agnostic (gnuplot, pandas, a spreadsheet) — this package ships no
+plotting code.
 """
 
 from __future__ import annotations
@@ -12,29 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .sim import Scenario, SimLog, _column_table, _table, obstacle_tracks
-
-
-def _columns(rows, names) -> str:
-    return _column_table(names, [rows[c] for c in names])
-
-
-def trajectory_overlay_csv(rows) -> str:
-    """Robot path against the reference path."""
-    return _columns(rows, ("k", "t", "x", "y", "x_ref", "y_ref"))
-
-
-def error_curves_csv(rows) -> str:
-    e_inf = np.max(np.abs([rows.e1, rows.e2, rows.e3]), axis=0)
-    return _column_table(("t", "e1", "e2", "e3", "e_inf"),
-                         [rows.t, rows.e1, rows.e2, rows.e3, e_inf])
-
-
-def control_curves_csv(rows) -> str:
-    return _columns(rows, ("t", "v", "omega", "v_ref", "omega_ref"))
-
-
-def cost_curves_csv(rows) -> str:
-    return _columns(rows, ("t", "stage_cost", "terminal_cost", "slack", "min_dist"))
 
 
 def obstacle_paths_csv(scn: Scenario, n_steps: int = None, tracks=None) -> str:
@@ -80,21 +60,12 @@ def terminal_set_csv(levels) -> str:
 
 
 def write_run_bundle(log: SimLog, out_dir, stem: str = None):
-    """Write the standard per-run bundle; returns the created paths."""
+    """Write the per-run bundle beside the log: `{stem}_obstacles.csv` when the
+    scene has obstacles, else nothing; returns the created paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stem = stem or log.scenario.name
-    parts = {
-        "trajectory": trajectory_overlay_csv(log.rows),
-        "errors": error_curves_csv(log.rows),
-        "controls": control_curves_csv(log.rows),
-        "costs": cost_curves_csv(log.rows),
-    }
-    if log.scenario.obstacles:
-        parts["obstacles"] = obstacle_paths_csv(log.scenario, len(log.rows), log.tracks)
-    paths = []
-    for label, text in parts.items():
-        p = out / f"{stem}_{label}.csv"
-        p.write_text(text)
-        paths.append(p)
-    return paths
+    if not log.scenario.obstacles:
+        return []
+    path = out / f"{stem or log.scenario.name}_obstacles.csv"
+    path.write_text(obstacle_paths_csv(log.scenario, len(log.rows), log.tracks))
+    return [path]

@@ -11,9 +11,9 @@ fixed before the run and held as arrays (`obstacle_tracks`).
 
 The closed loop is `run_scenario`. It writes each step into one
 preallocated record array with a field per CSV column (LOG_DTYPE), so
-metrics, the log CSV and the figure slices all read columns, and it keeps
-the controller's velocity-space geometry at the closest approach for the
-debug dump, so no dump re-runs the loop.
+metrics and the log CSV both read columns, and it keeps the controller's
+velocity-space geometry at the closest approach for the debug dump, so no
+dump re-runs the loop.
 """
 
 from __future__ import annotations

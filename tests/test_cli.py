@@ -74,11 +74,8 @@ def test_run_writes_expected_files(tmp_path, capsys):
     cfg = write_config(tmp_path, SHORT_RUN)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    assert (out / "tiny_log.csv").exists()
-    assert (out / "tiny_metrics.json").exists()
-    assert (out / "manifest.json").exists()
-    for part in ("trajectory", "errors", "controls", "costs"):
-        assert (out / f"tiny_{part}.csv").exists()
+    assert {p.name for p in out.iterdir()} == {"tiny_log.csv", "tiny_metrics.json",
+                                               "manifest.json"}
     metrics = json.loads((out / "tiny_metrics.json").read_text())
     assert metrics["converged"] is True
     assert "tiny: 30 steps" in capsys.readouterr().out
@@ -115,25 +112,23 @@ def test_run_rolls_each_reference_once(tmp_path, monkeypatch):
     assert (out / "pair_obstacles.csv").read_text() == obstacle_paths_csv(scn, 20)
 
 
-def test_dump_figures_rolls_each_reference_once(tmp_path, monkeypatch):
-    # a log read back from CSV has no tracks: dump-figures builds them once for
-    # the obstacle CSV, and rolls nothing else (the velocity-space dump is
-    # written by `run`)
-    cfg = write_config(tmp_path, PAIR)
+@pytest.mark.parametrize("text,extra", [
+    ("name: tiny\nduration: 30\ntrajectory: {kind: sinusoid}\n"
+     "mpc: {N: 8, avoidance: state_space}\n"
+     "obstacles: [{kind: static, position: [3.0, 0.5], radius: 0.4}]\n",
+     {"tiny_obstacles.csv"}),
+    ("name: tiny\nduration: 20\ntrajectory: {kind: line, speed: 0.5}\n"
+     "mpc: {N: 8, avoidance: velocity_space}\n"
+     "obstacles: [{kind: static, position: [1.0, 0.0], radius: 0.3}]\n",
+     {"tiny_obstacles.csv", "tiny_velocity_space.csv"}),
+], ids=["state_space", "velocity_space"])
+def test_run_with_obstacles_writes_exactly_its_files(tmp_path, text, extra):
+    # the log is the one per-step record: no file beside it repeats its columns
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-    written = {p.name: p.read_bytes() for p in out.glob("*.csv")}
-    rolled = []
-    real = sim.build_reference
-
-    def counted(spec, n):
-        rolled.append(spec)
-        return real(spec, n)
-
-    monkeypatch.setattr(sim, "build_reference", counted)
-    assert main(["dump-figures", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-    assert len(rolled) == 1
-    assert all((out / name).read_bytes() == text for name, text in written.items())
+    assert main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(out),
+                 "--quiet"]) == 0
+    assert {p.name for p in out.iterdir()} == {"tiny_log.csv", "tiny_metrics.json",
+                                               "manifest.json", *extra}
 
 
 def test_manifest_rerun_is_byte_identical(tmp_path):
@@ -210,6 +205,8 @@ def test_exit_codes_for_bad_invocations(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+    assert main(["dump-figures", "--config", "x.yaml"]) == 2  # `run` writes the one record
+    assert "invalid choice: 'dump-figures'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", [
@@ -325,19 +322,9 @@ def test_terminal_set_e_max_may_be_unbounded():
         .terminal_set.e_max == (1.0, 1.0, float("inf"))
 
 
-def test_dump_figures_requires_existing_log(tmp_path, capsys):
-    cfg = write_config(tmp_path, SHORT_RUN)
-    out = tmp_path / "out"
-    assert main(["dump-figures", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "run the scenario first" in capsys.readouterr().err
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-    assert main(["dump-figures", "--config", str(cfg), "--out", str(out),
-                 "--quiet"]) == 0
-
-
-def test_dump_figures_skips_velocity_dump_without_active_rows(tmp_path, capsys):
+def test_run_skips_velocity_dump_without_active_rows(tmp_path, capsys):
     # the obstacle never comes within d_activate, so no velocity rows exist:
-    # `run` notes it, and dump-figures re-emits the bundle without the dump
+    # `run` notes it, writes no dump and still exits as the run does
     cfg = write_config(tmp_path, """
 name: far
 duration: 5
@@ -348,10 +335,7 @@ obstacles: [{kind: static, position: [3.0, 10.0], radius: 0.3}]
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert "no velocity-space dump written" in capsys.readouterr().err
-    assert main(["dump-figures", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-    assert not capsys.readouterr().err
     assert not (out / "far_velocity_space.csv").exists()
-    assert (out / "far_trajectory.csv").exists()
 
 
 def test_halted_run_exits_one(tmp_path, capsys, monkeypatch):
