@@ -126,11 +126,6 @@ def kkt_residuals(problem: QpProblem, sol: QpSolution):
 def _solve_kkt(H, grad, A_act, r_act, KKT):
     """Equality-constrained step: min 0.5 p'Hp + grad'p s.t. A_act p = r_act,
     with KKT the assembled [[H, A_act'], [A_act, 0]] (H alone without rows)."""
-    if A_act.shape[0] == 0:
-        try:
-            return np.linalg.solve(H, -grad), np.zeros(0)
-        except np.linalg.LinAlgError:
-            return np.linalg.lstsq(H, -grad, rcond=None)[0], np.zeros(0)
     n = H.shape[0]
     rhs = np.concatenate([-grad, r_act])
     try:

@@ -14,22 +14,19 @@ x' P(i) x - x' A_K' P(i+1) A_K x = x' Q_K(i) x holds exactly by construction.
 
 The models arrive as one stack A (L, n, n) with a single constant input
 matrix B, and the schedule is returned as the arrays P (L, n, n) and
-K (L-1, m, n). Every frozen DARE is solved by the fixed-point iteration
-`solve_dare`, which converges only linearly (254 Riccati maps from Q on the
-tracking reference at N=50, 344 on the avoidance scenes' line). Where the
-model changes along the sequence, its iteration starts from the
-structure-preserving doubling algorithm (SDA; Chu, Fan, Lin et al.,
-2004-05), and then needs about one map. Those changed models run as one
-stack, as do the doubling starts, the gains and the closed-loop terms. The
-sequential work runs on one model at a time in 2-D products (`ndarray.dot`):
-the last step's DARE from Q, each run of unchanged models (a backward chain,
-cut short once a step repeats its neighbour's solution bit for bit), and the
-P recursion (cut short once P repeats over equal closed-loop terms). Every
-stacked operation gives each model the floats it gets alone, and every 2-D
-product the floats of the stacked one. Each map's m x m solve calls the
-LAPACK gufunc behind `np.linalg.solve` directly, the same floats without the
-wrapper's per-call cost, so a singular or overflowing map gives NaN or inf
-instead of `LinAlgError`; `solve_dare` raises ValueError on it at once.
+K (L-1, m, n). Where the model changes along the sequence, its frozen DARE
+is solved by the structure-preserving doubling algorithm (SDA; Chu, Fan, Lin
+et al., 2004-05), batched over exactly those models; the gains and the
+closed-loop terms are batched over the whole stack. The rest runs on one
+model at a time in 2-D products (`ndarray.dot`): the last step's DARE by
+the fixed-point iteration `solve_dare` from Q (254 Riccati maps on the
+tracking reference at N=50, 344 on the avoidance scenes' line), each run of
+unchanged models (a backward chain of `solve_dare` calls, cut short once a
+step repeats its neighbour's solution bit for bit), and the P recursion
+(cut short once P repeats over equal closed-loop terms). Each map's m x m solve calls the LAPACK gufunc
+behind `np.linalg.solve` directly, the same floats without the wrapper's
+per-call cost, so a singular or overflowing map gives NaN or inf instead of
+`LinAlgError`; `solve_dare` raises ValueError on it at once.
 """
 
 from __future__ import annotations
@@ -91,72 +88,43 @@ class TerminalSchedule:
 
 
 def riccati_map(P, A, B, Q, R):
-    """One Riccati difference step: A'PA - A'PB (R + B'PB)^-1 B'PA + Q, for one
-    model P, A (n, n) or a stack P, A (L, n, n). One model multiplies with
-    `ndarray.dot`, the same floats as `@` at about half the call cost. The
-    solve is `np.linalg.solve`'s own gufunc (`_gesv`), the same floats, but a
-    singular R + B'PB gives NaN (and a RuntimeWarning), not LinAlgError;
-    `solve_dare` checks for it."""
-    mul = np.ndarray.dot if A.ndim == 2 else np.matmul
-    BtP = mul(B.T, P)
-    M = mul(BtP, A)
-    G = _gesv(R + mul(BtP, B), M, signature="dd->d")
-    return mul(mul(A.mT, P), A) - mul(M.mT, G) + Q
+    """One Riccati difference step for one model P, A (n, n):
+    A'PA - A'PB (R + B'PB)^-1 B'PA + Q, multiplied with `ndarray.dot` (the
+    same floats as `@` at about half the call cost). The solve is
+    `np.linalg.solve`'s own gufunc (`_gesv`), the same floats, but a singular
+    R + B'PB gives NaN (and a RuntimeWarning), not LinAlgError; `solve_dare`
+    checks for it."""
+    BtP = B.T.dot(P)
+    M = BtP.dot(A)
+    G = _gesv(R + BtP.dot(B), M, signature="dd->d")
+    return A.T.dot(P).dot(A) - M.T.dot(G) + Q
 
 
 def solve_dare(A, B, Q, R, tol: float = 1e-10, max_iter: int = 100_000, P0=None):
-    """Fixed point of the Riccati difference iteration, symmetrized each step,
-    for one model A (n, n) or a stack A (L, n, n) sharing B, Q and R.
+    """Fixed point of the Riccati difference iteration for one model A (n, n),
+    symmetrized each step.
 
-    Converges linearly for stabilizable (A, B); P0 (shaped like A) warm-starts
-    the iteration (defaults to Q). A model is done once the Frobenius norm of
-    its own step is at most tol, so its result does not depend on the rest of
-    the stack. One model iterates on 2-D arrays; a stack maps only the models
-    not yet converged at each step. Raises ValueError naming the model(s)
-    whose map turns non-finite (a singular R + B'PB, say), at the first such
-    step, or whose residual does not reach tol within max_iter.
+    Converges linearly for stabilizable (A, B); P0 warm-starts the iteration
+    (defaults to Q). Done once the Frobenius norm of a step is at most tol.
+    Raises ValueError at the first map that turns non-finite (a singular
+    R + B'PB, say), or when the step does not reach tol within max_iter.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
-    if A.ndim == 2:
-        P = Q if P0 is None else np.asarray(P0, dtype=float)
-        for _ in range(max_iter):
-            P_next = riccati_map(P, A, B, Q, R)
-            P_next = 0.5 * (P_next + P_next.T)
-            step = (P_next - P).ravel()
-            norm = math.sqrt(np.vecdot(step, step))
-            if norm <= tol:
-                return P_next
-            if not math.isfinite(norm) and not np.isfinite(P_next).all():
-                raise ValueError("Riccati map turned non-finite for model(s) [0]")
-            P = P_next
-        raise ValueError(f"Riccati iteration did not converge within {max_iter} steps "
-                         "for model(s) [0]")
-    P = np.empty(A.shape)
-    P[...] = Q if P0 is None else P0
-    P = P.reshape((-1,) + Q.shape)
-    A_left = A.reshape(P.shape)
-    left = np.arange(len(P))  # the models not yet converged
-    out = np.empty_like(P)
+    P = Q if P0 is None else np.asarray(P0, dtype=float)
     for _ in range(max_iter):
-        P_next = riccati_map(P, A_left, B, Q, R)
-        P_next = 0.5 * (P_next + P_next.mT)
-        step = (P_next - P).reshape(len(P), -1)
-        bad = ~np.isfinite(P_next).all(axis=(1, 2))
-        if bad.any():
-            raise ValueError(f"Riccati map turned non-finite for model(s) {left[bad].tolist()}")
-        done = np.sqrt(np.vecdot(step, step)) <= tol
-        n_done = np.count_nonzero(done)
-        if n_done:
-            out[left[done]] = P_next[done]
-            if n_done == len(done):
-                return out.reshape(A.shape)
-            left, P_next, A_left = left[~done], P_next[~done], A_left[~done]
+        P_next = riccati_map(P, A, B, Q, R)
+        P_next = 0.5 * (P_next + P_next.T)
+        step = (P_next - P).ravel()
+        norm = math.sqrt(np.vecdot(step, step))
+        if norm <= tol:
+            return P_next
+        if not math.isfinite(norm) and not np.isfinite(P_next).all():
+            raise ValueError("Riccati map turned non-finite")
         P = P_next
-    raise ValueError(f"Riccati iteration did not converge within {max_iter} steps "
-                     f"for model(s) {left.tolist()}")
+    raise ValueError(f"Riccati iteration did not converge within {max_iter} steps")
 
 
 class DareError(ValueError):
@@ -216,24 +184,24 @@ def backward_riccati(A, B, costs: CostMatrices) -> TerminalSchedule:
     constant input matrix B (n, m).
 
     K(i) is the frozen DARE gain of model i; P is the backward closed-loop
-    recursion anchored at the final frozen DARE solution. The frozen DAREs are
-    solved by `solve_dare`. The last step and every step whose A differs from
-    the next step's start a run. The last step is solved alone from Q; the
-    changed steps are solved in one stacked call from their `doubling_dare`
-    solutions, computed in one batched call over exactly those steps. Each
-    earlier step of a run (its A equal to the next step's bit for bit) is
-    warm-started from the next step's solution, backward; once a step
-    returns its start bit for bit, every earlier step of the run takes that
-    same P. A constant-model sequence thus makes no doubling call and gives
-    the same P and K as the plain warm-started chain. The gains, A_K and Q_K
-    are computed for the whole stack at once. The P recursion then runs step
-    by step (`closed_loop_step`); once a step's P equals the next step's bit
-    for bit and the step before it has the same A_K and Q_K bit for bit,
-    every step of that stretch of equal closed-loop terms takes that P, and
-    the recursion resumes before the stretch. Raises ValueError naming the
-    step, before any Riccati map, when the last model is not stabilizable (a
-    standstill, say) or a changed model has no stabilizing DARE solution;
-    every other step shares its model with a later one of those.
+    recursion anchored at the final frozen DARE solution. The last step and
+    every step whose A differs from the next step's start a run. The last
+    step is solved alone by `solve_dare` from Q; the changed steps take their
+    `doubling_dare` solutions, from one batched call over exactly those steps.
+    Each earlier step of a run (its A equal to the next step's bit for bit)
+    is solved by `solve_dare` warm-started from the next step's solution,
+    backward; once a step returns its start bit for bit, every earlier step
+    of the run takes that same P. A constant-model sequence thus makes no
+    doubling call and gives the same P and K as the plain warm-started chain.
+    The gains, A_K and Q_K are computed for the whole stack at once. The P
+    recursion then runs step by step (`closed_loop_step`); once a step's P
+    equals the next step's bit for bit and the step before it has the same
+    A_K and Q_K bit for bit, every step of that stretch of equal closed-loop
+    terms takes that P, and the recursion resumes before the stretch. Raises
+    ValueError naming the step, before any Riccati map, when the last model
+    is not stabilizable (a standstill, say) or a changed model has no
+    stabilizing DARE solution; every other step shares its model with a
+    later one of those.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -245,21 +213,18 @@ def backward_riccati(A, B, costs: CostMatrices) -> TerminalSchedule:
         raise ValueError(f"unstabilizable model at step(s) [{L - 1}]: "
                          "no stabilizing frozen DARE solution")
 
+    # Frozen DARE solution per step: the changed steps by doubling, the last
+    # step from Q, then each run backward from its last step until the chain
+    # reaches a fixed point.
+    dare = np.empty_like(A)
     changed = np.flatnonzero(np.any(A[:-1] != A[1:], axis=(1, 2)))
     if changed.size:
         try:
-            P0 = doubling_dare(A[changed], B, Q, R)
+            dare[changed] = doubling_dare(A[changed], B, Q, R)
         except DareError as exc:
             raise ValueError(f"no stabilizing frozen DARE solution at step(s) "
                              f"{changed[exc.models].tolist()}") from exc
-
-    # Frozen DARE solution per step: the last step alone from Q, the changed
-    # steps at once, then each run backward from its last step until the
-    # chain reaches a fixed point.
-    dare = np.empty_like(A)
     dare[L - 1] = solve_dare(A[L - 1], B, Q, R)
-    if changed.size:
-        dare[changed] = solve_dare(A[changed], B, Q, R, P0=P0)
     heads = np.append(changed, L - 1)
     for first, head in zip(np.append(0, heads[:-1] + 1).tolist(), heads.tolist()):
         for i in range(head - 1, first - 1, -1):

@@ -328,26 +328,26 @@ def doubling_dare_two_solves(A, B, Q, R):
 def backward_riccati_steps(A, B, costs, doubling=True):
     """The terminal schedule built one step at a time: every frozen DARE by
     its own fixed-point iteration, warm-started backward from the next step's
-    solution (the last from Q) or, with `doubling`, from the SDA solution
-    wherever the model differs from the next step's; then one gain and one
-    closed-loop P step per model. This is `backward_riccati` before its
-    stacked build, the reference its P and K must equal bit for bit; with
-    doubling=False it is the plain warm-started chain. A is the model stack
-    and B the constant input matrix."""
+    solution (the last from Q), except that with `doubling` a step whose
+    model differs from the next step's takes its SDA solution as is; then one
+    gain and one closed-loop P step per model. This is `backward_riccati`
+    before its stacked build, the reference its P and K must equal bit for
+    bit; with doubling=False it is the plain warm-started chain. A is the
+    model stack and B the constant input matrix."""
     L = len(A)
     if L == 0:
         raise ValueError("backward_riccati needs at least one model")
     Q, R = costs.Q, costs.R
-    warm = {}
+    solved = {}
     changed = np.flatnonzero(np.any(A[:-1] != A[1:], axis=(1, 2)))
     if doubling and changed.size:
-        warm = dict(zip(changed.tolist(), doubling_dare_two_solves(A[changed], B, Q, R)))
+        solved = dict(zip(changed.tolist(), doubling_dare_two_solves(A[changed], B, Q, R)))
 
     # Frozen DARE solution per step, solved backward with warm starts.
     dare = [None] * L
     P_prev = None
     for i in range(L - 1, -1, -1):
-        P_prev = solve_dare_step(A[i], B, Q, R, P0=warm.get(i, P_prev))
+        P_prev = solved[i] if i in solved else solve_dare_step(A[i], B, Q, R, P0=P_prev)
         dare[i] = P_prev
 
     K = []

@@ -37,3 +37,35 @@ def test_compare_outputs_counts_a_failed_command_as_a_difference(scripts, tmp_pa
     monkeypatch.setattr(compare_outputs, "COMMANDS", [("run", "tracking")])
     assert compare_outputs.main(str(tmp_path / "old"), str(tmp_path / "new")) == 1
     assert "run tracking: exit codes old 2, new 2" in capsys.readouterr().out
+
+
+def test_csv_differences_size_numeric_columns_and_name_other_cells(scripts, tmp_path):
+    _, compare_outputs = scripts
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("k,x,y,status\n0,1.0,2.0,optimal\n1,3.0,,optimal\n")
+    new.write_text("k,x,y,status\n0,1.5,2.0,optimal\n1,2.75,,max_iter\n")
+    assert compare_outputs.csv_differences(old, new) == [
+        "status: first differs in data row 1: 'optimal' != 'max_iter'",
+        "max abs difference: x 0.5, 0 in the 2 other numeric columns",
+    ]
+    assert compare_outputs.csv_differences(old, old) == [
+        "max abs difference: 0 in the 3 other numeric columns"]
+
+
+def test_json_differences_name_scalars_by_key_path_without_masked_keys(scripts, tmp_path):
+    _, compare_outputs = scripts
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text('{"created": "monday", "out_dir": "a", "config_path": "a.yaml",'
+                   ' "config": {"mpc": {"N": 10, "u_max": [1.0, 2.0]}}, "name": "x"}')
+    new.write_text('{"created": "tuesday", "out_dir": "b", "config_path": "b.yaml",'
+                   ' "config": {"mpc": {"N": 10, "u_max": [1.0, 2.5]}}, "name": "y"}')
+    assert compare_outputs.json_differences(old, new, masked=compare_outputs.MASKED) == [
+        "config.mpc.u_max[1]: 2.0 != 2.5 (abs difference 0.5)",
+        'name: "x" != "y"',
+    ]
+    assert len(compare_outputs.json_differences(old, new)) == 5
+    # the masked keys alone never make a difference
+    new.write_text(old.read_text().replace("monday", "sunday").replace('"a"', '"c"'))
+    assert compare_outputs.json_differences(old, new, masked=compare_outputs.MASKED) == []
+    assert compare_outputs._same(old, new, compare_outputs.MASKED)
+    assert not compare_outputs._same(old, new, ())
