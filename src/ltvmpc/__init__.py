@@ -18,15 +18,15 @@ from .riccati import CostMatrices, TerminalSchedule, backward_riccati, lqr_gain,
 from .sim import (Metrics, ObstacleSpec, Scenario, SimLog, TrajectorySpec,
                   build_controller, build_reference, compute_metrics, lqr_comparison,
                   read_log_csv, run_scenario, sweep, write_log_csv)
-from .terminal_set import (OuterPolyhedron, TerminalConstraints, TerminalEllipsoid,
-                           compute_c_schedule, outer_polyhedron, shrink_level,
-                           vertices_feasible)
+from .terminal_set import (NoTerminalLevel, OuterPolyhedron, TerminalConstraints,
+                           TerminalEllipsoid, compute_c_schedule, outer_polyhedron,
+                           shrink_level, unit_spreads, vertices_feasible)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CostMatrices", "HalfPlane",
-    "Metrics", "MpcConfig", "MpcController", "MpcStep", "Obstacle",
+    "Metrics", "MpcConfig", "MpcController", "MpcStep", "NoTerminalLevel", "Obstacle",
     "ObstacleSpec", "OuterPolyhedron", "QpProblem", "QpSolution", "QpSolver",
     "Reference", "RobotState", "Scenario", "SimLog",
     "TerminalConstraints", "TerminalEllipsoid", "TerminalSchedule",
@@ -36,6 +36,6 @@ __all__ = [
     "lqr_comparison", "lqr_gain", "outer_polyhedron",
     "read_log_csv", "roll_reference", "run_scenario", "shrink_level", "solve_dare",
     "state_space_halfplane", "step_discrete", "sweep",
-    "tangent_halfplane", "to_error_frame", "velocity_constraint_row",
+    "tangent_halfplane", "to_error_frame", "unit_spreads", "velocity_constraint_row",
     "velocity_obstacle", "vertices_feasible", "wrap_angle", "write_log_csv",
 ]

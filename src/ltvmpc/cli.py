@@ -11,7 +11,8 @@ a valid config, and passing the manifest as --config re-runs it and
 reproduces the CSV outputs byte for byte.
 
 Exit codes: 0 success, 1 scenario halted on unrecoverable infeasibility,
-2 config/usage error.
+2 config/usage error, a terminal-set config whose limits admit no level at
+some step included.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .avoidance import velocity_debug_csv
 from .mpc import MpcConfig
 from .sim import (Config, Scenario, SweepSpec, TerminalSetSpec, build_controller,
                   compute_metrics, lqr_comparison, run_scenario, sweep, write_log_csv)
-from .terminal_set import TerminalConstraints, compute_c_schedule, vertices_feasible
+from .terminal_set import (NoTerminalLevel, TerminalConstraints, compute_c_schedule,
+                           vertices_feasible)
 
 
 class ConfigError(Exception):
@@ -280,7 +282,10 @@ def _cmd_terminal_set(args) -> int:
     controller, _ = build_controller(scn)
     schedule, inputs = controller.schedule, controller.ref.inputs
     cons = TerminalConstraints(np.asarray(spec.e_max), scn.mpc.u_max)
-    levels = compute_c_schedule(schedule, cons, inputs, c0=spec.c0, shrink=spec.shrink)
+    try:
+        levels = compute_c_schedule(schedule, cons, inputs, c0=spec.c0, shrink=spec.shrink)
+    except NoTerminalLevel as e:
+        raise ConfigError(f"terminal_set: {e}") from e
     bad = [i for i, (c, poly) in enumerate(levels)
            if not vertices_feasible(poly, cons, schedule.K_at(i), inputs[i])]
     (out / f"{scn.name}_terminal_set.csv").write_text(figures.terminal_set_csv(levels))

@@ -31,6 +31,8 @@ from .mpc import MpcConfig, MpcController
 from .riccati import CostMatrices, backward_riccati
 from .terminal_set import C_MIN
 
+MAX_LEVELS = 100_000  # the longest level sequence a terminal_set section may ask for
+
 CSV_COLUMNS = ("k", "t", "x", "y", "theta", "x_ref", "y_ref", "theta_ref",
                "e1", "e2", "e3", "v", "omega", "v_ref", "omega_ref",
                "stage_cost", "terminal_cost", "qp_status", "slack", "min_dist")
@@ -179,7 +181,9 @@ class SweepSpec:
 @dataclass(frozen=True)
 class TerminalSetSpec:
     """Terminal-level search: state box e_max, first level c0, and the factor
-    each level shrinks by until its vertex box fits."""
+    each level shrinks by until its vertex box fits. The sequence from c0 to
+    the search's floor C_MIN may hold at most MAX_LEVELS levels, since a
+    search may walk all of it."""
 
     e_max: tuple[float, ...] = (1.0, 1.0, math.pi)
     c0: float = 10.0
@@ -190,6 +194,10 @@ class TerminalSetSpec:
             raise ValueError("e_max needs three positive entries")
         if not (self.c0 >= C_MIN and self.shrink > 1):
             raise ValueError(f"c0 must be at least {C_MIN:g} and shrink greater than 1")
+        levels = math.log(self.c0 / C_MIN) / math.log(self.shrink)
+        if levels > MAX_LEVELS:
+            raise ValueError(f"shrink {self.shrink!r} needs {levels:.3g} levels from c0 to"
+                             f" {C_MIN:g}, more than {MAX_LEVELS}")
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,12 @@ Checking state/input feasibility on the ellipsoid directly is nonlinear, so
 each ellipsoid gets an outer box aligned with the eigenvectors of P: its 8
 corners over-approximate the ellipsoid, and feasibility of all corners under
 the terminal controller certifies feasibility of the whole set. c(i) is the
-first level of the sequence c0, c0/shrink, ... whose corners pass: shrink_level
-bisects that sequence, cached per (c0, shrink), on the exact corner check, and
-compute_c_schedule builds the boxes of a whole schedule in one stacked eigh.
+first level of the sequence c0, c0/shrink, ... whose corners pass. The box
+scales with sqrt(c), so unit_spreads reduces each step to one row, the
+per-column reach of its unit-level box and of that box's inputs, for a whole
+schedule in one stacked eigh; shrink_level bisects the sequence, cached per
+(c0, shrink), on that row; compute_c_schedule builds the boxes of the
+schedule in one more stacked eigh.
 """
 
 from __future__ import annotations
@@ -95,34 +98,49 @@ def vertices_feasible(poly: OuterPolyhedron, cons: TerminalConstraints, K, u_ref
     return bool(np.all(np.abs(u) <= cons.u_max[None, :]))
 
 
+class NoTerminalLevel(ValueError):
+    """No level of the sequence at or above c_min passes the corner check."""
+
+
+def unit_spreads(P, K) -> np.ndarray:
+    """Per-column max |entry| of the unit-level box (c = 1) around
+    {x : x' P x <= 1} and of its inputs K x: shape (..., n + m) for one P
+    (n, n) and K (m, n), or a stack P (L, n, n) and K (L, m, n), in one eigh.
+    Raises ValueError if a P is not positive definite, naming its step."""
+    lam, V = np.linalg.eigh(np.asarray(P, dtype=float))
+    bad = np.flatnonzero(lam[..., 0] <= 0)
+    if bad.size:
+        raise ValueError("P must be positive definite"
+                         + (f" (step {bad[0]})" if lam.ndim == 2 else ""))
+    semi = np.sqrt(1.0 / lam)[..., None, :]
+    unit_vertices = _corners(lam.shape[-1]) * semi @ np.swapaxes(V, -1, -2)
+    unit_inputs = unit_vertices @ np.swapaxes(np.asarray(K, dtype=float), -1, -2)
+    return np.abs(np.concatenate([unit_vertices, unit_inputs], axis=-1)).max(axis=-2)
+
+
 @functools.lru_cache(maxsize=8)
 def _sequence(c0: float, shrink: float) -> list:
     """Levels c0, c0/shrink, (c0/shrink)/shrink, ...; searches append to it."""
     return [float(c0)]
 
 
-def shrink_level(P, cons: TerminalConstraints, K, u_ref, c0: float = 10.0,
+def shrink_level(spread, cons: TerminalConstraints, u_ref, c0: float = 10.0,
                  shrink: float = 1.01, c_min: float = C_MIN):
     """Largest c in the sequence c0, c0/shrink, c0/shrink^2, ... whose outer
-    box passes vertices_feasible. Raises ValueError if none above c_min does.
+    box passes vertices_feasible, given the box's unit_spreads row. Raises
+    NoTerminalLevel if none at or above c_min does.
 
     The box scales with r = sqrt(c) and its corners come in exact +-pairs,
     so, rounding being monotone, some corner fails exactly when
-    |offset| + m r > limit in some column: m the column's max |entry| on the
-    unit-level box, offset 0 and limit e_max for a state, |u_ref| and u_max
-    for an input. That check only tightens as c grows, so a bisection of the
-    sequence (in the floats the repeated division gives, cached per
-    (c0, shrink) and grown until its last level passes or falls below c_min)
-    finds the first level that passes.
+    |offset| + m r > limit in some column: m the column's spread, offset 0
+    and limit e_max for a state, |u_ref| and u_max for an input. That check
+    only tightens as c grows: if c_min fails, every level above it does, and
+    otherwise a bisection of the sequence (in the floats the repeated
+    division gives, cached per (c0, shrink) and grown until its last level
+    passes) finds the first level that passes.
     """
-    lam, Vec = np.linalg.eigh(np.asarray(P, dtype=float))
-    if lam[0] <= 0:
-        raise ValueError("P must be positive definite")
-    unit_vertices = _corners(lam.shape[0]) * np.sqrt(1.0 / lam) @ Vec.T  # box at c = 1
-    unit_inputs = unit_vertices @ np.asarray(K, dtype=float).T
-    spread = np.abs(np.hstack([unit_vertices, unit_inputs])).max(axis=0).tolist()
-    offset = [0.0] * lam.shape[0] + np.abs(np.asarray(u_ref, dtype=float)).ravel().tolist()
-    checks = list(zip(spread, offset, cons.e_max.tolist() + cons.u_max.tolist()))
+    offset = [0.0] * cons.e_max.size + [abs(float(u)) for u in u_ref]
+    checks = list(zip(map(float, spread), offset, cons.e_max.tolist() + cons.u_max.tolist()))
 
     def passes(c):
         r = math.sqrt(c)
@@ -131,13 +149,14 @@ def shrink_level(P, cons: TerminalConstraints, K, u_ref, c0: float = 10.0,
                 return False
         return True
 
-    levels = _sequence(c0, shrink)
-    while not passes(levels[-1]) and levels[-1] >= c_min:
-        levels.append(levels[-1] / shrink)
-    i = bisect.bisect_left(levels, True, key=passes)
-    if i == len(levels) or levels[i] < c_min:
-        raise ValueError("terminal level shrank below c_min without becoming feasible")
-    return levels[i]
+    if passes(c_min):
+        levels = _sequence(c0, shrink)
+        while not passes(levels[-1]):
+            levels.append(levels[-1] / shrink)
+        c = levels[bisect.bisect_left(levels, True, key=passes)]
+        if c >= c_min:
+            return c
+    raise NoTerminalLevel(f"no level at or above c_min = {c_min:g} passes the corner check")
 
 
 def compute_c_schedule(schedule, cons: TerminalConstraints, inputs, c0: float = 10.0,
@@ -148,9 +167,15 @@ def compute_c_schedule(schedule, cons: TerminalConstraints, inputs, c0: float = 
     final step reuses the last gain). inputs (L, 2) holds the reference input
     per timestep for the input check. Returns a list of (c, OuterPolyhedron),
     the boxes outer_polyhedron gives, built in one eigh over the P stack.
+    Raises NoTerminalLevel naming the first step that has no level.
     """
     inputs = np.asarray(inputs, dtype=float)
-    cs = [shrink_level(P, cons, schedule.K_at(i), inputs[i], c0, shrink, c_min)
-          for i, P in enumerate(schedule.P)]
+    spreads = unit_spreads(schedule.P, schedule.K_at(np.arange(len(schedule.P))))
+    cs = []
+    for i, (spread, u_ref) in enumerate(zip(spreads.tolist(), inputs.tolist())):
+        try:
+            cs.append(shrink_level(spread, cons, u_ref, c0, shrink, c_min))
+        except NoTerminalLevel as e:
+            raise NoTerminalLevel(f"step {i}: {e}") from None
     boxes = outer_polyhedron(TerminalEllipsoid(schedule.P, np.array(cs)[:, None]))
     return [(c, OuterPolyhedron(v)) for c, v in zip(cs, boxes.vertices)]

@@ -368,3 +368,29 @@ def test_terminal_set_command(tmp_path, capsys):
     assert main(["terminal-set", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "tiny_terminal_set.csv").exists()
     assert "all pass" in capsys.readouterr().out
+
+
+def test_terminal_set_without_a_level_is_a_config_error(tmp_path, capsys):
+    # |v_ref| = 0.5 exceeds u_max[0] = 0.1 at every step, so no level passes
+    cfg = write_config(tmp_path, SHORT_RUN.replace("{N: 8}", "{N: 8, u_max: [0.1, 10.0]}"))
+    assert main(["terminal-set", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: terminal_set: step 0: no level")
+
+
+@pytest.mark.parametrize("c0, shrink, ok", [
+    (10.0, 1.01, True),  # the shipped search: about 3,000 levels
+    (C_MIN, 1.0000001, True),  # c0 on the floor: no level to walk
+    (10.0, 1.0003, True),  # 99,794 levels
+    (10.0, 1.0002, False),  # 149,683 levels
+    (10.0, 1.0000001, False),
+])
+def test_terminal_set_level_sequence_is_bounded_at_parse_time(c0, shrink, ok):
+    text = MINIMAL + f"terminal_set: {{c0: {c0!r}, shrink: {shrink!r}}}\n"
+    if ok:
+        assert parse_config(text).terminal_set.shrink == shrink
+    else:
+        with pytest.raises(ConfigError, match=r"^terminal_set: shrink .* more than 100000$"):
+            parse_config(text)

@@ -14,9 +14,9 @@ from ltvmpc import terminal_set
 from ltvmpc.dynamics import input_matrix, linearize
 from ltvmpc.riccati import CostMatrices, backward_riccati
 from ltvmpc.sim import TrajectorySpec, build_controller, build_reference
-from ltvmpc.terminal_set import (OuterPolyhedron, TerminalConstraints,
-                                 TerminalEllipsoid, compute_c_schedule,
-                                 outer_polyhedron, shrink_level, vertices_feasible)
+from ltvmpc.terminal_set import (NoTerminalLevel, OuterPolyhedron, TerminalConstraints,
+                                 TerminalEllipsoid, compute_c_schedule, outer_polyhedron,
+                                 shrink_level, unit_spreads, vertices_feasible)
 
 from oracles import eigen_box_vertices, shrink_sequence_level, unit_box_corners_pass
 
@@ -39,6 +39,11 @@ def boundary_samples(P, c, n, rng):
     d = rng.normal(size=(n, 3))
     scale = np.sqrt(c / np.einsum("ij,jk,ik->i", d, P, d))
     return d * scale[:, None]
+
+
+def search(P, cons, K, u_ref, c0=10.0, shrink=1.01, **kw):
+    """shrink_level on the unit_spreads row of one (P, K)."""
+    return shrink_level(unit_spreads(P, K), cons, u_ref, c0, shrink, **kw)
 
 
 def sequence_level(P, cons, K, u_ref, c0=10.0, shrink=1.01):
@@ -95,7 +100,7 @@ def test_vertex_feasibility_cases():
 
 def test_level_search_matches_division_sequence_oracle():
     cons = TerminalConstraints(np.ones(3), np.full(2, 1e3))
-    c_lib = shrink_level(np.eye(3), cons, np.zeros((2, 3)), np.zeros(2))
+    c_lib = search(np.eye(3), cons, np.zeros((2, 3)), np.zeros(2))
     # for P=I the box is the cube of half-width sqrt(c)
     c_oracle = shrink_sequence_level(10.0, 1.01, lambda c: math.sqrt(c) <= 1.0)
     assert c_lib == pytest.approx(c_oracle, rel=1e-12)
@@ -104,26 +109,42 @@ def test_level_search_matches_division_sequence_oracle():
 
 
 def test_level_search_keeps_c0_when_unconstrained():
-    assert shrink_level(np.eye(3), LOOSE, np.zeros((2, 3)), np.zeros(2)) == 10.0
+    assert search(np.eye(3), LOOSE, np.zeros((2, 3)), np.zeros(2)) == 10.0
     # non-diagonal P, a zero gain row and an unbounded state axis
     P = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])
     K = np.array([[0.4, 0.0, 0.1], [0.0, 0.0, 0.0]])
     cons = TerminalConstraints(np.array([50.0, 50.0, np.inf]), np.array([30.0, 1.0]))
-    assert shrink_level(P, cons, K, np.array([0.5, 0.2]), c0=7.3) == 7.3
+    assert search(P, cons, K, np.array([0.5, 0.2]), c0=7.3) == 7.3
 
 
 def test_level_search_raises_when_origin_infeasible():
     cons = TerminalConstraints(np.ones(3), np.array([2.0, 10.0]))
     u_ref = np.array([3.0, 0.0])  # violates the input bound even at x = 0
     with pytest.raises(ValueError):
-        shrink_level(np.eye(3), cons, np.zeros((2, 3)), u_ref)
+        search(np.eye(3), cons, np.zeros((2, 3)), u_ref)
     with pytest.raises(ValueError):  # also through a nonzero gain
-        shrink_level(np.eye(3), cons, np.array([[0.4, 0.2, 0.1], [0.0, 0.3, 0.0]]), u_ref)
+        search(np.eye(3), cons, np.array([[0.4, 0.2, 0.1], [0.0, 0.3, 0.0]]), u_ref)
+
+
+def test_level_search_fails_at_the_floor_without_growing_the_sequence():
+    # no level passes when u_ref breaks its bound at x = 0; the check at
+    # c_min says so before the cached sequence grows by a single level
+    cons = TerminalConstraints(np.ones(3), np.array([2.0, 10.0]))
+    terminal_set._sequence.cache_clear()
+    with pytest.raises(NoTerminalLevel, match="no level at or above c_min = 1e-12"):
+        search(np.eye(3), cons, np.zeros((2, 3)), np.array([3.0, 0.0]), 10.0, 1.001)
+    assert terminal_set._sequence(10.0, 1.001) == [10.0]
+    # the unit cube fits only from c = 1 down, so a floor of 2 fails at once
+    with pytest.raises(NoTerminalLevel, match="no level at or above c_min = 2 "):
+        search(np.eye(3), cons, np.zeros((2, 3)), np.zeros(2), 10.0, 1.001, c_min=2.0)
+    assert terminal_set._sequence(10.0, 1.001) == [10.0]
+    assert 1.0 / 1.001 < search(np.eye(3), cons, np.zeros((2, 3)), np.zeros(2), 10.0,
+                                1.001) <= 1.0
 
 
 def test_level_search_raises_when_c0_below_c_min():
     with pytest.raises(ValueError):
-        shrink_level(np.eye(3), LOOSE, np.zeros((2, 3)), np.zeros(2), c0=1e-13)
+        search(np.eye(3), LOOSE, np.zeros((2, 3)), np.zeros(2), c0=1e-13)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -149,9 +170,9 @@ def test_level_search_equals_division_sequence_exactly(seed, n, zero_rows, inf_s
     want = sequence_level(P, cons, K, u_ref, c0, shrink)
     if want is None:
         with pytest.raises(ValueError):
-            shrink_level(P, cons, K, u_ref, c0=c0, shrink=shrink)
+            search(P, cons, K, u_ref, c0=c0, shrink=shrink)
     else:
-        assert shrink_level(P, cons, K, u_ref, c0=c0, shrink=shrink) == want
+        assert search(P, cons, K, u_ref, c0=c0, shrink=shrink) == want
 
 
 def test_level_search_follows_exact_check_where_rounding_beats_the_bound():
@@ -162,7 +183,7 @@ def test_level_search_follows_exact_check_where_rounding_beats_the_bound():
     cons = TerminalConstraints(np.full(3, 10.0), np.array([1.0, 1.0]))
     u_ref = np.array([1.0, 0.0])
     assert sequence_level(np.eye(3), cons, K, u_ref) == 10.0
-    assert shrink_level(np.eye(3), cons, K, u_ref) == 10.0
+    assert search(np.eye(3), cons, K, u_ref) == 10.0
 
 
 def _sinusoid_schedule(n=80):
@@ -214,7 +235,7 @@ def test_level_search_does_not_depend_on_cache_order(shipped):
     steps = range(0, len(sched.P), 7)
 
     def level(i):
-        return shrink_level(sched.P[i], cons, sched.K_at(i), u_refs[i], spec.c0, spec.shrink)
+        return search(sched.P[i], cons, sched.K_at(i), u_refs[i], spec.c0, spec.shrink)
 
     fresh = []
     for i in steps:  # each search on an empty cache, as in a fresh process
@@ -223,10 +244,40 @@ def test_level_search_does_not_depend_on_cache_order(shipped):
     terminal_set._sequence.cache_clear()
     assert [level(i) for i in reversed(steps)] == fresh[::-1]
     terminal_set._sequence.cache_clear()
-    with pytest.raises(ValueError):  # walks the same sequence below c_min first
-        shrink_level(np.eye(3), TerminalConstraints(np.ones(3), np.ones(2)), np.zeros((2, 3)),
-                     np.array([2.0, 0.0]), spec.c0, spec.shrink)
+    with pytest.raises(ValueError):  # fails at the floor, growing no sequence
+        search(np.eye(3), TerminalConstraints(np.ones(3), np.ones(2)), np.zeros((2, 3)),
+               np.array([2.0, 0.0]), spec.c0, spec.shrink)
     assert [level(i) for i in steps] == fresh
+
+
+def test_unit_spreads_of_the_stack_equal_one_p_at_a_time(shipped):
+    sched, _, _, _ = shipped
+    steps = np.arange(len(sched.P))
+    stacked = unit_spreads(sched.P, sched.K_at(steps))
+    assert stacked.shape == (611, 5)
+    one = np.array([unit_spreads(sched.P[i], sched.K_at(i)) for i in steps])
+    assert np.array_equal(stacked, one)
+    # the unit box at c = 1 is the box outer_polyhedron builds at level 1
+    box = outer_polyhedron(TerminalEllipsoid(sched.P[7], 1.0)).vertices
+    want = np.abs(np.hstack([box, box @ sched.K_at(7).T])).max(axis=0)
+    assert np.array_equal(stacked[7], want)
+
+
+def test_unit_spreads_name_the_step_whose_p_is_not_positive_definite():
+    P = np.stack([np.eye(3)] * 5)
+    P[3, 2, 2] = -1.0
+    with pytest.raises(ValueError, match=r"positive definite \(step 3\)"):
+        unit_spreads(P, np.zeros((5, 2, 3)))
+    with pytest.raises(ValueError, match="positive definite$"):
+        unit_spreads(P[3], np.zeros((2, 3)))
+
+
+def test_schedule_names_the_first_step_without_a_level(shipped):
+    sched, cons, u_refs, spec = shipped
+    u_refs = u_refs.copy()
+    u_refs[[5, 9], 0] = 2.5  # beyond u_max[0] = 2 at x = 0
+    with pytest.raises(NoTerminalLevel, match=r"^step 5: no level"):
+        compute_c_schedule(sched, cons, u_refs, c0=spec.c0, shrink=spec.shrink)
 
 
 def test_terminal_set_calls_one_search_and_one_vertex_check_per_level(tmp_path, monkeypatch):
