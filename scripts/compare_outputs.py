@@ -17,7 +17,7 @@ is compared value by value, each scalar named by its dotted key path
 (`config.mpc.theta_s_deg: 20.0 != 21.0`, list items by index), with the
 absolute difference of two numbers and the paths found in one file only.
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS is set. Standard
-library only.
+library only. `gaps` is the looser rule the tests hold outputs to.
 """
 
 import csv
@@ -35,6 +35,7 @@ from study import COMMANDS
 
 # manifest fields that differ between two checkouts by construction
 MASKED = ("config_path", "created", "out_dir")
+GOLDEN_ATOL = 1e-6  # `gaps`: the largest difference of two numbers that agree
 
 
 def start(checkout: Path, command: str, config: str, out: Path):
@@ -80,10 +81,10 @@ def _sized(columns) -> list:
     return found + ([f"max abs difference: {', '.join(numeric)}"] if numeric else [])
 
 
-def csv_differences(a: Path, b: Path) -> list:
-    """How two CSV files with a header row differ, one line per finding: the
-    row counts if they differ, then `_sized` over the columns (cells that
-    are floats or empty are numeric; data rows count from 0)."""
+def _columns(a: Path, b: Path):
+    """(findings, columns) of two CSV files with a header row: a header or row
+    count that differs, and each column as (name, [(old, new), ...]), rows
+    paired by position (no columns if the headers differ)."""
     tables = []
     for path in (a, b):
         with path.open(newline="") as f:
@@ -91,10 +92,17 @@ def csv_differences(a: Path, b: Path) -> list:
         tables.append([r + [""] * (len(rows[0]) - len(r)) for r in rows] if rows else [[]])
     (head, *old), (head_b, *new) = tables
     if head != head_b:
-        return [f"header {head} != {head_b}"]
-    found = [] if len(old) == len(new) else [f"{len(old)} != {len(new)} rows"]
-    return found + _sized([(name, [(r[j], s[j]) for r, s in zip(old, new)])
-                           for j, name in enumerate(head)])
+        return [f"header {head} != {head_b}"], []
+    return ([] if len(old) == len(new) else [f"{len(old)} != {len(new)} rows"],
+            [(name, [(r[j], s[j]) for r, s in zip(old, new)]) for j, name in enumerate(head)])
+
+
+def csv_differences(a: Path, b: Path) -> list:
+    """How two CSV files with a header row differ, one line per finding:
+    `_columns`' findings, then `_sized` over the columns (cells that are
+    floats or empty are numeric; data rows count from 0)."""
+    found, columns = _columns(a, b)
+    return found + _sized(columns)
 
 
 def _leaves(value, path: str = "") -> dict:
@@ -121,6 +129,32 @@ def _document(path: Path, masked=()):
     """A JSON file's document, without the top-level keys in `masked`."""
     doc = json.loads(path.read_text())
     return {k: v for k, v in doc.items() if k not in masked} if isinstance(doc, dict) else doc
+
+
+def _cell_gap(x, y, read) -> float:
+    """`_gap` of two CSV cells or JSON scalars as `read` (`_float`, `_number`)
+    takes them; if it rejects either, 0 if they are equal, else inf."""
+    try:
+        return _gap(read(x), read(y))
+    except ValueError:
+        return 0.0 if json.dumps(x) == json.dumps(y) else math.inf
+
+
+def gaps(a: Path, b: Path) -> dict:
+    """The golden rule's numbers for two output files: each CSV column's
+    largest `_cell_gap` (`_float`) by name, or each JSON scalar's (`_number`)
+    by its `_leaves` path; they agree if no gap exceeds GOLDEN_ATOL. A missing
+    file (`(file)`), a `_columns` finding and a scalar in one file only are inf."""
+    if not (a.is_file() and b.is_file()):
+        return {"(file)": math.inf}
+    if a.suffix == ".csv":
+        found, columns = _columns(a, b)
+        return dict.fromkeys(found, math.inf) | {
+            name: max((_cell_gap(x, y, _float) for x, y in pairs), default=0.0)
+            for name, pairs in columns}
+    old, new = (_leaves(_document(p)) for p in (a, b))
+    return {path: _cell_gap(old[path], new[path], _number)
+            if path in old and path in new else math.inf for path in {**old, **new}}
 
 
 def _same(a: Path, b: Path, masked) -> bool:

@@ -10,9 +10,10 @@ silently fall back to a default). Every command writes a manifest.json whose
 a valid config, and passing the manifest as --config re-runs it and
 reproduces the CSV outputs byte for byte.
 
-Exit codes: 0 success, 1 scenario halted on unrecoverable infeasibility,
-2 config/usage error, a terminal-set config whose limits admit no level at
-some step included.
+Exit codes: 0 success, 1 scenario halted on unrecoverable infeasibility or
+a terminal-set level whose outer box fails the vertex check (the table and
+manifest are still written), 2 config/usage error, a terminal-set config
+whose limits admit no level at some step included.
 """
 
 from __future__ import annotations
@@ -205,16 +206,16 @@ def _write_json(path: Path, doc):
 # -- subcommands -----------------------------------------------------------------------
 
 def _prepare(args):
-    config = load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return config, out
+    """The config and the output directory; a command creates the directory
+    when it first writes, so a config error found late leaves none behind."""
+    return load_config(args.config), Path(args.out)
 
 
 def _cmd_run(args) -> int:
     config, out = _prepare(args)
     scn = config.scenario
     log = run_scenario(scn)
+    out.mkdir(parents=True, exist_ok=True)
     write_log_csv(log, out / f"{scn.name}_log.csv")
     figures.write_run_bundle(log, out, scn.name)
     if (scn.mpc.avoidance == "velocity_space" and scn.controller == "mpc"
@@ -246,6 +247,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep subcommand needs a 'sweep' section in the config")
     param = config.sweep.param
     results = sweep(config.scenario, param, config.sweep.values)
+    out.mkdir(parents=True, exist_ok=True)
     for value, log, m in results:
         write_log_csv(log, out / f"{log.scenario.name}_log.csv")
     (out / "sweep_summary.csv").write_text(figures.sweep_summary_csv(param, results))
@@ -264,6 +266,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_compare_lqr(args) -> int:
     config, out = _prepare(args)
     log_mpc, log_lqr = lqr_comparison(config.scenario)
+    out.mkdir(parents=True, exist_ok=True)
     write_log_csv(log_mpc, out / f"{log_mpc.scenario.name}_log.csv")
     write_log_csv(log_lqr, out / f"{log_lqr.scenario.name}_log.csv")
     (out / f"{config.scenario.name}_lqr_compare.csv").write_text(
@@ -288,6 +291,7 @@ def _cmd_terminal_set(args) -> int:
         raise ConfigError(f"terminal_set: {e}") from e
     bad = [i for i, (c, poly) in enumerate(levels)
            if not vertices_feasible(poly, cons, schedule.K_at(i), inputs[i])]
+    out.mkdir(parents=True, exist_ok=True)
     (out / f"{scn.name}_terminal_set.csv").write_text(figures.terminal_set_csv(levels))
     write_manifest(out, "terminal-set", args.config, config)
     cs = [c for c, _ in levels]

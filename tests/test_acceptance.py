@@ -1,12 +1,12 @@
 """End-to-end acceptance gate: one test per shipped guarantee, each printing a
-single pass/fail line under `pytest -v`. Tolerances are stated inline; shared
-expensive runs are module-scoped fixtures. Scenario inputs come from the
+single pass/fail line under `pytest -v`. Tolerances are stated inline; shipped
+runs are read from the session's `shipped` outputs, written once from the
 checked-in config files so the gate exercises exactly what ships."""
 
 import csv
+import json
 import math
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,19 +17,17 @@ from ltvmpc.avoidance import (tangent_halfplane, velocity_constraint_row,
 from ltvmpc.cli import load_config, main
 from ltvmpc.dynamics import (OMEGA_EPS, RobotState, input_matrix,
                              linearize, step_discrete, wrap_angle)
-from ltvmpc.mpc import MpcConfig, MpcController, condense_qp, horizon_maps
-from ltvmpc.qp import QpProblem, QpSolution, kkt_residuals
+from ltvmpc.mpc import MpcController
+from ltvmpc.qp import QpProblem
 from ltvmpc.riccati import CostMatrices, backward_riccati, riccati_map, solve_dare
-from ltvmpc.sim import (Scenario, TrajectorySpec, build_controller,
-                        build_reference, compute_metrics, lqr_comparison,
-                        run_scenario, sweep)
+from ltvmpc.sim import TrajectorySpec, build_reference, read_log_csv
 from ltvmpc.terminal_set import TerminalConstraints, compute_c_schedule
 
 from oracles import (controllability_rank, error_field, euler_richardson,
                      nonlinear_velocity_margin, qp_brute_force, solve_qp, velocity_hits_disc)
+from study import sweep_errors
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 COSTS = CostMatrices(np.diag([1.0, 1.0, 0.5]), np.diag([0.1, 0.05]))
 REPLAY_SCENE = (  # a short velocity-space pass by one static disc
     "name: replay\n"
@@ -45,15 +43,18 @@ def load_scenario(name):
     return load_config(CONFIGS / name).scenario
 
 
+def run_outputs(shipped, config):
+    """A shipped config's scenario, with the log and the metrics its `run` wrote."""
+    scn = load_scenario(f"{config}.yaml")
+    out = shipped.out / config
+    return (scn, read_log_csv(out / f"{scn.name}_log.csv"),
+            json.loads((out / f"{scn.name}_metrics.json").read_text()))
+
+
 def sinusoid_schedule(n):
     ref = build_reference(TrajectorySpec("sinusoid"), n)
     A, B = linearize(ref.inputs, ref.T), input_matrix(ref.T)
     return ref, A, B, backward_riccati(A, B, COSTS)
-
-
-@pytest.fixture(scope="module")
-def tracking_log():
-    return run_scenario(load_scenario("tracking.yaml"))
 
 
 def test_a01_discrete_step_matches_fine_integration_oracle(rng):
@@ -167,61 +168,12 @@ def test_a06_terminal_level_schedule_valid(rng):
     assert time.perf_counter() - t0 < 10.0
 
 
-class _RecordingSolver:
-    def __init__(self, inner):
-        self.inner = inner
-        self.residuals = []
-
-    def solve(self, p, x0=None):
-        sol = self.inner.solve(p, x0)
-        if sol.status == "optimal":
-            self.residuals.append(sol.kkt_residual)
-        return sol
-
-
-def _map_step_residual(ctl, step, k):
-    """KKT residual of a step that took the horizon maps: the plan G e0,
-    tied bit for bit to the applied input and the predicted errors, with
-    zero multipliers in its condensed QP."""
-    e0 = step.predicted_errors[0]
-    G, F = horizon_maps([k], ctl.ref, ctl.A, ctl.B, ctl.schedule, ctl.costs, ctl.cfg)
-    u_plan = G[0] @ e0
-    assert np.array_equal(step.u_feedback, u_plan[:2])
-    assert np.array_equal(step.predicted_errors[1:].ravel(), F[0] @ e0)
-    problem, _, _ = condense_qp(e0, k, ctl.ref, ctl.A, ctl.B, ctl.schedule, ctl.costs,
-                                ctl.cfg)
-    plan = QpSolution(u_plan, np.zeros(0), np.zeros(problem.A_in.shape[0]), "optimal")
-    return max(kkt_residuals(problem, plan))
-
-
-def _closed_loop_residuals(scn, duration):
-    scn = replace(scn, duration=duration)
-    controller, (positions, velocities, radii) = build_controller(scn)
-    recorder = _RecordingSolver(controller.solver)
-    controller.solver = recorder
-    z = RobotState(*(controller.ref.poses[0] if scn.initial_state is None
-                     else scn.initial_state))
-    for k in range(scn.duration):
-        obstacles = [Obstacle(p, r, v) for p, r, v in zip(positions[k], radii, velocities[k])]
-        solved = len(recorder.residuals)
-        step = controller.control_step(z, k, obstacles)
-        assert step.qp_status == "optimal"
-        if scn.mpc.avoidance == "off" and len(recorder.residuals) == solved:
-            recorder.residuals.append(_map_step_residual(controller, step, k))
-        z = step_discrete(z, step.u_applied, scn.trajectory.T)
-    return recorder.residuals
-
-
-def test_a07_qp_certificates_on_shipped_instances_and_random_oracle(rng):
+def test_a07_qp_certificates_on_shipped_instances_and_random_oracle(shipped, rng):
     t0 = time.perf_counter()
-    residuals = []
-    residuals += _closed_loop_residuals(load_scenario("tracking.yaml"), 120)
-    residuals += _closed_loop_residuals(
-        load_scenario("avoid_static_velocity.yaml"), 150)
-    residuals += _closed_loop_residuals(
-        load_scenario("avoid_static_hyperplane.yaml"), 150)
-    assert len(residuals) >= 420
-    assert max(residuals) <= 1e-6
+    for log in shipped.out.glob("*/*_log.csv"):
+        assert set(read_log_csv(log).qp_status) == {"optimal"}, log.name
+    assert len(shipped.residuals) >= 420
+    assert max(shipped.residuals) <= 1e-6
 
     for trial in range(500):
         n = int(rng.integers(1, 5))
@@ -242,43 +194,31 @@ def test_a07_qp_certificates_on_shipped_instances_and_random_oracle(rng):
     assert time.perf_counter() - t0 < 30.0
 
 
-def test_a08_offset_start_converges_and_exact_start_stays(tracking_log):
-    m = compute_metrics(tracking_log)
-    e = np.abs(np.column_stack([tracking_log.rows.e1, tracking_log.rows.e2,
-                                tracking_log.rows.e3]))
-    n_tail = math.ceil(0.10 * len(tracking_log.rows))
-    assert len(tracking_log.rows) == 600
+def test_a08_offset_start_converges_and_exact_start_stays(shipped):
+    _, rows, m = run_outputs(shipped, "tracking")
+    e = np.abs(np.column_stack([rows.e1, rows.e2, rows.e3]))
+    n_tail = math.ceil(0.10 * len(rows))
+    assert len(rows) == 600
     assert np.max(e[-n_tail:]) < 0.01
-    assert m.converged and not m.halted
+    assert m["converged"] and not m["halted"]
 
-    on_ref = run_scenario(replace(load_scenario("tracking.yaml"),
-                                  initial_state=None, duration=100))
-    e_on = np.column_stack([on_ref.rows.e1, on_ref.rows.e2, on_ref.rows.e3])
+    on_ref = read_log_csv(shipped.out / "tracking_on_ref" / "tracking_on_ref_log.csv")
+    assert len(on_ref) == 600
+    e_on = np.column_stack([on_ref.e1, on_ref.e2, on_ref.e3])
     assert np.max(np.abs(e_on)) <= 1e-6
 
 
-def test_a09_horizon_sensitivity_depends_on_terminal_weight():
-    with_term = load_config(CONFIGS / "horizon_sweep.yaml")
-    errs = {}
-    for value, _, m in sweep(with_term.scenario, with_term.sweep.param,
-                             with_term.sweep.values):
-        errs[value] = m.xy_error_sum
+def test_a09_horizon_sensitivity_depends_on_terminal_weight(shipped):
+    errs = sweep_errors(shipped.out / "horizon_sweep")
     assert set(errs) == {5, 10, 20, 50}
     assert max(errs.values()) / min(errs.values()) <= 2.0
 
-    no_term = load_config(CONFIGS / "horizon_sweep_no_terminal.yaml")
-    errs0 = {}
-    for value, _, m in sweep(no_term.scenario, no_term.sweep.param,
-                             no_term.sweep.values):
-        errs0[value] = m.xy_error_sum
+    errs0 = sweep_errors(shipped.out / "horizon_sweep_no_terminal")
     assert errs0[5] >= 2.0 * errs0[50]
 
 
-def test_a10_terminal_weight_insensitive_once_positive():
-    config = load_config(CONFIGS / "beta_sweep.yaml")
-    errs = {}
-    for value, _, m in sweep(config.scenario, config.sweep.param, config.sweep.values):
-        errs[value] = m.xy_error_sum
+def test_a10_terminal_weight_insensitive_once_positive(shipped):
+    errs = sweep_errors(shipped.out / "beta_sweep")
     for a in (1, 2, 5):
         for b in (1, 2, 5):
             if a < b:
@@ -288,26 +228,26 @@ def test_a10_terminal_weight_insensitive_once_positive():
     assert gap_low > 0.20
 
 
-def test_a11_input_clipping_versus_unclipped_gain():
+def test_a11_input_clipping_versus_unclipped_gain(shipped):
     scn = load_scenario("lqr_comparison.yaml")
-    log_mpc, log_lqr = lqr_comparison(scn)
+    log_mpc, log_lqr = (read_log_csv(shipped.out / "lqr_comparison" / f"{scn.name}_{c}_log.csv")
+                        for c in ("mpc", "lqr"))
     w_max = scn.mpc.u_max[1]
-    assert np.max(np.abs(log_mpc.rows.omega)) <= w_max + 1e-9
-    assert np.max(np.abs(log_lqr.rows.omega)) > w_max
+    assert np.max(np.abs(log_mpc.omega)) <= w_max + 1e-9
+    assert np.max(np.abs(log_lqr.omega)) > w_max
     k_settle = round(1.0 / scn.trajectory.T)
-    dv = np.abs(log_mpc.rows.v - log_lqr.rows.v)[k_settle:]
-    dw = np.abs(log_mpc.rows.omega - log_lqr.rows.omega)[k_settle:]
+    dv = np.abs(log_mpc.v - log_lqr.v)[k_settle:]
+    dw = np.abs(log_mpc.omega - log_lqr.omega)[k_settle:]
     assert max(np.max(dv), np.max(dw)) <= 0.05
 
 
-def test_a12_terminal_cost_decreases_after_entry(tracking_log):
-    m = compute_metrics(tracking_log)
-    assert m.lyapunov_violations == 0
-    e_inf = np.max(np.abs(np.column_stack([tracking_log.rows.e1, tracking_log.rows.e2,
-                                           tracking_log.rows.e3])), axis=1)
+def test_a12_terminal_cost_decreases_after_entry(shipped):
+    _, rows, m = run_outputs(shipped, "tracking")
+    assert m["lyapunov_violations"] == 0
+    e_inf = np.max(np.abs(np.column_stack([rows.e1, rows.e2, rows.e3])), axis=1)
     entered = np.nonzero(e_inf < 0.05)[0]
     assert entered.size > 0
-    vf = tracking_log.rows.terminal_cost[entered[0]:]
+    vf = rows.terminal_cost[entered[0]:]
     assert np.all(np.diff(vf) <= 1e-6)
 
 
@@ -346,57 +286,34 @@ def test_a13_velocity_rows_match_derivatives_and_exclude_cone(rng):
             assert not velocity_hits_disc(u, d, 1.0, cone.apex, 4.0)
 
 
-def assert_log_matches_bench_reference(log, config_name):
-    """The benchmark's seed-0 reference rule on a shipped avoidance scene: the
-    benchmark runs the shipped configs on seed 0, and its recorded log must
-    agree in states, inputs and slack within 1e-6 and in every QP status."""
-    with open(BENCH_REFERENCE / config_name.replace(".yaml", ".csv"), newline="") as f:
-        want = list(csv.DictReader(f))
-    assert len(log.rows) == len(want), config_name
-    for got, row in zip(log.rows, want):
-        assert got.qp_status == row["qp_status"], (config_name, got.k)
-        for col in ("x", "y", "theta", "v", "omega", "slack"):
-            assert abs(getattr(got, col) - float(row[col])) <= 1e-6, (config_name, got.k, col)
+def test_a14_avoidance_scenes_keep_distance_and_reconverge(shipped):
+    _, _, m = run_outputs(shipped, "avoid_static_velocity")
+    assert m["min_clearance"] >= 0.5  # the physical radii, robot 0.2 + disc 0.3
+    assert m["slack_total"] == 0.0
+    assert m["converged"] and not m["halted"]
+
+    _, _, m = run_outputs(shipped, "avoid_static_hyperplane_90")
+    assert m["slack_total"] > 0.0  # documented fallback engages
+    assert not m["halted"]
+
+    for config in ("avoid_face_to_face", "avoid_intersection"):
+        scn, _, m = run_outputs(shipped, config)
+        r_sum = 0.2 + scn.obstacles[0].radius
+        assert m["min_clearance"] >= r_sum
+        assert m["converged"] and not m["halted"]
+
+    assert all(shipped.seconds[c] < 5.0 for c in ("avoid_static_velocity", "avoid_intersection",
+               "avoid_static_hyperplane_90", "avoid_face_to_face")), shipped.seconds
 
 
-def test_a14_avoidance_scenes_keep_distance_and_reconverge():
-    budgets = {}
-
-    def timed_run(name):
-        t0 = time.perf_counter()
-        log = run_scenario(load_scenario(name))
-        budgets[name] = time.perf_counter() - t0
-        assert_log_matches_bench_reference(log, name)
-        return log, compute_metrics(log)
-
-    log, m = timed_run("avoid_static_velocity.yaml")
-    assert m.min_clearance >= 0.5  # the physical radii, robot 0.2 + disc 0.3
-    assert m.slack_total == 0.0
-    assert m.converged and not m.halted
-
-    log, m = timed_run("avoid_static_hyperplane_90.yaml")
-    assert m.slack_total > 0.0  # documented fallback engages
-    assert not m.halted
-
-    for name in ("avoid_face_to_face.yaml", "avoid_intersection.yaml"):
-        log, m = timed_run(name)
-        r_sum = 0.2 + log.scenario.obstacles[0].radius
-        assert m.min_clearance >= r_sum
-        assert m.converged and not m.halted
-
-    assert all(dt < 5.0 for dt in budgets.values()), budgets
-
-
-def test_static_hyperplane_scene_collision_free_with_reported_slack():
+def test_static_hyperplane_scene_collision_free_with_reported_slack(shipped):
     # The rotated plane can cut through the current pose, so this scene keeps
     # only the physical radii (not r_safe) and leans on the reported slack.
-    log = run_scenario(load_scenario("avoid_static_hyperplane.yaml"))
-    assert_log_matches_bench_reference(log, "avoid_static_hyperplane.yaml")
-    m = compute_metrics(log)
-    assert m.converged and not m.halted
-    assert m.min_clearance >= log.scenario.mpc.robot_radius + log.scenario.obstacles[0].radius
-    slack = log.rows.slack
-    assert m.slack_total > 0.0 and m.slack_total == pytest.approx(slack.sum())
+    scn, rows, m = run_outputs(shipped, "avoid_static_hyperplane")
+    assert m["converged"] and not m["halted"]
+    assert m["min_clearance"] >= scn.mpc.robot_radius + scn.obstacles[0].radius
+    slack = rows.slack
+    assert m["slack_total"] > 0.0 and m["slack_total"] == pytest.approx(slack.sum())
     assert np.count_nonzero(slack > 0.0) == 23
 
 

@@ -161,10 +161,8 @@ def test_manifest_config_block_is_the_config(tmp_path, path):
     assert config_from_dict(other_bounds) != config  # u_max compared by value
 
 
-def test_manifest_config_block_reruns_byte_identical(tmp_path):
-    out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    assert main(["run", "--config", str(CONFIGS / "avoid_static_hyperplane.yaml"),
-                 "--out", str(out1), "--quiet"]) == 0
+def test_manifest_config_block_reruns_byte_identical(shipped, tmp_path):
+    out1, out2 = shipped.out / "avoid_static_hyperplane", tmp_path / "o2"
     block = json.loads((out1 / "manifest.json").read_text())["config"]
     cfg = write_config(tmp_path, yaml.safe_dump(block))
     assert main(["run", "--config", str(cfg), "--out", str(out2), "--quiet"]) == 0
@@ -196,6 +194,7 @@ def test_sweep_without_section_fails(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--out",
                  str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_exit_codes_for_bad_invocations(tmp_path, capsys):
@@ -378,6 +377,25 @@ def test_terminal_set_without_a_level_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error: terminal_set: step 0: no level")
+    assert not (tmp_path / "o").exists()
+
+
+def test_terminal_set_with_a_failed_vertex_check_exits_one(tmp_path, capsys, monkeypatch):
+    # a level whose outer box fails the vertex check exits 1, and the table
+    # and manifest are still written
+    cfg = write_config(tmp_path, SHORT_RUN + "terminal_set: {c0: 10.0}\n")
+    feasible = cli.vertices_feasible
+    calls = []
+
+    def reject_level_2(*args):
+        calls.append(None)
+        return len(calls) != 3 and feasible(*args)
+
+    monkeypatch.setattr(cli, "vertices_feasible", reject_level_2)
+    out = tmp_path / "out"
+    assert main(["terminal-set", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "FAIL at [2]" in capsys.readouterr().out
+    assert {p.name for p in out.iterdir()} == {"tiny_terminal_set.csv", "manifest.json"}
 
 
 @pytest.mark.parametrize("c0, shrink, ok", [

@@ -1,58 +1,33 @@
-"""Tolerance goldens: fresh runs of shipped configs against the committed
-CSVs under out/. States and inputs must agree within GOLDEN_ATOL and every
-QP status exactly, and every column of the MPC/LQR comparison table within
-GOLDEN_ATOL, so a refactor that only moves trailing bits still passes while
-a change of closed-loop behaviour does not."""
+"""Tolerance goldens: every output of the shipped commands, fresh from the
+session's `shipped` run, against its golden in out/<config>/ by
+`compare_outputs.gaps`, so a refactor that only moves trailing bits passes
+while a change of closed-loop behaviour does not. Manifests, config.json and
+a sweep's per-value logs are not goldens: its sweep_summary.csv holds every
+run's metrics."""
 
 from pathlib import Path
 
-import numpy as np
+import pytest
 
-from ltvmpc.cli import main
-from ltvmpc.sim import read_log_csv
+from compare_outputs import GOLDEN_ATOL, gaps
+from study import COMMANDS, ON_REF
 
-ROOT = Path(__file__).resolve().parents[1]
-GOLDEN_ATOL = 1e-6
-STATE_INPUT_COLUMNS = ("x", "y", "theta", "e1", "e2", "e3", "v", "omega")
-
-
-def assert_log_matches_golden(fresh_path, golden_path):
-    fresh = read_log_csv(fresh_path)
-    golden = read_log_csv(golden_path)
-    assert len(fresh) == len(golden)
-    assert [r.qp_status for r in fresh] == [r.qp_status for r in golden]
-    for col in STATE_INPUT_COLUMNS:
-        got = np.array([getattr(r, col) for r in fresh])
-        want = np.array([getattr(r, col) for r in golden])
-        assert np.max(np.abs(got - want)) <= GOLDEN_ATOL, col
+GOLDENS = Path(__file__).resolve().parents[1] / "out"
+SWEEPS = {config for command, config in COMMANDS if command == "sweep"}
 
 
-def assert_table_matches_golden(fresh_path, golden_path):
-    """A numeric CSV table: the same header and shape, each column within
-    GOLDEN_ATOL."""
-    with fresh_path.open() as fresh, golden_path.open() as golden:
-        header = fresh.readline()
-        assert header == golden.readline()
-    got, want = (np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)
-                 for p in (fresh_path, golden_path))
-    assert got.shape == want.shape
-    for col, gap in zip(header.strip().split(","), np.max(np.abs(got - want), axis=0)):
-        assert gap <= GOLDEN_ATOL, col
+def is_golden(config, name):
+    return (name not in ("manifest.json", "config.json")
+            and not (config in SWEEPS and name.endswith("_log.csv")))
 
 
-def test_tracking_run_matches_committed_log(tmp_path):
-    assert main(["run", "--config", str(ROOT / "configs" / "tracking.yaml"),
-                 "--out", str(tmp_path), "--quiet"]) == 0
-    assert_log_matches_golden(tmp_path / "tracking_log.csv",
-                              ROOT / "out" / "tracking" / "tracking_log.csv")
-
-
-def test_lqr_comparison_matches_committed_logs(tmp_path):
-    assert main(["compare-lqr", "--config", str(ROOT / "configs" / "lqr_comparison.yaml"),
-                 "--out", str(tmp_path), "--quiet"]) == 0
-    goldens = sorted((ROOT / "out" / "lqr").glob("*.csv"))
-    assert [p.name for p in goldens] == ["lqr_cmp_lqr_compare.csv", "lqr_cmp_lqr_log.csv",
-                                         "lqr_cmp_mpc_log.csv"]
-    assert_table_matches_golden(tmp_path / goldens[0].name, goldens[0])
-    for golden in goldens[1:]:
-        assert_log_matches_golden(tmp_path / golden.name, golden)
+@pytest.mark.parametrize("config", [c for _, c in COMMANDS] + [ON_REF])
+def test_fresh_outputs_match_goldens(shipped, config):
+    fresh, golden = shipped.out / config, GOLDENS / config
+    names = sorted({p.name for d in (fresh, golden) for p in d.glob("*")
+                    if is_golden(config, p.name)})
+    assert names
+    for name in names:
+        over = {key: gap for key, gap in gaps(fresh / name, golden / name).items()
+                if not gap <= GOLDEN_ATOL}
+        assert not over, (name, over)

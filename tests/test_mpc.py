@@ -116,7 +116,7 @@ def test_stacked_steps_solve_bit_identically_to_fresh_kkt_loop(config, monkeypat
     # The stacked QPs of a scene's first steps, phase-1 starts and the
     # slack fallback included, re-solved by the solver and by the loop that
     # assembles a fresh KKT matrix per iteration: same floats, same KKT calls.
-    scn = replace(load_config(CONFIGS / config).scenario, duration=3)
+    scn = replace(load_config(CONFIGS / config).scenario, name="first_steps", duration=3)
     captured = []
 
     class Recording(QpSolver):

@@ -1,6 +1,7 @@
 """The scripts under scripts/: the shipped command set that study.py runs and
 compare_outputs.py compares, and compare_outputs.py's verdict."""
 
+import math
 import os
 from pathlib import Path
 
@@ -69,3 +70,32 @@ def test_json_differences_name_scalars_by_key_path_without_masked_keys(scripts, 
     assert compare_outputs.json_differences(old, new, masked=compare_outputs.MASKED) == []
     assert compare_outputs._same(old, new, compare_outputs.MASKED)
     assert not compare_outputs._same(old, new, ())
+
+
+def test_gaps_hold_numbers_to_the_tolerance_and_every_other_cell_exactly(scripts, tmp_path):
+    _, compare_outputs = scripts
+    golden, fresh = tmp_path / "golden.csv", tmp_path / "fresh.csv"
+    golden.write_text("k,x,qp_status,sense\n0,0.0,optimal,le\n1,0.5,optimal,le\n")
+
+    def agrees(text, path=fresh):
+        path.write_text(text)
+        return max(compare_outputs.gaps(path, golden).values()) <= compare_outputs.GOLDEN_ATOL
+
+    assert agrees("k,x,qp_status,sense\n0,1e-6,optimal,le\n1,0.5,optimal,le\n")
+    assert not agrees("k,x,qp_status,sense\n0,2e-6,optimal,le\n1,0.5,optimal,le\n")
+    assert not agrees("k,x,qp_status,sense\n0,0.0,optimal,le\n1,0.5,max_iter,le\n")
+    assert not agrees("k,x,qp_status,sense\n0,0.0,optimal,le\n1,0.5,optimal,ge\n")
+    assert not agrees("k,y,qp_status,sense\n0,0.0,optimal,le\n1,0.5,optimal,le\n")
+    assert not agrees("k,x,qp_status,sense\n0,0.0,optimal,le\n")
+    assert compare_outputs.gaps(fresh, tmp_path / "missing.csv") == {"(file)": math.inf}
+
+    golden, fresh = tmp_path / "golden.json", tmp_path / "fresh.json"
+    golden.write_text('{"converged": true, "min_clearance": null, "xy_error_sum": 0.0}')
+    assert agrees('{"converged": true, "min_clearance": null, "xy_error_sum": 1e-6}', fresh)
+    assert not agrees('{"converged": true, "min_clearance": null, "xy_error_sum": 2e-6}', fresh)
+    assert not agrees('{"converged": false, "min_clearance": null, "xy_error_sum": 0.0}', fresh)
+    assert not agrees('{"converged": 1, "min_clearance": null, "xy_error_sum": 0.0}', fresh)
+    assert not agrees('{"converged": true, "min_clearance": 0.0, "xy_error_sum": 0.0}', fresh)
+    assert not agrees('{"converged": true, "xy_error_sum": 0.0}', fresh)
+    assert not agrees('{"converged": true, "min_clearance": null, "xy_error_sum": 0.0,'
+                      ' "halted": false}', fresh)

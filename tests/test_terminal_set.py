@@ -25,7 +25,7 @@ SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "terminal_set.yaml"
 
 
 @pytest.fixture(scope="module")
-def shipped():
+def shipped_search():
     """(schedule, constraints, reference inputs, spec) of the shipped
     terminal-set config, as `ltvmpc terminal-set` builds them."""
     config = cli.load_config(SHIPPED)
@@ -216,8 +216,8 @@ def test_schedule_levels_feasible_and_invariant(rng):
         assert np.all(vals <= c + 1e-9)
 
 
-def test_shipped_schedule_equals_per_level_route_bit_for_bit(shipped):
-    sched, cons, u_refs, spec = shipped
+def test_shipped_schedule_equals_per_level_route_bit_for_bit(shipped_search):
+    sched, cons, u_refs, spec = shipped_search
     levels = compute_c_schedule(sched, cons, u_refs, c0=spec.c0, shrink=spec.shrink)
     assert len(levels) == len(sched.P) == 611
     for i, (c, poly) in enumerate(levels):
@@ -230,8 +230,8 @@ def test_shipped_schedule_equals_per_level_route_bit_for_bit(shipped):
         assert np.array_equal(box, eigen_box_vertices(sched.P[i], want))
 
 
-def test_level_search_does_not_depend_on_cache_order(shipped):
-    sched, cons, u_refs, spec = shipped
+def test_level_search_does_not_depend_on_cache_order(shipped_search):
+    sched, cons, u_refs, spec = shipped_search
     steps = range(0, len(sched.P), 7)
 
     def level(i):
@@ -250,8 +250,8 @@ def test_level_search_does_not_depend_on_cache_order(shipped):
     assert [level(i) for i in steps] == fresh
 
 
-def test_unit_spreads_of_the_stack_equal_one_p_at_a_time(shipped):
-    sched, _, _, _ = shipped
+def test_unit_spreads_of_the_stack_equal_one_p_at_a_time(shipped_search):
+    sched, _, _, _ = shipped_search
     steps = np.arange(len(sched.P))
     stacked = unit_spreads(sched.P, sched.K_at(steps))
     assert stacked.shape == (611, 5)
@@ -272,32 +272,19 @@ def test_unit_spreads_name_the_step_whose_p_is_not_positive_definite():
         unit_spreads(P[3], np.zeros((2, 3)))
 
 
-def test_schedule_names_the_first_step_without_a_level(shipped):
-    sched, cons, u_refs, spec = shipped
+def test_schedule_names_the_first_step_without_a_level(shipped_search):
+    sched, cons, u_refs, spec = shipped_search
     u_refs = u_refs.copy()
     u_refs[[5, 9], 0] = 2.5  # beyond u_max[0] = 2 at x = 0
     with pytest.raises(NoTerminalLevel, match=r"^step 5: no level"):
         compute_c_schedule(sched, cons, u_refs, c0=spec.c0, shrink=spec.shrink)
 
 
-def test_terminal_set_calls_one_search_and_one_vertex_check_per_level(tmp_path, monkeypatch):
+def test_terminal_set_calls_one_search_and_one_vertex_check_per_level(shipped):
     # the benchmark times terminal_set.shrink_level per level, and its gate
     # counts failed levels from cli.vertices_feasible
-    calls = {"shrink_level": 0, "vertices_feasible": 0}
-
-    def counted(module, name):
-        fn = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(terminal_set, "shrink_level")
-    counted(cli, "vertices_feasible")
-    assert cli.main(["terminal-set", "--config", str(SHIPPED), "--out", str(tmp_path),
-                     "--quiet"]) == 0
-    rows = (tmp_path / "terminal_levels_terminal_set.csv").read_text().splitlines()[1:]
-    assert calls == {"shrink_level": len(rows), "vertices_feasible": len(rows)}
+    assert shipped.code == 0
+    rows = (shipped.out / "terminal_set" / "terminal_levels_terminal_set.csv").read_text()
+    rows = rows.splitlines()[1:]
+    assert shipped.calls == {"shrink_level": len(rows), "vertices_feasible": len(rows)}
     assert len(rows) == 611
