@@ -60,12 +60,11 @@ def terminal_set_csv(levels) -> str:
 
 
 def write_run_bundle(log: SimLog, out_dir, stem: str = None):
-    """Write the per-run bundle beside the log: `{stem}_obstacles.csv` when the
-    scene has obstacles, else nothing; returns the created paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Write the per-run bundle beside the log, into the existing out_dir:
+    `{stem}_obstacles.csv` when the scene has obstacles, else nothing;
+    returns the created paths."""
     if not log.scenario.obstacles:
         return []
-    path = out / f"{stem or log.scenario.name}_obstacles.csv"
+    path = Path(out_dir) / f"{stem or log.scenario.name}_obstacles.csv"
     path.write_text(obstacle_paths_csv(log.scenario, len(log.rows), log.tracks))
     return [path]

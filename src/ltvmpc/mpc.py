@@ -35,7 +35,7 @@ import numpy as np
 
 from . import avoidance as av
 from .dynamics import Reference, to_error_frame
-from .qp import QpProblem, QpSolution, QpSolver
+from .qp import QpProblem, QpSolver
 from .riccati import CostMatrices
 
 MAP_BLOCK = 64  # start steps per batch of `horizon_maps` built by the controller
@@ -129,21 +129,31 @@ def _input_rows(U, cfg: MpcConfig, n: int, first: int):
     return _bound_rows(len(U), n, first, cfg.forbid_reverse), bounds
 
 
-@functools.cache
-def _stacked_layout(N: int):
-    """`build_qp`'s layout, built once per N: the (row, column) index grids
-    of the per-step blocks (e(j+1) and u_b(j) rows/columns, broadcast to
-    (N, 3, 3) and (N, 3, 2) / (N, 2, 2)) and the dynamics rows' identity
-    blocks on e(1)..e(N), read-only."""
+@functools.lru_cache(maxsize=8)
+def _stacked_template(N: int, Q: bytes, R: bytes, B: bytes):
+    """`build_qp`'s read-only starting arrays for horizon N, the cost blocks
+    Q (3, 3) and R (2, 2) and the input matrix B (3, 2), keyed by their
+    float64 bytes: H with Q on e(1)..e(N-1) and R on every u_b(j); A_eq with
+    the dynamics rows' identity blocks on e(1)..e(N) and -B on every u_b(j);
+    the flat A_eq positions of the blocks -A_j on e(j), j = 1..N-1, in
+    order; and whether Q and R are exactly symmetric."""
+    Q, R, B = (np.frombuffer(b).reshape(shape)
+               for b, shape in ((Q, (3, 3)), (R, (2, 2)), (B, (3, 2))))
     j = np.arange(N)
     u0 = 3 * N + 2 * j  # column of v in u_b(j); omega follows
     e_row = 3 * j[:, None, None] + np.arange(3)[None, :, None]
     e_col = 3 * j[:, None, None] + np.arange(3)[None, None, :]
     u_row = u0[:, None, None] + np.arange(2)[None, :, None]
     u_col = u0[:, None, None] + np.arange(2)[None, None, :]
-    eye_rows = np.eye(3 * N, 5 * N)
-    eye_rows.flags.writeable = False
-    return e_row, e_col, u_row, u_col, eye_rows
+    H = np.zeros((5 * N, 5 * N))
+    H[e_row[:-1], e_col[:-1]] = Q
+    H[u_row, u_col] = R
+    A_eq = np.eye(3 * N, 5 * N)
+    A_eq[e_row, u_col] = -B
+    models = (e_row[1:] * 5 * N + e_col[:-1]).ravel()
+    for a in (H, A_eq, models):
+        a.flags.writeable = False
+    return H, A_eq, models, bool((Q == Q.T).all() and (R == R.T).all())
 
 
 def condense_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
@@ -178,7 +188,7 @@ def condense_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
     j = np.arange(N)
     H.reshape(N, 2, N, 2)[j, :, j, :] += costs.R
     A_in, b_in = _input_rows(ref.inputs[steps], cfg, 2 * N, 0)
-    problem = QpProblem(H=0.5 * (H + H.T), g=HG[:-1, -1], A_in=A_in, b_in=b_in)
+    problem = QpProblem._symmetric(H=0.5 * (H + H.T), g=HG[:-1, -1], A_in=A_in, b_in=b_in)
     return problem, M[:, -1], M[:, :-1]
 
 
@@ -228,26 +238,24 @@ def build_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
     the avoidance rows `avoid` as given: each holds its 5N coefficients over
     the stacked vector and then its right-hand side (ValueError for another
     width). Model/reference/schedule indices clamp at the trajectory end
-    (setpoint hold). The layout and bound rows are cached per
-    (N, forbid_reverse).
+    (setpoint hold). Each step copies a template cached per N, Q, R and B
+    (`_stacked_template`) and the bound rows cached per (N, forbid_reverse).
     """
     N = cfg.N
     n = 5 * N
     e0 = np.asarray(e0, dtype=float).reshape(3)
     steps = ref.clamp(np.arange(k, k + N))
     A = A[steps]
-    e_row, e_col, u_row, u_col, eye_rows = _stacked_layout(N)
+    H, A_eq, models, symmetric = _stacked_template(
+        N, costs.Q.tobytes(), costs.R.tobytes(), np.asarray(B, dtype=float).tobytes())
 
-    H = np.zeros((n, n))
-    H[e_row[:-1], e_col[:-1]] = costs.Q
-    P_term = schedule.P_at(k + N)
-    H[3 * (N - 1): 3 * N, 3 * (N - 1): 3 * N] = cfg.beta * P_term
-    H[u_row, u_col] = costs.R
+    H = H.copy()
+    terminal = cfg.beta * schedule.P_at(k + N)
+    H[3 * (N - 1): 3 * N, 3 * (N - 1): 3 * N] = terminal
     g = np.zeros(n)
 
-    A_eq = eye_rows.copy()
-    A_eq[e_row[1:], e_col[:-1]] = -A[1:]
-    A_eq[e_row, u_col] = -B
+    A_eq = A_eq.copy()
+    A_eq.put(models, -A[1:])
     b_eq = np.zeros(3 * N)
     b_eq[:3] = A[0] @ e0
 
@@ -255,7 +263,10 @@ def build_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
     avoid = np.asarray(avoid, dtype=float).reshape(len(avoid), n + 1)
     A_in = np.concatenate([bound_rows, avoid[:, :-1]])
     b_in = np.concatenate([bounds, avoid[:, -1]])
-    return QpProblem(H=H, g=g, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in)
+    # H is exactly symmetric when its blocks are; the constructor tests the rest
+    symmetric = symmetric and (terminal == terminal.T).all()
+    return (QpProblem._symmetric if symmetric else QpProblem)(
+        H=H, g=g, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in)
 
 
 def _with_shared_slack(p: QpProblem, n_avoid: int, weight: float) -> QpProblem:
@@ -273,7 +284,7 @@ def _with_shared_slack(p: QpProblem, n_avoid: int, weight: float) -> QpProblem:
     nonneg[0, n] = -1.0
     A_in = np.vstack([A_in, nonneg])
     b_in = np.concatenate([p.b_in, [0.0]])
-    return QpProblem(H=H, g=g, A_eq=A_eq, b_eq=p.b_eq, A_in=A_in, b_in=b_in)
+    return QpProblem._symmetric(H=H, g=g, A_eq=A_eq, b_eq=p.b_eq, A_in=A_in, b_in=b_in)
 
 
 class MpcController:
@@ -375,7 +386,7 @@ class MpcController:
         E = x[:3 * N].reshape(N, 3)
         e = e0
         for j, A_j in enumerate(self.A[self.ref.clamp(np.arange(k, k + N))]):
-            e = E[j] = A_j @ e
+            e = A_j.dot(e, out=E[j])
         return x
 
     # -- main steps -----------------------------------------------------------
@@ -396,8 +407,9 @@ class MpcController:
                 self._maps = block, G, F
             u_plan = G[k % MAP_BLOCK].dot(e0)
             j = 2 * i
-            if ((u_plan <= self._upper[j:j + 2 * N]).all()
-                    and (u_plan >= self._lower[j:j + 2 * N]).all()):
+            # every entry within both bounds; a NaN entry fails either comparison
+            if (np.count_nonzero(u_plan <= self._upper[j:j + 2 * N])
+                    + np.count_nonzero(u_plan >= self._lower[j:j + 2 * N]) == 4 * N):
                 status, e_plan = "optimal", F[k % MAP_BLOCK].dot(e0)  # the QP's unique optimum
             else:
                 problem, free, Gamma = condense_qp(e0, k, self.ref, self.A, self.B,
@@ -409,17 +421,16 @@ class MpcController:
             problem = build_qp(e0, k, self.ref, self.A, self.B, self.schedule,
                                self.costs, cfg, avoid)
             sol = self.solver.solve(problem, x0=self._rollout_start(e0, k))
-            if sol.status == "infeasible" and len(avoid):
+            status, x, mu_in = sol.status, sol.x, sol.mu_in
+            if status == "infeasible" and len(avoid):
                 slacked = _with_shared_slack(problem, len(avoid), cfg.slack_weight)
                 ssol = self.solver.solve(slacked)
                 if ssol.status != "infeasible":
                     slack_used = float(ssol.x[-1])
-                    sol = QpSolution(ssol.x[:-1], ssol.lambda_eq,
-                                     ssol.mu_in[: problem.A_in.shape[0]],
-                                     ssol.status, ssol.kkt_residual)
-            status, u_plan, e_plan = sol.status, sol.x[3 * N:], sol.x[: 3 * N]
-            if len(avoid) and sol.mu_in.size >= len(avoid):
-                n_active = int(np.sum(sol.mu_in[-len(avoid):] > 1e-8))
+                    status, x, mu_in = ssol.status, ssol.x[:-1], ssol.mu_in[:problem.A_in.shape[0]]
+            u_plan, e_plan = x[3 * N:], x[: 3 * N]
+            if len(avoid) and mu_in.size >= len(avoid):
+                n_active = int(np.sum(mu_in[-len(avoid):] > 1e-8))
 
         # an infeasible step holds the feed-forward; the simulator will halt
         u_b0 = np.zeros(2) if status == "infeasible" else u_plan[:2].copy()

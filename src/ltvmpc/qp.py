@@ -8,20 +8,31 @@ minimization for finding a feasible start (and for detecting infeasibility:
 the minimized slack is a violation certificate). A run that exhausts its
 iteration budget is reported as `max_iter`, never replaced by a second
 algorithm. Correctness is always judged by the returned KKT residuals, never
-by the solver's internal state.
+by the solver's internal state; a solution computes its residual from the
+problem it solves on first read, which no control step does.
 
 Every product keeps its exact operand rows: BLAS sums a row's terms in an
 order set by the row's place in its block, and with OpenBLAS 0.3.31
 `A[rows] @ x` and `(A @ x)[rows]` differed in the last bit in 1,252 of
 2,000 random half-row subsets of an 80 x 50 A. A strided row view
-multiplies like its contiguous copy, so the KKT buffer's rows are used in place.
+multiplies like its contiguous copy, so the KKT buffer's rows are used in place,
+and the ratio test gathers the free rows once for both of its products. Each
+KKT solve calls the gesv gufunc behind `np.linalg.solve` directly, as
+`riccati` does: the same floats, but a singular matrix gives NaN (and then
+the least-squares step) instead of LinAlgError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from functools import cached_property
+from math import sqrt
 
 import numpy as np
+# np.linalg.solve's gufunc for one right-hand side; a private numpy name,
+# pinned to np.linalg.solve's floats by tests/test_qp.py.
+from numpy.linalg._umath_linalg import solve1 as _gesv
 
 FEAS_TOL = 1e-9  # feasibility considered exact below this
 INFEAS_TOL = 1e-7  # phase-1 slack above this certifies infeasibility
@@ -62,19 +73,31 @@ class QpProblem:
     b_in: np.ndarray = None
 
     def __post_init__(self):
-        H = _floats(self.H, 2)
-        g = _floats(self.g, 1)
+        self._store(self.H, self.g, self.A_eq, self.b_eq, self.A_in, self.b_in, True)
+
+    @classmethod
+    def _symmetric(cls, H, g, A_eq=None, b_eq=None, A_in=None, b_in=None):
+        """A problem from one of this package's builders, whose H is symmetric
+        by construction: every check of the constructor but the exact
+        symmetry test, about 5 us of a 50-variable problem's construction."""
+        p = object.__new__(cls)
+        p._store(H, g, A_eq, b_eq, A_in, b_in, False)
+        return p
+
+    def _store(self, H, g, A_eq, b_eq, A_in, b_in, check_symmetry: bool):
+        H = _floats(H, 2)
+        g = _floats(g, 1)
         n = g.shape[0]
         if H.shape != (n, n):
             raise ValueError("H must be n x n matching g")
-        if not (H == H.T).all():
+        if check_symmetry and not (H == H.T).all():
             if not np.allclose(H, H.T, atol=1e-10):
                 raise ValueError("H must be symmetric (within 1e-10)")
             H = 0.5 * (H + H.T)
-        A_eq = _as_2d(self.A_eq, n)
-        A_in = _as_2d(self.A_in, n)
-        b_eq = _as_1d(self.b_eq, A_eq.shape[0])
-        b_in = _as_1d(self.b_in, A_in.shape[0])
+        A_eq = _as_2d(A_eq, n)
+        A_in = _as_2d(A_in, n)
+        b_eq = _as_1d(b_eq, A_eq.shape[0])
+        b_in = _as_1d(b_in, A_in.shape[0])
         if A_eq.shape[0] > n:
             raise ValueError("more equality rows than variables")
         object.__setattr__(self, "H", H)
@@ -98,7 +121,13 @@ class QpSolution:
     lambda_eq: np.ndarray
     mu_in: np.ndarray
     status: str  # optimal | infeasible | max_iter
-    kkt_residual: float = np.inf
+    problem: QpProblem = field(default=None, repr=False)  # what was solved, if anything
+
+    @cached_property
+    def kkt_residual(self) -> float:
+        """max(kkt_residuals(problem, self)), computed on first read; inf
+        without a problem, as for an infeasible answer."""
+        return np.inf if self.problem is None else max(kkt_residuals(self.problem, self))
 
 
 def kkt_residuals(problem: QpProblem, sol: QpSolution):
@@ -123,15 +152,19 @@ def kkt_residuals(problem: QpProblem, sol: QpSolution):
     return r_stat, r_eq, r_in, r_comp
 
 
+def _frobenius(M) -> float:
+    """np.linalg.norm(M) of a real matrix, its sqrt(m.m), without the wrapper."""
+    m = M.ravel()
+    return sqrt(m.dot(m))
+
+
 def _solve_kkt(H, grad, A_act, r_act, KKT):
     """Equality-constrained step: min 0.5 p'Hp + grad'p s.t. A_act p = r_act,
-    with KKT the assembled [[H, A_act'], [A_act, 0]] (H alone without rows)."""
+    with KKT the assembled [[H, A_act'], [A_act, 0]] (H alone without rows).
+    A singular or ill-conditioned KKT takes the least-squares step."""
     n = H.shape[0]
     rhs = np.concatenate([-grad, r_act])
-    try:
-        sol = np.linalg.solve(KKT, rhs)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(KKT, rhs, rcond=None)[0]
+    sol = _gesv(KKT, rhs, signature="dd->d")  # NaN where np.linalg.solve raises
     if not np.isfinite(sol).all():
         sol = np.linalg.lstsq(KKT, rhs, rcond=None)[0]
     return sol[:n], sol[n:]
@@ -141,8 +174,12 @@ class QpSolver:
     """Active-set QP solver with its iteration budget.
 
     The only state kept between solves is, per problem shape, the last
-    convexity check: its H, A_eq, null-space basis and margin. A start point
-    passed to `solve` changes the iteration count, never the answer.
+    convexity check: its H, A_eq, null-space basis and margin. The optimum
+    is unique only in exact arithmetic: a start point passed to `solve`
+    changes the path to it, so the iteration count and the trailing bits of
+    the answer. A closed loop can grow such bits; starting the slack
+    re-solve from the rollout point moved v of the static_hyperplane_90
+    scene by 1.37 at step 120.
     """
 
     def __init__(self, max_iter: int = 500):
@@ -188,7 +225,7 @@ class QpSolver:
         else:
             x = np.zeros(n)
         if p.A_eq.shape[0]:
-            r = p.A_eq @ x - p.b_eq
+            r = p.A_eq.dot(x) - p.b_eq
             b_scale = 1.0 + abs(p.b_eq).max()
             if abs(r).max() > FEAS_TOL * b_scale:
                 # restore equalities from the candidate (projection), then recheck
@@ -199,7 +236,7 @@ class QpSolver:
                     return x, "infeasible"
         if not p.A_in.shape[0]:
             return x, "ok"
-        viol = float((p.A_in @ x - p.b_in).max())
+        viol = float((p.A_in.dot(x) - p.b_in).max())
         if viol <= FEAS_TOL:
             return x, "ok"
 
@@ -238,6 +275,7 @@ class QpSolver:
 
     # -- phase 2 -----------------------------------------------------------
 
+    @np.errstate(invalid="ignore")  # a singular KKT's NaN solve; _solve_kkt recovers
     def _active_set_loop(self, H, g, A_eq, b_eq, A_in, b_in, x, max_iter):
         """Primal active-set iterations from a feasible x.
 
@@ -245,53 +283,58 @@ class QpSolver:
         on the working-set minimizer, and the multipliers of that same solve
         belong to the new point, so the optimality test needs no second solve.
         One KKT buffer serves the loop: H and A_eq are written once, the
-        working rows each iteration, and each solve reads its leading square.
+        working rows from the first one that changed, and each solve reads
+        its leading square.
         It has room for the n - m_e working rows that can be independent of
         the equality rows, and grows to all m_i if dependent rows join.
         """
         n, m_e, m_i = H.shape[0], A_eq.shape[0], A_in.shape[0]
         size = n + m_e + min(m_i, n - m_e)
-        KKT = np.zeros((size, size))
+        KKT = np.zeros((size, size), order="F")  # gesv's own layout: no strided copy
         KKT[:n, :n] = H
         KKT[n:n + m_e, :n] = A_eq
         KKT[:n, n:n + m_e] = A_eq.T
         b_act = np.concatenate([b_eq, b_in])  # b_in part rewritten to b_in[work]
         work = []  # working inequality indices, kept sorted
+        stale = 0  # KKT rows and b_act entries from work[stale] on are out of date
         free = np.ones(m_i, dtype=bool)  # the rows outside the working set
         lam = np.zeros(m_e)
         mu = np.zeros(m_i)
         for _ in range(max_iter):
-            grad = H @ x + g
+            grad = H.dot(x) + g
             na = m_e + len(work)
             if n + na > len(KKT):
                 KKT = np.pad(KKT, (0, n + m_e + m_i - len(KKT)))
-            if work:
-                KKT[n + m_e:n + na, :n] = A_in[work]
-                KKT[:n, n + m_e:n + na] = KKT[n + m_e:n + na, :n].T
-                b_act[m_e:na] = b_in[work]
-            A_act = KKT[n:n + na, :n]
-            r_act = b_act[:na] - A_act @ x if na else np.zeros(0)
+            if stale < len(work):
+                changed, lo = work[stale:], n + m_e + stale
+                KKT[lo:n + na, :n] = A_in[changed]
+                KKT[:n, lo:n + na] = KKT[lo:n + na, :n].T
+                b_act[m_e + stale:na] = b_in[changed]
+                stale = len(work)
+            A_act = KKT[:n, n:n + na].T  # unit column stride, as a row block copy
+            r_act = b_act[:na] - A_act.dot(x) if na else np.zeros(0)
             p_step, mults = _solve_kkt(H, grad, A_act, r_act, KKT[:n + na, :n + na])
 
             if abs(p_step).max(initial=0.0) > 1e-11 * (1.0 + abs(x).max()):
-                # ratio test over non-working rows
+                # ratio test over non-working rows, both products on one copy of them
                 alpha = 1.0
                 block = -1
                 rows = free.nonzero()[0]
                 if rows.size:
-                    Ap = A_in[rows] @ p_step
+                    A_free = A_in[rows]
+                    Ap = A_free.dot(p_step)
                     pos = Ap > 1e-13
                     if pos.any():
                         rows = rows[pos]
-                        ratios = np.maximum((b_in[rows] - A_in[rows] @ x) / Ap[pos], 0.0)
+                        ratios = np.maximum((b_in[rows] - A_free[pos].dot(x)) / Ap[pos], 0.0)
                         j = ratios.argmin()
                         if ratios[j] < alpha:
                             alpha = float(ratios[j])
                             block = int(rows[j])
                 if block >= 0:
                     x = x + alpha * p_step
-                    work.append(block)
-                    work.sort()
+                    stale = bisect_left(work, block)
+                    work.insert(stale, block)
                     free[block] = False
                     continue
                 x = x + p_step
@@ -304,7 +347,8 @@ class QpSolver:
                     mu[w] = max(mu_w[idx], 0.0)
                 return x, lam, mu, "optimal"
             # drop: most negative multiplier, smallest index breaking ties
-            free[work.pop(int(mu_w.argmin()))] = True
+            stale = int(mu_w.argmin())
+            free[work.pop(stale)] = True
         return x, lam, mu, "max_iter"
 
     # -- main entry ----------------------------------------------------------
@@ -315,17 +359,14 @@ class QpSolver:
         # bounds how far any eigenvalue of Z'HZ can move (Weyl).
         last = self._checked.get((p.n, p.A_eq.shape[0]))
         if (last is None or last[1] != p.A_eq.tobytes()
-                or not np.linalg.norm(p.H - last[0]) < last[3]):
+                or not _frobenius(p.H - last[0]) < last[3]):
             self._check_problem(p)
 
         x_start, feas = self._feasible_start(p, x0)
         if feas == "infeasible":
-            sol = QpSolution(x_start, np.zeros(p.A_eq.shape[0]), np.zeros(p.A_in.shape[0]), "infeasible")
-            sol.kkt_residual = np.inf
-            return sol
+            return QpSolution(x_start, np.zeros(p.A_eq.shape[0]), np.zeros(p.A_in.shape[0]),
+                              "infeasible")
         x, lam, mu, status = self._active_set_loop(
             p.H, p.g, p.A_eq, p.b_eq, p.A_in, p.b_in, x_start, self.max_iter
         )
-        sol = QpSolution(x, lam, mu, status)
-        sol.kkt_residual = max(kkt_residuals(p, sol))
-        return sol
+        return QpSolution(x, lam, mu, status, p)

@@ -111,6 +111,39 @@ def test_assembly_is_bit_identical_to_loop_oracle(N):
                         a[...] = np.nan  # a problem owns its arrays; the cached layout stays
 
 
+def test_assembly_templates_follow_their_keys():
+    # Builds one after another, each changing one thing from the last: the
+    # step (consecutive steps), the costs, the input matrix, the horizon,
+    # the no-reverse rows and the terminal weight. Each matches the loop
+    # oracle bit for bit, so a template cached on too small a key fails, as
+    # does one a problem's arrays alias (each is overwritten with NaN after
+    # its check). The second costs are not diagonal
+    # and their Q, like the skewed terminal weight, is symmetric only to
+    # 1e-12: the constructor's symmetry test must still see H.
+    ref, models, B, schedule = make_setup()
+    tilted = CostMatrices(np.array([[1.0, 0.2, 0.0], [0.2 + 1e-12, 1.0, 0.0],
+                                    [0.0, 0.0, 0.5]]), np.array([[0.1, 0.01], [0.01, 0.05]]))
+    skew = np.zeros((3, 3))
+    skew[0, 1] = 1e-12
+    skewed = replace(schedule, P=schedule.P + skew)
+    rng = np.random.default_rng(27)
+    cases = [(0, 10, COSTS, B, False, schedule), (1, 10, COSTS, B, False, schedule),
+             (2, 10, tilted, B, False, schedule), (3, 10, tilted, 2.0 * B, False, schedule),
+             (4, 6, tilted, 2.0 * B, False, schedule), (5, 6, tilted, 2.0 * B, True, schedule),
+             (6, 6, COSTS, B, True, schedule), (7, 10, COSTS, B, False, schedule),
+             (8, 10, COSTS, B, False, skewed), (9, 10, COSTS, B, False, schedule)]
+    for k, N, costs, B_k, forbid, sched in cases:
+        cfg = MpcConfig(N=N, forbid_reverse=forbid, avoidance="state_space")
+        e0 = rng.normal(size=3)
+        avoid = rng.normal(size=(N, 5 * N + 1))
+        got = build_qp(e0, k, ref, models, B_k, sched, costs, cfg, avoid)
+        want = build_qp_loops(e0, k, ref, models, B_k, sched, costs, cfg, avoid)
+        for name in ("H", "g", "A_eq", "b_eq", "A_in", "b_in"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and np.array_equal(a, b), (name, k)
+            a[...] = np.nan
+
+
 @pytest.mark.parametrize("config", ["avoid_intersection.yaml", "avoid_static_hyperplane_90.yaml"])
 def test_stacked_steps_solve_bit_identically_to_fresh_kkt_loop(config, monkeypatch):
     # The stacked QPs of a scene's first steps, phase-1 starts and the
@@ -144,6 +177,35 @@ def test_stacked_steps_solve_bit_identically_to_fresh_kkt_loop(config, monkeypat
         slacked += p.n == 5 * scn.mpc.N + 1
     assert phase1 >= 2
     assert slacked == (3 if "hyperplane_90" in config else 0)
+
+
+def test_step_solutions_compute_their_residual_once_on_first_read(monkeypatch):
+    # No control step reads a solution's KKT residual: a scene's first
+    # steps, shared-slack re-solves included, compute none. The first read
+    # computes max(kkt_residuals(problem, sol)) bit for bit, later reads
+    # reuse it, and an infeasible solve reads inf.
+    scn = replace(load_config(CONFIGS / "avoid_static_hyperplane_90.yaml").scenario,
+                  name="first_steps", duration=3)
+    solved = []
+
+    class Recording(QpSolver):
+        def solve(self, p, x0=None):
+            sol = super().solve(p, x0)
+            solved.append((p, sol))
+            return sol
+
+    monkeypatch.setattr(mpc, "QpSolver", Recording)
+    calls = []
+    residuals = qp.kkt_residuals
+    monkeypatch.setattr(qp, "kkt_residuals", lambda p, sol: calls.append(sol) or residuals(p, sol))
+    run_scenario(scn)
+    assert calls == []
+    slacked = [sol for p, sol in solved if p.n == 5 * scn.mpc.N + 1]
+    assert len(slacked) == 3 and {sol.status for sol in slacked} == {"optimal"}
+    for p, sol in solved:
+        want = math.inf if sol.status == "infeasible" else max(residuals(p, sol))
+        assert sol.kkt_residual == want and sol.kkt_residual == want
+    assert len(calls) == sum(sol.status != "infeasible" for _, sol in solved) == 3
 
 
 def test_shared_slack_wrapping():
@@ -429,6 +491,11 @@ def test_bound_check_decides_as_the_condensed_rows(forbid_reverse):
                 ctl.control_step(z, k)
                 assert (solver.calls == before) == inside, (k, r, eps)
                 decisions.add(inside)
+        # a NaN entry keeps no bound: the step falls back
+        G[k % MAP_BLOCK, 0] = np.nan
+        before = solver.calls
+        ctl.control_step(z, k)
+        assert solver.calls == before + 1
     assert decisions == {True, False}
 
 

@@ -2,6 +2,8 @@
 oracle over random convex problems (including degenerate, duplicate and
 contradictory inequality rows), multiplier signs, and the text dump."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -355,6 +357,50 @@ def test_dependent_working_rows_grow_the_kkt_buffer(monkeypatch):
     assert_same_loop_result((got.x, got.lambda_eq, got.mu_in, got.status),
                             (want.x, want.lambda_eq, want.mu_in, want.status))
     check_against_enumeration_oracle(p)
+
+
+def test_kkt_solve_gives_linalg_solve_floats_and_steps_around_a_singular_kkt(monkeypatch):
+    # The loop's solve is np.linalg.solve's gesv gufunc, called directly:
+    # the same bits on KKT systems read, as the loop reads them, from the
+    # leading square of a larger Fortran-ordered buffer.
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        na = int(rng.integers(0, n + 1))
+        M = rng.normal(size=(n, n))
+        H = M @ M.T + 0.1 * np.eye(n)
+        A = rng.normal(size=(na, n))
+        buf = np.zeros((n + na + 3, n + na + 3), order="F")
+        buf[:n, :n], buf[n:n + na, :n], buf[:n, n:n + na] = H, A, A.T
+        KKT = buf[:n + na, :n + na]
+        grad, r = rng.normal(size=n), rng.normal(size=na)
+        p_step, mults = qp._solve_kkt(H, grad, A, r, KKT)
+        want = np.linalg.solve(KKT, np.concatenate([-grad, r]))
+        assert np.array_equal(np.concatenate([p_step, mults]), want)
+    # A zero working row makes the KKT singular: np.linalg.solve raises,
+    # the step is the least-squares one, and the loop warns nothing.
+    A2 = np.vstack([M[:1], np.zeros((1, n))])
+    KKT = np.block([[H, A2.T], [A2, np.zeros((2, 2))]])
+    rhs = np.concatenate([-grad, [0.5, 0.5]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(KKT, rhs)
+    with np.errstate(invalid="ignore"):
+        p_step, mults = qp._solve_kkt(H, grad, A2, rhs[n:], KKT)
+    assert np.array_equal(np.concatenate([p_step, mults]),
+                          np.linalg.lstsq(KKT, rhs, rcond=None)[0])
+    singular = []
+    gesv = qp._gesv
+
+    def recording(*args, **kwargs):
+        sol = gesv(*args, **kwargs)
+        singular.append(not np.isfinite(sol).all())
+        return sol
+
+    monkeypatch.setattr(qp, "_gesv", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = QpSolver().solve(inequality_problem("degenerate", 259))
+    assert any(singular) and got.status == "optimal"
 
 
 def assert_same_loop_result(got, want):
