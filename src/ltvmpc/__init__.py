@@ -18,8 +18,7 @@ from .riccati import CostMatrices, TerminalSchedule, backward_riccati, lqr_gain,
 from .sim import (Metrics, ObstacleSpec, Scenario, SimLog, TrajectorySpec,
                   build_controller, build_reference, compute_metrics, lqr_comparison,
                   read_log_csv, run_scenario, sweep, write_log_csv)
-from .terminal_set import (NoTerminalLevel, OuterPolyhedron, TerminalConstraints,
-                           TerminalEllipsoid, compute_c_schedule, outer_polyhedron,
+from .terminal_set import (NoTerminalLevel, TerminalConstraints, compute_c_schedule, outer_box,
                            shrink_level, unit_spreads, vertices_feasible)
 
 __version__ = "0.1.0"
@@ -27,13 +26,13 @@ __version__ = "0.1.0"
 __all__ = [
     "CostMatrices", "HalfPlane",
     "Metrics", "MpcConfig", "MpcController", "MpcStep", "NoTerminalLevel", "Obstacle",
-    "ObstacleSpec", "OuterPolyhedron", "QpProblem", "QpSolution", "QpSolver",
+    "ObstacleSpec", "QpProblem", "QpSolution", "QpSolver",
     "Reference", "RobotState", "Scenario", "SimLog",
-    "TerminalConstraints", "TerminalEllipsoid", "TerminalSchedule",
+    "TerminalConstraints", "TerminalSchedule",
     "TrajectorySpec", "VoCone", "backward_riccati", "build_controller", "build_qp",
     "build_reference", "compute_c_schedule", "compute_metrics", "condense_qp",
     "derive_reference", "input_matrix", "kkt_residuals", "linearize",
-    "lqr_comparison", "lqr_gain", "outer_polyhedron",
+    "lqr_comparison", "lqr_gain", "outer_box",
     "read_log_csv", "roll_reference", "run_scenario", "shrink_level", "solve_dare",
     "state_space_halfplane", "step_discrete", "sweep",
     "tangent_halfplane", "to_error_frame", "unit_spreads", "velocity_constraint_row",

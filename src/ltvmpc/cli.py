@@ -12,8 +12,9 @@ reproduces the CSV outputs byte for byte.
 
 Exit codes: 0 success, 1 scenario halted on unrecoverable infeasibility or
 a terminal-set level whose outer box fails the vertex check (the table and
-manifest are still written), 2 config/usage error, a terminal-set config
-whose limits admit no level at some step included.
+manifest are still written), 2 config/usage error: an unreadable config, an
+--out that is or lies below a file, a terminal-set config whose P is not
+positive definite or admits no level at some step.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from .avoidance import velocity_debug_csv
 from .mpc import MpcConfig
 from .sim import (Config, Scenario, SweepSpec, TerminalSetSpec, build_controller,
                   compute_metrics, lqr_comparison, run_scenario, sweep, write_log_csv)
-from .terminal_set import (NoTerminalLevel, TerminalConstraints, compute_c_schedule,
-                           vertices_feasible)
+from .terminal_set import TerminalConstraints, compute_c_schedule, vertices_feasible
 
 
 class ConfigError(Exception):
@@ -172,9 +172,10 @@ def write_manifest(out_dir: Path, command: str, config_path: str, config: Config
 def load_config(path) -> Config:
     """YAML config, or a previously-written manifest.json (its `config` block)."""
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    text = p.read_text()
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as e:
+        raise ConfigError(f"cannot read config {p}: {e}") from e
     if p.suffix != ".json":
         return parse_config(text)
     try:
@@ -206,9 +207,14 @@ def _write_json(path: Path, doc):
 # -- subcommands -----------------------------------------------------------------------
 
 def _prepare(args):
-    """The config and the output directory; a command creates the directory
-    when it first writes, so a config error found late leaves none behind."""
-    return load_config(args.config), Path(args.out)
+    """The config and the output directory, rejected here if it is or lies
+    below a file; a command creates the directory when it first writes, so a
+    config error found late leaves none behind."""
+    config, out = load_config(args.config), Path(args.out)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} is not a directory")
+    return config, out
 
 
 def _cmd_run(args) -> int:
@@ -287,10 +293,10 @@ def _cmd_terminal_set(args) -> int:
     cons = TerminalConstraints(np.asarray(spec.e_max), scn.mpc.u_max)
     try:
         levels = compute_c_schedule(schedule, cons, inputs, c0=spec.c0, shrink=spec.shrink)
-    except NoTerminalLevel as e:
+    except ValueError as e:  # a P that is not positive definite, or no level
         raise ConfigError(f"terminal_set: {e}") from e
-    bad = [i for i, (c, poly) in enumerate(levels)
-           if not vertices_feasible(poly, cons, schedule.K_at(i), inputs[i])]
+    bad = [i for i, (c, box) in enumerate(levels)
+           if not vertices_feasible(box, cons, schedule.K_at(i), inputs[i])]
     out.mkdir(parents=True, exist_ok=True)
     (out / f"{scn.name}_terminal_set.csv").write_text(figures.terminal_set_csv(levels))
     write_manifest(out, "terminal-set", args.config, config)

@@ -54,7 +54,7 @@ def lqr_compare_csv(log_mpc: SimLog, log_lqr: SimLog) -> str:
 def terminal_set_csv(levels) -> str:
     """Level schedule rows (i, c, 8 vertices) from compute_c_schedule output."""
     header = ["i", "c"] + [f"v{j}_{e}" for j in range(8) for e in ("e1", "e2", "e3")]
-    vertices = np.array([poly.vertices.reshape(-1) for _, poly in levels]).reshape(-1, 24)
+    vertices = np.array([box for _, box in levels]).reshape(-1, 24)
     return _column_table(header, [np.arange(len(levels)), np.array([c for c, _ in levels]),
                                   *vertices.T])
 

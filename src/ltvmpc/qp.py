@@ -11,6 +11,10 @@ algorithm. Correctness is always judged by the returned KKT residuals, never
 by the solver's internal state; a solution computes its residual from the
 problem it solves on first read, which no control step does.
 
+A problem is checked once, where it enters: the QpProblem constructor tests
+that H is symmetric and PSD on the null space of A_eq, and the package's
+builders, whose H is both by construction, skip it (`QpProblem._symmetric`).
+
 Every product keeps its exact operand rows: BLAS sums a row's terms in an
 order set by the row's place in its block, and with OpenBLAS 0.3.31
 `A[rows] @ x` and `(A @ x)[rows]` differed in the last bit in 1,252 of
@@ -27,7 +31,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import sqrt
 
 import numpy as np
 # np.linalg.solve's gufunc for one right-hand side; a private numpy name,
@@ -78,19 +81,19 @@ class QpProblem:
     @classmethod
     def _symmetric(cls, H, g, A_eq=None, b_eq=None, A_in=None, b_in=None):
         """A problem from one of this package's builders, whose H is symmetric
-        by construction: every check of the constructor but the exact
-        symmetry test, about 5 us of a 50-variable problem's construction."""
+        and, R being positive definite, convex on the null space of A_eq by
+        construction: the constructor's checks without those two tests."""
         p = object.__new__(cls)
         p._store(H, g, A_eq, b_eq, A_in, b_in, False)
         return p
 
-    def _store(self, H, g, A_eq, b_eq, A_in, b_in, check_symmetry: bool):
+    def _store(self, H, g, A_eq, b_eq, A_in, b_in, check: bool):
         H = _floats(H, 2)
         g = _floats(g, 1)
         n = g.shape[0]
         if H.shape != (n, n):
             raise ValueError("H must be n x n matching g")
-        if check_symmetry and not (H == H.T).all():
+        if check and not (H == H.T).all():
             if not np.allclose(H, H.T, atol=1e-10):
                 raise ValueError("H must be symmetric (within 1e-10)")
             H = 0.5 * (H + H.T)
@@ -100,6 +103,8 @@ class QpProblem:
         b_in = _as_1d(b_in, A_in.shape[0])
         if A_eq.shape[0] > n:
             raise ValueError("more equality rows than variables")
+        if check and _reduced_min_eig(H, A_eq) < -1e-8:
+            raise ValueError("H is not PSD on the equality null space")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "A_eq", A_eq)
@@ -152,10 +157,13 @@ def kkt_residuals(problem: QpProblem, sol: QpSolution):
     return r_stat, r_eq, r_in, r_comp
 
 
-def _frobenius(M) -> float:
-    """np.linalg.norm(M) of a real matrix, its sqrt(m.m), without the wrapper."""
-    m = M.ravel()
-    return sqrt(m.dot(m))
+def _reduced_min_eig(H, A_eq) -> float:
+    """Smallest eigenvalue of Z'HZ, Z an orthonormal basis of null(A_eq)."""
+    if A_eq.shape[0]:
+        _, s, Vt = np.linalg.svd(A_eq)
+        Z = Vt[int(np.sum(s > s[0] * max(A_eq.shape) * np.finfo(float).eps)):].T
+        H = Z.T @ H @ Z
+    return np.linalg.eigvalsh(H).min() if H.size else np.inf
 
 
 def _solve_kkt(H, grad, A_act, r_act, KKT):
@@ -171,43 +179,17 @@ def _solve_kkt(H, grad, A_act, r_act, KKT):
 
 
 class QpSolver:
-    """Active-set QP solver with its iteration budget.
+    """Active-set QP solver; its iteration budget is all it holds.
 
-    The only state kept between solves is, per problem shape, the last
-    convexity check: its H, A_eq, null-space basis and margin. The optimum
-    is unique only in exact arithmetic: a start point passed to `solve`
-    changes the path to it, so the iteration count and the trailing bits of
-    the answer. A closed loop can grow such bits; starting the slack
+    The optimum is unique only in exact arithmetic: a start point passed to
+    `solve` changes the path to it, so the iteration count and the trailing
+    bits of the answer. A closed loop can grow such bits; starting the slack
     re-solve from the rollout point moved v of the static_hyperplane_90
     scene by 1.37 at step 120.
     """
 
     def __init__(self, max_iter: int = 500):
         self.max_iter = max_iter
-        self._checked = {}  # (n, m_eq) -> (H, A_eq bytes, null-space basis, margin)
-
-    # -- preconditions ----------------------------------------------------
-
-    def _check_problem(self, p: QpProblem):
-        """Raise unless H is PSD on the null space of A_eq: the smallest
-        eigenvalue of the reduced Hessian Z'HZ must be at least -1e-8. The
-        check is remembered per shape, with the margin by which it passed;
-        the shape's null-space basis is reused while A_eq is unchanged."""
-        shape = (p.n, p.A_eq.shape[0])
-        last = self._checked.get(shape)
-        A_bytes = p.A_eq.tobytes()
-        Z = None
-        if last is not None and last[1] == A_bytes:
-            Z = last[2]
-        elif p.A_eq.shape[0]:
-            _, s, Vt = np.linalg.svd(p.A_eq)
-            rank = int(np.sum(s > s[0] * max(p.A_eq.shape) * np.finfo(float).eps))
-            Z = Vt[rank:].T
-        Hz = p.H if Z is None else Z.T @ p.H @ Z
-        lam_min = np.linalg.eigvalsh(Hz).min() if Hz.size else np.inf
-        if lam_min < -1e-8:
-            raise ValueError("H is not PSD on the equality null space")
-        self._checked[shape] = (p.H.copy(), A_bytes, Z, lam_min + 1e-8)
 
     # -- phase 1 -----------------------------------------------------------
 
@@ -354,14 +336,6 @@ class QpSolver:
     # -- main entry ----------------------------------------------------------
 
     def solve(self, p: QpProblem, x0=None) -> QpSolution:
-        # The last check of this shape covers p if A_eq is the same and H is
-        # nearer to the checked H than the margin: the Frobenius distance
-        # bounds how far any eigenvalue of Z'HZ can move (Weyl).
-        last = self._checked.get((p.n, p.A_eq.shape[0]))
-        if (last is None or last[1] != p.A_eq.tobytes()
-                or not _frobenius(p.H - last[0]) < last[3]):
-            self._check_problem(p)
-
         x_start, feas = self._feasible_start(p, x0)
         if feas == "infeasible":
             return QpSolution(x_start, np.zeros(p.A_eq.shape[0]), np.zeros(p.A_in.shape[0]),

@@ -23,10 +23,11 @@ the fixed-point iteration `solve_dare` from Q (254 Riccati maps on the
 tracking reference at N=50, 344 on the avoidance scenes' line), each run of
 unchanged models (a backward chain of `solve_dare` calls, cut short once a
 step repeats its neighbour's solution bit for bit), and the P recursion
-(cut short once P repeats over equal closed-loop terms). Each map's m x m solve calls the LAPACK gufunc
-behind `np.linalg.solve` directly, the same floats without the wrapper's
-per-call cost, so a singular or overflowing map gives NaN or inf instead of
-`LinAlgError`; `solve_dare` raises ValueError on it at once.
+(cut short once P repeats over equal closed-loop terms). Each map's m x m
+solve calls the LAPACK gufunc behind `np.linalg.solve` directly, the same
+floats without the wrapper's per-call cost, so a singular or overflowing map
+gives NaN or inf instead of `LinAlgError`; `solve_dare` raises ValueError on
+it at once.
 """
 
 from __future__ import annotations
@@ -268,9 +269,8 @@ def recursion_residuals(schedule: TerminalSchedule, A, B, costs: CostMatrices):
         K = schedule.K[i]
         A_K = A[i] + B @ K
         Q_K = Q + K.T @ R @ K
-        res.append(
-            float(np.linalg.norm(schedule.P[i] - (A_K.T @ schedule.P[i + 1] @ A_K + Q_K), ord="fro"))
-        )
+        residual = schedule.P[i] - (A_K.T @ schedule.P[i + 1] @ A_K + Q_K)
+        res.append(float(np.linalg.norm(residual, ord="fro")))
     return res
 
 

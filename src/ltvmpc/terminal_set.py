@@ -1,16 +1,15 @@
-"""Terminal-set sizing: ellipsoid levels, outer hexahedra, and the level search.
+"""Terminal-set sizing: ellipsoid levels, outer boxes, and the level search.
 
 The terminal region at step i is the sublevel set {x : x' P(i) x <= c(i)}.
 Checking state/input feasibility on the ellipsoid directly is nonlinear, so
-each ellipsoid gets an outer box aligned with the eigenvectors of P: its 8
-corners over-approximate the ellipsoid, and feasibility of all corners under
-the terminal controller certifies feasibility of the whole set. c(i) is the
-first level of the sequence c0, c0/shrink, ... whose corners pass. The box
-scales with sqrt(c), so unit_spreads reduces each step to one row, the
-per-column reach of its unit-level box and of that box's inputs, for a whole
-schedule in one stacked eigh; shrink_level bisects the sequence, cached per
-(c0, shrink), on that row; compute_c_schedule builds the boxes of the
-schedule in one more stacked eigh.
+each ellipsoid gets an outer box aligned with the eigenvectors of P, an array
+of its 2^n corners: feasibility of all corners under the terminal controller
+certifies feasibility of the whole set. c(i) is the first level of the
+sequence c0, c0/shrink, ... whose corners pass. The box scales with sqrt(c),
+so unit_spreads reduces each step to one row, the per-column reach of its
+unit-level box and of that box's inputs; shrink_level bisects the sequence,
+cached per (c0, shrink), on that row. compute_c_schedule makes one stacked
+eigh, which checks every P and serves both the rows and the boxes.
 """
 
 from __future__ import annotations
@@ -33,38 +32,6 @@ def _corners(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TerminalEllipsoid:
-    """Sublevel set {x : x' P x <= c} with P symmetric PD; stacked, P (L, n, n), c (L, 1)."""
-
-    P: np.ndarray
-    c: float
-
-    def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
-        Pt = np.swapaxes(P, -1, -2)
-        if not np.allclose(P, Pt, atol=1e-9):
-            raise ValueError("P must be symmetric")
-        if np.min(np.linalg.eigvalsh(P)) <= 0:
-            raise ValueError("P must be positive definite")
-        if np.min(self.c) <= 0:
-            raise ValueError("level c must be positive")
-        object.__setattr__(self, "P", 0.5 * (P + Pt))
-
-
-@dataclass(frozen=True)
-class OuterPolyhedron:
-    """Eigenvector-aligned box around an ellipsoid, stored as its 8 vertices."""
-
-    vertices: np.ndarray  # (8, n), or (L, 8, n) for the boxes of a stack
-
-    def __post_init__(self):
-        V = np.asarray(self.vertices, dtype=float)
-        if V.ndim not in (2, 3) or V.shape[-2] != 2 ** V.shape[-1]:
-            raise ValueError("expected 2^n vertices of dimension n")
-        object.__setattr__(self, "vertices", V)
-
-
-@dataclass(frozen=True)
 class TerminalConstraints:
     """Componentwise limits checked at the box corners.
 
@@ -80,21 +47,40 @@ class TerminalConstraints:
         object.__setattr__(self, "u_max", np.asarray(self.u_max, dtype=float).reshape(-1))
 
 
-def outer_polyhedron(ell: TerminalEllipsoid) -> OuterPolyhedron:
-    """Tight eigen-aligned box: semi-axes sqrt(c / eigenvalue) per direction
-    (of a stack of ellipsoids, the stack of their boxes)."""
-    lam, V = np.linalg.eigh(ell.P)
-    semi = np.sqrt(ell.c / lam)[..., None, :]
-    return OuterPolyhedron(_corners(lam.shape[-1]) * semi @ np.swapaxes(V, -1, -2))
+def _eigh(P):
+    """eigh of one P (n, n) or of a stack (L, n, n). Raises ValueError if a
+    P is not positive definite, naming its step."""
+    lam, V = np.linalg.eigh(np.asarray(P, dtype=float))
+    bad = np.flatnonzero(lam[..., 0] <= 0)
+    if bad.size:
+        raise ValueError("P must be positive definite"
+                         + (f" (step {bad[0]})" if lam.ndim == 2 else ""))
+    return lam, V
 
 
-def vertices_feasible(poly: OuterPolyhedron, cons: TerminalConstraints, K, u_ref) -> bool:
-    """All corners inside the state box and, through u = u_ref + K x, the
-    input box."""
-    V = poly.vertices
-    if np.any(np.abs(V) > cons.e_max[None, :]):
+def _box(lam, V, c):
+    """Corners (..., 2^n, n) of the box with semi-axes sqrt(c / lam) along
+    the eigenvectors V: the tight eigen-aligned box around {x : x' P x <= c}."""
+    semi = np.sqrt(c / lam)[..., None, :]
+    return _corners(lam.shape[-1]) * semi @ np.swapaxes(V, -1, -2)
+
+
+def outer_box(P, c) -> np.ndarray:
+    """Corners (2^n, n) of the tight eigen-aligned box around the ellipsoid
+    {x : x' P x <= c}, P symmetric positive definite and c > 0; for a stack
+    P (L, n, n) and c (L,), the stack (L, 2^n, n) of their boxes."""
+    c = np.asarray(c, dtype=float)[..., None]
+    if np.min(c) <= 0:
+        raise ValueError("level c must be positive")
+    return _box(*_eigh(P), c)
+
+
+def vertices_feasible(box, cons: TerminalConstraints, K, u_ref) -> bool:
+    """All corners (2^n, n) of box inside the state box and, through
+    u = u_ref + K x, the input box."""
+    if np.any(np.abs(box) > cons.e_max[None, :]):
         return False
-    u = u_ref[None, :] + V @ np.asarray(K, dtype=float).T
+    u = u_ref[None, :] + box @ np.asarray(K, dtype=float).T
     return bool(np.all(np.abs(u) <= cons.u_max[None, :]))
 
 
@@ -107,13 +93,11 @@ def unit_spreads(P, K) -> np.ndarray:
     {x : x' P x <= 1} and of its inputs K x: shape (..., n + m) for one P
     (n, n) and K (m, n), or a stack P (L, n, n) and K (L, m, n), in one eigh.
     Raises ValueError if a P is not positive definite, naming its step."""
-    lam, V = np.linalg.eigh(np.asarray(P, dtype=float))
-    bad = np.flatnonzero(lam[..., 0] <= 0)
-    if bad.size:
-        raise ValueError("P must be positive definite"
-                         + (f" (step {bad[0]})" if lam.ndim == 2 else ""))
-    semi = np.sqrt(1.0 / lam)[..., None, :]
-    unit_vertices = _corners(lam.shape[-1]) * semi @ np.swapaxes(V, -1, -2)
+    return _spreads(*_eigh(P), K)
+
+
+def _spreads(lam, V, K):  # unit_spreads from P's eigh
+    unit_vertices = _box(lam, V, 1.0)
     unit_inputs = unit_vertices @ np.swapaxes(np.asarray(K, dtype=float), -1, -2)
     return np.abs(np.concatenate([unit_vertices, unit_inputs], axis=-1)).max(axis=-2)
 
@@ -165,17 +149,19 @@ def compute_c_schedule(schedule, cons: TerminalConstraints, inputs, c0: float = 
 
     schedule is a TerminalSchedule (P indexed 0..T_end, K 0..T_end-1; the
     final step reuses the last gain). inputs (L, 2) holds the reference input
-    per timestep for the input check. Returns a list of (c, OuterPolyhedron),
-    the boxes outer_polyhedron gives, built in one eigh over the P stack.
-    Raises NoTerminalLevel naming the first step that has no level.
+    per timestep for the input check. Returns a list of (c, box), each box
+    the corners outer_box(P(i), c) gives; one eigh over the P stack serves
+    the spreads and the boxes. Raises ValueError naming the first step whose
+    P is not positive definite, and NoTerminalLevel the first step that has
+    no level.
     """
     inputs = np.asarray(inputs, dtype=float)
-    spreads = unit_spreads(schedule.P, schedule.K_at(np.arange(len(schedule.P))))
+    lam, V = _eigh(schedule.P)
+    spreads = _spreads(lam, V, schedule.K_at(np.arange(len(schedule.P))))
     cs = []
     for i, (spread, u_ref) in enumerate(zip(spreads.tolist(), inputs.tolist())):
         try:
             cs.append(shrink_level(spread, cons, u_ref, c0, shrink, c_min))
         except NoTerminalLevel as e:
             raise NoTerminalLevel(f"step {i}: {e}") from None
-    boxes = outer_polyhedron(TerminalEllipsoid(schedule.P, np.array(cs)[:, None]))
-    return [(c, OuterPolyhedron(v)) for c, v in zip(cs, boxes.vertices)]
+    return list(zip(cs, _box(lam, V, np.array(cs)[:, None])))

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import study
-from ltvmpc import cli, terminal_set
+from ltvmpc import cli, qp, terminal_set
 from ltvmpc.mpc import MpcController, condense_qp, horizon_maps
 from ltvmpc.qp import QpSolution, QpSolver, kkt_residuals
+
+from oracles import input_space_min_eig
 
 
 @pytest.fixture
@@ -38,18 +40,23 @@ def map_step_residual(ctl, step, k):
 def shipped(tmp_path_factory):
     """Every shipped output, written once by `study.write` through
     `ltvmpc.cli.main` into `out` as out/<config>/ is, with each command's wall
-    time by config (`seconds`), the level search and vertex check `calls`,
-    and the KKT `residuals` of each optimal solve and each maps step of the
-    `run` and `compare-lqr` commands (a sweep re-runs tracking's scene)."""
+    time by config (`seconds`), the level search, vertex check and convexity
+    test `calls`, and of the `run` and `compare-lqr` commands (a sweep re-runs
+    tracking's scene) the KKT `residuals` of each optimal solve and each maps
+    step, and by config the `input_space_min_eig` of every problem solved
+    (`reduced`)."""
     out = tmp_path_factory.mktemp("shipped")
-    seconds, residuals, calls = {}, [], Counter()
+    seconds, residuals, calls, reduced = {}, [], Counter(), {}
     solve, control_step, main = QpSolver.solve, MpcController.control_step, cli.main
 
-    def certified_solve(self, p, x0=None):
-        sol = solve(self, p, x0)
-        if sol.status == "optimal":
-            residuals.append(sol.kkt_residual)
-        return sol
+    def certified(eigs):
+        def certified_solve(self, p, x0=None):
+            eigs.append(input_space_min_eig(p))
+            sol = solve(self, p, x0)
+            if sol.status == "optimal":
+                residuals.append(sol.kkt_residual)
+            return sol
+        return certified_solve
 
     def certified_step(self, z, k, obstacles=()):
         solved = len(residuals)
@@ -65,19 +72,21 @@ def shipped(tmp_path_factory):
         return wrapper
 
     def timed_main(argv):
+        name = Path(argv[-1]).name
         with pytest.MonkeyPatch.context() as mp:
             if argv[0] != "sweep":
-                mp.setattr(QpSolver, "solve", certified_solve)
+                mp.setattr(QpSolver, "solve", certified(reduced.setdefault(name, [])))
                 mp.setattr(MpcController, "control_step", certified_step)
             t0 = time.perf_counter()
             code = main(argv)
-            seconds[Path(argv[-1]).name] = time.perf_counter() - t0
+            seconds[name] = time.perf_counter() - t0
         return code
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "main", timed_main)
         mp.setattr(terminal_set, "shrink_level", counted(terminal_set.shrink_level))
         mp.setattr(cli, "vertices_feasible", counted(cli.vertices_feasible))
+        mp.setattr(qp, "_reduced_min_eig", counted(qp._reduced_min_eig))
         code = study.write(out)
     return SimpleNamespace(out=out, code=code, seconds=seconds, residuals=residuals,
-                           calls=calls)
+                           calls=calls, reduced=reduced)

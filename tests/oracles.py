@@ -187,6 +187,20 @@ class FreshKktSolver(QpSolver):
         return x, lam, mu, "max_iter"
 
 
+def input_space_min_eig(problem: QpProblem) -> float:
+    """Smallest eigenvalue of H reduced onto the null space of A_eq, in the
+    coordinates of the variables after the first m_eq: with E = A_eq[:, :m_eq]
+    invertible (build_qp's dynamics rows are unit lower block triangular in
+    e(1)..e(N)) and F the rest, x = Z y with Z = [-E^-1 F; I]. For build_qp's
+    H that is the condensed Hessian Gamma' Qbar Gamma + Rbar, never below
+    lambda_min(R); without equality rows it is lambda_min(H)."""
+    m = problem.A_eq.shape[0]
+    E, F = problem.A_eq[:, :m], problem.A_eq[:, m:]
+    Z = np.vstack([-np.linalg.solve(E, F) if m else np.zeros((0, problem.n)),
+                   np.eye(problem.n - m)])
+    return float(np.linalg.eigvalsh(Z.T @ problem.H @ Z).min())
+
+
 def linearize_step(v_r, w_r, T):
     """Error matrices (A, B) of one reference input, entry by entry: the
     per-step formula the vectorized `dynamics.linearize` must match bit for

@@ -197,13 +197,25 @@ def test_sweep_without_section_fails(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_exit_codes_for_bad_invocations(tmp_path, capsys):
+def test_exit_codes_for_bad_invocations(tmp_path, capsys, monkeypatch):
     assert main(["explode", "--config", "x.yaml"]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.yaml")]) == 2
     bad = write_config(tmp_path, "name: x\ntrajectory: {kind: line}\nmpc: {N: 0}\n")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+    # a config that cannot be read: a directory, a file that is not UTF-8
+    latin1 = tmp_path / "latin1.yaml"
+    latin1.write_bytes("name: caf\xe9\ntrajectory: {kind: line}\n".encode("latin-1"))
+    for unreadable in (tmp_path, latin1):
+        assert main(["run", "--config", str(unreadable), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {unreadable}")
+    # an --out that is a file or lies below one is rejected before the scenario runs
+    monkeypatch.setattr(cli, "run_scenario", lambda *a: pytest.fail("the scenario ran"))
+    good = write_config(tmp_path, SHORT_RUN)
+    for out in (good, good / "o", good / "o" / "deeper"):
+        assert main(["run", "--config", str(good), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: --out {out}: {good} is not a directory\n"
     assert main(["dump-figures", "--config", "x.yaml"]) == 2  # `run` writes the one record
     assert "invalid choice: 'dump-figures'" in capsys.readouterr().err
 
@@ -377,6 +389,17 @@ def test_terminal_set_without_a_level_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error: terminal_set: step 0: no level")
+    assert not (tmp_path / "o").exists()
+
+
+def test_terminal_set_with_a_singular_terminal_weight_is_a_config_error(tmp_path, capsys):
+    # Q = 0 is accepted (PSD), but then the DARE's P is singular: no level
+    # set {x' P x <= c} is bounded, so no outer box exists
+    cfg = write_config(tmp_path, SHORT_RUN + "Q_diag: [0.0, 0.0, 0.0]\n")
+    assert main(["terminal-set", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: terminal_set: P must be positive definite (step 0)"]
     assert not (tmp_path / "o").exists()
 
 

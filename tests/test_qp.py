@@ -215,8 +215,7 @@ def test_shape_validation():
         QpProblem(H=np.eye(2), g=np.zeros(2),
                   A_eq=np.zeros((3, 2)), b_eq=np.zeros(3))  # more eq than vars
     with pytest.raises(ValueError):
-        QpSolver().solve(
-            QpProblem(H=-np.eye(2), g=np.zeros(2)))
+        QpProblem(H=-np.eye(2), g=np.zeros(2))  # not PSD: rejected on construction
 
 
 def test_hessian_symmetry_handling():
@@ -230,54 +229,35 @@ def test_hessian_symmetry_handling():
         QpProblem(H=H + np.array([[0.0, 1e-3], [0.0, 0.0]]), g=np.zeros(2))
 
 
-def test_convexity_checked_once_per_shape(monkeypatch):
-    checked = []
-    check = QpSolver._check_problem
-
-    def counting_check(self, p):
-        checked.append((p.n, p.A_eq.shape[0]))
-        return check(self, p)
-
-    monkeypatch.setattr(QpSolver, "_check_problem", counting_check)
-    hard = QpProblem(H=np.eye(2), g=np.ones(2), A_eq=np.ones((1, 2)), b_eq=[1.0])
-    slacked = QpProblem(H=np.eye(3), g=np.ones(3), A_eq=np.ones((1, 3)), b_eq=[1.0])
-    solver = QpSolver()
-    for _ in range(3):  # the hard / slacked alternation of an avoidance scene
-        solver.solve(hard)
-        solver.solve(slacked)
-    assert sorted(checked) == [(2, 1), (3, 1)]
-
-
 def test_nonconvex_problem_of_a_checked_shape_raises():
     # Box rows |x| <= 1: solved as a convex QP, diag(1, -1) would stop at
-    # (-1, 1), while its minimum over the box lies at (-1, -1).
+    # (-1, 1), while its minimum over the box lies at (-1, -1). A solved
+    # problem of the same shape does not exempt it: the test is the
+    # constructor's, made on every problem built from outside the package.
     box = dict(A_in=np.vstack([np.eye(2), -np.eye(2)]), b_in=np.ones(4))
-    solver = QpSolver()
-    solver.solve(QpProblem(H=np.eye(2), g=np.ones(2), **box))
-    with pytest.raises(ValueError):
-        solver.solve(QpProblem(H=np.diag([1.0, -1.0]), g=np.ones(2), **box))
-
-
-def test_nearby_hessian_is_covered_by_the_checked_margin(monkeypatch):
-    checked = []
-    check = QpSolver._check_problem
-    monkeypatch.setattr(QpSolver, "_check_problem",
-                        lambda self, p: checked.append(p.n) or check(self, p))
-    A_eq = np.ones((1, 3))
-    solver = QpSolver()
-    for H in (np.eye(3), np.eye(3) * (1 + 1e-12), np.diag([1.0, 1.0, 3.0])):
-        solver.solve(QpProblem(H=H, g=np.ones(3), A_eq=A_eq, b_eq=[1.0]))
-    # the second H lies within the first check's margin, the third does not
-    assert checked == [3, 3]
-    solver.solve(QpProblem(H=np.eye(3), g=np.ones(3), A_eq=2 * A_eq, b_eq=[1.0]))
-    assert checked == [3, 3, 3]  # a new A_eq is checked again
+    QpSolver().solve(QpProblem(H=np.eye(2), g=np.ones(2), **box))
+    with pytest.raises(ValueError, match="not PSD on the equality null space"):
+        QpProblem(H=np.diag([1.0, -1.0]), g=np.ones(2), **box)
 
 
 def test_nonconvex_problem_of_new_shape_still_raises():
-    solver = QpSolver()
-    solver.solve(QpProblem(H=np.eye(2), g=np.ones(2)))
-    with pytest.raises(ValueError):
-        solver.solve(QpProblem(H=np.diag([1.0, -1.0, 1.0]), g=np.zeros(3)))
+    QpSolver().solve(QpProblem(H=np.eye(2), g=np.ones(2)))
+    with pytest.raises(ValueError, match="not PSD on the equality null space"):
+        QpProblem(H=np.diag([1.0, -1.0, 1.0]), g=np.zeros(3))
+
+
+def test_convexity_is_tested_on_the_equality_null_space_and_skipped_by_builders():
+    # diag(1, -1) is convex on {x2 = 0} and not on {x1 = 0}
+    H = np.diag([1.0, -1.0])
+    QpProblem(H=H, g=np.ones(2), A_eq=[[0.0, 1.0]], b_eq=[0.0])
+    with pytest.raises(ValueError, match="not PSD"):
+        QpProblem(H=H, g=np.ones(2), A_eq=[[1.0, 0.0]], b_eq=[0.0])
+    # the tolerance: lambda_min(Z'HZ) >= -1e-8 passes, below it fails
+    QpProblem(H=np.diag([1.0, -1e-8]), g=np.zeros(2))
+    with pytest.raises(ValueError, match="not PSD"):
+        QpProblem(H=np.diag([1.0, -1.1e-8]), g=np.zeros(2))
+    # a package builder's problem is convex by construction and not tested
+    assert np.array_equal(QpProblem._symmetric(H=H, g=np.ones(2)).H, H)
 
 
 def counting_kkt(monkeypatch):

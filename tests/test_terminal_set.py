@@ -14,9 +14,8 @@ from ltvmpc import terminal_set
 from ltvmpc.dynamics import input_matrix, linearize
 from ltvmpc.riccati import CostMatrices, backward_riccati
 from ltvmpc.sim import TrajectorySpec, build_controller, build_reference
-from ltvmpc.terminal_set import (NoTerminalLevel, OuterPolyhedron, TerminalConstraints,
-                                 TerminalEllipsoid, compute_c_schedule, outer_polyhedron,
-                                 shrink_level, unit_spreads, vertices_feasible)
+from ltvmpc.terminal_set import (NoTerminalLevel, TerminalConstraints, compute_c_schedule,
+                                 outer_box, shrink_level, unit_spreads, vertices_feasible)
 
 from oracles import eigen_box_vertices, shrink_sequence_level, unit_box_corners_pass
 
@@ -57,16 +56,14 @@ def sequence_level(P, cons, K, u_ref, c0=10.0, shrink=1.01):
 
 
 def test_unit_ball_box_is_the_cube():
-    poly = outer_polyhedron(TerminalEllipsoid(np.eye(3), 1.0))
-    got = set(map(tuple, np.round(poly.vertices, 12)))
+    got = set(map(tuple, np.round(outer_box(np.eye(3), 1.0), 12)))
     want = {(sx, sy, sz) for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)
             for sz in (-1.0, 1.0)}
     assert got == want
 
 
 def test_anisotropic_box_semi_axes():
-    poly = outer_polyhedron(TerminalEllipsoid(np.diag([4.0, 1.0, 1.0]), 1.0))
-    spans = np.max(np.abs(poly.vertices), axis=0)
+    spans = np.max(np.abs(outer_box(np.diag([4.0, 1.0, 1.0]), 1.0)), axis=0)
     assert np.allclose(sorted(spans), [0.5, 1.0, 1.0])
 
 
@@ -74,16 +71,15 @@ def test_box_contains_sampled_boundary(rng):
     M = rng.normal(size=(3, 3))
     P = M @ M.T + 0.5 * np.eye(3)
     c = 2.3
-    poly = outer_polyhedron(TerminalEllipsoid(P, c))
-    lam, V = np.linalg.eigh(P)
-    semi = np.sqrt(c / lam)
+    _, V = np.linalg.eigh(P)
+    semi = np.abs(outer_box(P, c) @ V).max(axis=0)  # the box in P's eigenbasis
     X = boundary_samples(P, c, 1000, rng)
     assert np.all(np.abs(X @ V) <= semi[None, :] + 1e-12)
 
 
 def test_vertex_feasibility_cases():
-    cube = OuterPolyhedron(np.array([(sx, sy, sz) for sx in (-1, 1)
-                                     for sy in (-1, 1) for sz in (-1, 1)], dtype=float))
+    cube = np.array([(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
+                    dtype=float)
     K0 = np.zeros((2, 3))
     u0 = np.zeros(2)
     ok = TerminalConstraints(np.full(3, 2.0), np.full(2, 1.0))
@@ -201,9 +197,9 @@ def test_schedule_levels_feasible_and_invariant(rng):
     assert len(levels) == len(sched.P)
     assert [c for c, _ in levels] == [
         sequence_level(sched.P[i], cons, sched.K_at(i), u_refs[i]) for i in range(len(levels))]
-    for i, (c, poly) in enumerate(levels):
+    for i, (c, box) in enumerate(levels):
         assert 0 < c <= 10.0
-        assert vertices_feasible(poly, cons, sched.K_at(i), u_refs[i])
+        assert vertices_feasible(box, cons, sched.K_at(i), u_refs[i])
 
     # one-step invariance: boundary points of level i map into level c(i)
     # measured with the next step's cost matrix
@@ -220,14 +216,25 @@ def test_shipped_schedule_equals_per_level_route_bit_for_bit(shipped_search):
     sched, cons, u_refs, spec = shipped_search
     levels = compute_c_schedule(sched, cons, u_refs, c0=spec.c0, shrink=spec.shrink)
     assert len(levels) == len(sched.P) == 611
-    for i, (c, poly) in enumerate(levels):
+    for i, (c, box) in enumerate(levels):
         feasible = unit_box_corners_pass(sched.P[i], cons.e_max, cons.u_max, sched.K_at(i),
                                          u_refs[i])
         want = shrink_sequence_level(spec.c0, spec.shrink, feasible)
         assert c == want
-        box = outer_polyhedron(TerminalEllipsoid(sched.P[i], want)).vertices
-        assert np.array_equal(poly.vertices, box)
+        assert np.array_equal(box, outer_box(sched.P[i], want))
         assert np.array_equal(box, eigen_box_vertices(sched.P[i], want))
+    cs, boxes = zip(*levels)
+    assert np.array_equal(outer_box(sched.P, cs), boxes)
+
+
+def test_outer_box_rejects_a_p_that_is_not_positive_definite_and_a_level_not_above_zero():
+    with pytest.raises(ValueError, match="positive definite"):
+        outer_box(np.diag([1.0, 0.0, 1.0]), 1.0)
+    with pytest.raises(ValueError, match=r"positive definite \(step 1\)"):
+        outer_box(np.stack([np.eye(3), -np.eye(3)]), [1.0, 1.0])
+    for c in (0.0, -1.0):
+        with pytest.raises(ValueError, match="level c must be positive"):
+            outer_box(np.eye(3), c)
 
 
 def test_level_search_does_not_depend_on_cache_order(shipped_search):
@@ -257,8 +264,8 @@ def test_unit_spreads_of_the_stack_equal_one_p_at_a_time(shipped_search):
     assert stacked.shape == (611, 5)
     one = np.array([unit_spreads(sched.P[i], sched.K_at(i)) for i in steps])
     assert np.array_equal(stacked, one)
-    # the unit box at c = 1 is the box outer_polyhedron builds at level 1
-    box = outer_polyhedron(TerminalEllipsoid(sched.P[7], 1.0)).vertices
+    # the unit box at c = 1 is the box outer_box builds at level 1
+    box = outer_box(sched.P[7], 1.0)
     want = np.abs(np.hstack([box, box @ sched.K_at(7).T])).max(axis=0)
     assert np.array_equal(stacked[7], want)
 
