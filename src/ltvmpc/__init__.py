@@ -8,7 +8,7 @@ controller), sim (scenario engine + metrics), figures (CSV tables beside the
 log), cli (batch front end).
 """
 
-from .avoidance import (HalfPlane, Obstacle, VoCone, state_space_halfplane, tangent_halfplane,
+from .avoidance import (HalfPlane, VoCone, state_space_halfplane, tangent_halfplane,
                         velocity_constraint_row, velocity_obstacle)
 from .dynamics import (Reference, RobotState, derive_reference, input_matrix,
                        linearize, roll_reference, step_discrete, to_error_frame, wrap_angle)
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CostMatrices", "HalfPlane",
-    "Metrics", "MpcConfig", "MpcController", "MpcStep", "NoTerminalLevel", "Obstacle",
+    "Metrics", "MpcConfig", "MpcController", "MpcStep", "NoTerminalLevel",
     "ObstacleSpec", "QpProblem", "QpSolution", "QpSolver",
     "Reference", "RobotState", "Scenario", "SimLog",
     "TerminalConstraints", "TerminalSchedule",

@@ -19,33 +19,19 @@ Both emit one float block of shape (N, 5N + 1) per obstacle: N rows over
 the MPC's stacked decision vector [e(1) ... e(N), u_b(0) ... u_b(N-1)], each
 row's right-hand side in the last column. Row j acts on one variable pair of
 horizon step j, the position part of e(j+1) for the half-planes and u_b(j)
-for the velocity rows; this module alone decides which.
+for the velocity rows; this module alone decides which. An obstacle enters
+as its center, radius and velocity: step k's rows of the simulator's
+obstacle tracks, checked at load (a negative radius still raises here).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 HYSTERESIS_RAD = math.radians(5.0)
-
-
-@dataclass(frozen=True)
-class Obstacle:
-    """Disc obstacle snapshot: center, radius, current velocity vector."""
-
-    position: np.ndarray
-    radius: float
-    velocity: np.ndarray = field(default_factory=lambda: np.zeros(2))
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float).reshape(2))
-        object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float).reshape(2))
-        if self.radius < 0:
-            raise ValueError("radius must be >= 0")
 
 
 class HalfPlane(NamedTuple):
@@ -85,7 +71,7 @@ def _stacked_rows(first: int, stride: int, pairs, rhs) -> np.ndarray:
 # -- method 1: state-space half-planes ----------------------------------------
 
 
-def state_space_halfplane(p_robot, obstacle: Obstacle, theta_s: float, r_safe: float,
+def state_space_halfplane(p_robot, center, theta_s: float, r_safe: float,
                           ref_heading: float, prev_side: int = 0):
     """Separating half-plane n . x <= a for the robot's position.
 
@@ -99,7 +85,7 @@ def state_space_halfplane(p_robot, obstacle: Obstacle, theta_s: float, r_safe: f
     obstacle.
     """
     p_robot = np.asarray(p_robot, dtype=float).reshape(2)
-    d = obstacle.position - p_robot
+    d = center - p_robot
     dist = float(np.linalg.norm(d))
     if dist == 0.0:
         raise ValueError("robot and obstacle centers coincide")
@@ -114,7 +100,7 @@ def state_space_halfplane(p_robot, obstacle: Obstacle, theta_s: float, r_safe: f
     else:
         side = 1 if ang >= 0.0 else -1
     n = _rot(side * theta_s) @ d_hat
-    a = float(n @ obstacle.position) - r_safe
+    a = float(n @ center) - r_safe
     return HalfPlane(n, a, "le"), side
 
 
@@ -140,24 +126,27 @@ def position_rows(hp: HalfPlane, ref, k: int, N: int):
 # -- method 2: velocity obstacles ----------------------------------------------
 
 
-def velocity_obstacle(p_robot, r_robot: float, obstacle: Obstacle) -> VoCone:
-    """Cone of robot velocities that hit the obstacle at some time t > 0.
+def velocity_obstacle(p_robot, r_robot: float, center, radius: float, velocity) -> VoCone:
+    """Cone of robot velocities that hit the obstacle, a disc of the given
+    center (2,), radius and velocity (2,), at some time t > 0.
 
     The union of the discs D((p_j - p_i)/t + v_j, (r_i + r_j)/t) over all
     t > 0 is the cone with apex v_j, axis toward the obstacle, half-angle
-    asin((r_i + r_j)/dist). Raises ValueError when the discs already
-    overlap (dist <= r_i + r_j). The axis d / dist is divided by its own norm
-    once more, which moves its last bits in about a third of directions; the
-    shipped outputs depend on those bits.
+    asin((r_i + r_j)/dist). Raises ValueError for a negative radius, or when
+    the discs already overlap (dist <= r_i + r_j). The axis d / dist is
+    divided by its own norm once more, which moves its last bits in about a
+    third of directions; the shipped outputs depend on those bits.
     """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     p_robot = np.asarray(p_robot, dtype=float).reshape(2)
-    d = obstacle.position - p_robot
+    d = center - p_robot
     dist = float(np.linalg.norm(d))
-    r_sum = r_robot + obstacle.radius
+    r_sum = r_robot + radius
     if dist <= r_sum:
         raise ValueError("already in collision: center distance <= combined radius")
     axis = d / dist
-    return VoCone(obstacle.velocity, axis / float(np.linalg.norm(axis)),
+    return VoCone(velocity, axis / float(np.linalg.norm(axis)),
                   math.asin(r_sum / dist))
 
 

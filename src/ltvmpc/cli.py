@@ -13,7 +13,8 @@ reproduces the CSV outputs byte for byte.
 Exit codes: 0 success, 1 scenario halted on unrecoverable infeasibility or
 a terminal-set level whose outer box fails the vertex check (the table and
 manifest are still written), 2 config/usage error: an unreadable config, an
---out that is or lies below a file, a terminal-set config whose P is not
+--out that is or lies below a file, a terminal schedule that is not
+stabilizing (riccati.DareError), a terminal-set config whose P is not
 positive definite or admits no level at some step.
 """
 
@@ -24,6 +25,7 @@ import dataclasses
 import datetime
 import json
 import math
+import re
 import sys
 import typing
 from pathlib import Path
@@ -34,6 +36,7 @@ import yaml
 from . import __version__, figures
 from .avoidance import velocity_debug_csv
 from .mpc import MpcConfig
+from .riccati import DareError
 from .sim import (Config, Scenario, SweepSpec, TerminalSetSpec, build_controller,
                   compute_metrics, lqr_comparison, run_scenario, sweep, write_log_csv)
 from .terminal_set import TerminalConstraints, compute_c_schedule, vertices_feasible
@@ -149,10 +152,22 @@ def config_to_dict(config: Config) -> dict:
             **{key: _to_dict(spec) for key, spec in sections.items() if spec is not None}}
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader with YAML 1.2's booleans: only true and false
+    (as true, True, TRUE, ...), so `off`, `on`, `yes` and `no` stay strings."""
+
+
+_Loader.yaml_implicit_resolvers = {
+    first: [(tag, regexp) for tag, regexp in resolvers if tag != "tag:yaml.org,2002:bool"]
+    for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()}
+_Loader.add_implicit_resolver("tag:yaml.org,2002:bool",
+                              re.compile(r"^(?:true|True|TRUE|false|False|FALSE)$"), "tTfF")
+
+
 def parse_config(text: str) -> Config:
     """Strictly-validated YAML config -> Config."""
     try:
-        return config_from_dict(yaml.safe_load(text))
+        return config_from_dict(yaml.load(text, Loader=_Loader))
     except yaml.YAMLError as e:
         raise ConfigError(f"parse error: {e}") from e
 
@@ -339,7 +354,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else int(e.code or 0)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, DareError) as e:  # DareError: the config's schedule is not stabilizing
         print(f"config error: {e}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ from .sim import Scenario, SimLog, _column_table, _table, obstacle_tracks
 
 
 def obstacle_paths_csv(scn: Scenario, n_steps: int = None, tracks=None) -> str:
-    """Obstacle disc positions over the first n_steps steps (all by default),
+    """The obstacle discs' positions over the first n_steps steps (all by default),
     one row per step and obstacle, read from `tracks` (built by
     `sim.obstacle_tracks` when not given)."""
     positions, _, radii = obstacle_tracks(scn) if tracks is None else tracks

@@ -17,12 +17,14 @@ once, it is the optimum. Otherwise it solves the condensed QP over the 2N
 inputs (`condense_qp`: the dynamics are eliminated, e = Phi e(0) + Gamma u_b).
 An avoidance controller solves the stacked QP over [e(1) ... e(N),
 u_b(0) ... u_b(N-1)] (`build_qp`, 5N entries, the dynamics as equality
-rows). Both go to the same active-set solver. Obstacle rows arrive as
-(N, 5N + 1) blocks over that stacked vector, the right-hand side last, one
-block per obstacle; `avoidance` decides which columns a row acts on, and
-`build_qp` appends the rows as they are. If they make the QP infeasible,
-the solve is repeated once with a shared nonnegative slack on the avoidance
-rows only (quadratic penalty); input bounds and dynamics stay hard.
+rows). Both go to the same active-set solver as built (`QpProblem._symmetric`;
+Q, R and P enter exactly symmetric). Step k's rows of the obstacle tracks,
+checked at load, give one (N, 5N + 1) row block per obstacle in range over
+the stacked vector, the right-hand side last; `avoidance` decides which
+columns a row acts on, and `build_qp` appends the rows as they are. If they
+make the QP infeasible, the solve is repeated once with a shared
+nonnegative slack on the avoidance rows only (quadratic penalty); input
+bounds and dynamics stay hard.
 """
 
 from __future__ import annotations
@@ -135,8 +137,8 @@ def _stacked_template(N: int, Q: bytes, R: bytes, B: bytes):
     Q (3, 3) and R (2, 2) and the input matrix B (3, 2), keyed by their
     float64 bytes: H with Q on e(1)..e(N-1) and R on every u_b(j); A_eq with
     the dynamics rows' identity blocks on e(1)..e(N) and -B on every u_b(j);
-    the flat A_eq positions of the blocks -A_j on e(j), j = 1..N-1, in
-    order; and whether Q and R are exactly symmetric."""
+    and the flat A_eq positions of the blocks -A_j on e(j), j = 1..N-1, in
+    order."""
     Q, R, B = (np.frombuffer(b).reshape(shape)
                for b, shape in ((Q, (3, 3)), (R, (2, 2)), (B, (3, 2))))
     j = np.arange(N)
@@ -153,7 +155,7 @@ def _stacked_template(N: int, Q: bytes, R: bytes, B: bytes):
     models = (e_row[1:] * 5 * N + e_col[:-1]).ravel()
     for a in (H, A_eq, models):
         a.flags.writeable = False
-    return H, A_eq, models, bool((Q == Q.T).all() and (R == R.T).all())
+    return H, A_eq, models
 
 
 def condense_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
@@ -188,7 +190,8 @@ def condense_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
     j = np.arange(N)
     H.reshape(N, 2, N, 2)[j, :, j, :] += costs.R
     A_in, b_in = _input_rows(ref.inputs[steps], cfg, 2 * N, 0)
-    problem = QpProblem._symmetric(H=0.5 * (H + H.T), g=HG[:-1, -1], A_in=A_in, b_in=b_in)
+    problem = QpProblem._symmetric(0.5 * (H + H.T), HG[:-1, -1], np.zeros((0, 2 * N)),
+                                   np.zeros(0), A_in, b_in)
     return problem, M[:, -1], M[:, :-1]
 
 
@@ -246,12 +249,11 @@ def build_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
     e0 = np.asarray(e0, dtype=float).reshape(3)
     steps = ref.clamp(np.arange(k, k + N))
     A = A[steps]
-    H, A_eq, models, symmetric = _stacked_template(
+    H, A_eq, models = _stacked_template(
         N, costs.Q.tobytes(), costs.R.tobytes(), np.asarray(B, dtype=float).tobytes())
 
     H = H.copy()
-    terminal = cfg.beta * schedule.P_at(k + N)
-    H[3 * (N - 1): 3 * N, 3 * (N - 1): 3 * N] = terminal
+    H[3 * (N - 1): 3 * N, 3 * (N - 1): 3 * N] = cfg.beta * schedule.P_at(k + N)
     g = np.zeros(n)
 
     A_eq = A_eq.copy()
@@ -263,10 +265,7 @@ def build_qp(e0, k: int, ref: Reference, A, B, schedule, costs: CostMatrices,
     avoid = np.asarray(avoid, dtype=float).reshape(len(avoid), n + 1)
     A_in = np.concatenate([bound_rows, avoid[:, :-1]])
     b_in = np.concatenate([bounds, avoid[:, -1]])
-    # H is exactly symmetric when its blocks are; the constructor tests the rest
-    symmetric = symmetric and (terminal == terminal.T).all()
-    return (QpProblem._symmetric if symmetric else QpProblem)(
-        H=H, g=g, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in)
+    return QpProblem._symmetric(H, g, A_eq, b_eq, A_in, b_in)
 
 
 def _with_shared_slack(p: QpProblem, n_avoid: int, weight: float) -> QpProblem:
@@ -284,7 +283,7 @@ def _with_shared_slack(p: QpProblem, n_avoid: int, weight: float) -> QpProblem:
     nonneg[0, n] = -1.0
     A_in = np.vstack([A_in, nonneg])
     b_in = np.concatenate([p.b_in, [0.0]])
-    return QpProblem._symmetric(H=H, g=g, A_eq=A_eq, b_eq=p.b_eq, A_in=A_in, b_in=b_in)
+    return QpProblem._symmetric(H, g, A_eq, p.b_eq, A_in, b_in)
 
 
 class MpcController:
@@ -307,14 +306,14 @@ class MpcController:
     (`build_qp`) started from `_rollout_start`, the prediction under u_b = 0,
     and falls back to the shared slack when the avoidance rows make it
     infeasible. Those rows are the `avoidance` blocks, (N, 5N + 1) each, of
-    the obstacles within d_activate, concatenated in list order; the mode
+    the obstacles within d_activate, concatenated in track order; the mode
     picks the row builder, and `build_qp` appends the rows without reading it.
 
     Holds the QP solver, the bound arrays, the latest block of horizon maps,
     the previous plan's heading errors (velocity-space only, used to
     linearize its rows) and the per-obstacle side memory used by the
     state-space avoidance hysteresis (obstacles are identified by their
-    position in the list passed to control_step, which the simulator keeps
+    row in the arrays passed to control_step, which the simulator keeps
     stable). No previous solution is reused.
     """
 
@@ -346,22 +345,22 @@ class MpcController:
         i = self.ref.clamp(k)
         theta_ref, v_ref = self.ref.poses[i, 2], self.ref.inputs[i, 0]
         nearest = math.inf
-        for idx, obs in enumerate(obstacles):
-            dist = float(np.linalg.norm(obs.position - p_robot))
+        for idx, (center, velocity, radius) in enumerate(zip(*obstacles)):
+            dist = float(np.linalg.norm(center - p_robot))
             if dist > cfg.d_activate:
                 continue
             if cfg.avoidance == "state_space":
                 hp, side = av.state_space_halfplane(
-                    p_robot, obs, math.radians(cfg.theta_s_deg), cfg.r_safe,
+                    p_robot, center, math.radians(cfg.theta_s_deg), cfg.r_safe,
                     ref_heading=theta_ref,
                     prev_side=self._sides.get(idx, 0),
                 )
                 self._sides[idx] = side
                 blocks.append(av.position_rows(hp, self.ref, k, cfg.N))
             else:  # velocity_space
-                if dist <= cfg.robot_radius + obs.radius:
+                if dist <= cfg.robot_radius + radius:
                     continue  # already overlapping; no cone exists, leave it to the log
-                cone = av.velocity_obstacle(p_robot, cfg.robot_radius, obs)
+                cone = av.velocity_obstacle(p_robot, cfg.robot_radius, center, radius, velocity)
                 u_pref = v_ref * np.array([math.cos(theta_ref), math.sin(theta_ref)])
                 hp = av.tangent_halfplane(cone, u_pref)
                 vrows = av.velocity_rows(hp, self.ref, k, cfg.N,
@@ -391,7 +390,8 @@ class MpcController:
 
     # -- main steps -----------------------------------------------------------
 
-    def control_step(self, z, k: int, obstacles=()) -> MpcStep:
+    def control_step(self, z, k: int, obstacles=((), (), ())) -> MpcStep:
+        """obstacles: step k's rows of `sim.obstacle_tracks` (centers, velocities, radii)."""
         cfg = self.cfg
         N = cfg.N
         i = self.ref.clamp(k)

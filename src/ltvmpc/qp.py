@@ -11,9 +11,10 @@ algorithm. Correctness is always judged by the returned KKT residuals, never
 by the solver's internal state; a solution computes its residual from the
 problem it solves on first read, which no control step does.
 
-A problem is checked once, where it enters: the QpProblem constructor tests
-that H is symmetric and PSD on the null space of A_eq, and the package's
-builders, whose H is both by construction, skip it (`QpProblem._symmetric`).
+A problem is checked once, where it enters: the QpProblem constructor
+converts its blocks, tests their shapes, and tests that H is symmetric and
+PSD on the null space of A_eq. The package's builders meet all of that by
+construction, so their problems are stored as built (`QpProblem._symmetric`).
 
 Every product keeps its exact operand rows: BLAS sums a row's terms in an
 order set by the row's place in its block, and with OpenBLAS 0.3.31
@@ -42,26 +43,16 @@ INFEAS_TOL = 1e-7  # phase-1 slack above this certifies infeasibility
 PHASE1_PASSES = 64  # cap on phase-1 re-anchoring passes
 
 
-def _floats(v, ndim: int):
-    """v as a float64 array, flattened if ndim is 1; v itself if it is one of ndim dimensions."""
-    if type(v) is np.ndarray and v.dtype == np.float64 and v.ndim == ndim:
-        return v
-    v = np.asarray(v, dtype=float)
-    return v.reshape(-1) if ndim == 1 else v
-
-
-def _as_2d(M, n_cols):
-    M = np.zeros((0, n_cols)) if M is None else _floats(M, 2)
-    if M.ndim != 2 or M.shape[1] != n_cols:
-        raise ValueError(f"constraint matrix must have {n_cols} columns")
-    return M
-
-
-def _as_1d(v, n):
-    v = np.zeros(0) if v is None else _floats(v, 1)
-    if v.shape[0] != n:
-        raise ValueError("constraint vector length mismatch")
-    return v
+def _symmetrized(name: str, M: np.ndarray) -> np.ndarray:
+    """M (..., n, n) if it is exactly symmetric, else 0.5 (M + M'); ValueError
+    if M is more than 1e-10 off symmetric. QpProblem rules so for H, and
+    `riccati` for the weights and the terminal schedule."""
+    Mt = M.swapaxes(-1, -2)
+    if (M == Mt).all():
+        return M
+    if not np.allclose(M, Mt, atol=1e-10):
+        raise ValueError(f"{name} must be symmetric (within 1e-10)")
+    return 0.5 * (M + Mt)
 
 
 @dataclass(frozen=True)
@@ -76,34 +67,23 @@ class QpProblem:
     b_in: np.ndarray = None
 
     def __post_init__(self):
-        self._store(self.H, self.g, self.A_eq, self.b_eq, self.A_in, self.b_in, True)
-
-    @classmethod
-    def _symmetric(cls, H, g, A_eq=None, b_eq=None, A_in=None, b_in=None):
-        """A problem from one of this package's builders, whose H is symmetric
-        and, R being positive definite, convex on the null space of A_eq by
-        construction: the constructor's checks without those two tests."""
-        p = object.__new__(cls)
-        p._store(H, g, A_eq, b_eq, A_in, b_in, False)
-        return p
-
-    def _store(self, H, g, A_eq, b_eq, A_in, b_in, check: bool):
-        H = _floats(H, 2)
-        g = _floats(g, 1)
+        H = np.asarray(self.H, dtype=float)
+        g = np.asarray(self.g, dtype=float).reshape(-1)
         n = g.shape[0]
         if H.shape != (n, n):
             raise ValueError("H must be n x n matching g")
-        if check and not (H == H.T).all():
-            if not np.allclose(H, H.T, atol=1e-10):
-                raise ValueError("H must be symmetric (within 1e-10)")
-            H = 0.5 * (H + H.T)
-        A_eq = _as_2d(A_eq, n)
-        A_in = _as_2d(A_in, n)
-        b_eq = _as_1d(b_eq, A_eq.shape[0])
-        b_in = _as_1d(b_in, A_in.shape[0])
+        H = _symmetrized("H", H)
+        A_eq = np.zeros((0, n)) if self.A_eq is None else np.asarray(self.A_eq, dtype=float)
+        A_in = np.zeros((0, n)) if self.A_in is None else np.asarray(self.A_in, dtype=float)
+        if A_eq.ndim != 2 or A_in.ndim != 2 or A_eq.shape[1] != n or A_in.shape[1] != n:
+            raise ValueError(f"constraint matrix must have {n} columns")
+        b_eq = np.zeros(0) if self.b_eq is None else np.asarray(self.b_eq, dtype=float).ravel()
+        b_in = np.zeros(0) if self.b_in is None else np.asarray(self.b_in, dtype=float).ravel()
+        if b_eq.shape[0] != A_eq.shape[0] or b_in.shape[0] != A_in.shape[0]:
+            raise ValueError("constraint vector length mismatch")
         if A_eq.shape[0] > n:
             raise ValueError("more equality rows than variables")
-        if check and _reduced_min_eig(H, A_eq) < -1e-8:
+        if _reduced_min_eig(H, A_eq) < -1e-8:
             raise ValueError("H is not PSD on the equality null space")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "g", g)
@@ -111,6 +91,20 @@ class QpProblem:
         object.__setattr__(self, "b_eq", b_eq)
         object.__setattr__(self, "A_in", A_in)
         object.__setattr__(self, "b_in", b_in)
+
+    @classmethod
+    def _symmetric(cls, H, g, A_eq, b_eq, A_in, b_in):
+        """A builder's problem stored as built, unchecked: float64 blocks of
+        matching shapes, H exactly symmetric and, R being positive definite,
+        convex on the null space of A_eq by construction."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "H", H)
+        object.__setattr__(p, "g", g)
+        object.__setattr__(p, "A_eq", A_eq)
+        object.__setattr__(p, "b_eq", b_eq)
+        object.__setattr__(p, "A_in", A_in)
+        object.__setattr__(p, "b_in", b_in)
+        return p
 
     @property
     def n(self) -> int:

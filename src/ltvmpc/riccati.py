@@ -43,10 +43,15 @@ import numpy as np
 # floats to np.linalg.solve's.
 from numpy.linalg._umath_linalg import solve as _gesv
 
+from .qp import _symmetrized
+
+STABLE_RADIUS = 1.0 - 1e-9  # a closed-loop eigenvalue of this modulus or more is unstable
+
 
 @dataclass(frozen=True)
 class CostMatrices:
-    """Symmetric state weight Q (PSD) and input weight R (PD), validated."""
+    """State weight Q (PSD) and input weight R (PD), validated, each within
+    1e-10 of symmetric and stored exactly symmetric (`_symmetrized`)."""
 
     Q: np.ndarray
     R: np.ndarray
@@ -57,8 +62,7 @@ class CostMatrices:
         for name, M in (("Q", Q), ("R", R)):
             if M.ndim != 2 or M.shape[0] != M.shape[1]:
                 raise ValueError(f"{name} must be square")
-            if not np.allclose(M, M.T, atol=1e-10):
-                raise ValueError(f"{name} must be symmetric")
+        Q, R = _symmetrized("Q", Q), _symmetrized("R", R)
         if np.min(np.linalg.eigvalsh(Q)) < -1e-10:
             raise ValueError("Q must be positive semidefinite")
         if np.min(np.linalg.eigvalsh(R)) <= 1e-12:
@@ -70,10 +74,13 @@ class CostMatrices:
 @dataclass(frozen=True)
 class TerminalSchedule:
     """Backward-recursion output: P (L, n, n) for steps 0..L-1 and gains
-    K (L-1, m, n) for steps 0..L-2."""
+    K (L-1, m, n) for steps 0..L-2; P is stored exactly symmetric (`_symmetrized`)."""
 
     P: np.ndarray
     K: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "P", _symmetrized("P", self.P))
 
     def __len__(self) -> int:
         return len(self.P)
@@ -129,7 +136,8 @@ def solve_dare(A, B, Q, R, tol: float = 1e-10, max_iter: int = 100_000, P0=None)
 
 
 class DareError(ValueError):
-    """A frozen DARE without a stabilizing solution; `models` indexes the stack."""
+    """A frozen DARE without a stabilizing solution; `models` indexes the
+    stack (the steps, when `backward_riccati` raises it)."""
 
     def __init__(self, message: str, models: np.ndarray):
         super().__init__(message)
@@ -199,10 +207,13 @@ def backward_riccati(A, B, costs: CostMatrices) -> TerminalSchedule:
     equals the next step's bit for bit and the step before it has the same
     A_K and Q_K bit for bit, every step of that stretch of equal closed-loop
     terms takes that P, and the recursion resumes before the stretch. Raises
-    ValueError naming the step, before any Riccati map, when the last model
+    DareError naming the step, before any Riccati map, when the last model
     is not stabilizable (a standstill, say) or a changed model has no
     stabilizing DARE solution; every other step shares its model with a
-    later one of those.
+    later one of those. It raises DareError naming the first steps, before
+    the P recursion, when a step's frozen closed loop A + B K is not stable
+    (`_unstable_steps`): a DARE solution that is not stabilizing, such as
+    P = 0 from Q = 0.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -211,8 +222,8 @@ def backward_riccati(A, B, costs: CostMatrices) -> TerminalSchedule:
         raise ValueError("backward_riccati needs at least one model")
     Q, R = costs.Q, costs.R
     if not stabilizable(A[-1], B):
-        raise ValueError(f"unstabilizable model at step(s) [{L - 1}]: "
-                         "no stabilizing frozen DARE solution")
+        raise DareError(f"unstabilizable model at step(s) [{L - 1}]: "
+                        "no stabilizing frozen DARE solution", np.array([L - 1]))
 
     # Frozen DARE solution per step: the changed steps by doubling, the last
     # step from Q, then each run backward from its last step until the chain
@@ -223,8 +234,8 @@ def backward_riccati(A, B, costs: CostMatrices) -> TerminalSchedule:
         try:
             dare[changed] = doubling_dare(A[changed], B, Q, R)
         except DareError as exc:
-            raise ValueError(f"no stabilizing frozen DARE solution at step(s) "
-                             f"{changed[exc.models].tolist()}") from exc
+            raise DareError(f"no stabilizing frozen DARE solution at step(s) "
+                            f"{changed[exc.models].tolist()}", changed[exc.models]) from exc
     dare[L - 1] = solve_dare(A[L - 1], B, Q, R)
     heads = np.append(changed, L - 1)
     for first, head in zip(np.append(0, heads[:-1] + 1).tolist(), heads.tolist()):
@@ -236,6 +247,11 @@ def backward_riccati(A, B, costs: CostMatrices) -> TerminalSchedule:
 
     K = lqr_gain(A[:-1], B, dare[:-1], R)
     A_K = A[:-1] + B @ K
+    unstable = _unstable_steps(A_K)
+    if unstable.size:
+        raise DareError(f"no stabilizing frozen DARE solution at {unstable.size} step(s), first "
+                        f"{unstable[:5].tolist()}: A + B K has an eigenvalue of modulus >= 1",
+                        unstable)
     Q_K = Q + K.swapaxes(-1, -2) @ R @ K
     # first step of each stretch of equal closed-loop terms (A_K, Q_K)
     new = np.any((A_K[1:] != A_K[:-1]) | (Q_K[1:] != Q_K[:-1]), axis=(1, 2))
@@ -252,6 +268,29 @@ def backward_riccati(A, B, costs: CostMatrices) -> TerminalSchedule:
             i = s
         i -= 1
     return TerminalSchedule(P, K)
+
+
+def _unstable_steps(A_K) -> np.ndarray:
+    """Indices of the matrices of a stack A_K (L, n, n) with an eigenvalue of
+    modulus at least STABLE_RADIUS. For n <= 3, by the Jury conditions on the
+    characteristic polynomial z^3 + a2 z^2 + a1 z + a0 of A_K / STABLE_RADIUS,
+    padded to 3 x 3 with zeros (zero eigenvalues): every root lies strictly
+    inside the unit circle iff 1 + a2 + a1 + a0 > 0, 1 - a2 + a1 - a0 > 0 and
+    1 - a0^2 > |a0 a2 - a1| (which implies |a0| < 1). These are products of
+    (L,) arrays, far cheaper than a stacked eigvals, which serves a larger n."""
+    L, n, _ = A_K.shape
+    if n > 3:
+        return np.flatnonzero(np.abs(np.linalg.eigvals(A_K)).max(axis=-1) >= STABLE_RADIUS)
+    M = np.zeros((L, 3, 3))
+    M[:, :n, :n] = A_K / STABLE_RADIUS
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M.transpose(1, 2, 0)
+    minor = m11 * m22 - m12 * m21
+    a2 = -(m00 + m11 + m22)
+    a1 = minor + m00 * m22 - m02 * m20 + m00 * m11 - m01 * m10
+    a0 = -(m00 * minor - m01 * (m10 * m22 - m12 * m20) + m02 * (m10 * m21 - m11 * m20))
+    stable = ((1 + a2 + a1 + a0 > 0) & (1 - a2 + a1 - a0 > 0)
+              & (1 - a0 * a0 > abs(a0 * a2 - a1)))
+    return np.flatnonzero(~stable)
 
 
 def closed_loop_step(P, A_K, Q_K):

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .avoidance import Obstacle
 from .dynamics import (Reference, RobotState, derive_reference, input_matrix, linearize,
                        roll_reference, step_discrete)
 from .mpc import MpcConfig, MpcController
@@ -204,7 +203,8 @@ class TerminalSetSpec:
 class Config:
     """One config file: the scenario (its fields are the top-level keys) and
     the optional `sweep` and `terminal_set` sections. Every sweep value is
-    checked by building the scenario its run would use."""
+    checked by building the scenario its run would use, and a sweep needs
+    at least one step, since it compares its runs by their metrics."""
 
     scenario: Scenario
     sweep: SweepSpec = None
@@ -217,6 +217,8 @@ class Config:
             raise ValueError("sweep.param must be 'N' or 'beta'")
         if not self.sweep.values:
             raise ValueError("sweep.values must be a non-empty list")
+        if self.scenario.duration < 1:
+            raise ValueError("a sweep needs duration >= 1: it compares its runs by their metrics")
         for value in self.sweep.values:
             try:
                 sweep_scenario(self.scenario, self.sweep.param, value)
@@ -259,7 +261,7 @@ class Metrics:
 
 
 def obstacle_tracks(scn: Scenario):
-    """Obstacle positions and velocities over the run, each (duration, m, 2),
+    """The obstacles' positions and velocities over the run, each (duration, m, 2),
     and radii (m,). Obstacles never react to the robot, so their paths are
     fixed: a static disc stays put, a linear one is at p0 + v (kT), and a
     unicycle is on its rolled reference, where its open-loop feed-forward
@@ -307,15 +309,14 @@ def run_scenario(scn: Scenario) -> SimLog:
     z = RobotState(*(ref.poses[0] if scn.initial_state is None else scn.initial_state))
     closest, debug = math.inf, None
     for k in range(scn.duration):
-        obstacles = [Obstacle(*o) for o in zip(positions[k], radii, velocities[k])]
         if scn.controller == "lqr":
             step = controller.lqr_control_step(z, k)
         else:
-            step = controller.control_step(z, k, obstacles)
+            step = controller.control_step(z, k, (positions[k], velocities[k], radii))
         p = np.array([z.x, z.y])
         min_dist = math.inf
-        for o in obstacles:
-            min_dist = min(min_dist, float(np.linalg.norm(o.position - p)))
+        for center in positions[k]:
+            min_dist = min(min_dist, float(np.linalg.norm(center - p)))
         if min_dist < closest:  # the first step on a tie, as the log's argmin
             closest, debug = min_dist, controller.last_debug
         rows[k] = (k, k * T, z.x, z.y, z.theta, *ref.poses[k], *step.predicted_errors[0],

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ltvmpc.avoidance import (tangent_halfplane, velocity_constraint_row,
-                              velocity_debug_csv, velocity_obstacle, Obstacle)
+                              velocity_debug_csv, velocity_obstacle)
 from ltvmpc.cli import load_config, main
 from ltvmpc.dynamics import (OMEGA_EPS, RobotState, input_matrix,
                              linearize, step_discrete, wrap_angle)
@@ -284,7 +284,7 @@ def test_a13_velocity_rows_match_derivatives_and_exclude_cone(rng):
         assert abs(cw + dfw) <= 1e-6
 
     d = np.array([2.0, 0.0])
-    cone = velocity_obstacle((0.0, 0.0), 0.5, Obstacle(d, 0.5, (0.1, -0.2)))
+    cone = velocity_obstacle((0.0, 0.0), 0.5, d, 0.5, np.array([0.1, -0.2]))
     hp = tangent_halfplane(cone, (1.0, 0.4))
 
     def rotate(phi):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ltvmpc.avoidance import (HalfPlane, Obstacle, VoCone, position_rows,
+from ltvmpc.avoidance import (HalfPlane, VoCone, position_rows,
                               state_space_halfplane, tangent_halfplane,
                               velocity_constraint_row, velocity_debug_csv,
                               velocity_obstacle, velocity_rows)
@@ -26,7 +26,7 @@ def _rot(phi):
 
 def test_head_on_plane_points_at_obstacle():
     hp, side = state_space_halfplane(
-        (0.0, 0.0), Obstacle((2.0, 0.0), 0.3), theta_s=0.0, r_safe=0.5,
+        (0.0, 0.0), np.array([2.0, 0.0]), theta_s=0.0, r_safe=0.5,
         ref_heading=0.0)
     assert np.allclose(hp.n, [1.0, 0.0])
     assert hp.a == pytest.approx(1.5)
@@ -42,9 +42,9 @@ def test_mirrored_obstacle_mirrors_the_plane(rng):
             continue
         theta_s = rng.uniform(0, math.radians(80))
         hp_u, side_u = state_space_halfplane(
-            (0, 0), Obstacle(p_obs, 0.3), theta_s, 0.4, ref_heading=0.0)
+            (0, 0), p_obs, theta_s, 0.4, ref_heading=0.0)
         hp_d, side_d = state_space_halfplane(
-            (0, 0), Obstacle(p_obs * [1, -1], 0.3), theta_s, 0.4, ref_heading=0.0)
+            (0, 0), p_obs * [1, -1], theta_s, 0.4, ref_heading=0.0)
         assert side_u == -side_d
         assert hp_u.n[0] == pytest.approx(hp_d.n[0], abs=1e-12)
         assert hp_u.n[1] == pytest.approx(-hp_d.n[1], abs=1e-12)
@@ -52,21 +52,21 @@ def test_mirrored_obstacle_mirrors_the_plane(rng):
 
 
 def test_side_held_by_hysteresis_near_dead_ahead():
-    obs = Obstacle((2.0, 0.01), 0.3)  # barely on the left of the reference ray
+    obs = np.array([2.0, 0.01])  # barely on the left of the reference ray
     _, side_fresh = state_space_halfplane((0, 0), obs, 0.3, 0.5, 0.0)
     assert side_fresh == 1
     _, side_held = state_space_halfplane((0, 0), obs, 0.3, 0.5, 0.0,
                                          prev_side=-1)
     assert side_held == -1
     # well off the boundary the fresh side wins regardless of history
-    obs_left = Obstacle((2.0, 1.0), 0.3)
+    obs_left = np.array([2.0, 1.0])
     _, side = state_space_halfplane((0, 0), obs_left, 0.3, 0.5, 0.0,
                                     prev_side=-1)
     assert side == 1
 
 
 def test_plane_inside_safety_disc_points_away():
-    hp, _ = state_space_halfplane((1.8, 0.0), Obstacle((2.0, 0.0), 0.3),
+    hp, _ = state_space_halfplane((1.8, 0.0), np.array([2.0, 0.0]),
                                   0.0, r_safe=0.5, ref_heading=0.0)
     assert not halfplane_satisfied(hp, (1.8, 0.0))  # the robot is past the plane
     assert halfplane_satisfied(hp, (1.4, 0.0))
@@ -102,7 +102,8 @@ ORACLE_HORIZON = 4.0  # time horizon of the collision oracle checks on the cones
 
 
 def head_on_cone(v_obs=(0.0, 0.0)):
-    return velocity_obstacle((0.0, 0.0), 0.5, Obstacle((2.0, 0.0), 0.5, v_obs))
+    return velocity_obstacle((0.0, 0.0), 0.5, np.array([2.0, 0.0]), 0.5,
+                             np.asarray(v_obs, dtype=float))
 
 
 def test_cone_geometry_head_on():
@@ -124,8 +125,15 @@ def test_obstacle_velocity_translates_apex():
 
 
 def test_overlapping_discs_rejected():
-    with pytest.raises(ValueError):
-        velocity_obstacle((0, 0), 0.5, Obstacle((0.8, 0.0), 0.5))
+    with pytest.raises(ValueError, match="already in collision"):
+        velocity_obstacle((0, 0), 0.5, np.array([0.8, 0.0]), 0.5, np.zeros(2))
+
+
+def test_negative_radius_rejected():
+    # the one check velocity_obstacle keeps of its obstacle; a scenario's
+    # obstacles are checked at load (ObstacleSpec)
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        velocity_obstacle((0, 0), 0.5, np.array([3.0, 0.0]), -0.1, np.zeros(2))
 
 
 def test_cone_membership_against_time_grid_oracle(rng):

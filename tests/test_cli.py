@@ -392,15 +392,66 @@ def test_terminal_set_without_a_level_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_terminal_set_with_a_singular_terminal_weight_is_a_config_error(tmp_path, capsys):
-    # Q = 0 is accepted (PSD), but then the DARE's P is singular: no level
-    # set {x' P x <= c} is bounded, so no outer box exists
-    cfg = write_config(tmp_path, SHORT_RUN + "Q_diag: [0.0, 0.0, 0.0]\n")
-    assert main(["terminal-set", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                 "--quiet"]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["config error: terminal_set: P must be positive definite (step 0)"]
+SINUSOID_OFF_PATH = """
+name: off_path
+trajectory: {kind: sinusoid}
+duration: 200
+initial_state: [0.0, 0.3, 0.0]
+sweep: {param: beta, values: [2.0]}
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "compare-lqr", "terminal-set"])
+def test_zero_state_weight_is_a_config_error_in_every_subcommand(tmp_path, capsys, command):
+    # Q = 0 is accepted (PSD), but then every frozen DARE solution is P = 0
+    # and K = 0, whose closed loop A is not stable: the schedule build
+    # rejects it, naming the first steps, before any output is written
+    cfg = write_config(tmp_path, SINUSOID_OFF_PATH + "Q_diag: [0.0, 0.0, 0.0]\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: no stabilizing frozen DARE solution at 210 step(s), first"
+        " [0, 1, 2, 3, 4]: A + B K has an eigenvalue of modulus >= 1"]
     assert not (tmp_path / "o").exists()
+
+
+def test_detectable_singular_state_weight_runs_and_converges(tmp_path):
+    # Q = diag(1, 1, 0) leaves the heading error unweighted but detectable
+    # through e2: every frozen closed loop is stable
+    cfg = write_config(tmp_path, SINUSOID_OFF_PATH + "Q_diag: [1.0, 1.0, 0.0]\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "off_path_metrics.json").read_text())["converged"] is True
+
+
+def test_yaml_booleans_are_only_true_and_false(tmp_path, capsys):
+    # YAML 1.1 reads off, on, yes and no as booleans; a config reads them as
+    # the strings they spell, so README's `avoidance: off` is the mode off
+    scn = parse_config(MINIMAL + "mpc: {avoidance: off, forbid_reverse: true}\n").scenario
+    assert scn.mpc.avoidance == "off" and scn.mpc.forbid_reverse is True
+    assert parse_config(MINIMAL + "mpc: {forbid_reverse: False}\n").scenario.mpc.forbid_reverse \
+        is False
+    for word in ("yes", "no", "on", "off"):
+        cfg = write_config(tmp_path, SHORT_RUN.replace("N: 8", f"forbid_reverse: {word}"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: 'mpc.forbid_reverse' must be true or false, not '{word}'\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_of_zero_steps_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # a sweep compares its runs by their metrics, which need a step; `run`
+    # of the same scene without the sweep section writes its empty log
+    cfg = write_config(tmp_path, SHORT_RUN.replace("duration: 30", "duration: 0")
+                       + "sweep: {param: N, values: [5, 8]}\n")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "sweep", lambda *a: pytest.fail("the sweep ran"))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ("config error: a sweep needs duration >= 1: it compares"
+                                       " its runs by their metrics\n")
+    assert not (tmp_path / "o").exists()
+    cfg = write_config(tmp_path, SHORT_RUN.replace("duration: 30", "duration: 0"))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert (tmp_path / "o" / "tiny_log.csv").read_text().count("\n") == 1  # the header
 
 
 def test_terminal_set_with_a_failed_vertex_check_exits_one(tmp_path, capsys, monkeypatch):

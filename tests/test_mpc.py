@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ltvmpc import mpc, qp
-from ltvmpc.avoidance import Obstacle, velocity_debug_csv
+from ltvmpc.avoidance import velocity_debug_csv
 from ltvmpc.cli import load_config
 from ltvmpc.dynamics import (RobotState, input_matrix, linearize, step_discrete,
                              to_error_frame)
@@ -119,13 +119,16 @@ def test_assembly_templates_follow_their_keys():
     # does one a problem's arrays alias (each is overwritten with NaN after
     # its check). The second costs are not diagonal
     # and their Q, like the skewed terminal weight, is symmetric only to
-    # 1e-12: the constructor's symmetry test must still see H.
+    # 1e-12: CostMatrices and TerminalSchedule store both exactly symmetric,
+    # so every H, stored as built, is exactly symmetric too.
     ref, models, B, schedule = make_setup()
     tilted = CostMatrices(np.array([[1.0, 0.2, 0.0], [0.2 + 1e-12, 1.0, 0.0],
                                     [0.0, 0.0, 0.5]]), np.array([[0.1, 0.01], [0.01, 0.05]]))
     skew = np.zeros((3, 3))
     skew[0, 1] = 1e-12
     skewed = replace(schedule, P=schedule.P + skew)
+    assert np.array_equal(skewed.P, 0.5 * (schedule.P + skew + (schedule.P + skew).mT))
+    assert tilted.Q[0, 1] == tilted.Q[1, 0] == 0.5 * (0.2 + (0.2 + 1e-12))
     rng = np.random.default_rng(27)
     cases = [(0, 10, COSTS, B, False, schedule), (1, 10, COSTS, B, False, schedule),
              (2, 10, tilted, B, False, schedule), (3, 10, tilted, 2.0 * B, False, schedule),
@@ -138,6 +141,7 @@ def test_assembly_templates_follow_their_keys():
         avoid = rng.normal(size=(N, 5 * N + 1))
         got = build_qp(e0, k, ref, models, B_k, sched, costs, cfg, avoid)
         want = build_qp_loops(e0, k, ref, models, B_k, sched, costs, cfg, avoid)
+        assert np.array_equal(got.H, got.H.T), k
         for name in ("H", "g", "A_eq", "b_eq", "A_in", "b_in"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.shape == b.shape and np.array_equal(a, b), (name, k)
@@ -206,6 +210,36 @@ def test_step_solutions_compute_their_residual_once_on_first_read(monkeypatch):
         want = math.inf if sol.status == "infeasible" else max(residuals(p, sol))
         assert sol.kkt_residual == want and sol.kkt_residual == want
     assert len(calls) == sum(sol.status != "infeasible" for _, sol in solved) == 3
+
+
+def test_builders_store_their_problems_as_built(monkeypatch):
+    # Every QP a control step solves comes from build_qp, condense_qp or
+    # _with_shared_slack, stored as built: the constructor's conversions and
+    # checks never run, and each H is exactly symmetric. The first steps of
+    # the static_hyperplane_90 scene take three slack re-solves; a far start
+    # under tight bounds takes the condensed QP.
+    monkeypatch.setattr(qp.QpProblem, "__post_init__",
+                        lambda self: pytest.fail("a builder ran the constructor's checks"))
+    solved = []
+
+    class Recording(QpSolver):
+        def solve(self, p, x0=None):
+            solved.append(p)
+            return super().solve(p, x0)
+
+    monkeypatch.setattr(mpc, "QpSolver", Recording)
+    scn = replace(load_config(CONFIGS / "avoid_static_hyperplane_90.yaml").scenario,
+                  name="first_steps", duration=3)
+    run_scenario(scn)
+    ref, models, B, schedule = make_setup()
+    tight = MpcController(ref, models, B, schedule, COSTS,
+                          MpcConfig(N=10, u_max=np.array([0.9, 0.6])))
+    tight.control_step(RobotState(*(ref.poses[3] + [0.8, -0.6, 0.9])), 3)
+    sizes = [(p.n, p.A_eq.shape[0]) for p in solved]
+    assert sizes.count((51, 30)) == 3 and sizes[-1] == (20, 0)
+    for p in solved:
+        assert np.array_equal(p.H, p.H.T)
+        assert {a.dtype for a in (p.H, p.g, p.A_eq, p.b_eq, p.A_in, p.b_in)} == {np.dtype(float)}
 
 
 def test_shared_slack_wrapping():
@@ -416,8 +450,8 @@ def test_condensed_step_without_binding_bound_factors_only_its_hessian(monkeypat
     calls.clear()
     avoiding = MpcController(ref, models, B, schedule, COSTS,
                              MpcConfig(N=10, avoidance="state_space"))
-    obstacle = Obstacle(ref.poses[12, :2] + [0.0, 0.1], 0.3)
-    assert avoiding.control_step(z, 4, [obstacle]).qp_status == "optimal"
+    obstacle = (ref.poses[12:13, :2] + [0.0, 0.1], np.zeros((1, 2)), np.array([0.3]))
+    assert avoiding.control_step(z, 4, obstacle).qp_status == "optimal"
     assert calls and min(calls) >= 30
 
 
@@ -584,15 +618,16 @@ def test_velocity_debug_keeps_the_nearest_obstacle():
     scn = Scenario(name="two_discs", trajectory=TrajectorySpec("line"), duration=120,
                    R_diag=(1.0, 0.05),
                    mpc=MpcConfig(avoidance="velocity_space", r_safe=0.5, robot_radius=0.22))
-    near, far = Obstacle(np.array([2.0, 0.6]), 0.3), Obstacle(np.array([4.5, 0.0]), 0.3)
+    near, far = [2.0, 0.6], [4.5, 0.0]
     z, k = RobotState(1.525, 0.0, 0.0), 111
 
-    def dump(obstacles):
+    def dump(*centers):  # step k's rows of static discs of radius 0.3
         controller, _ = build_controller(scn)
-        controller.control_step(z, k, obstacles)
+        m = len(centers)
+        controller.control_step(z, k, (np.array(centers), np.zeros((m, 2)), np.full(m, 0.3)))
         return velocity_debug_csv(*controller.last_debug)
 
-    assert dump([near, far]) == dump([far, near]) == dump([near]) != dump([far])
+    assert dump(near, far) == dump(far, near) == dump(near) != dump(far)
 
 
 def test_tracking_at_n50_takes_the_maps_on_every_step(monkeypatch):

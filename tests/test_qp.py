@@ -256,8 +256,12 @@ def test_convexity_is_tested_on_the_equality_null_space_and_skipped_by_builders(
     QpProblem(H=np.diag([1.0, -1e-8]), g=np.zeros(2))
     with pytest.raises(ValueError, match="not PSD"):
         QpProblem(H=np.diag([1.0, -1.1e-8]), g=np.zeros(2))
-    # a package builder's problem is convex by construction and not tested
-    assert np.array_equal(QpProblem._symmetric(H=H, g=np.ones(2)).H, H)
+    # a package builder's problem is convex by construction and stored as
+    # built: its own arrays, neither converted nor tested
+    blocks = dict(H=H, g=np.ones(2), A_eq=np.zeros((0, 2)), b_eq=np.zeros(0),
+                  A_in=np.zeros((0, 2)), b_in=np.zeros(0))
+    built = QpProblem._symmetric(*blocks.values())
+    assert all(getattr(built, name) is block for name, block in blocks.items())
 
 
 def counting_kkt(monkeypatch):

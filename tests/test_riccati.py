@@ -12,8 +12,9 @@ import scipy.linalg
 from ltvmpc import riccati
 from ltvmpc.cli import load_config
 from ltvmpc.dynamics import input_matrix, linearize
-from ltvmpc.riccati import (CostMatrices, backward_riccati, doubling_dare, lqr_gain,
-                            recursion_residuals, riccati_map, solve_dare, stabilizable)
+from ltvmpc.riccati import (CostMatrices, TerminalSchedule, _unstable_steps, backward_riccati,
+                            doubling_dare, lqr_gain, recursion_residuals, riccati_map,
+                            solve_dare, stabilizable)
 from ltvmpc.sim import build_controller
 
 import oracles
@@ -52,6 +53,40 @@ def test_cost_matrices_validate():
     with pytest.raises(ValueError):
         CostMatrices(np.eye(3), np.diag([1.0, 0.0]))  # R must be PD
     CostMatrices(np.diag([1.0, 1.0, 0.0]), np.eye(2))  # PSD Q is fine
+
+
+def test_weights_enter_exactly_symmetric():
+    # Q, R and each P within 1e-10 of symmetric are stored as 0.5 (M + M');
+    # an exactly symmetric one is kept as it is, one further off is rejected
+    skew, far = np.zeros((3, 3)), np.zeros((3, 3))
+    skew[0, 1], far[0, 1] = 1e-11, 2e-10
+    Q = np.diag([1.0, 1.0, 0.5]) + skew
+    costs = CostMatrices(Q, np.eye(2))
+    assert np.array_equal(costs.Q, 0.5 * (Q + Q.T)) and costs.Q[0, 1] == 5e-12
+    P = np.stack([np.eye(3), np.eye(3) + skew])
+    sched = TerminalSchedule(P, np.zeros((1, 2, 3)))
+    assert np.array_equal(sched.P, 0.5 * (P + P.mT)) and sched.P[1, 1, 0] == 5e-12
+    P_sym = np.stack([np.eye(3), 2.0 * np.eye(3)])
+    assert TerminalSchedule(P_sym, np.zeros((1, 2, 3))).P is P_sym
+    with pytest.raises(ValueError, match=r"Q must be symmetric \(within 1e-10\)"):
+        CostMatrices(np.diag([1.0, 1.0, 0.5]) + far, np.eye(2))
+    with pytest.raises(ValueError, match=r"P must be symmetric \(within 1e-10\)"):
+        TerminalSchedule(P_sym + far, np.zeros((1, 2, 3)))
+
+
+def test_unstable_closed_loops_match_eigenvalue_moduli(rng):
+    # the Jury conditions flag exactly the matrices with an eigenvalue of
+    # modulus >= 1 - 1e-9, for n = 1, 2, 3 (padded) and the eigvals path
+    for n in (1, 2, 3, 4):
+        A = rng.normal(size=(4000, n, n)) * rng.uniform(0.2, 1.2, size=(4000, 1, 1))
+        radius = np.abs(np.linalg.eigvals(A)).max(axis=-1)
+        assert 0.1 < np.mean(radius >= 1.0) < 0.9
+        flagged = np.zeros(len(A), dtype=bool)
+        flagged[_unstable_steps(A)] = True
+        clear = np.abs(radius - (1.0 - 1e-9)) > 1e-9
+        assert np.array_equal(flagged[clear], (radius >= 1.0 - 1e-9)[clear])
+    # the unicycle model's own unit eigenvalue, as with Q = 0 (K = 0), is unstable
+    assert _unstable_steps(tracking_model(0.5, 0.3)[None]).tolist() == [0]
 
 
 def test_scalar_dare_gives_golden_ratio():
